@@ -24,7 +24,6 @@ from .algebra import (
     FreePower,
     FreeProduct,
     TensorSquare,
-    TensorSquareElement,
     TruncatedTensorAlgebra,
     compose,
     format_word,
@@ -58,7 +57,6 @@ from .convolution import (
     convolution_inverse,
     convolve,
     identity_map,
-    inclusion_map,
     is_algebra_morphism,
     is_antipode_surjective,
     is_graded_antihomomorphism,
@@ -73,4 +71,25 @@ from .classify import (
 from .dsl import ParseError, ProblemSpec, parse_spec, render_spec
 from .cli import Report, run_command
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "RingSpec", "SnfResult", "is_prime", "smith_normal_form",
+    "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
+    "direct_sum", "is_admissible_free_cyclic",
+    "is_locally_at_most_singly_generated", "module", "shift",
+    "AlgebraElement", "AlgebraMorphism", "FreePower", "FreeProduct",
+    "TensorSquare", "TruncatedTensorAlgebra", "compose", "format_word",
+    "free_power", "free_product", "is_graded_commutative", "renaming_morphism",
+    "tensor_algebra",
+    "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
+    "is_cocommutative", "trivial_coalgebra",
+    "Cogroup", "check_cogroup_axioms", "fold", "is_cogroup_morphism",
+    "tensor_cogroup",
+    "CoalgebraSource", "CogroupSource", "GradedMap", "antipode",
+    "antipode_negates_indecomposables", "check_hopf_antipode",
+    "convolution_inverse", "convolve", "identity_map", "is_algebra_morphism",
+    "is_antipode_surjective", "is_graded_antihomomorphism", "unit_map",
+    "ClassificationReport", "classify_cogroup", "classify_module",
+    "inverse_equals_antipode",
+    "ParseError", "ProblemSpec", "parse_spec", "render_spec",
+    "Report", "run_command",
+]

@@ -5,11 +5,19 @@ basis word for every sequence of generators whose degrees sum to d.  We
 keep everything below a truncation degree D: products simply drop the
 part above D, which is safe because every computation here is degreewise.
 
-Elements are sparse dicts mapping words (tuples of generator names) to
-coefficients.  The coefficient module of a word is R/(m) where m is the
-gcd of the ring characteristic and the annihilators of the letters, so a
-word mixing coprime torsion letters is identically zero; coefficients are
-stored canonically modulo m.
+There is one element type, ``AlgebraElement``: a sparse dict from basis
+keys to coefficients over a parent.  The parent is either a
+``TruncatedTensorAlgebra``, whose keys are words (tuples of generator
+names), or its ``TensorSquare``, whose keys are pairs of words.  The
+parent supplies each key's degree and modulus and the product of keys.
+
+Reduction rule: the coefficient module of a key is R/(m), where m is the
+gcd of the ring characteristic and the annihilators of its letters, so a
+word mixing coprime torsion letters is identically zero.  Coefficients
+are stored canonically: residues in [0, m) when m > 0, and otherwise
+plain ``int`` over Z and Q, with a ``Fraction`` only for a non-integral
+rational.  Sums and products accumulate into one dict and reduce once,
+in ``_reduce_terms``, at the end.
 
 Sign conventions: multiplication of simple tensors in the tensor square
 follows the Koszul rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
@@ -19,6 +27,7 @@ Degree-preserving maps are applied to tensors slotwise without signs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .modules import GradedModulePresentation, CyclicGenerator, _merge_names
@@ -56,6 +65,49 @@ def _format_terms(items, fmt_key):
     return " ".join(chunks)
 
 
+def _reduce_terms(parent, terms: dict) -> dict:
+    """Each coefficient reduced into R/(parent.modulus(key)); zeros dropped.
+
+    ``int`` coefficients take the fast path.  Anything else goes through
+    the ring's ``normalize``, which rejects values outside the ring, and
+    an integral ``Fraction`` comes back as an ``int``.
+    """
+    modulus = parent.modulus
+    fixed = parent.fixed_modulus
+    out = {}
+    for k, c in terms.items():
+        if type(c) is not int:
+            c = parent.ring.normalize(c)
+            if type(c) is not Fraction or c.denominator == 1:
+                c = int(c)
+        m = fixed if fixed is not None else modulus(k)
+        if m:
+            c %= m
+        if c:
+            out[k] = c
+    return out
+
+
+class _Memo(dict):
+    """A dict that computes and keeps the value of a missing key."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def accumulate(acc: dict, terms: dict, c=1) -> None:
+    """acc += c * terms, unreduced."""
+    get = acc.get
+    for k, v in terms.items():
+        acc[k] = get(k, 0) + c * v
+
+
 class TruncatedTensorAlgebra:
     """T(N) kept up to a truncation degree."""
 
@@ -69,10 +121,16 @@ class TruncatedTensorAlgebra:
         self._ann = {g.name: g.annihilator for g in module.generators}
         self._order = {g.name: i for i, g in enumerate(module.generators)}
         self._basis_cache: dict[int, list] = {}
-        self._modulus_cache: dict[tuple, int] = {}
+        deg, ann, char = self._deg, self._ann, self.ring.characteristic()
+        self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
+        self._moduli = _Memo(lambda w: reduce(gcd, (ann[l] for l in w), char))
+        # the modulus of every word, when no letter's annihilator lowers it
+        self.fixed_modulus = (
+            char if all(gcd(char, a) == char for a in ann.values()) else None
+        )
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, TruncatedTensorAlgebra)
             and self.module == other.module
             and self.truncation == other.truncation
@@ -85,25 +143,35 @@ class TruncatedTensorAlgebra:
         return f"TruncatedTensorAlgebra({self.module.ring}, D={self.truncation})"
 
     def word_degree(self, word) -> int:
-        return sum(self._deg[l] for l in word)
+        return self._degrees[word]
 
     def word_modulus(self, word) -> int:
         """gcd of the ring characteristic and the letters' annihilators."""
-        m = self._modulus_cache.get(word)
-        if m is None:
-            m = self.ring.characteristic()
-            for l in word:
-                m = gcd(m, self._ann[l])
-            self._modulus_cache[word] = m
-        return m
+        if self.fixed_modulus is not None:
+            return self.fixed_modulus
+        return self._moduli[word]
 
-    def reduce(self, word, value):
-        m = self.word_modulus(word)
-        if m:
-            if isinstance(value, Fraction):
-                value = self.ring.normalize(value)
-            return int(value) % m
-        return self.ring.normalize(value)
+    # the element protocol's names for a word's degree and modulus
+    degree = word_degree
+    modulus = word_modulus
+
+    def mul_into(self, acc: dict, left: dict, right: dict, c=1) -> None:
+        """acc += c * left * right (concatenation), unreduced and truncated."""
+        deg = self._degrees
+        top = self.truncation
+        get = acc.get
+        for w1, v1 in left.items():
+            room = top - deg[w1]
+            cv = c * v1
+            for w2, v2 in right.items():
+                if deg[w2] <= room:
+                    w = w1 + w2
+                    acc[w] = get(w, 0) + cv * v2
+
+    def sort_key(self, word):
+        return (self.word_degree(word), tuple(self._order[l] for l in word))
+
+    format_key = staticmethod(format_word)
 
     def basis(self, d: int) -> list:
         """All words of degree d, in a fixed order (first letter major)."""
@@ -128,9 +196,6 @@ class TruncatedTensorAlgebra:
         for d in range(top + 1):
             yield from self.basis(d)
 
-    def word_sort_key(self, word):
-        return (self.word_degree(word), tuple(self._order[l] for l in word))
-
     def element(self, terms: dict) -> "AlgebraElement":
         for w in terms:
             for l in w:
@@ -142,7 +207,7 @@ class TruncatedTensorAlgebra:
         return AlgebraElement(self, kept)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return AlgebraElement.trusted(self, {})
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, {(): 1})
@@ -156,19 +221,88 @@ class TruncatedTensorAlgebra:
         return self.element({(name,): 1})
 
 
-class AlgebraElement:
-    """Sparse element of a truncated tensor algebra."""
+class TensorSquare:
+    """A (x) A with the Koszul-signed multiplication, truncated by total degree."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: TruncatedTensorAlgebra, terms: dict):
+    def __init__(self, algebra: TruncatedTensorAlgebra):
         self.algebra = algebra
-        reduced = {}
-        for w, c in terms.items():
-            c = algebra.reduce(w, c)
-            if c:
-                reduced[w] = c
-        self.terms = reduced
+        self.ring = algebra.ring
+        self.truncation = algebra.truncation
+        self.fixed_modulus = algebra.fixed_modulus
+        wm = algebra.word_modulus
+        self._moduli = _Memo(lambda p: gcd(wm(p[0]), wm(p[1])))
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, TensorSquare) and self.algebra == other.algebra
+        )
+
+    def __hash__(self):
+        return hash(("tensor square", self.algebra))
+
+    def degree(self, pair) -> int:
+        wd = self.algebra.word_degree
+        return wd(pair[0]) + wd(pair[1])
+
+    def modulus(self, pair) -> int:
+        return self._moduli[pair]
+
+    def mul_into(self, acc: dict, left: dict, right: dict, c=1) -> None:
+        """acc += c * left * right with the Koszul sign, unreduced and truncated."""
+        deg = self.algebra._degrees
+        top = self.truncation
+        get = acc.get
+        for (a1, b1), v1 in left.items():
+            db = deg[b1]
+            room = top - deg[a1] - db
+            cv = c * v1
+            for (a2, b2), v2 in right.items():
+                da2 = deg[a2]
+                if da2 + deg[b2] <= room:
+                    p = (a1 + a2, b1 + b2)
+                    acc[p] = get(p, 0) + (-cv * v2 if db * da2 % 2 else cv * v2)
+
+    def sort_key(self, pair):
+        key = self.algebra.sort_key
+        return (key(pair[0]), key(pair[1]))
+
+    @staticmethod
+    def format_key(pair) -> str:
+        return f"{format_word(pair[0])}(x){format_word(pair[1])}"
+
+    def element(self, terms: dict) -> "AlgebraElement":
+        kept = {p: c for p, c in terms.items() if self.degree(p) <= self.truncation}
+        return AlgebraElement(self, kept)
+
+    def zero(self):
+        return AlgebraElement.trusted(self, {})
+
+    def one(self):
+        return AlgebraElement(self, {((), ()): 1})
+
+    def pure(self, w1, w2, c=1):
+        return self.element({(w1, w2): c})
+
+
+class AlgebraElement:
+    """Sparse element of a truncated tensor algebra or of its tensor square.
+
+    Treat instances as immutable: morphisms cache and share them.
+    """
+
+    __slots__ = ("parent", "terms")
+
+    def __init__(self, parent, terms: dict):
+        self.parent = parent
+        self.terms = _reduce_terms(parent, terms)
+
+    @classmethod
+    def trusted(cls, parent, terms: dict) -> "AlgebraElement":
+        """Wrap terms that are already reduced, without checking them."""
+        elem = cls.__new__(cls)
+        elem.parent = parent
+        elem.terms = terms
+        return elem
 
     def __bool__(self):
         return bool(self.terms)
@@ -176,80 +310,65 @@ class AlgebraElement:
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
             and self.terms == other.terms
+            and (self.parent is other.parent or self.parent == other.parent)
         )
 
     def __hash__(self):
-        return hash((self.algebra, tuple(sorted(self.terms.items()))))
+        return hash((self.parent, frozenset(self.terms.items())))
 
-    def coefficient(self, word):
-        return self.terms.get(word, self.algebra.reduce(word, 0))
+    def coefficient(self, key):
+        return self.terms.get(key, 0)
 
     def degrees(self) -> set:
-        wd = self.algebra.word_degree
-        return {wd(w) for w in self.terms}
+        deg = self.parent.degree
+        return {deg(k) for k in self.terms}
 
     def is_homogeneous(self, d: int) -> bool:
         return all(dd == d for dd in self.degrees())
 
-    def degree_part(self, d: int) -> "AlgebraElement":
-        wd = self.algebra.word_degree
-        return AlgebraElement(
-            self.algebra, {w: c for w, c in self.terms.items() if wd(w) == d}
-        )
-
     def unit_coefficient(self):
-        return self.terms.get((), self.algebra.reduce((), 0))
+        return self.terms.get((), 0)
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return AlgebraElement(self.algebra, out)
+        accumulate(out, other.terms)
+        return AlgebraElement(self.parent, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return AlgebraElement(self.algebra, out)
+        accumulate(out, other.terms, -1)
+        return AlgebraElement(self.parent, out)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {w: -c for w, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {w: c * v for w, v in self.terms.items()})
+        return AlgebraElement(self.parent, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._check(other)
-        alg = self.algebra
-        D = alg.truncation
-        wd = alg.word_degree
         out: dict = {}
-        for w1, c1 in self.terms.items():
-            d1 = wd(w1)
-            for w2, c2 in other.terms.items():
-                if d1 + wd(w2) > D:
-                    continue
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return AlgebraElement(alg, out)
+        self.parent.mul_into(out, self.terms, other.terms)
+        return AlgebraElement(self.parent, out)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def _check(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
+        if not isinstance(other, AlgebraElement) or not (
+            other.parent is self.parent or other.parent == self.parent
+        ):
             raise ValueError("elements belong to different algebras")
 
     def __str__(self):
-        key = self.algebra.word_sort_key
+        key = self.parent.sort_key
         items = sorted(self.terms.items(), key=lambda kv: key(kv[0]))
-        return _format_terms(items, format_word)
+        return _format_terms(items, self.parent.format_key)
 
     __repr__ = __str__
 
@@ -258,9 +377,8 @@ class AlgebraMorphism:
     """Degree-preserving algebra map out of a truncated tensor algebra.
 
     Determined by generator images, extended multiplicatively over words
-    and linearly over terms.  The target just needs a ``one()`` and
-    elements supporting +, * and ``scale``; that covers tensor algebras
-    and the tensor square alike.
+    and linearly over terms.  The target is any element parent: a tensor
+    algebra or a tensor square.
     """
 
     def __init__(self, source: TruncatedTensorAlgebra, target, images: dict, *, check=True):
@@ -296,15 +414,12 @@ class AlgebraMorphism:
         return img
 
     def __call__(self, elem: AlgebraElement):
-        if elem.algebra != self.source:
+        if elem.parent is not self.source and elem.parent != self.source:
             raise ValueError("element is not in the source algebra")
-        acc = None
+        acc: dict = {}
         for w, c in elem.terms.items():
-            piece = self.word_image(w).scale(c)
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            return self.target.one().scale(0)
-        return acc
+            accumulate(acc, self.word_image(w).terms, c)
+        return AlgebraElement(self.target, acc)
 
 
 def compose(outer: AlgebraMorphism, inner: AlgebraMorphism) -> AlgebraMorphism:
@@ -386,126 +501,6 @@ def free_power(a: TruncatedTensorAlgebra, k: int) -> FreePower:
     )
     inclusions = tuple(renaming_morphism(a, alg, nm) for nm in name_maps)
     return FreePower(alg, inclusions, tuple(name_maps))
-
-
-class TensorSquare:
-    """A (x) A with the Koszul-signed multiplication, truncated by total degree."""
-
-    def __init__(self, algebra: TruncatedTensorAlgebra):
-        self.algebra = algebra
-        self.truncation = algebra.truncation
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSquare) and self.algebra == other.algebra
-
-    def __hash__(self):
-        return hash(("tensor square", self.algebra))
-
-    def pair_degree(self, pair) -> int:
-        wd = self.algebra.word_degree
-        return wd(pair[0]) + wd(pair[1])
-
-    def pair_modulus(self, pair) -> int:
-        return self.algebra.word_modulus(pair[0] + pair[1])
-
-    def reduce(self, pair, value):
-        return self.algebra.reduce(pair[0] + pair[1], value)
-
-    def element(self, terms: dict) -> "TensorSquareElement":
-        kept = {
-            p: c for p, c in terms.items() if self.pair_degree(p) <= self.truncation
-        }
-        return TensorSquareElement(self, kept)
-
-    def zero(self):
-        return TensorSquareElement(self, {})
-
-    def one(self):
-        return TensorSquareElement(self, {((), ()): 1})
-
-    def pure(self, w1, w2, c=1):
-        return self.element({(w1, w2): c})
-
-
-class TensorSquareElement:
-    __slots__ = ("parent", "terms")
-
-    def __init__(self, parent: TensorSquare, terms: dict):
-        self.parent = parent
-        reduced = {}
-        for p, c in terms.items():
-            c = parent.reduce(p, c)
-            if c:
-                reduced[p] = c
-        self.terms = reduced
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorSquareElement)
-            and self.parent == other.parent
-            and self.terms == other.terms
-        )
-
-    def degrees(self) -> set:
-        pd = self.parent.pair_degree
-        return {pd(p) for p in self.terms}
-
-    def is_homogeneous(self, d: int) -> bool:
-        return all(dd == d for dd in self.degrees())
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return TensorSquareElement(self.parent, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) - c
-        return TensorSquareElement(self.parent, out)
-
-    def __neg__(self):
-        return TensorSquareElement(self.parent, {p: -c for p, c in self.terms.items()})
-
-    def scale(self, c):
-        return TensorSquareElement(self.parent, {p: c * v for p, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorSquareElement):
-            return self.scale(other)
-        sq = self.parent
-        wd = sq.algebra.word_degree
-        D = sq.truncation
-        out: dict = {}
-        for (a, b), c1 in self.terms.items():
-            da, db = wd(a), wd(b)
-            for (c, d), c2 in other.terms.items():
-                if da + db + wd(c) + wd(d) > D:
-                    continue
-                coeff = c1 * c2
-                if (db * wd(c)) % 2:
-                    coeff = -coeff
-                p = (a + c, b + d)
-                out[p] = out.get(p, 0) + coeff
-        return TensorSquareElement(sq, out)
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __str__(self):
-        key = self.parent.algebra.word_sort_key
-        items = sorted(
-            self.terms.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1]))
-        )
-        return _format_terms(
-            items, lambda p: f"{format_word(p[0])}(x){format_word(p[1])}"
-        )
-
-    __repr__ = __str__
 
 
 def is_graded_commutative(algebra: TruncatedTensorAlgebra):

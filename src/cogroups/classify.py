@@ -63,8 +63,11 @@ def inverse_equals_antipode(A: Cogroup, truncation: int | None = None):
     Returns (verdict, witness); the witness names the first word where
     the two maps differ, with both values.
     """
+    return _first_difference(A, antipode(A), truncation)
+
+
+def _first_difference(A: Cogroup, chi, truncation: int | None):
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    chi = antipode(A)
     alg = A.algebra
     for d in range(1, D + 1):
         for w in alg.basis(d):
@@ -76,9 +79,14 @@ def inverse_equals_antipode(A: Cogroup, truncation: int | None = None):
 
 
 def classify_cogroup(A: Cogroup, truncation: int | None = None) -> ClassificationReport:
-    """Run all predicates on a cogroup and cross-check them."""
-    nec, witness = inverse_equals_antipode(A, truncation)
-    chi_mor = is_algebra_morphism(antipode(A), A)
+    """Run all predicates on a cogroup and cross-check them.
+
+    chi comes from the word recursion, never from nu, and is computed
+    once for both the nu-eq-chi and the chi-is-morphism verdicts.
+    """
+    chi = antipode(A)
+    nec, witness = _first_difference(A, chi, truncation)
+    chi_mor = is_algebra_morphism(chi, A)
     gc, pair = is_graded_commutative(A.algebra)
     if witness is None and pair is not None:
         u, v = pair

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, TruncatedTensorAlgebra, format_word
+from .algebra import AlgebraElement, TruncatedTensorAlgebra, accumulate, format_word
 from .coalgebra import AxiomReport, CoalgebraPresentation
 from .cogroup import Cogroup
 from .rings import smith_normal_form
@@ -159,17 +159,6 @@ def identity_map(A: Cogroup) -> GradedMap:
     return GradedMap(src, A.algebra, table, check=False)
 
 
-def inclusion_map(A: Cogroup) -> GradedMap:
-    """The canonical inclusion of the defining coalgebra into the algebra."""
-    src = CoalgebraSource(A.coalgebra, A.truncation)
-    table = {
-        g.name: A.algebra.generator(g.name)
-        for g in A.module.generators
-        if g.degree <= A.truncation
-    }
-    return GradedMap(src, A.algebra, table, check=False)
-
-
 def unit_map(source, target: TruncatedTensorAlgebra) -> GradedMap:
     """eta . eps: the convolution identity."""
     return GradedMap(source, target, {}, check=False)
@@ -183,14 +172,16 @@ def _require_parallel(f: GradedMap, g: GradedMap):
 def convolve(f: GradedMap, g: GradedMap) -> GradedMap:
     _require_parallel(f, g)
     src = f.source
+    alg = f.target
     table = {}
     for d in range(1, src.truncation + 1):
         for x in src.basis(d):
-            acc = f.image(x) + g.image(x)
+            acc = dict(f.image(x).terms)
+            accumulate(acc, g.image(x).terms)
             for c, y, z in src.reduced_coproduct(x):
-                acc = acc + (f.image(y) * g.image(z)).scale(c)
-            table[x] = acc
-    return GradedMap(src, f.target, table, check=False)
+                alg.mul_into(acc, f.image(y).terms, g.image(z).terms, c)
+            table[x] = AlgebraElement(alg, acc)
+    return GradedMap(src, alg, table, check=False)
 
 
 def convolution_inverse(f: GradedMap, via: str = "right") -> GradedMap:
@@ -198,21 +189,18 @@ def convolution_inverse(f: GradedMap, via: str = "right") -> GradedMap:
     if via not in ("right", "left"):
         raise ValueError("via must be 'right' or 'left'")
     src = f.source
+    alg = f.target
     table: dict = {}
-
-    def done(key):
-        return table[key]
-
     for d in range(1, src.truncation + 1):
         for x in src.basis(d):
-            img = -f.image(x)
+            acc = {k: -v for k, v in f.image(x).terms.items()}
             for c, y, z in src.reduced_coproduct(x):
                 if via == "right":
-                    img = img - (f.image(y) * done(z)).scale(c)
+                    alg.mul_into(acc, f.image(y).terms, table[z].terms, -c)
                 else:
-                    img = img - (done(y) * f.image(z)).scale(c)
-            table[x] = img
-    return GradedMap(src, f.target, table, check=False)
+                    alg.mul_into(acc, table[y].terms, f.image(z).terms, -c)
+            table[x] = AlgebraElement(alg, acc)
+    return GradedMap(src, alg, table, check=False)
 
 
 def antipode(A: Cogroup) -> GradedMap:
@@ -224,10 +212,10 @@ def antipode(A: Cogroup) -> GradedMap:
     def chi(w):
         img = memo.get(w)
         if img is None:
-            img = -alg.element({w: 1})
+            acc = {w: -1}
             for c, y, z in src.reduced_coproduct(w):
-                img = img - (alg.element({y: 1}) * chi(z)).scale(c)
-            memo[w] = img
+                alg.mul_into(acc, {y: 1}, chi(z).terms, -c)
+            img = memo[w] = AlgebraElement(alg, acc)
         return img
 
     for d in range(1, A.truncation + 1):
@@ -324,9 +312,9 @@ def is_antipode_surjective(A: Cogroup, chi: GradedMap) -> dict:
         cols = []
         for w in words:
             img = chi.image(w)
-            col = [img.terms.get(v, 0) for v in words]
-            assert set(img.terms) <= set(index), "antipode image left the degree"
-            cols.append(col)
+            if not index.keys() >= img.terms.keys():
+                raise ValueError(f"image of {format_word(w)} leaves degree {d}")
+            cols.append([img.terms.get(v, 0) for v in words])
         # matrix with chi(w_j) in column j
         mat = [[cols[j][i] for j in range(k)] for i in range(k)]
         if ring.kind == "Q":
@@ -359,11 +347,7 @@ def antipode_negates_indecomposables(A: Cogroup, chi: GradedMap) -> dict:
         for w in alg.basis(d):
             img = chi.image(w)
             proj = {v: c for v, c in img.terms.items() if len(v) == 1}
-            want: dict = {}
-            if len(w) == 1:
-                c = alg.reduce(w, -1)
-                if c:
-                    want[w] = c
+            want = alg.element({w: -1}).terms if len(w) == 1 else {}
             if proj != want:
                 ok = False
                 break

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .coalgebra import CoalgebraPresentation
 from .modules import CyclicGenerator, GradedModulePresentation
-from .rings import RingSpec, is_prime
+from .rings import RingSpec
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|-?\d+|[=*+]|\S")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -142,9 +142,10 @@ def parse_spec(text: str) -> ProblemSpec:
                 ring = RingSpec.integers_mod(int(n.text))
             elif kind.text == "Fp":
                 p = cur.integer("a prime")
-                if not is_prime(int(p.text)):
-                    raise ParseError(f"{p.text} is not prime", p.line, p.column)
-                ring = RingSpec.prime_field(int(p.text))
+                try:
+                    ring = RingSpec.prime_field(int(p.text))
+                except ValueError as exc:  # composite, or beyond certification
+                    raise ParseError(str(exc), p.line, p.column) from exc
             else:
                 raise ParseError(
                     f"unknown ring '{kind.text}' (want Z, Q, Zmod <n> or Fp <p>)",

@@ -3,9 +3,9 @@
 Supported base rings: the integers Z, the rationals Q, the modular rings
 Z/n for n >= 2 (composite n is legal), and prime fields F_p.  Ring elements
 are plain Python values kept in canonical form: ints for Z, ``Fraction``
-for Q, and residues in ``[0, n)`` for Z/n and F_p.  A ``RingSpec`` carries
-the arithmetic and never wraps the values, so equality of elements is
-ordinary equality of canonical representatives.
+for Q, and residues in ``[0, n)`` for Z/n and F_p.  A ``RingSpec`` names
+the ring and brings values into that form; it never wraps them, so
+equality of elements is ordinary equality of canonical representatives.
 
 All integer arithmetic is unbounded; nothing here ever rounds.
 """
@@ -17,14 +17,28 @@ from fractions import Fraction
 
 _KINDS = ("Z", "Q", "Zmod", "Fp")
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# psi_13 = 3317044064679887385961981 = 1287836182261 * 2575672364521, the
+# least strong pseudoprime to all of them.  Base 41 is what rejects
+# psi_12 = 318665857834031151167461, the least one to the first 12.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CERTIFICATION_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Certified primality below ``PRIME_CERTIFICATION_BOUND``.
+
+    Raises ``ValueError`` at or above the bound, where the Miller-Rabin
+    bases used here no longer decide primality.
+    """
+    if n >= PRIME_CERTIFICATION_BOUND:
+        raise ValueError(
+            f"{n} is at or above {PRIME_CERTIFICATION_BOUND}, the bound below "
+            "which primality is certified"
+        )
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -103,27 +117,6 @@ class RingSpec:
             return value
         return value % self.modulus
 
-    def from_int(self, k: int):
-        return self.normalize(int(k))
-
-    def zero(self):
-        return self.normalize(0)
-
-    def one(self):
-        return self.normalize(1)
-
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
-    def neg(self, a):
-        return self.normalize(-a)
-
     def legal_annihilator(self, a: int) -> bool:
         """Whether ``a`` may annihilate a cyclic summand over this ring.
 
@@ -139,9 +132,6 @@ class RingSpec:
         if self.kind == "Zmod":
             return self.modulus % a == 0
         return True  # Z
-
-    def format(self, value) -> str:
-        return str(self.normalize(value))
 
     def __str__(self):
         if self.kind in ("Zmod", "Fp"):

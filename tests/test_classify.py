@@ -74,6 +74,25 @@ def test_classify_cogroup_with_nontrivial_coproduct():
     assert rep.witness
 
 
+def test_classify_computes_chi_once(monkeypatch):
+    import cogroups.classify as classify
+
+    calls = []
+
+    def counting_antipode(A):
+        calls.append(A)
+        return cg.antipode(A)
+
+    monkeypatch.setattr(classify, "antipode", counting_antipode)
+    m = cg.module(Z, [("a", 1), ("b", 2), ("c", 3)])
+    C = cg.CoalgebraPresentation(
+        m, {"b": [(1, "a", "a")], "c": [(1, "a", "b"), (1, "b", "a")]}
+    )
+    rep = cg.classify_cogroup(cg.tensor_cogroup(C, 6))
+    assert len(calls) == 1
+    assert rep.consistent and not rep.inverse_equals_antipode
+
+
 def test_classify_module_coprime_and_common_torsion():
     coprime = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
     rep = cg.classify_module(coprime)

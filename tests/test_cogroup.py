@@ -1,5 +1,10 @@
 """Cogroup structure on tensor algebras: maps, axioms, morphisms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import cogroups as cg
@@ -165,3 +170,42 @@ def test_cogroup_morphism_checks_the_algebras():
     f = cg.AlgebraMorphism(A.algebra, A.algebra, {"X": A.algebra.generator("X")})
     with pytest.raises(ValueError):
         cg.is_cogroup_morphism(f, A, B)
+
+
+# A Delta that lost the outer term 1 (x) x, and a map whose image leaves
+# its degree: both break invariants that must hold under ``python -O``.
+BROKEN_FIXTURES = """
+import cogroups as cg
+assert not __debug__
+C = cg.trivial_coalgebra(cg.module(cg.RingSpec.rationals(), [("x", 2)]))
+good = cg.Cogroup(C, 4)
+prod = good.square_product.algebra
+phi = cg.AlgebraMorphism(good.algebra, prod, {"x": prod.generator("x'")}, check=False)
+bad = cg.Cogroup(C, 4, phi=phi)
+try:
+    bad.reduced_coproduct_word(("x",))
+except ValueError as exc:
+    print("delta:", exc)
+alg = good.algebra
+leak = cg.GradedMap(
+    cg.CogroupSource(good), alg,
+    {w: alg.element({w + ("x",): 1}) for w in alg.words_up_to(2) if w},
+    check=False,
+)
+try:
+    cg.is_antipode_surjective(good, leak)
+except ValueError as exc:
+    print("surjective:", exc)
+"""
+
+
+def test_invariant_errors_survive_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_FIXTURES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "delta: coproduct of x lost its outer terms" in run.stdout
+    assert "surjective: image of x leaves degree 2" in run.stdout

@@ -257,6 +257,16 @@ def test_cli_main_error_paths(tmp_path, capsys):
     assert rc == 2 and "line 2" in captured.err
 
 
+def test_cli_refuses_fp_modulus_beyond_certification(tmp_path, capsys):
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 (psi_13)
+    path = tmp_path / "psi13.cog"
+    path.write_text("ring Fp 3317044064679887385961981\ngenerator x degree 2\n")
+    rc = cli_main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "line 1, col 9" in captured.err and "bound" in captured.err
+
+
 def test_cli_seed_flag_is_accepted(tmp_path, capsys):
     path = tmp_path / "poly.cog"
     path.write_text(POLY)

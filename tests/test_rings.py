@@ -85,6 +85,42 @@ def test_is_prime_small_and_carmichael():
     assert cg.is_prime(2**31 - 1)
 
 
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_certifies_below_psi13_and_refuses_from_it():
+    assert all(_strong_probable_prime(PSI_12, a) for a in BASES[:12])
+    assert not _strong_probable_prime(PSI_12, 41)
+    assert not cg.is_prime(PSI_12)
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert all(_strong_probable_prime(PSI_13, a) for a in BASES)
+    assert cg.is_prime(2**61 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"{PSI_13}, the bound"):
+            cg.is_prime(n)
+    with pytest.raises(ValueError, match="bound") as info:
+        RingSpec.prime_field(PSI_13)
+    assert "not prime" not in str(info.value)
+
+
 # Smith normal form --------------------------------------------------------
 
 
