@@ -11,7 +11,9 @@ characteristic 2).
 Every predicate below is computed independently - nu by extending the
 inclusion's convolution inverse, chi by the word recursion, commutativity
 on generator pairs, locality by primary decomposition - and the report
-records whether they agree.
+records whether they agree.  chi comes from ``antipode_by_recursion``:
+``antipode`` builds chi as an anti-homomorphism, so chi-is-morphism would
+then only restate commutativity.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from .algebra import format_word, is_graded_commutative
 from .coalgebra import trivial_coalgebra
 from .cogroup import Cogroup, tensor_cogroup
-from .convolution import antipode, is_algebra_morphism
+from .convolution import antipode, antipode_by_recursion, is_algebra_morphism
 from .modules import (
     GradedModulePresentation,
     is_admissible_free_cyclic,
@@ -84,7 +86,7 @@ def classify_cogroup(A: Cogroup, truncation: int | None = None) -> Classificatio
     chi comes from the word recursion, never from nu, and is computed
     once for both the nu-eq-chi and the chi-is-morphism verdicts.
     """
-    chi = antipode(A)
+    chi = antipode_by_recursion(A)
     nec, witness = _first_difference(A, chi, truncation)
     chi_mor = is_algebra_morphism(chi, A)
     gc, pair = is_graded_commutative(A.algebra)

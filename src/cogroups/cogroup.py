@@ -15,9 +15,11 @@ algebra maps fixed by their generator images, D is computed directly as
 the morphism with D(x) = x (x) 1 + Dbar(x) + 1 (x) x into the
 Koszul-signed tensor square.
 
-The axiom suite checks, on all words up to the requested degree:
-coassociativity of Phi, the counit laws, both inverse laws, and that D
-is coassociative, counital and restricts to the defining coalgebra.
+The axiom suite checks coassociativity of Phi, the counit laws, both
+inverse laws, and that D is coassociative, counital and restricts to the
+defining coalgebra.  Each law equates two algebra morphisms out of A, so
+it is checked on the unit and the generators only; the same check over
+every word up to the requested degree is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -186,8 +188,19 @@ def _shift_map(A: Cogroup, triple, offset: int) -> dict:
 
 
 def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomReport:
-    """Verify the cogroup laws on all words of degree <= truncation."""
+    """Verify the cogroup laws up to degree ``truncation``.
+
+    Both sides of each law are algebra morphisms out of A (composites of
+    Phi, nu, D and the counit), so they agree on every word once they
+    agree on the unit and the generators; only those are checked.
+    """
     D = A.truncation if truncation is None else min(truncation, A.truncation)
+    words = [()] + [(g.name,) for g in A.module.generators if g.degree <= D]
+    return _check_axioms_on(A, D, words)
+
+
+def _check_axioms_on(A: Cogroup, D: int, words) -> AxiomReport:
+    """The cogroup laws on each of ``words``, and D on the coalgebra."""
     alg = A.algebra
     prod = A.square_product.algebra
     triple = free_power(alg, 3)
@@ -223,7 +236,7 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
     def triple_modulus(key):
         return alg.word_modulus(key[0] + key[1] + key[2])
 
-    for w in alg.words_up_to(D):
+    for w in words:
         checked += 1
         word_elem = alg.element({w: 1})
         pw = A.phi(word_elem)

@@ -17,8 +17,11 @@ two flavours: a presented coalgebra with its finite table, and the whole
 underlying coalgebra of a cogroup, whose basis elements are words.
 
 The antipode of the underlying Hopf structure is the convolution inverse
-of the identity; it is also computed by a direct memoized word recursion
-chi(x) = -x - sum c_i y_i chi(z_i), which is the fast path.
+of the identity.  ``antipode`` builds it from generator data: the
+recursion chi(x) = -x - sum c_i y_i chi(z_i) on generators, then one
+product per longer word, since chi is a graded anti-homomorphism.
+``antipode_by_recursion`` runs the recursion on every word instead and
+assumes no product structure; ``classify`` uses it as the independent chi.
 """
 
 from __future__ import annotations
@@ -204,7 +207,35 @@ def convolution_inverse(f: GradedMap, via: str = "right") -> GradedMap:
 
 
 def antipode(A: Cogroup) -> GradedMap:
-    """chi = the convolution inverse of the identity, by word recursion."""
+    """chi = the convolution inverse of the identity, from generator data.
+
+    On a generator, chi(g) = -g - sum c y chi(z) over Dbar(g), read off D
+    and never off nu.  A longer word a.w is then one product: chi is a
+    graded anti-homomorphism, chi(a.w) = (-1)^{|a||w|} chi(w) chi(a).
+    That holds because D is coassociative, which ``tensor_cogroup``
+    guarantees; ``antipode_by_recursion`` computes chi without it.
+    """
+    alg = A.algebra
+    deg = alg.word_degree
+    table: dict = {}
+    for d in range(1, A.truncation + 1):
+        for w in alg.basis(d):
+            if len(w) == 1:
+                acc = {w: -1}
+                for c, y, z in A.reduced_coproduct_word(w):
+                    alg.mul_into(acc, {y: 1}, table[z].terms, -c)
+            else:
+                a, rest = w[:1], w[1:]
+                acc = {}
+                sign = -1 if deg(a) * deg(rest) % 2 else 1
+                alg.mul_into(acc, table[rest].terms, table[a].terms, sign)
+            table[w] = AlgebraElement(alg, acc)
+    return GradedMap(CogroupSource(A), alg, table, check=False)
+
+
+def antipode_by_recursion(A: Cogroup) -> GradedMap:
+    """chi by the memoized word recursion chi(w) = -w - sum c y chi(z)
+    over Dbar(w): no product structure assumed, about 2^len(w) terms."""
     src = CogroupSource(A)
     alg = A.algebra
     memo: dict = {}
@@ -246,47 +277,32 @@ def check_hopf_antipode(A: Cogroup, chi: GradedMap) -> AxiomReport:
     return AxiomReport(checked, violations)
 
 
-def _rank_rationals(rows, ncols) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    col = 0
+def _field_rank(rows, ncols, p=0) -> int:
+    """Rank over Q (p = 0) or F_p, by forward elimination."""
+    if p:
+        mat = [[int(v) % p for v in row] for row in rows]
+    else:
+        mat = [[Fraction(v) for v in row] for row in rows]
     nrows = len(mat)
-    while rank < nrows and col < ncols:
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
         piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
         if piv is None:
-            col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        pivot_row = mat[rank][col:]
+        inv = pow(pivot_row[0], -1, p) if p else 1 / pivot_row[0]
+        for r in range(rank + 1, nrows):
+            row = mat[r]
+            if row[col]:
+                f = row[col] * inv
+                if p:
+                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], pivot_row)]
+                else:
+                    row[col:] = [a - f * b for a, b in zip(row[col:], pivot_row)]
         rank += 1
-        col += 1
-    return rank
-
-
-def _rank_mod_p(rows, ncols, p) -> int:
-    mat = [[int(v) % p for v in row] for row in rows]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
     return rank
 
 
@@ -317,10 +333,8 @@ def is_antipode_surjective(A: Cogroup, chi: GradedMap) -> dict:
             cols.append([img.terms.get(v, 0) for v in words])
         # matrix with chi(w_j) in column j
         mat = [[cols[j][i] for j in range(k)] for i in range(k)]
-        if ring.kind == "Q":
-            out[d] = _rank_rationals(mat, k) == k
-        elif ring.kind == "Fp":
-            out[d] = _rank_mod_p(mat, k, ring.characteristic()) == k
+        if ring.is_field():
+            out[d] = _field_rank(mat, k, ring.characteristic()) == k
         else:
             moduli = [alg.word_modulus(w) for w in words]
             aug = [

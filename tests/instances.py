@@ -8,7 +8,9 @@ so the acceptance criteria can share the heavy work.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
+
+from hypothesis import strategies as st
 
 import cogroups as cg
 
@@ -18,6 +20,7 @@ F2 = cg.RingSpec.prime_field(2)
 F3 = cg.RingSpec.prime_field(3)
 Z4 = cg.RingSpec.integers_mod(4)
 Z6 = cg.RingSpec.integers_mod(6)
+RINGS = (Z, Q, Z4, Z6, F2, F3)
 
 # (key, ring, generators, expected graded commutativity)
 MATRIX = [
@@ -131,3 +134,50 @@ def brute_force_graded_commutative(algebra, top_degree):
                     if eu * ev != (ev * eu).scale(sign):
                         return False
     return True
+
+
+def annihilators(ring):
+    """Annihilators a generator may carry over ``ring``; 0 means none."""
+    if ring.kind == "Z":
+        return (0, 0, 2, 3, 4, 6)
+    if ring.kind == "Zmod":
+        n = ring.characteristic()
+        return (0,) + tuple(a for a in range(2, n + 1) if n % a == 0)
+    return (0,)
+
+
+@st.composite
+def coassociative_coalgebras(draw, max_generators=3):
+    """(coalgebra, truncation): a direct sum of coassociative pieces.
+
+    A piece is a chain x_1, ..., x_k with deg x_n = n * e and one of
+    three tables, each scaled by s:
+
+    - primitive: no table (and the only piece whose generators may carry
+      an annihilator);
+    - deconcatenation: x_n -> s * sum_{0<i<n} x_i (x) x_{n-i};
+    - binomial: x_n -> s * sum_{0<i<n} C(n, i) x_i (x) x_{n-i}.
+    """
+    ring = draw(st.sampled_from(RINGS))
+    anns = annihilators(ring)
+    names = iter("abcdef")
+    gens, table = [], {}
+    for _ in range(draw(st.integers(1, 2))):
+        room = max_generators - len(gens)
+        if not room:
+            break
+        family = draw(st.sampled_from(("primitive", "deconcatenation", "binomial")))
+        base = draw(st.integers(1, 2))
+        scale = draw(st.sampled_from((1, -1, 2)))
+        chain = [next(names) for _ in range(draw(st.integers(1, room)))]
+        for n, name in enumerate(chain, 1):
+            ann = draw(st.sampled_from(anns)) if family == "primitive" else 0
+            gens.append((name, n * base, ann))
+            if family != "primitive" and n > 1:
+                table[name] = [
+                    (scale * (comb(n, i) if family == "binomial" else 1),
+                     chain[i - 1], chain[n - i - 1])
+                    for i in range(1, n)
+                ]
+    C = cg.CoalgebraPresentation(cg.module(ring, gens), table)
+    return C, draw(st.integers(3, 6))

@@ -78,18 +78,25 @@ def test_classify_computes_chi_once(monkeypatch):
     import cogroups.classify as classify
 
     calls = []
+    fast_calls = []
 
     def counting_antipode(A):
         calls.append(A)
+        return cg.antipode_by_recursion(A)
+
+    def counting_fast_antipode(A):
+        fast_calls.append(A)
         return cg.antipode(A)
 
-    monkeypatch.setattr(classify, "antipode", counting_antipode)
+    monkeypatch.setattr(classify, "antipode_by_recursion", counting_antipode)
+    monkeypatch.setattr(classify, "antipode", counting_fast_antipode)
     m = cg.module(Z, [("a", 1), ("b", 2), ("c", 3)])
     C = cg.CoalgebraPresentation(
         m, {"b": [(1, "a", "a")], "c": [(1, "a", "b"), (1, "b", "a")]}
     )
     rep = cg.classify_cogroup(cg.tensor_cogroup(C, 6))
     assert len(calls) == 1
+    assert not fast_calls  # chi-is-morphism needs a chi not built as an anti-homomorphism
     assert rep.consistent and not rep.inverse_equals_antipode
 
 

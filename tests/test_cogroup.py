@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from instances import Q, Z, Z4, make_cogroup, make_module
+from cogroups.cogroup import _check_axioms_on
+from instances import Q, Z, Z4, coassociative_coalgebras, make_cogroup, make_module
 
 
 def polynomial_cogroup(n=2, D=10):
@@ -110,6 +112,51 @@ def test_axioms_pass_with_torsion_coproduct():
     assert cg.check_cogroup_axioms(cg.tensor_cogroup(C, 8)).ok
 
 
+def failure_kinds(report):
+    return {v.rsplit(" on ", 1)[0] for v in report.violations}
+
+
+def both_levels(A):
+    """The generator-level check, after comparing it with every word."""
+    fast = cg.check_cogroup_axioms(A)
+    slow = _check_axioms_on(A, A.truncation, A.algebra.words_up_to())
+    assert fast.ok == slow.ok
+    assert failure_kinds(slow) <= failure_kinds(fast)
+    return fast
+
+
+def test_axioms_are_checked_on_the_unit_and_generators():
+    rep = cg.check_cogroup_axioms(loop_cogroup(8))
+    # (), y, x, then D restricted to the coalgebra on y and x
+    assert rep.ok and rep.checked == 3 + 2
+    assert both_levels(loop_cogroup(6)).ok
+
+
+def broken(A, part, rng):
+    """A with one generator image of Phi or nu moved off by a legal term."""
+    g = rng.choice(list(A.phi.images))
+    if part == "phi":
+        prod = A.square_product.algebra
+        images = dict(A.phi.images)
+        images[g] = images[g] - prod.generator(A.square_product.name_maps[1][g])
+        return cg.Cogroup(A.coalgebra, A.truncation, phi=cg.AlgebraMorphism(
+            A.algebra, prod, images, check=False))
+    images = dict(A.nu.images)
+    images[g] = images[g] + A.algebra.generator(g)
+    return cg.Cogroup(A.coalgebra, A.truncation, nu=cg.AlgebraMorphism(
+        A.algebra, A.algebra, images))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coassociative_coalgebras(), st.sampled_from((None, "phi", "nu")), st.randoms())
+def test_generator_level_axioms_agree_with_every_word(case, part, rng):
+    C, D = case
+    A = cg.tensor_cogroup(C, D)
+    if part is not None:
+        A = broken(A, part, rng)
+    assert both_levels(A).ok == (part is None)
+
+
 def test_axioms_catch_a_broken_comultiplication():
     C = cg.trivial_coalgebra(cg.module(Q, [("x", 2)]))
     good = cg.Cogroup(C, 6)
@@ -118,7 +165,7 @@ def test_axioms_catch_a_broken_comultiplication():
         good.algebra, prod, {"x": prod.generator("x'")}, check=False
     )
     bad = cg.Cogroup(C, 6, phi=broken_phi)
-    rep = cg.check_cogroup_axioms(bad)
+    rep = both_levels(bad)
     assert not rep.ok
     assert any("inverse law" in v for v in rep.violations)
     assert any("counit" in v for v in rep.violations)
@@ -131,7 +178,7 @@ def test_axioms_catch_a_broken_inverse():
         good.algebra, good.algebra, {"x": good.algebra.generator("x")}
     )
     bad = cg.Cogroup(C, 6, nu=wrong_nu)
-    rep = cg.check_cogroup_axioms(bad)
+    rep = both_levels(bad)
     assert not rep.ok
     assert all("inverse law" in v for v in rep.violations)
 

@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
+from cogroups.convolution import _field_rank
 from instances import (
+    MATRIX_KEYS,
     Q,
     Z,
     Z4,
+    coassociative_coalgebras,
     make_antipode,
     make_cogroup,
     make_module,
@@ -114,6 +118,34 @@ def test_antipode_matches_generic_inverse():
         generic = cg.convolution_inverse(cg.identity_map(A))
         assert chi == generic, key
         assert chi.difference_witness(generic) is None
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_antipode_matches_the_word_recursion(key):
+    A = make_cogroup(key, 8)
+    assert cg.antipode(A) == cg.antipode_by_recursion(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coassociative_coalgebras())
+def test_antipode_matches_the_word_recursion_on_coproduct_tables(case):
+    A = cg.tensor_cogroup(*case)
+    chi, oracle = cg.antipode(A), cg.antipode_by_recursion(A)
+    assert chi == oracle, chi.difference_witness(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=6
+    ).map(lambda rows: (rows, n))),
+    st.sampled_from((2, 3, 5)),
+)
+def test_field_rank_counts_invariant_factors(case, p):
+    rows, ncols = case
+    factors = cg.smith_normal_form(rows).factors
+    assert _field_rank(rows, ncols) == sum(1 for f in factors if f)
+    assert _field_rank(rows, ncols, p) == sum(1 for f in factors if f % p)
 
 
 def test_antipode_signs_on_a_single_even_generator():

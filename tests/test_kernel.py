@@ -14,15 +14,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-
-RINGS = (
-    cg.RingSpec.integers(),
-    cg.RingSpec.rationals(),
-    cg.RingSpec.integers_mod(4),
-    cg.RingSpec.integers_mod(6),
-    cg.RingSpec.prime_field(2),
-    cg.RingSpec.prime_field(3),
-)
+from instances import RINGS, annihilators
 
 
 class Oracle:
@@ -84,13 +76,7 @@ class Oracle:
 @st.composite
 def algebras(draw, rings=RINGS):
     ring = draw(st.sampled_from(rings))
-    if ring.kind == "Z":
-        anns = (0, 0, 2, 3, 4, 6)
-    elif ring.kind == "Zmod":
-        n = ring.characteristic()
-        anns = (0,) + tuple(a for a in range(2, n + 1) if n % a == 0)
-    else:
-        anns = (0,)
+    anns = annihilators(ring)
     gens = [
         (name, draw(st.integers(1, 3)), draw(st.sampled_from(anns)))
         for name in "xyz"[: draw(st.integers(1, 3))]
