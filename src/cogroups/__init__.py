@@ -21,13 +21,11 @@ from .modules import (
 from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
-    FreePower,
     FreeProduct,
     TensorSquare,
     TruncatedTensorAlgebra,
     compose,
     format_word,
-    free_power,
     free_product,
     is_graded_commutative,
     renaming_morphism,
@@ -77,9 +75,9 @@ __all__ = [
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
     "direct_sum", "is_admissible_free_cyclic",
     "is_locally_at_most_singly_generated", "module", "shift",
-    "AlgebraElement", "AlgebraMorphism", "FreePower", "FreeProduct",
+    "AlgebraElement", "AlgebraMorphism", "FreeProduct",
     "TensorSquare", "TruncatedTensorAlgebra", "compose", "format_word",
-    "free_power", "free_product", "is_graded_commutative", "renaming_morphism",
+    "free_product", "is_graded_commutative", "renaming_morphism",
     "tensor_algebra",
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
     "is_cocommutative", "trivial_coalgebra",

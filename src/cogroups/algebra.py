@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .modules import GradedModulePresentation, CyclicGenerator, _merge_names
+from .modules import GradedModulePresentation, _disjoint_sum
 
 
 def format_word(word) -> str:
@@ -385,7 +385,9 @@ class AlgebraMorphism:
         self.source = source
         self.target = target
         self.images = dict(images)
-        self._word_cache: dict = {(): target.one()}
+        # one-letter words are the images themselves: no product by 1
+        self._word_cache: dict = {(n,): img for n, img in self.images.items()}
+        self._word_cache[()] = target.one()
         if check:
             self._validate()
 
@@ -396,6 +398,8 @@ class AlgebraMorphism:
             if g.name not in self.images:
                 raise ValueError(f"no image for generator {g.name}")
             img = self.images[g.name]
+            if img.parent != self.target:
+                raise ValueError(f"image of {g.name} is not in the target")
             if img and not img.is_homogeneous(g.degree):
                 raise ValueError(
                     f"image of {g.name} is not homogeneous of degree {g.degree}"
@@ -441,44 +445,13 @@ def tensor_algebra(module: GradedModulePresentation, truncation: int) -> Truncat
 
 
 class FreeProduct:
-    """T(M) * T(N) presented as the tensor algebra on M (+) N."""
+    """T(M_1) * ... * T(M_k) presented as the tensor algebra on M_1 (+) ... (+) M_k.
 
-    def __init__(self, algebra, left, right, left_names, right_names):
-        self.algebra = algebra
-        self.left = left
-        self.right = right
-        self.left_names = left_names
-        self.right_names = right_names
-
-
-def free_product(a: TruncatedTensorAlgebra, b: TruncatedTensorAlgebra) -> FreeProduct:
-    if a.ring != b.ring:
-        raise ValueError("free product needs a common base ring")
-    if a.truncation != b.truncation:
-        raise ValueError("free product factors must share the truncation degree")
-    lmap, rmap = _merge_names(a.module.names(), b.module.names())
-    gens = [
-        CyclicGenerator(lmap[g.name], g.degree, g.annihilator)
-        for g in a.module.generators
-    ]
-    gens += [
-        CyclicGenerator(rmap[g.name], g.degree, g.annihilator)
-        for g in b.module.generators
-    ]
-    prod = TruncatedTensorAlgebra(
-        GradedModulePresentation(a.ring, tuple(gens)), a.truncation
-    )
-    return FreeProduct(
-        prod,
-        renaming_morphism(a, prod, lmap),
-        renaming_morphism(b, prod, rmap),
-        lmap,
-        rmap,
-    )
-
-
-class FreePower:
-    """k-fold free product of one algebra with itself, slots tagged by primes."""
+    ``inclusions[i]`` embeds factor i, and ``name_maps[i]`` sends its
+    generator names to their names in the product.  A name found in more
+    than one factor gets i + 1 primes in factor i, so A * A has the slots
+    x' and x'', and A * A * A adds a third slot with three primes.
+    """
 
     def __init__(self, algebra, inclusions, name_maps):
         self.algebra = algebra
@@ -486,21 +459,21 @@ class FreePower:
         self.name_maps = name_maps
 
 
-def free_power(a: TruncatedTensorAlgebra, k: int) -> FreePower:
-    if k < 1:
-        raise ValueError("free power needs k >= 1")
-    name_maps = [
-        {n: n + "'" * (slot + 1) for n in a.module.names()} for slot in range(k)
-    ]
-    gens = []
-    for slot in range(k):
-        for g in a.module.generators:
-            gens.append(CyclicGenerator(name_maps[slot][g.name], g.degree, g.annihilator))
-    alg = TruncatedTensorAlgebra(
-        GradedModulePresentation(a.ring, tuple(gens)), a.truncation
+def free_product(*factors: TruncatedTensorAlgebra) -> FreeProduct:
+    if not factors:
+        raise ValueError("free product needs at least one factor")
+    first = factors[0]
+    for f in factors[1:]:
+        if f.ring != first.ring:
+            raise ValueError("free product needs a common base ring")
+        if f.truncation != first.truncation:
+            raise ValueError("free product factors must share the truncation degree")
+    module, name_maps = _disjoint_sum([f.module for f in factors])
+    prod = TruncatedTensorAlgebra(module, first.truncation)
+    inclusions = tuple(
+        renaming_morphism(f, prod, nm) for f, nm in zip(factors, name_maps)
     )
-    inclusions = tuple(renaming_morphism(a, alg, nm) for nm in name_maps)
-    return FreePower(alg, inclusions, tuple(name_maps))
+    return FreeProduct(prod, inclusions, name_maps)
 
 
 def is_graded_commutative(algebra: TruncatedTensorAlgebra):

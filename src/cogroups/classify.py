@@ -8,12 +8,14 @@ the defining module being locally at most singly generated, which over a
 field means: zero, or one free generator of even degree (any degree in
 characteristic 2).
 
-Every predicate below is computed independently - nu by extending the
-inclusion's convolution inverse, chi by the word recursion, commutativity
-on generator pairs, locality by primary decomposition - and the report
-records whether they agree.  chi comes from ``antipode_by_recursion``:
-``antipode`` builds chi as an anti-homomorphism, so chi-is-morphism would
-then only restate commutativity.
+Every predicate below is computed independently - nu and chi as
+convolution inverses of two different maps (the inclusion C -> A,
+extended to an algebra morphism, and the identity of A, word by word),
+commutativity on generator pairs, locality by primary decomposition -
+and the report records whether they agree.  chi comes from
+``antipode_by_recursion``: ``antipode`` builds chi as an
+anti-homomorphism, so chi-is-morphism would then only restate
+commutativity.
 """
 
 from __future__ import annotations

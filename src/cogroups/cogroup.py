@@ -29,7 +29,7 @@ from .algebra import (
     TensorSquare,
     TruncatedTensorAlgebra,
     format_word,
-    free_power,
+    free_product,
 )
 from .coalgebra import (
     AxiomReport,
@@ -37,6 +37,7 @@ from .coalgebra import (
     _reduce_multi,
     check_coalgebra_axioms,
 )
+from .convolution import CoalgebraSource, GradedMap, convolution_inverse
 
 
 class Cogroup:
@@ -59,8 +60,8 @@ class Cogroup:
         self.ring = coalgebra.ring
         self.truncation = truncation
         self.algebra = TruncatedTensorAlgebra(self.module, truncation)
-        self.square_product = free_power(self.algebra, 2)  # A * A
-        self.tensor_square = TensorSquare(self.algebra)    # A (x) A
+        self.square_product = free_product(self.algebra, self.algebra)  # A * A
+        self.tensor_square = TensorSquare(self.algebra)  # A (x) A
         self.phi = phi if phi is not None else self._default_phi()
         self.nu = nu if nu is not None else self._default_nu()
         self.delta = self._derive_delta()
@@ -82,30 +83,23 @@ class Cogroup:
         return AlgebraMorphism(self.algebra, prod, images)
 
     def _default_nu(self) -> AlgebraMorphism:
-        """Convolution inverse of the inclusion, as generator images.
+        """nu on generators: the convolution inverse of the inclusion C -> A.
 
-        The recursion g(x) = -x - sum c_i y_i * g(z_i) runs over the
-        coalgebra table; z_i has strictly smaller degree, so it bottoms
-        out at primitives with g(x) = -x.
+        ``convolution_inverse`` runs g(x) = -x - sum c_i y_i * g(z_i) over
+        the coalgebra table; its table is the generator images.
         """
         alg = self.algebra
-        memo: dict = {}
-
-        def g(name: str):
-            img = memo.get(name)
-            if img is None:
-                acc = {(name,): -1}
-                for c, y, z in self.coalgebra.reduced_coproduct(name):
-                    alg.mul_into(acc, {(y,): 1}, g(z).terms, -c)
-                img = memo[name] = alg.element(acc)
-            return img
-
-        images = {
-            gen.name: g(gen.name)
-            for gen in self.module.generators
-            if gen.degree <= self.truncation
-        }
-        return AlgebraMorphism(self.algebra, self.algebra, images)
+        inclusion = GradedMap(
+            CoalgebraSource(self.coalgebra, self.truncation),
+            alg,
+            {
+                g.name: alg.generator(g.name)
+                for g in self.module.generators
+                if g.degree <= self.truncation
+            },
+            check=False,
+        )
+        return AlgebraMorphism(alg, alg, convolution_inverse(inclusion).table)
 
     def _derive_delta(self) -> AlgebraMorphism:
         pi = self.fold_to_tensor_square()
@@ -134,9 +128,6 @@ class Cogroup:
     def unit_counit(self, elem):
         """eta . eps applied to an element of the underlying algebra."""
         return self.algebra.scalar(elem.unit_coefficient())
-
-    def coproduct(self, elem):
-        return self.delta(elem)
 
     def reduced_coproduct_word(self, word):
         """Dbar of a basis word: D(word) minus its two outer terms."""
@@ -177,16 +168,6 @@ def fold(A: Cogroup) -> AlgebraMorphism:
     return AlgebraMorphism(A.square_product.algebra, A.algebra, images, check=False)
 
 
-def _shift_map(A: Cogroup, triple, offset: int) -> dict:
-    """Rename slots of A*A into slots (offset, offset+1) of A*A*A."""
-    lmap, rmap = A.square_product.name_maps
-    out = {}
-    for name in A.module.names():
-        out[lmap[name]] = triple.name_maps[offset][name]
-        out[rmap[name]] = triple.name_maps[offset + 1][name]
-    return out
-
-
 def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomReport:
     """Verify the cogroup laws up to degree ``truncation``.
 
@@ -203,7 +184,7 @@ def _check_axioms_on(A: Cogroup, D: int, words) -> AxiomReport:
     """The cogroup laws on each of ``words``, and D on the coalgebra."""
     alg = A.algebra
     prod = A.square_product.algebra
-    triple = free_power(alg, 3)
+    triple = free_product(alg, alg, alg)
     lmap, rmap = A.square_product.name_maps
 
     names = tuple(A.phi.images)
@@ -215,11 +196,10 @@ def _check_axioms_on(A: Cogroup, D: int, words) -> AxiomReport:
         images.update({rmap[n]: right[n] for n in names})
         return AlgebraMorphism(prod, target, images, check=False)
 
-    phis = [
-        {n: _rename(A.phi.images[n], shift, T) for n in names}
-        for shift in (_shift_map(A, triple, 0), _shift_map(A, triple, 1))
-    ]
-    slots = [{n: T.generator(nm[n]) for n in names} for nm in triple.name_maps]
+    slots = [incl.images for incl in triple.inclusions]  # x -> its copy in slot k
+    # the renamings of A * A onto slots (0, 1) and (1, 2) of A * A * A
+    shifts = [from_slots(T, slots[k], slots[k + 1]) for k in (0, 1)]
+    phis = [{n: shift(A.phi.images[n]) for n in names} for shift in shifts]
     ident = {n: alg.generator(n) for n in names}
     zero = dict.fromkeys(names, alg.zero())
     phi_star_one = from_slots(T, phis[0], slots[2])
@@ -287,14 +267,6 @@ def _check_axioms_on(A: Cogroup, D: int, words) -> AxiomReport:
     return AxiomReport(checked, violations)
 
 
-def _rename(elem, name_map: dict, target):
-    terms = {}
-    for w, c in elem.terms.items():
-        nw = tuple(name_map[l] for l in w)
-        terms[nw] = terms.get(nw, 0) + c
-    return target.element(terms)
-
-
 def is_cogroup_morphism(
     f: AlgebraMorphism, A: Cogroup, B: Cogroup, truncation: int | None = None
 ) -> bool:
@@ -306,21 +278,13 @@ def is_cogroup_morphism(
     if f.source != A.algebra or f.target != B.algebra:
         raise ValueError("morphism does not run between the underlying algebras")
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    almap, armap = A.square_product.name_maps
-    blmap, brmap = B.square_product.name_maps
-    prod_b = B.square_product.algebra
     f_star_f = AlgebraMorphism(
         A.square_product.algebra,
-        prod_b,
+        B.square_product.algebra,
         {
-            **{
-                almap[n]: _rename(f.images[n], blmap, prod_b)
-                for n in f.images
-            },
-            **{
-                armap[n]: _rename(f.images[n], brmap, prod_b)
-                for n in f.images
-            },
+            anm[n]: incl(f.images[n])
+            for anm, incl in zip(A.square_product.name_maps, B.square_product.inclusions)
+            for n in f.images
         },
         check=False,
     )

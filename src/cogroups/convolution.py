@@ -16,22 +16,27 @@ and the inverse is computed by degree induction:
 two flavours: a presented coalgebra with its finite table, and the whole
 underlying coalgebra of a cogroup, whose basis elements are words.
 
-The antipode of the underlying Hopf structure is the convolution inverse
-of the identity.  ``antipode`` builds it from generator data: the
-recursion chi(x) = -x - sum c_i y_i chi(z_i) on generators, then one
-product per longer word, since chi is a graded anti-homomorphism.
-``antipode_by_recursion`` runs the recursion on every word instead and
-assumes no product structure; ``classify`` uses it as the independent chi.
+The cogroup's inverse nu and the antipode chi are both convolution
+inverses, computed by the one routine ``convolution_inverse``: nu of the
+inclusion C -> A on the coalgebra source (``Cogroup`` extends it to an
+algebra morphism), chi of the identity of A on the cogroup source
+(``antipode_by_recursion``, which assumes no product structure;
+``classify`` uses it as the independent chi).  ``antipode`` builds the
+same chi from generator data instead: the recursion on generators, then
+one product per longer word, since chi is a graded anti-homomorphism.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import AlgebraElement, TruncatedTensorAlgebra, accumulate, format_word
 from .coalgebra import AxiomReport, CoalgebraPresentation
-from .cogroup import Cogroup
 from .rings import smith_normal_form
+
+if TYPE_CHECKING:
+    from .cogroup import Cogroup
 
 
 class CoalgebraSource:
@@ -137,11 +142,7 @@ class GradedMap:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        for d in range(1, self.source.truncation + 1):
-            for key in self.source.basis(d):
-                if self.image(key) != other.image(key):
-                    return False
-        return True
+        return self.difference_witness(other) is None
 
     def difference_witness(self, other):
         """First basis key where the two maps disagree, or None."""
@@ -234,25 +235,10 @@ def antipode(A: Cogroup) -> GradedMap:
 
 
 def antipode_by_recursion(A: Cogroup) -> GradedMap:
-    """chi by the memoized word recursion chi(w) = -w - sum c y chi(z)
-    over Dbar(w): no product structure assumed, about 2^len(w) terms."""
-    src = CogroupSource(A)
-    alg = A.algebra
-    memo: dict = {}
-
-    def chi(w):
-        img = memo.get(w)
-        if img is None:
-            acc = {w: -1}
-            for c, y, z in src.reduced_coproduct(w):
-                alg.mul_into(acc, {y: 1}, chi(z).terms, -c)
-            img = memo[w] = AlgebraElement(alg, acc)
-        return img
-
-    for d in range(1, A.truncation + 1):
-        for w in alg.basis(d):
-            chi(w)
-    return GradedMap(src, alg, memo, check=False)
+    """chi as the convolution inverse of the identity, word by word:
+    chi(w) = -w - sum c y chi(z) over Dbar(w).  It assumes no product
+    structure and builds about 2^len(w) terms per word."""
+    return convolution_inverse(identity_map(A))
 
 
 def check_hopf_antipode(A: Cogroup, chi: GradedMap) -> AxiomReport:

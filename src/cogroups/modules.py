@@ -16,6 +16,7 @@ must always agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,9 +80,6 @@ class GradedModulePresentation:
     def max_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
 
 def module(ring: RingSpec, gens) -> GradedModulePresentation:
     """Build a presentation from (name, degree) or (name, degree, ann) triples."""
@@ -110,36 +108,40 @@ def _fresh(name: str, taken: set) -> str:
     return name
 
 
-def _merge_names(left, right):
-    """Disjointify two name tuples; collisions get ' and '' tags."""
-    lset, rset = set(left), set(right)
-    taken = lset | rset
-    lmap, rmap = {}, {}
-    for n in left:
-        if n in rset:
-            new = _fresh(n + "'", taken)
-            lmap[n] = new
-            taken.add(new)
-        else:
-            lmap[n] = n
-    for n in right:
-        if n in lset:
-            new = _fresh(n + "''", taken)
-            rmap[n] = new
-            taken.add(new)
-        else:
-            rmap[n] = n
-    return lmap, rmap
+def _merge_names(*factors):
+    """Disjointify k name tuples, one name map per factor.
+
+    A name that occurs in more than one factor gets i + 1 primes in
+    factor i (more while the result is taken); other names are kept.
+    """
+    counts = Counter(n for names in factors for n in names)
+    taken = set(counts)
+    maps = []
+    for i, names in enumerate(factors):
+        nm = {}
+        for n in names:
+            nm[n] = n if counts[n] == 1 else _fresh(n + "'" * (i + 1), taken)
+            taken.add(nm[n])
+        maps.append(nm)
+    return tuple(maps)
+
+
+def _disjoint_sum(modules):
+    """The direct sum of ``modules`` with disjoint names, and the name maps."""
+    name_maps = _merge_names(*(m.names() for m in modules))
+    gens = tuple(
+        CyclicGenerator(nm[g.name], g.degree, g.annihilator)
+        for m, nm in zip(modules, name_maps)
+        for g in m.generators
+    )
+    return GradedModulePresentation(modules[0].ring, gens), name_maps
 
 
 def direct_sum(a: GradedModulePresentation, b: GradedModulePresentation):
     """Direct sum; generator names are made disjoint automatically."""
     if a.ring != b.ring:
         raise ValueError("direct sum needs a common base ring")
-    lmap, rmap = _merge_names(a.names(), b.names())
-    gens = [CyclicGenerator(lmap[g.name], g.degree, g.annihilator) for g in a.generators]
-    gens += [CyclicGenerator(rmap[g.name], g.degree, g.annihilator) for g in b.generators]
-    return GradedModulePresentation(a.ring, tuple(gens))
+    return _disjoint_sum((a, b))[0]
 
 
 class LocalityResult(NamedTuple):

@@ -160,6 +160,12 @@ def test_morphism_validation():
         f(B.generator("x"))
 
 
+def test_morphism_images_must_lie_in_the_target():
+    A = poly_algebra(8)
+    with pytest.raises(ValueError):
+        cg.AlgebraMorphism(A, A, {"X": poly_algebra(6).generator("X")})
+
+
 def test_compose_and_renaming():
     A = poly_algebra(8)
     double = cg.AlgebraMorphism(A, A, {"X": A.generator("X").scale(2)})
@@ -177,15 +183,15 @@ def test_free_product_with_unit_keeps_names():
     B = two_letter_algebra()
     fp = cg.free_product(unit, B)
     assert fp.algebra.module.names() == ("x", "y")
-    assert fp.right(B.generator("x")) == fp.algebra.generator("x")
+    assert fp.inclusions[1](B.generator("x")) == fp.algebra.generator("x")
 
 
 def test_free_product_renames_only_collisions():
     A = cg.tensor_algebra(cg.module(Q, [("x", 2), ("u", 2)]), 6)
     B = cg.tensor_algebra(cg.module(Q, [("x", 2), ("v", 2)]), 6)
     fp = cg.free_product(A, B)
-    assert fp.left_names == {"x": "x'", "u": "u"}
-    assert fp.right_names == {"x": "x''", "v": "v"}
+    assert fp.name_maps[0] == {"x": "x'", "u": "u"}
+    assert fp.name_maps[1] == {"x": "x''", "v": "v"}
     assert set(fp.algebra.module.names()) == {"x'", "u", "x''", "v"}
 
 
@@ -197,19 +203,36 @@ def test_free_product_inclusions_are_multiplicative():
         terms = {w: rng.randint(-2, 2) for w in A.words_up_to(3)}
         a = A.element(terms)
         b = A.element({w: rng.randint(-2, 2) for w in A.words_up_to(3)})
-        assert fp.left(a * b) == fp.left(a) * fp.left(b)
-        assert fp.right(a * b) == fp.right(a) * fp.right(b)
+        assert fp.inclusions[0](a * b) == fp.inclusions[0](a) * fp.inclusions[0](b)
+        assert fp.inclusions[1](a * b) == fp.inclusions[1](a) * fp.inclusions[1](b)
 
 
 def test_free_power_matches_self_product():
     A = two_letter_algebra()
-    assert cg.free_power(A, 2).algebra == cg.free_product(A, A).algebra
-    cube = cg.free_power(A, 3)
+    cube = cg.free_product(A, A, A)
     assert cube.algebra.module.names() == (
         "x'", "y'", "x''", "y''", "x'''", "y'''",
     )
     x = A.generator("x")
     assert cube.inclusions[2](x) == cube.algebra.generator("x'''")
+
+
+def test_free_product_keeps_primed_names_disjoint():
+    A = cg.tensor_algebra(cg.module(Q, [("x", 2), ("x'", 4)]), 6)
+    names = cg.free_product(A, A).algebra.module.names()
+    assert len(set(names)) == 4
+
+
+def test_free_product_primes_mark_the_factor():
+    A = cg.tensor_algebra(cg.module(Q, [("x", 2)]), 6)
+    B = cg.tensor_algebra(cg.module(Q, [("y", 2)]), 6)
+    fp = cg.free_product(A, B, A)
+    assert fp.algebra.module.names() == ("x'", "y", "x'''")
+
+
+def test_free_product_needs_a_factor():
+    with pytest.raises(ValueError):
+        cg.free_product()
 
 
 def test_free_product_needs_matching_context():

@@ -134,6 +134,25 @@ def test_antipode_matches_the_word_recursion_on_coproduct_tables(case):
     assert chi == oracle, chi.difference_witness(oracle)
 
 
+def assert_nu_is_chi_on_generators(A):
+    chi = cg.antipode(A)
+    for g in A.module.generators:
+        if g.degree <= A.truncation:
+            assert A.nu.images[g.name] == chi.image((g.name,)), g.name
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_nu_and_chi_agree_on_generators(key):
+    # the two inverses can part ways only on decomposables
+    assert_nu_is_chi_on_generators(make_cogroup(key, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coassociative_coalgebras())
+def test_nu_and_chi_agree_on_generators_of_coproduct_tables(case):
+    assert_nu_is_chi_on_generators(cg.tensor_cogroup(*case))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 6).flatmap(lambda n: st.lists(

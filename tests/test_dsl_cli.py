@@ -215,6 +215,15 @@ def test_json_document_shape():
     assert doc["max_degree"] == 6
 
 
+def test_commands_accept_names_that_end_in_a_prime():
+    spec = parse_spec("ring Q\ngenerator x degree 2\ngenerator x' degree 4\n")
+    for command in ("check-cogroup", "antipode"):
+        assert run_command(spec, command, max_degree=6).exit_code == 0
+    rep = run_command(spec, "nu-eq-chi", max_degree=6)
+    assert rep.exit_code == 1
+    assert rep.witnesses == ["x*x': nu = x*x', chi = x'*x"]
+
+
 def test_cli_main_with_file(tmp_path, capsys):
     path = tmp_path / "poly.cog"
     path.write_text(POLY)
