@@ -7,7 +7,7 @@ commutative case).  All arithmetic is exact; everything is truncated at
 a chosen top degree.
 """
 
-from .rings import RingSpec, SnfResult, is_prime, smith_normal_form
+from .rings import RingSpec, is_prime
 from .modules import (
     CyclicGenerator,
     GradedModulePresentation,
@@ -68,10 +68,9 @@ from .classify import (
     inverse_equals_antipode,
 )
 from .dsl import ParseError, ProblemSpec, parse_spec, render_spec
-from .cli import Report, run_command
 
 __all__ = [
-    "RingSpec", "SnfResult", "is_prime", "smith_normal_form",
+    "RingSpec", "is_prime",
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
     "direct_sum", "is_admissible_free_cyclic",
     "is_locally_at_most_singly_generated", "module", "shift",
@@ -90,5 +89,4 @@ __all__ = [
     "ClassificationReport", "classify_cogroup", "classify_module",
     "inverse_equals_antipode",
     "ParseError", "ProblemSpec", "parse_spec", "render_spec",
-    "Report", "run_command",
 ]

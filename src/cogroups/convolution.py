@@ -29,11 +29,11 @@ one product per longer word, since chi is a graded anti-homomorphism.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .algebra import AlgebraElement, TruncatedTensorAlgebra, accumulate, format_word
 from .coalgebra import AxiomReport, CoalgebraPresentation
-from .rings import smith_normal_form
 
 if TYPE_CHECKING:
     from .cogroup import Cogroup
@@ -263,73 +263,90 @@ def check_hopf_antipode(A: Cogroup, chi: GradedMap) -> AxiomReport:
     return AxiomReport(checked, violations)
 
 
-def _field_rank(rows, ncols, p=0) -> int:
-    """Rank over Q (p = 0) or F_p, by forward elimination."""
-    if p:
-        mat = [[int(v) % p for v in row] for row in rows]
-    else:
-        mat = [[Fraction(v) for v in row] for row in rows]
-    nrows = len(mat)
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot_row = mat[rank][col:]
-        inv = pow(pivot_row[0], -1, p) if p else 1 / pivot_row[0]
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            if row[col]:
-                f = row[col] * inv
-                if p:
-                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], pivot_row)]
-                else:
-                    row[col:] = [a - f * b for a, b in zip(row[col:], pivot_row)]
-        rank += 1
-    return rank
+def _spans(vectors, k, ring) -> bool:
+    """Whether the sparse vectors ``{coordinate: coefficient}`` span R^k.
+
+    Forward elimination over the coordinates 0..k-1 that pivots only on a
+    unit of R: a nonzero entry over Q and F_p, +-1 over Z, an entry prime
+    to n over Z/n.  Once the coordinates before i are cleared with unit
+    pivots, the pivot rows and the coordinates from i on split R^k as a
+    direct sum, so the vectors span R^k exactly when the unused ones span
+    the coordinates from i on: exactly when, at i and at each later
+    coordinate, their entries generate the unit ideal of R (R is a PID or
+    a quotient of Z).  Over Z and Z/n a Euclid loop of row operations
+    turns entries that generate it into a unit; when it leaves one
+    non-unit, or none, they generate a proper ideal.
+    """
+    n = ring.characteristic()
+    if ring.kind == "Z":
+        is_unit, inverse = (lambda x: abs(x) == 1), (lambda x: x)
+    elif ring.kind == "Q":
+        is_unit, inverse = bool, (lambda x: Fraction(1) / x)
+    else:  # Z/n and F_p, entries reduced mod n
+        is_unit, inverse = (lambda x: gcd(x, n) == 1), (lambda x: pow(x, -1, n))
+    rows = []
+    for v in vectors:
+        row: dict = {}
+        _add_row(row, v, 1, n)
+        if row:
+            rows.append(row)
+    for i in range(k):
+        live = [r for r in rows if i in r]
+        top = next((r for r in live if is_unit(r[i])), None)
+        while top is None:
+            if len(live) < 2:
+                return False
+            p = min(live, key=lambda r: abs(r[i]))
+            for r in live:
+                if r is not p:
+                    _add_row(r, p, -(r[i] // p[i]), n)
+            live = [r for r in live if i in r]
+            top = next((r for r in live if is_unit(r[i])), None)
+        inv = inverse(top[i])
+        for r in live:
+            if r is not top:
+                _add_row(r, top, -r[i] * inv, n)
+        rows = [r for r in rows if r is not top]
+    return True
+
+
+def _add_row(row: dict, top: dict, f, n: int) -> None:
+    """row += f * top, reduced mod n (n = 0: unreduced), zeros dropped."""
+    accumulate(row, top, f)
+    for c in top:
+        x = row[c] % n if n else row[c]
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 def is_antipode_surjective(A: Cogroup, chi: GradedMap) -> dict:
     """Per-degree surjectivity of chi on the underlying algebra.
 
-    Over a field this is a rank computation.  Over Z or Z/n the degree-d
-    component is a direct sum of cyclic groups Z/m_w (m_w the word
-    modulus, 0 meaning free), and chi_d is onto exactly when the
-    augmented matrix [C | diag(m_w)] has trivial integer cokernel, i.e.
-    all its invariant factors are 1.
+    The degree-d component is the direct sum over its words w of R / m_w
+    (m_w the word modulus; m_w = 0 or the characteristic adds nothing).
+    chi_d is onto exactly when the images chi(w), together with m_w e_w
+    for every word, span R^k; ``_spans`` decides that.  The antipode of
+    a connected graded Hopf algebra is bijective, so for chi =
+    ``antipode(A)`` every degree is expected to be onto.
     """
     alg = A.algebra
-    ring = A.ring
+    char = A.ring.characteristic()
     out: dict = {0: True}
     for d in range(1, A.truncation + 1):
         words = alg.basis(d)
-        k = len(words)
-        if k == 0:
-            out[d] = True
-            continue
         index = {w: i for i, w in enumerate(words)}
-        cols = []
+        vectors = []
         for w in words:
-            img = chi.image(w)
-            if not index.keys() >= img.terms.keys():
+            terms = chi.image(w).terms
+            if not index.keys() >= terms.keys():
                 raise ValueError(f"image of {format_word(w)} leaves degree {d}")
-            cols.append([img.terms.get(v, 0) for v in words])
-        # matrix with chi(w_j) in column j
-        mat = [[cols[j][i] for j in range(k)] for i in range(k)]
-        if ring.is_field():
-            out[d] = _field_rank(mat, k, ring.characteristic()) == k
-        else:
-            moduli = [alg.word_modulus(w) for w in words]
-            aug = [
-                [int(mat[i][j]) for j in range(k)]
-                + [moduli[i] if j == i else 0 for j in range(k)]
-                for i in range(k)
-            ]
-            factors = smith_normal_form(aug).factors
-            out[d] = all(f == 1 for f in factors[:k])
+            vectors.append({index[v]: c for v, c in terms.items()})
+            m = alg.word_modulus(w)
+            if m not in (0, char):
+                vectors.append({index[w]: m})
+        out[d] = _spans(vectors, len(words), A.ring)
     return out
 
 

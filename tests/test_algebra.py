@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from instances import (
     F2,
     MATRIX,
     Q,
+    RINGS,
     Z,
     Z6,
+    annihilators,
     brute_force_graded_commutative,
     make_module,
 )
@@ -287,6 +290,26 @@ def test_graded_commutativity_matches_brute_force():
         if not flag:
             u, v = witness
             assert u in A.module.names() and v in A.module.names()
+
+
+@st.composite
+def random_modules(draw):
+    ring = draw(st.sampled_from(RINGS))
+    anns = annihilators(ring)
+    gens = [
+        (name, draw(st.integers(1, 3)), draw(st.sampled_from(anns)))
+        for name in "xyz"[:draw(st.integers(1, 3))]
+    ]
+    return cg.module(ring, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_modules())
+def test_graded_commutativity_matches_brute_force_and_locality(M):
+    A = cg.tensor_algebra(M, 6)
+    flag = cg.is_graded_commutative(A)[0]
+    assert flag == brute_force_graded_commutative(A, 6)
+    assert flag == cg.is_locally_at_most_singly_generated(M).ok
 
 
 def test_graded_commutativity_ignores_truncation():

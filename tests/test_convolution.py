@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from cogroups.convolution import _field_rank
+from cogroups.convolution import _spans
 from instances import (
+    F2,
+    F3,
     MATRIX_KEYS,
     Q,
     Z,
     Z4,
+    Z6,
     coassociative_coalgebras,
     make_antipode,
     make_cogroup,
     make_module,
     random_graded_map,
 )
+from snf import smith_normal_form
 
 
 def loop_source(D=6):
@@ -153,18 +157,48 @@ def test_nu_and_chi_agree_on_generators_of_coproduct_tables(case):
     assert_nu_is_chi_on_generators(cg.tensor_cogroup(*case))
 
 
-@settings(max_examples=60, deadline=None)
+def _snf_spans(vectors, k, ring):
+    """Oracle: do the vectors span R^k, read off invariant factors?"""
+    n = ring.characteristic()
+    if ring.kind == "Zmod":
+        vectors = vectors + [{i: n} for i in range(k)]
+    # one column per vector
+    factors = smith_normal_form(
+        [[v.get(i, 0) for v in vectors] for i in range(k)]
+    ).factors
+    if ring.kind == "Q":
+        return sum(1 for f in factors if f) == k
+    if ring.kind == "Fp":
+        return sum(1 for f in factors if f % n) == k
+    return len(factors) >= k and all(f == 1 for f in factors[:k])
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    st.integers(0, 6).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=6
-    ).map(lambda rows: (rows, n))),
-    st.sampled_from((2, 3, 5)),
+    st.integers(0, 5).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(
+            st.dictionaries(st.integers(0, k - 1), st.integers(-6, 6), max_size=k)
+            if k else st.just({}),
+            max_size=7,
+        ),
+    )),
+    st.sampled_from((Z, Q, Z4, Z6, F2, F3)),
 )
-def test_field_rank_counts_invariant_factors(case, p):
-    rows, ncols = case
-    factors = cg.smith_normal_form(rows).factors
-    assert _field_rank(rows, ncols) == sum(1 for f in factors if f)
-    assert _field_rank(rows, ncols, p) == sum(1 for f in factors if f % p)
+def test_spans_matches_invariant_factors(case, ring):
+    k, vectors = case
+    assert _spans(vectors, k, ring) == _snf_spans(vectors, k, ring)
+
+
+def test_spans_euclid_branch():
+    # no entry is a unit, but the entries generate the unit ideal
+    assert _spans([{0: 2}, {0: 3}], 1, Z)
+    assert _spans([{0: 2}, {0: 3}], 1, Z6)
+    assert not _spans([{0: 2}, {0: 4}], 1, Z6)
+    assert not _spans([{0: 2}, {0: -2}], 1, Z)
+    assert _spans([{0: 2}], 1, Q)
+    assert not _spans([{0: 2}], 1, F2)
+    assert _spans([], 0, Z)
 
 
 def test_antipode_signs_on_a_single_even_generator():
@@ -257,25 +291,26 @@ def test_antipode_is_surjective_everywhere():
 
 
 def test_surjectivity_detector_sees_a_gap():
-    A = make_cogroup("z-free2", 6)
-    src = cg.CogroupSource(A)
-    alg = A.algebra
-    doubler = cg.GradedMap(
-        src,
-        alg,
-        {w: alg.element({w: 2}) for d in range(1, 7) for w in alg.basis(d)},
-    )
-    flags = cg.is_antipode_surjective(A, doubler)
-    assert flags[0] and not flags[2] and not flags[4]
-    B = make_cogroup("q-even2", 6)
-    bsrc = cg.CogroupSource(B)
-    balg = B.algebra
-    bdoubler = cg.GradedMap(
-        bsrc,
-        balg,
-        {w: balg.element({w: 2}) for d in range(1, 7) for w in balg.basis(d)},
-    )
-    assert all(cg.is_antipode_surjective(B, bdoubler).values())
+    # the doubler w -> 2w is onto exactly where 2 is a unit mod the word moduli
+    patterns = {
+        "z-free2": "TTfTfTf",
+        "z4-free2": "TTfTfTf",
+        "z-tor43": "TTTfTTf",
+        "z-tor32": "TTTTTTT",
+        "z6-coprime": "TTfTfTf",
+        "f2-odd1": "Tffffff",
+        "q-even2": "TTTTTTT",
+    }
+    for key, pattern in patterns.items():
+        A = make_cogroup(key, 6)
+        alg = A.algebra
+        doubler = cg.GradedMap(
+            cg.CogroupSource(A),
+            alg,
+            {w: alg.element({w: 2}) for d in range(1, 7) for w in alg.basis(d)},
+        )
+        flags = cg.is_antipode_surjective(A, doubler)
+        assert "".join("T" if flags[d] else "f" for d in range(7)) == pattern, key
 
 
 def test_antipode_negates_indecomposables():

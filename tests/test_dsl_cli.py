@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,14 @@ ring Q
 generator y degree 1
 generator x degree 2
 coproduct x = y * y
+"""
+Z4_CHAIN = """\
+ring Zmod 4
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = 2 a * a
+coproduct c = a * b + b * a
 """
 
 
@@ -243,6 +255,31 @@ def test_cli_main_json(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["exit_code"] == 1
     assert doc["witnesses"] == ["x^2: nu = x^2, chi = 3*x^2"]
+
+
+def run_module_cli(tmp_path, text, *args, timeout):
+    path = tmp_path / "spec.cog"
+    path.write_text(text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "cogroups.cli", *args[:1], str(path), *args[1:]],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_python_m_cli_writes_nothing_to_stderr(tmp_path):
+    run = run_module_cli(tmp_path, LOOP, "check-cogroup", "--max-degree", "4", timeout=60)
+    assert run.returncode == 0
+    assert run.stderr == ""
+
+
+def test_surjectivity_over_z4_finishes(tmp_path):
+    run = run_module_cli(
+        tmp_path, Z4_CHAIN, "check-surjective", "--max-degree", "8", timeout=30
+    )
+    assert run.returncode == 0, run.stderr
+    assert "surjective-all-degrees: true" in run.stdout
 
 
 def test_cli_main_reads_stdin(monkeypatch, capsys):

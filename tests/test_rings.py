@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cogroups as cg
-from cogroups import RingSpec, smith_normal_form
+from cogroups import RingSpec
+from snf import smith_normal_form
 
 
 def test_ring_constructors_and_str():
