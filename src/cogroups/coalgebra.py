@@ -5,19 +5,26 @@ Dbar(x) = sum c_i * y_i (x) z_i with y_i, z_i generators of positive
 degree adding up to deg x.  The full coproduct is then
 D(x) = x (x) 1 + Dbar(x) + 1 (x) x, and D(1) = 1 (x) 1.
 
-Checks here stay at the level of the presentation: coassociativity and
-the counit laws are verified on generators (which suffices, the rest of
-the coalgebra is not in play until the cogroup layer), and
-cocommutativity is invariance of Dbar under the signed twist
+The coalgebra is computed in the tensor algebra A = T(C+): each Dbar(x)
+is reduced as an element of the tensor square A (x) A, and
+``coproduct_morphism`` extends D to the algebra morphism A -> A (x) A.
+Coassociativity and the counit laws are checked on generators by
+``coproduct_laws``, the same check the cogroup layer runs on its own
+coproduct; cocommutativity is invariance of Dbar under the signed twist
 y (x) z -> (-1)^{|y||z|} z (x) y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from math import gcd
+from dataclasses import dataclass
 
+from .algebra import (
+    AlgebraElement,
+    AlgebraMorphism,
+    TensorSquare,
+    TruncatedTensorAlgebra,
+    _reduce_terms,
+)
 from .modules import GradedModulePresentation
 
 
@@ -43,6 +50,10 @@ class CoalgebraPresentation:
     def __init__(self, module: GradedModulePresentation, table: dict | None = None):
         self.module = module
         self.ring = module.ring
+        self._square = sq = TensorSquare(
+            TruncatedTensorAlgebra(module, module.max_degree())
+        )
+        order = {n: i for i, n in enumerate(module.names())}
         normalized: dict = {}
         for name, entries in (table or {}).items():
             x = module.generator(name)  # raises KeyError on unknown names
@@ -55,30 +66,27 @@ class CoalgebraPresentation:
                         f"coproduct of {name}: term {y}(x){z} has degree "
                         f"{gy.degree + gz.degree}, expected {x.degree}"
                     )
-                combined[(y, z)] = combined.get((y, z), 0) + int(c)
-            terms = []
-            for (y, z), c in combined.items():
-                m = self._pair_modulus(y, z)
-                c = int(c) % m if m else int(c)
-                if not c:
-                    continue
-                a = x.annihilator
-                if a and ((a * c) % m if m else a * c):
+                if c != int(c):
                     raise ValueError(
-                        f"coproduct of {name}: coefficient {c} at {y}(x){z} is not "
-                        f"compatible with annihilator {a}"
+                        f"coproduct of {name}: coefficient {c} at {y}(x){z} "
+                        "is not an integer"
                     )
-                terms.append((c, y, z))
-            if terms:
-                order = {n: i for i, n in enumerate(module.names())}
-                terms.sort(key=lambda t: (order[t[1]], order[t[2]]))
-                normalized[name] = tuple(terms)
+                key = ((y,), (z,))
+                combined[key] = combined.get(key, 0) + int(c)
+            dbar = _reduce_terms(sq, combined)
+            a = x.annihilator
+            for key, c in dbar.items():
+                if a and _reduce_terms(sq, {key: a * c}):
+                    raise ValueError(
+                        f"coproduct of {name}: coefficient {c} at {sq.format_key(key)} "
+                        f"is not compatible with annihilator {a}"
+                    )
+            if dbar:
+                normalized[name] = tuple(sorted(
+                    ((c, y, z) for ((y,), (z,)), c in dbar.items()),
+                    key=lambda t: (order[t[1]], order[t[2]]),
+                ))
         self.table = normalized
-
-    def _pair_modulus(self, y: str, z: str) -> int:
-        m = self.ring.characteristic()
-        m = gcd(m, self.module.generator(y).annihilator)
-        return gcd(m, self.module.generator(z).annihilator)
 
     def reduced_coproduct(self, name: str):
         self.module.generator(name)
@@ -103,31 +111,56 @@ def trivial_coalgebra(module: GradedModulePresentation) -> CoalgebraPresentation
     return CoalgebraPresentation(module, {})
 
 
-def _delta_full(C: CoalgebraPresentation, key):
-    """Full coproduct of a generator (or of 1, keyed by None)."""
-    if key is None:
-        return ((1, None, None),)
-    out = [(1, key, None), (1, None, key)]
-    out.extend(C.reduced_coproduct(key))
-    return out
+def coproduct_morphism(
+    C: CoalgebraPresentation, alg: TruncatedTensorAlgebra
+) -> AlgebraMorphism:
+    """D : alg -> alg (x) alg with D(x) = x (x) 1 + Dbar(x) + 1 (x) x."""
+    sq = TensorSquare(alg)
+    images = {}
+    for g in C.module.generators:
+        if g.degree > alg.truncation:
+            continue
+        x = (g.name,)
+        terms = {(x, ()): 1, ((), x): 1}
+        for c, y, z in C.reduced_coproduct(g.name):
+            terms[((y,), (z,))] = c
+        images[g.name] = AlgebraElement(sq, terms)
+    return AlgebraMorphism(alg, sq, images, check=False)
 
 
-def _slot_modulus(C: CoalgebraPresentation, keys) -> int:
-    m = C.ring.characteristic()
-    for k in keys:
-        if k is not None:
-            m = gcd(m, C.module.generator(k).annihilator)
-    return m
+def coproduct_laws(delta: AlgebraMorphism, w) -> tuple:
+    """(coassociative, left counital, right counital) for D : A -> A (x) A on w.
+
+    (D (x) 1) D(w) and (1 (x) D) D(w) are compared as triples of words,
+    each coefficient reduced modulo the modulus of its letters.
+    """
+    alg = delta.source
+    word_elem = alg.element({w: 1})
+    dw = delta(word_elem).terms
+    left: dict = {}
+    right: dict = {}
+    for (w1, w2), c in dw.items():
+        for (u, v), c2 in delta.word_image(w1).terms.items():
+            key = (u, v, w2)
+            left[key] = left.get(key, 0) + c * c2
+        for (u, v), c2 in delta.word_image(w2).terms.items():
+            key = (w1, u, v)
+            right[key] = right.get(key, 0) + c * c2
+    return (
+        _reduce_triples(alg, left) == _reduce_triples(alg, right),
+        alg.element({w2: c for (w1, w2), c in dw.items() if not w1}) == word_elem,
+        alg.element({w1: c for (w1, w2), c in dw.items() if not w2}) == word_elem,
+    )
 
 
-def _reduce_multi(table: dict, modulus) -> dict:
-    """Each coefficient reduced modulo ``modulus(key)``; zeros dropped."""
+def _reduce_triples(alg: TruncatedTensorAlgebra, terms: dict) -> dict:
+    """Each coefficient at (u, v, w) reduced modulo the modulus of u.v.w."""
     out = {}
-    for keys, c in table.items():
-        m = modulus(keys)
+    for (u, v, w), c in terms.items():
+        m = alg.word_modulus(u + v + w)
         c = c % m if m else c
         if c:
-            out[keys] = c
+            out[(u, v, w)] = c
     return out
 
 
@@ -136,53 +169,24 @@ def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomRe
 
     Failures are reported, not raised.
     """
-    modulus = partial(_slot_modulus, C)
-    checked = 0
+    delta = coproduct_morphism(C, TruncatedTensorAlgebra(C.module, truncation))
+    laws = ("coassociativity", "left counit law", "right counit law")
     violations = []
-    for g in C.module.generators:
-        if g.degree > truncation:
-            continue
-        x = g.name
-        checked += 1
-        left: dict = {}
-        right: dict = {}
-        for c, a, b in _delta_full(C, x):
-            for c2, u, v in _delta_full(C, a):
-                key = (u, v, b)
-                left[key] = left.get(key, 0) + c * c2
-            for c2, u, v in _delta_full(C, b):
-                key = (a, u, v)
-                right[key] = right.get(key, 0) + c * c2
-        if _reduce_multi(left, modulus) != _reduce_multi(right, modulus):
-            violations.append(f"coassociativity fails on {x}")
-        # counit laws: contract the unit slot of D(x)
-        lcounit: dict = {}
-        rcounit: dict = {}
-        for c, a, b in _delta_full(C, x):
-            if a is None:
-                lcounit[(b,)] = lcounit.get((b,), 0) + c
-            if b is None:
-                rcounit[(a,)] = rcounit.get((a,), 0) + c
-        want = _reduce_multi({(x,): 1}, modulus)
-        if _reduce_multi(lcounit, modulus) != want:
-            violations.append(f"left counit law fails on {x}")
-        if _reduce_multi(rcounit, modulus) != want:
-            violations.append(f"right counit law fails on {x}")
-    return AxiomReport(checked, violations)
+    for x in delta.images:
+        for holds, law in zip(coproduct_laws(delta, (x,)), laws):
+            if not holds:
+                violations.append(f"{law} fails on {x}")
+    return AxiomReport(len(delta.images), violations)
 
 
 def is_cocommutative(C: CoalgebraPresentation) -> bool:
     """Invariance of every reduced coproduct under the signed twist."""
-    modulus = partial(_slot_modulus, C)
-    for g in C.module.generators:
-        table: dict = {}
-        twisted: dict = {}
-        for c, y, z in C.reduced_coproduct(g.name):
-            table[(y, z)] = table.get((y, z), 0) + c
-            dy = C.module.degree_of(y)
-            dz = C.module.degree_of(z)
-            s = -c if (dy * dz) % 2 else c
-            twisted[(z, y)] = twisted.get((z, y), 0) + s
-        if _reduce_multi(table, modulus) != _reduce_multi(twisted, modulus):
+    deg = C.module.degree_of
+    for dbar in C.table.values():
+        straight = {((y,), (z,)): c for c, y, z in dbar}
+        twisted = {
+            ((z,), (y,)): -c if deg(y) * deg(z) % 2 else c for c, y, z in dbar
+        }
+        if AlgebraElement(C._square, straight) != AlgebraElement(C._square, twisted):
             return False
     return True

@@ -62,9 +62,6 @@ class CoalgebraSource:
     def reduced_coproduct(self, key):
         return self.coalgebra.reduced_coproduct(key)
 
-    def format_key(self, key) -> str:
-        return key
-
     def __eq__(self, other):
         return (
             isinstance(other, CoalgebraSource)
@@ -95,9 +92,6 @@ class CogroupSource:
 
     def reduced_coproduct(self, key):
         return self.cogroup.reduced_coproduct_word(key)
-
-    def format_key(self, key) -> str:
-        return format_word(key)
 
     def __eq__(self, other):
         return (

@@ -49,7 +49,6 @@ class ProblemSpec:
     ring: RingSpec
     module: GradedModulePresentation
     coproduct: dict = field(default_factory=dict)
-    positions: dict = field(default_factory=dict, compare=False, repr=False)
 
     def coalgebra(self) -> CoalgebraPresentation:
         return CoalgebraPresentation(self.module, self.coproduct)
@@ -119,7 +118,6 @@ def parse_spec(text: str) -> ProblemSpec:
     gens: list[CyclicGenerator] = []
     gen_tokens: dict[str, Token] = {}
     coproduct_lines: list = []
-    positions: dict = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, lineno)
@@ -181,7 +179,6 @@ def parse_spec(text: str) -> ProblemSpec:
             cur.done()
             gens.append(CyclicGenerator(name.text, int(deg.text), ann))
             gen_tokens[name.text] = name
-            positions[name.text] = (name.line, name.column)
         elif head.text == "coproduct":
             if ring is None:
                 raise ParseError(
@@ -251,9 +248,7 @@ def parse_spec(text: str) -> ProblemSpec:
         raise ParseError(str(exc), 1, 1) from exc
 
     # store the normalized table so parse/render round-trips compare equal
-    return ProblemSpec(
-        ring=ring, module=module, coproduct=dict(coalg.table), positions=positions
-    )
+    return ProblemSpec(ring=ring, module=module, coproduct=dict(coalg.table))
 
 
 def render_spec(spec: ProblemSpec) -> str:

@@ -1,9 +1,22 @@
 """Coalgebra presentations: normalization, axioms, cocommutativity."""
 
-import pytest
+import re
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import coalgebra_oracle as oracle
 import cogroups as cg
-from instances import F2, Q, Z, make_module
+from instances import (
+    F2,
+    Q,
+    RINGS,
+    Z,
+    annihilators,
+    coassociative_coalgebras,
+    make_module,
+)
 
 
 def test_trivial_coalgebra_is_primitive():
@@ -39,6 +52,16 @@ def test_table_validation():
         cg.CoalgebraPresentation(m, {"x": [(1, "y", "x")]})  # degree 6 != 4
     with pytest.raises(ValueError):
         cg.CoalgebraPresentation(m, {"y": [(1, "y", "y")]})  # degree 4 != 2
+
+
+def test_non_integral_coefficients_are_refused():
+    for ring, c in ((Q, Fraction(1, 2)), (Q, 2.7), (Z, Fraction(3, 2))):
+        m = cg.module(ring, [("y", 2), ("x", 4)])
+        with pytest.raises(ValueError, match=rf"coproduct of x: coefficient {re.escape(str(c))} "):
+            cg.CoalgebraPresentation(m, {"x": [(c, "y", "y")]})
+    m = cg.module(Q, [("y", 2), ("x", 4)])
+    C = cg.CoalgebraPresentation(m, {"x": [(Fraction(4, 2), "y", "y")]})
+    assert C.reduced_coproduct("x") == ((2, "y", "y"),)
 
 
 def test_annihilator_compatibility():
@@ -99,3 +122,66 @@ def test_cocommutativity_needs_symmetry():
     sym = cg.CoalgebraPresentation(m, {"x": [(1, "y", "w"), (-1, "w", "y")]})
     assert cg.is_cocommutative(sym)
     assert cg.is_cocommutative(cg.trivial_coalgebra(m))
+
+
+@st.composite
+def raw_presentations(draw):
+    """(module, raw table): random tables, a few of them refused.
+
+    Half are coassociative tables from ``coassociative_coalgebras`` with
+    one coefficient changed.  The others draw every term over 1-4
+    generators with annihilators; one table in ten may hold terms of the
+    wrong degree.  Coefficients are integers, some as integral Fractions.
+    """
+    coefficients = st.integers(-4, 6) | st.integers(-4, 6).map(lambda c: Fraction(2 * c, 2))
+    if draw(st.booleans()):
+        C, _ = draw(coassociative_coalgebras(max_generators=4))
+        table = {x: list(terms) for x, terms in C.table.items()}
+        if table:
+            terms = table[draw(st.sampled_from(sorted(table)))]
+            i = draw(st.integers(0, len(terms) - 1))
+            c, y, z = terms[i]
+            terms[i] = (c + draw(st.sampled_from((1, -1, 2, 3))), y, z)
+        return C.module, table
+    ring = draw(st.sampled_from(RINGS))
+    names = "abcd"[: draw(st.integers(1, 4))]
+    degree = {n: draw(st.integers(1, 4)) for n in names}
+    module = cg.module(
+        ring, [(n, degree[n], draw(st.sampled_from(annihilators(ring)))) for n in names]
+    )
+    sloppy = draw(st.integers(0, 9)) == 0
+    table = {}
+    for x in names:
+        pairs = [
+            (y, z) for y in names for z in names
+            if sloppy or degree[y] + degree[z] == degree[x]
+        ]
+        if pairs and draw(st.booleans()):
+            table[x] = [
+                (draw(coefficients), y, z)
+                for y, z in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+            ]
+    return module, table
+
+
+def _build(cls, module, table):
+    try:
+        return cls(module, table), None
+    except (KeyError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_presentations())
+def test_coalgebra_matches_the_generator_name_oracle(presentation):
+    module, table = presentation
+    C, error = _build(cg.CoalgebraPresentation, module, table)
+    O, oracle_error = _build(oracle.OraclePresentation, module, table)
+    assert error == oracle_error
+    if C is None:
+        return
+    assert C.table == O.table
+    assert cg.is_cocommutative(C) == oracle.is_cocommutative(O)
+    for D in range(6):
+        report = cg.check_coalgebra_axioms(C, D)
+        assert (report.checked, report.violations) == oracle.check_coalgebra_axioms(O, D)

@@ -169,6 +169,13 @@ def test_axioms_catch_a_broken_comultiplication():
     assert not rep.ok
     assert any("inverse law" in v for v in rep.violations)
     assert any("counit" in v for v in rep.violations)
+    assert rep.violations == [
+        "Phi counit law fails on x",
+        "left inverse law fails on x",
+        "right inverse law fails on x",
+        "coproduct counit law fails on x",
+        "coproduct does not restrict to the coalgebra on x",
+    ]
 
 
 def test_axioms_catch_a_broken_inverse():

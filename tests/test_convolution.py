@@ -45,7 +45,6 @@ def test_cogroup_source_basis_is_words():
     src = cg.CogroupSource(A)
     assert src.basis(4) == [("x", "x")]
     assert src.annihilator(("x", "x")) == 0
-    assert src.format_key(("x", "x")) == "x^2"
 
 
 def test_unit_map_is_convolution_identity():

@@ -274,6 +274,29 @@ def test_python_m_cli_writes_nothing_to_stderr(tmp_path):
     assert run.stderr == ""
 
 
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    """No import cycle, whichever module is imported first.
+
+    The package root imports its modules in one fixed order, so each
+    module is imported under an empty stand-in for the package.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    names = sorted(p.stem for p in (src / "cogroups").glob("*.py") if p.stem != "__init__")
+    assert "coalgebra" in names and "algebra" in names
+    for name in names:
+        code = (
+            "import importlib, sys, types\n"
+            "package = types.ModuleType('cogroups')\n"
+            f"package.__path__ = [{str(src / 'cogroups')!r}]\n"
+            "sys.modules['cogroups'] = package\n"
+            f"importlib.import_module('cogroups.{name}')\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (run.returncode, run.stderr) == (0, ""), name
+
+
 def test_surjectivity_over_z4_finishes(tmp_path):
     run = run_module_cli(
         tmp_path, Z4_CHAIN, "check-surjective", "--max-degree", "8", timeout=30
@@ -301,6 +324,22 @@ def test_cli_main_error_paths(tmp_path, capsys):
     rc = cli_main(["classify", str(bad)])
     captured = capsys.readouterr()
     assert rc == 2 and "line 2" in captured.err
+
+
+def test_cli_refuses_a_non_coassociative_table(tmp_path, capsys):
+    path = tmp_path / "broken.cog"
+    path.write_text(
+        "ring Q\n"
+        "generator y degree 2\ngenerator m degree 4\ngenerator x degree 6\n"
+        "coproduct m = y * y\ncoproduct x = m * y\n"
+    )
+    rc = cli_main(["check-cogroup", str(path), "--max-degree", "6"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: coalgebra axioms fail: 1 violation(s) in 3 checks:\n"
+        "  coassociativity fails on x\n"
+    )
 
 
 def test_cli_refuses_fp_modulus_beyond_certification(tmp_path, capsys):
