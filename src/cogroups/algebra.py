@@ -89,7 +89,10 @@ def _reduce_terms(parent, terms: dict) -> dict:
 
 
 class _Memo(dict):
-    """A dict that computes and keeps the value of a missing key."""
+    """A dict that computes and keeps the value of a missing key.
+
+    Calling it looks the key up, so a memo stands in for its function.
+    """
 
     __slots__ = ("compute",)
 
@@ -99,6 +102,8 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.compute(key)
         return value
+
+    __call__ = dict.__getitem__
 
 
 def accumulate(acc: dict, terms: dict, c=1) -> None:
@@ -119,11 +124,14 @@ class TruncatedTensorAlgebra:
         self.truncation = truncation
         self._deg = {g.name: g.degree for g in module.generators}
         self._ann = {g.name: g.annihilator for g in module.generators}
-        self._order = {g.name: i for i, g in enumerate(module.generators)}
         self._basis_cache: dict[int, list] = {}
         deg, ann, char = self._deg, self._ann, self.ring.characteristic()
-        self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
+        self._degrees = degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._moduli = _Memo(lambda w: reduce(gcd, (ann[l] for l in w), char))
+        # how elements print: terms by (degree, letter order), words as labels
+        order = {g.name: i for i, g in enumerate(module.generators)}
+        self.sort_key = _Memo(lambda w: (degrees[w], tuple(order[l] for l in w)))
+        self.format_key = _Memo(format_word)
         # the modulus of every word, when no letter's annihilator lowers it
         self.fixed_modulus = (
             char if all(gcd(char, a) == char for a in ann.values()) else None
@@ -167,11 +175,6 @@ class TruncatedTensorAlgebra:
                 if deg[w2] <= room:
                     w = w1 + w2
                     acc[w] = get(w, 0) + cv * v2
-
-    def sort_key(self, word):
-        return (self.word_degree(word), tuple(self._order[l] for l in word))
-
-    format_key = staticmethod(format_word)
 
     def basis(self, d: int) -> list:
         """All words of degree d, in a fixed order (first letter major)."""
@@ -266,9 +269,9 @@ class TensorSquare:
         key = self.algebra.sort_key
         return (key(pair[0]), key(pair[1]))
 
-    @staticmethod
-    def format_key(pair) -> str:
-        return f"{format_word(pair[0])}(x){format_word(pair[1])}"
+    def format_key(self, pair) -> str:
+        fmt = self.algebra.format_key
+        return f"{fmt(pair[0])}(x){fmt(pair[1])}"
 
     def element(self, terms: dict) -> "AlgebraElement":
         kept = {p: c for p, c in terms.items() if self.degree(p) <= self.truncation}

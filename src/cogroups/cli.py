@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .algebra import format_word, is_graded_commutative
+from .algebra import is_graded_commutative
 from .classify import classify_cogroup, inverse_equals_antipode
 from .coalgebra import is_cocommutative
 from .cogroup import check_cogroup_axioms, tensor_cogroup
@@ -95,6 +95,8 @@ def run_command(
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    if max_degree < 0:
+        raise ValueError("truncation must be >= 0")
     start = time.monotonic()
     verdicts: list = []
     witnesses: list = []
@@ -135,9 +137,10 @@ def run_command(
             images = lambda w: chi.image(w)
         else:
             images = lambda w: A.nu(A.algebra.element({w: 1}))
+        fmt = A.algebra.format_key
         for d in range(0, max_degree + 1):
             for w in A.algebra.basis(d):
-                verdicts.append((f"{label}({format_word(w)})", str(images(w)) if d else "1"))
+                verdicts.append((f"{label}({fmt(w)})", str(images(w)) if d else "1"))
         exit_code = 0
     elif command == "nu-eq-chi":
         A = tensor_cogroup(coalg, max_degree)

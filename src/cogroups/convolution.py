@@ -211,7 +211,6 @@ def antipode(A: Cogroup) -> GradedMap:
     guarantees; ``antipode_by_recursion`` computes chi without it.
     """
     alg = A.algebra
-    deg = alg.word_degree
     table: dict = {}
     for d in range(1, A.truncation + 1):
         for w in alg.basis(d):
@@ -220,12 +219,18 @@ def antipode(A: Cogroup) -> GradedMap:
                 for c, y, z in A.reduced_coproduct_word(w):
                     alg.mul_into(acc, {y: 1}, table[z].terms, -c)
             else:
-                a, rest = w[:1], w[1:]
-                acc = {}
-                sign = -1 if deg(a) * deg(rest) % 2 else 1
-                alg.mul_into(acc, table[rest].terms, table[a].terms, sign)
+                acc = _anti_product(alg, table.__getitem__, w)
             table[w] = AlgebraElement(alg, acc)
     return GradedMap(CogroupSource(A), alg, table, check=False)
+
+
+def _anti_product(alg: TruncatedTensorAlgebra, image, w) -> dict:
+    """(-1)^{|a||v|} image(v) image(a) for the word w = a.v, unreduced."""
+    a, rest = w[:1], w[1:]
+    acc: dict = {}
+    sign = -1 if alg.word_degree(a) * alg.word_degree(rest) % 2 else 1
+    alg.mul_into(acc, image(rest).terms, image(a).terms, sign)
+    return acc
 
 
 def antipode_by_recursion(A: Cogroup) -> GradedMap:
@@ -237,22 +242,43 @@ def antipode_by_recursion(A: Cogroup) -> GradedMap:
 
 def check_hopf_antipode(A: Cogroup, chi: GradedMap) -> AxiomReport:
     """Both antipode laws, mul.(chi (x) 1).D = eta.eps = mul.(1 (x) chi).D,
-    verified on every word of positive degree up to the truncation."""
-    ident = identity_map(A)
-    left = convolve(chi, ident)
-    right = convolve(ident, chi)
+    for every word of positive degree up to the truncation.
+
+    The laws are computed on generators, from Dbar(g).  A longer word
+    a.w is checked against chi(a.w) = (-1)^{|a||w|} chi(w) chi(a), one
+    product and no Dbar.  Since D is an algebra morphism, a graded
+    anti-homomorphism that satisfies both laws on generators satisfies
+    them on every word, by induction on length (Milnor-Moore).  For chi
+    = ``antipode(A)`` that identity holds by construction, so only the
+    generator recursion is then tested; the word-level check is kept in
+    ``tests/hopf_oracle.py`` and in ``perfbench/oracle.py``.
+    """
+    alg = A.algebra
     checked = 0
     violations = []
     for d in range(1, A.truncation + 1):
-        for w in A.algebra.basis(d):
+        for w in alg.basis(d):
             checked += 1
-            if left.image(w):
+            img = chi.image(w)
+            if len(w) == 1:
+                left = dict(img.terms)
+                left[w] = left.get(w, 0) + 1
+                right = dict(left)
+                for c, y, z in A.reduced_coproduct_word(w):
+                    alg.mul_into(left, chi.image(y).terms, {z: 1}, c)
+                    alg.mul_into(right, {y: 1}, chi.image(z).terms, c)
+                for law, terms in (("chi * id", left), ("id * chi", right)):
+                    value = AlgebraElement(alg, terms)
+                    if value:
+                        violations.append(
+                            f"({law})({format_word(w)}) = {value}, expected 0"
+                        )
+                continue
+            want = AlgebraElement(alg, _anti_product(alg, chi.image, w))
+            if img != want:
                 violations.append(
-                    f"(chi * id)({format_word(w)}) = {left.image(w)}, expected 0"
-                )
-            if right.image(w):
-                violations.append(
-                    f"(id * chi)({format_word(w)}) = {right.image(w)}, expected 0"
+                    f"chi({format_word(w)}) = {img}, expected {want} "
+                    "(graded anti-homomorphism)"
                 )
     return AxiomReport(checked, violations)
 

@@ -44,14 +44,23 @@ class Token:
 
 @dataclass
 class ProblemSpec:
-    """A parsed problem: ring, graded module, and coproduct table."""
+    """A parsed problem: ring, graded module, and coproduct table.
+
+    ``presentation`` is the coalgebra that ``parse_spec`` built; a spec
+    made by hand gets one on its first ``coalgebra()`` call.
+    """
 
     ring: RingSpec
     module: GradedModulePresentation
     coproduct: dict = field(default_factory=dict)
+    presentation: CoalgebraPresentation | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def coalgebra(self) -> CoalgebraPresentation:
-        return CoalgebraPresentation(self.module, self.coproduct)
+        if self.presentation is None:
+            self.presentation = CoalgebraPresentation(self.module, self.coproduct)
+        return self.presentation
 
     def generator_summaries(self):
         out = []
@@ -248,7 +257,9 @@ def parse_spec(text: str) -> ProblemSpec:
         raise ParseError(str(exc), 1, 1) from exc
 
     # store the normalized table so parse/render round-trips compare equal
-    return ProblemSpec(ring=ring, module=module, coproduct=dict(coalg.table))
+    return ProblemSpec(
+        ring=ring, module=module, coproduct=dict(coalg.table), presentation=coalg
+    )
 
 
 def render_spec(spec: ProblemSpec) -> str:

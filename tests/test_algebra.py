@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
+from cogroups.algebra import _format_terms
 from instances import (
     F2,
+    F3,
     MATRIX,
     Q,
     RINGS,
     Z,
+    Z4,
     Z6,
     annihilators,
     brute_force_graded_commutative,
@@ -326,3 +329,40 @@ def test_format_word():
     assert cg.format_word(("x",)) == "x"
     assert cg.format_word(("x", "x", "y")) == "x^2*y"
     assert cg.format_word(("x", "y", "x")) == "x*y*x"
+
+
+@st.composite
+def printable_elements(draw):
+    """(ring, algebra, element of A, element of A (x) A) over Z, Q, Z/4, F_3."""
+    ring = draw(st.sampled_from((Z, Q, Z4, F3)))
+    names = draw(st.permutations("xyz"))[: draw(st.integers(1, 3))]
+    A = cg.tensor_algebra(cg.module(ring, [(n, draw(st.integers(1, 2))) for n in names]), 4)
+    words = list(A.words_up_to())
+    coeff = st.integers(-5, 5)
+    if ring is Q:
+        coeff = coeff | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    elem = A.element(draw(st.dictionaries(st.sampled_from(words), coeff, max_size=6)))
+    pairs = st.tuples(st.sampled_from(words), st.sampled_from(words))
+    sq = cg.TensorSquare(A)
+    pair_elem = sq.element(draw(st.dictionaries(pairs, coeff, max_size=6)))
+    return A, elem, pair_elem
+
+
+@settings(max_examples=80, deadline=None)
+@given(printable_elements())
+def test_str_matches_a_render_from_format_word(case):
+    A, elem, pair_elem = case
+    order = {g.name: i for i, g in enumerate(A.module.generators)}
+
+    def key(w):
+        return (sum(A.module.degree_of(l) for l in w), [order[l] for l in w])
+
+    words = sorted(elem.terms.items(), key=lambda kv: key(kv[0]))
+    pairs = sorted(pair_elem.terms.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1])))
+    want = _format_terms(words, cg.format_word)
+    want_pairs = _format_terms(
+        pairs, lambda p: f"{cg.format_word(p[0])}(x){cg.format_word(p[1])}"
+    )
+    # twice: the second render reads the memoised keys
+    assert str(elem) == want and str(elem) == want
+    assert str(pair_elem) == want_pairs and str(pair_elem) == want_pairs

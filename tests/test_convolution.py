@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroups.convolution import _spans
+from hopf_oracle import check_hopf_on_words
 from instances import (
     F2,
     F3,
@@ -278,6 +279,102 @@ def test_hopf_laws_catch_a_wrong_antipode():
     rep = cg.check_hopf_antipode(A, fake)
     assert not rep.ok
     assert any("expected 0" in v for v in rep.violations)
+
+
+def with_images(chi, changes) -> cg.GradedMap:
+    table = dict(chi.table)
+    table.update(changes)
+    return cg.GradedMap(chi.source, chi.target, table, check=False)
+
+
+def wrong_on_a_generator(A, chi):
+    w = (A.module.generators[0].name,)
+    return with_images(chi, {w: chi.image(w) + A.algebra.element({w: 1})})
+
+
+def wrong_on_a_long_word(A, chi):
+    """chi plus w on the last word of length >= 2 that carries a nonzero
+    coefficient, or None when the truncation has no such word."""
+    alg = A.algebra
+    long = [w for w in alg.words_up_to() if len(w) > 1 and alg.word_modulus(w) != 1]
+    if not long:
+        return None
+    w = long[-1]
+    return with_images(chi, {w: chi.image(w) + alg.element({w: 1})})
+
+
+def without_the_koszul_sign(A, chi):
+    """chi on generators, extended by chi(a.w) = chi(w) chi(a), unsigned."""
+    table = {}
+    for w in A.algebra.words_up_to():
+        if len(w) == 1:
+            table[w] = chi.image(w)
+        elif w:
+            table[w] = table[w[1:]] * table[w[:1]]
+    return cg.GradedMap(chi.source, chi.target, table, check=False)
+
+
+def hopf_reports(A, f):
+    """The fast check and the word-level oracle, which must agree."""
+    fast, slow = cg.check_hopf_antipode(A, f), check_hopf_on_words(A, f)
+    assert (fast.ok, fast.checked) == (slow.ok, slow.checked), (fast, slow)
+    return fast
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_hopf_check_matches_the_word_oracle(key):
+    A = make_cogroup(key, 8)
+    chi = make_antipode(key, 8)
+    rep = hopf_reports(A, chi)
+    assert rep.ok and rep.checked == sum(1 for w in A.algebra.words_up_to() if w)
+    for mutate in (wrong_on_a_generator, wrong_on_a_long_word):
+        f = mutate(A, chi)  # a generator of degree 5 has no long word by D = 8
+        assert f is None or not hopf_reports(A, f).ok, mutate.__name__
+
+
+@settings(max_examples=40, deadline=None)
+@given(coassociative_coalgebras())
+def test_hopf_check_matches_the_word_oracle_on_coproduct_tables(case):
+    A = cg.tensor_cogroup(*case)
+    chi = cg.antipode(A)
+    assert hopf_reports(A, chi).ok
+    for mutate in (wrong_on_a_generator, wrong_on_a_long_word, without_the_koszul_sign):
+        f = mutate(A, chi)
+        if f is not None:
+            # the antipode is unique: a map passes exactly when it is chi
+            assert hopf_reports(A, f).ok == (f == chi), mutate.__name__
+
+
+@pytest.mark.parametrize(
+    "key", ["q-odd1", "q-pair11", "q-odd3", "z-free3", "z-tor43", "z4-free3", "f3-odd3"]
+)
+def test_hopf_checks_catch_a_dropped_koszul_sign(key):
+    A = make_cogroup(key, 8)
+    chi = make_antipode(key, 8)
+    f = without_the_koszul_sign(A, chi)
+    assert f != chi
+    rep = hopf_reports(A, f)
+    assert not rep.ok
+    assert all(v.endswith("(graded anti-homomorphism)") for v in rep.violations)
+
+
+def test_hopf_check_names_the_wrong_word():
+    A = make_cogroup("q-pair11", 6)
+    chi = make_antipode("q-pair11", 6)
+    rep = cg.check_hopf_antipode(A, wrong_on_a_long_word(A, chi))
+    assert rep.violations == [
+        "chi(y^6) = 0, expected -y^6 (graded anti-homomorphism)"
+    ]
+
+
+def test_hopf_check_builds_dbar_on_generators_only():
+    m = cg.module(Z, [("a", 1), ("b", 2), ("c", 3)])
+    C = cg.CoalgebraPresentation(
+        m, {"b": [(1, "a", "a")], "c": [(1, "a", "b"), (1, "b", "a")]}
+    )
+    A = cg.tensor_cogroup(C, 8)
+    assert cg.check_hopf_antipode(A, cg.antipode(A)).ok
+    assert sorted(A._reduced_cache) == [("a",), ("b",), ("c",)]
 
 
 def test_antipode_is_surjective_everywhere():

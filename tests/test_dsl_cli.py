@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import cogroups as cg
-from cogroups.cli import main as cli_main, run_command
-from cogroups.dsl import ParseError, parse_spec, render_spec
+from cogroups.cli import COMMANDS, main as cli_main, run_command
+from cogroups.dsl import ParseError, ProblemSpec, parse_spec, render_spec
 
 POLY = "ring Q\ngenerator X degree 2\n"
 TORSION = "ring Zmod 4\ngenerator x degree 3\n"
@@ -134,6 +134,16 @@ def test_round_trips():
         assert render_spec(parse_spec(rendered)) == rendered
 
 
+def test_spec_keeps_the_parsed_coalgebra():
+    spec = parse_spec(LOOP)
+    assert spec.coalgebra() is spec.coalgebra() is spec.presentation
+    by_hand = ProblemSpec(spec.ring, spec.module, dict(spec.coproduct))
+    assert by_hand == spec and by_hand.presentation is None
+    assert by_hand.coalgebra() == spec.coalgebra()
+    assert by_hand.coalgebra() is by_hand.coalgebra()
+    assert render_spec(by_hand) == render_spec(spec)
+
+
 def test_render_is_canonical():
     spec = parse_spec("ring Zmod 6   # comment\ngenerator   x   degree 2 ann 3\n")
     assert render_spec(spec) == "ring Zmod 6\ngenerator x degree 2 ann 3\n"
@@ -234,6 +244,16 @@ def test_commands_accept_names_that_end_in_a_prime():
     rep = run_command(spec, "nu-eq-chi", max_degree=6)
     assert rep.exit_code == 1
     assert rep.witnesses == ["x*x': nu = x*x', chi = x'*x"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_max_degree_is_refused(command, tmp_path, capsys):
+    path = tmp_path / "loop.cog"
+    path.write_text(LOOP)
+    rc = cli_main([command, str(path), "--max-degree", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert captured.err == "error: truncation must be >= 0\n"
 
 
 def test_cli_main_with_file(tmp_path, capsys):
