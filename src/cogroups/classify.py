@@ -15,7 +15,8 @@ commutativity on generator pairs, locality by primary decomposition -
 and the report records whether they agree.  chi comes from
 ``antipode_by_recursion``: ``antipode`` builds chi as an
 anti-homomorphism, so chi-is-morphism would then only restate
-commutativity.
+commutativity.  That chi is filled on demand, one degree at a time, so
+``classify_cogroup`` builds it only as deep as its two verdicts read.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _first_difference(A: Cogroup, chi, truncation: int | None):
     alg = A.algebra
     for d in range(1, D + 1):
         for w in alg.basis(d):
-            nu_w = A.nu(alg.element({w: 1}))
+            nu_w = A.nu.word_image(w)
             chi_w = chi.image(w)
             if nu_w != chi_w:
                 return False, f"{format_word(w)}: nu = {nu_w}, chi = {chi_w}"
@@ -86,10 +87,22 @@ def classify_cogroup(A: Cogroup, truncation: int | None = None) -> Classificatio
     """Run all predicates on a cogroup and cross-check them.
 
     chi comes from the word recursion, never from nu, and is computed
-    once for both the nu-eq-chi and the chi-is-morphism verdicts.
+    once for both the nu-eq-chi and the chi-is-morphism verdicts.  It is
+    read only as deep as they need: up to the first word where nu and
+    chi differ, then up to the first pair of words that chi fails to
+    multiply.  When the algebra is not graded commutative, some pair of
+    generators u, v fails, and nu(uv) - chi(uv) has the nonzero length-2
+    part uv - (-1)^{|u||v|} vu, so both verdicts are decided by degree
+    2 * (top generator degree).  Below that depth they are read off the
+    cogroup rebuilt from A's coalgebra at that depth, the depth to which
+    ``is_graded_commutative`` widens.
     """
+    D = A.truncation if truncation is None else min(truncation, A.truncation)
+    need = 2 * A.module.max_degree()
+    if A.truncation < need:
+        A = Cogroup(A.coalgebra, need)
     chi = antipode_by_recursion(A)
-    nec, witness = _first_difference(A, chi, truncation)
+    nec, witness = _first_difference(A, chi, max(D, need))
     chi_mor = is_algebra_morphism(chi, A)
     gc, pair = is_graded_commutative(A.algebra)
     if witness is None and pair is not None:

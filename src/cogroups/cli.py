@@ -134,9 +134,9 @@ def run_command(
         label = "chi" if command == "antipode" else "nu"
         if command == "antipode":
             chi = antipode(A)
-            images = lambda w: chi.image(w)
+            images = chi.image
         else:
-            images = lambda w: A.nu(A.algebra.element({w: 1}))
+            images = A.nu.word_image
         fmt = A.algebra.format_key
         for d in range(0, max_degree + 1):
             for w in A.algebra.basis(d):

@@ -88,20 +88,18 @@ class Cogroup:
         """nu on generators: the convolution inverse of the inclusion C -> A.
 
         ``convolution_inverse`` runs g(x) = -x - sum c_i y_i * g(z_i) over
-        the coalgebra table; its table is the generator images.
+        the coalgebra table; its images are the generator images.
         """
         alg = self.algebra
+        names = [g.name for g in self.module.generators if g.degree <= self.truncation]
         inclusion = GradedMap(
             CoalgebraSource(self.coalgebra, self.truncation),
             alg,
-            {
-                g.name: alg.generator(g.name)
-                for g in self.module.generators
-                if g.degree <= self.truncation
-            },
+            {name: alg.generator(name) for name in names},
             check=False,
         )
-        return AlgebraMorphism(alg, alg, convolution_inverse(inclusion).table)
+        inverse = convolution_inverse(inclusion)
+        return AlgebraMorphism(alg, alg, {name: inverse.image(name) for name in names})
 
     def _derive_delta(self) -> AlgebraMorphism:
         pi = self.fold_to_tensor_square()

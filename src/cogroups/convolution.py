@@ -24,6 +24,11 @@ algebra morphism), chi of the identity of A on the cogroup source
 ``classify`` uses it as the independent chi).  ``antipode`` builds the
 same chi from generator data instead: the recursion on generators, then
 one product per longer word, since chi is a graded anti-homomorphism.
+
+``convolution_inverse`` and ``identity_map`` fill their tables on
+demand, one whole degree at a time and in order: reading a key of degree
+d first fills every degree up to d not yet filled, so a caller that
+stops reading at a low degree never builds the higher ones.
 """
 
 from __future__ import annotations
@@ -104,7 +109,10 @@ class GradedMap:
     """Degree-preserving map from a convolution source into an algebra.
 
     The table maps basis keys of degree 1..D to elements; missing keys
-    mean zero.  Degree 0 is silently the identity on scalars.
+    mean zero.  Degree 0 is silently the identity on scalars.  Read
+    images through ``image``: the maps of ``identity_map`` and
+    ``convolution_inverse`` fill their table on demand, by degree, so
+    their ``table`` holds only the degrees read so far.
     """
 
     def __init__(self, source, target: TruncatedTensorAlgebra, table: dict, *, check=True):
@@ -147,14 +155,43 @@ class GradedMap:
         return None
 
 
+class _FilledByDegree(GradedMap):
+    """A GradedMap whose table ``fill(table, d)`` fills one whole degree
+    at a time, in order, when a key of a degree not yet filled is read.
+
+    Filling whole degrees in order keeps the fill a loop, so a deep
+    truncation cannot hit the recursion limit, and ``fill`` may read any
+    key of a lower degree straight from the table.
+    """
+
+    def __init__(self, source, target, fill):
+        super().__init__(source, target, {}, check=False)
+        self._fill = fill
+        self._filled = 0
+
+    def image(self, key) -> AlgebraElement:
+        img = self.table.get(key)
+        if img is None:
+            top = min(self.source.degree(key), self.source.truncation)
+            while self._filled < top:
+                self._filled += 1
+                self._fill(self.table, self._filled)
+            img = self.table.get(key)
+            if img is None:
+                return self.target.zero()
+        return img
+
+    __call__ = image
+
+
 def identity_map(A: Cogroup) -> GradedMap:
-    src = CogroupSource(A)
-    table = {
-        w: A.algebra.element({w: 1})
-        for d in range(1, A.truncation + 1)
-        for w in A.algebra.basis(d)
-    }
-    return GradedMap(src, A.algebra, table, check=False)
+    alg = A.algebra
+
+    def fill(table, d):
+        for w in alg.basis(d):
+            table[w] = alg.element({w: 1})
+
+    return _FilledByDegree(CogroupSource(A), alg, fill)
 
 
 def unit_map(source, target: TruncatedTensorAlgebra) -> GradedMap:
@@ -183,13 +220,17 @@ def convolve(f: GradedMap, g: GradedMap) -> GradedMap:
 
 
 def convolution_inverse(f: GradedMap, via: str = "right") -> GradedMap:
-    """Inverse in the convolution group, by either one-sided recursion."""
+    """Inverse in the convolution group, by either one-sided recursion.
+
+    The recursion runs on demand, a whole degree at a time and in the
+    order of a full build, so every image is the one a full build gives.
+    """
     if via not in ("right", "left"):
         raise ValueError("via must be 'right' or 'left'")
     src = f.source
     alg = f.target
-    table: dict = {}
-    for d in range(1, src.truncation + 1):
+
+    def fill(table, d):
         for x in src.basis(d):
             acc = {k: -v for k, v in f.image(x).terms.items()}
             for c, y, z in src.reduced_coproduct(x):
@@ -198,7 +239,8 @@ def convolution_inverse(f: GradedMap, via: str = "right") -> GradedMap:
                 else:
                     alg.mul_into(acc, table[y].terms, f.image(z).terms, -c)
             table[x] = AlgebraElement(alg, acc)
-    return GradedMap(src, alg, table, check=False)
+
+    return _FilledByDegree(src, alg, fill)
 
 
 def antipode(A: Cogroup) -> GradedMap:
@@ -236,7 +278,8 @@ def _anti_product(alg: TruncatedTensorAlgebra, image, w) -> dict:
 def antipode_by_recursion(A: Cogroup) -> GradedMap:
     """chi as the convolution inverse of the identity, word by word:
     chi(w) = -w - sum c y chi(z) over Dbar(w).  It assumes no product
-    structure and builds about 2^len(w) terms per word."""
+    structure and builds about 2^len(w) terms per word, on demand: only
+    the degrees read so far are built."""
     return convolution_inverse(identity_map(A))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 import cogroups as cg
-from instances import MATRIX, Q, Z, make_antipode, make_cogroup, make_module
+from instances import MATRIX, MATRIX_KEYS, Q, Z, instance, make_antipode, make_cogroup, make_module
 
 
 def test_matrix_three_way_agreement():
@@ -98,6 +98,41 @@ def test_classify_computes_chi_once(monkeypatch):
     assert len(calls) == 1
     assert not fast_calls  # chi-is-morphism needs a chi not built as an anti-homomorphism
     assert rep.consistent and not rep.inverse_equals_antipode
+
+
+def test_classify_reads_chi_only_as_deep_as_its_verdicts():
+    m = cg.module(Q, [("x", 1), ("y", 1), ("z", 2)])
+    A = cg.tensor_cogroup(cg.trivial_coalgebra(m), 8)
+    rep = cg.classify_cogroup(A)
+    # nu and chi part ways on x^2, and chi(x) chi(x) != chi(x^2)
+    assert max(A.algebra.word_degree(w) for w in A._reduced_cache) <= 2
+    assert rep == cg.ClassificationReport(
+        inverse_equals_antipode=False,
+        antipode_is_morphism=False,
+        graded_commutative=False,
+        module_locally_cyclic=False,
+        module_free_cyclic=False,
+        consistent=True,
+        witness="x^2: nu = x^2, chi = -x^2",
+    )
+    # graded commutative: both verdicts read every word
+    B = cg.tensor_cogroup(cg.trivial_coalgebra(cg.module(Q, [("x", 2)])), 10)
+    rep = cg.classify_cogroup(B)
+    assert rep.consistent and rep.inverse_equals_antipode and rep.antipode_is_morphism
+    assert sorted(B._reduced_cache) == [("x",) * k for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_classify_verdicts_hold_at_every_truncation(key):
+    # below 2 * (top degree) the generator squares lie above the truncation
+    _, _, gens, expected = instance(key)
+    C = cg.trivial_coalgebra(make_module(key))
+    top = 2 * max(g[1] for g in gens) + 2
+    for D in range(1, top + 1):
+        rep = cg.classify_cogroup(cg.tensor_cogroup(C, D))
+        assert rep.consistent, (key, D)
+        assert rep.inverse_equals_antipode == rep.antipode_is_morphism == expected, (key, D)
+        assert rep.verdicts() == cg.classify_module(make_module(key)).verdicts(), (key, D)
 
 
 def test_classify_module_coprime_and_common_torsion():

@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroups.cogroup import _check_axioms_on
-from instances import Q, Z, Z4, coassociative_coalgebras, make_cogroup, make_module
+from instances import (
+    MATRIX_KEYS,
+    Q,
+    Z,
+    Z4,
+    coassociative_coalgebras,
+    make_cogroup,
+    make_module,
+)
 
 
 def polynomial_cogroup(n=2, D=10):
@@ -56,6 +64,23 @@ def test_nu_correction_term():
     y, x = alg.generator("y"), alg.generator("x")
     assert A.nu(y) == -y
     assert A.nu(x) == -x + y * y
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_nu_on_words_matches_nu_on_elements(key):
+    A = make_cogroup(key, 8)
+    alg = A.algebra
+    for w in alg.words_up_to():
+        assert A.nu.word_image(w) == A.nu(alg.element({w: 1})), w
+
+
+def test_nu_on_words_with_coprime_annihilators_is_zero():
+    for key in ("z-coprime", "z6-coprime"):
+        A = make_cogroup(key, 8)
+        w = ("x", "y")
+        assert A.algebra.word_modulus(w) == 1
+        assert not A.nu.word_image(w), key
+        assert not A.nu(A.algebra.element({w: 1})), key
 
 
 def test_delta_restricts_to_table():

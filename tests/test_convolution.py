@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroups.convolution import _spans
+from convolution_oracle import convolution_inverse_eagerly, explicit_identity
 from hopf_oracle import check_hopf_on_words
 from instances import (
     F2,
@@ -136,6 +137,70 @@ def test_antipode_matches_the_word_recursion_on_coproduct_tables(case):
     A = cg.tensor_cogroup(*case)
     chi, oracle = cg.antipode(A), cg.antipode_by_recursion(A)
     assert chi == oracle, chi.difference_witness(oracle)
+
+
+def top_degree_first(keys, degree, rng):
+    """The keys in shuffled order, with one of the highest degree first."""
+    keys = list(keys)
+    rng.shuffle(keys)
+    top = max(keys, key=degree)
+    keys.remove(top)
+    return [top] + keys
+
+
+def assert_inverse_matches_the_eager_loop(f, explicit_f, rng):
+    """The inverse of f, filled on demand and read top degree first,
+    equals the eager loop run on the full table of f, for both recursions."""
+    src = f.source
+    keys = [x for d in range(1, src.truncation + 1) for x in src.basis(d)]
+    for via in ("right", "left"):
+        want = convolution_inverse_eagerly(explicit_f, via)
+        got = cg.convolution_inverse(f, via)
+        for x in top_degree_first(keys, src.degree, rng):
+            assert got.image(x) == want.image(x), (via, x)
+        assert got.table == want.table, via
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_on_demand_inverse_matches_the_eager_loop(key):
+    A = make_cogroup(key, 8)
+    explicit = explicit_identity(A)
+    ident = cg.identity_map(A)
+    assert ident == explicit
+    assert ident.table == explicit.table
+    assert_inverse_matches_the_eager_loop(cg.identity_map(A), explicit, random.Random(key))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coassociative_coalgebras())
+def test_on_demand_inverse_matches_the_eager_loop_on_coproduct_tables(case):
+    A = cg.tensor_cogroup(*case)
+    rng = random.Random(0)
+    assert_inverse_matches_the_eager_loop(cg.identity_map(A), explicit_identity(A), rng)
+    alg = A.algebra
+    inclusion = cg.GradedMap(
+        cg.CoalgebraSource(A.coalgebra, A.truncation),
+        alg,
+        {g.name: alg.generator(g.name) for g in A.module.generators if g.degree <= A.truncation},
+    )
+    assert_inverse_matches_the_eager_loop(inclusion, inclusion, rng)
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_on_demand_tables_hold_only_the_degrees_read(key):
+    A = make_cogroup(key, 8)
+    alg = A.algebra
+    full = convolution_inverse_eagerly(explicit_identity(A)).table
+    rng = random.Random(key)
+    for d in range(9):
+        ident = cg.identity_map(A)
+        chi = cg.convolution_inverse(ident)
+        words = [w for w in alg.words_up_to(d) if w]
+        rng.shuffle(words)
+        for w in words:
+            chi(w)
+        assert all(alg.word_degree(w) <= d for w in ident.table), d
+        assert chi.table == {w: img for w, img in full.items() if alg.word_degree(w) <= d}
 
 
 def assert_nu_is_chi_on_generators(A):

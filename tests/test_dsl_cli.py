@@ -325,6 +325,20 @@ def test_surjectivity_over_z4_finishes(tmp_path):
     assert "surjective-all-degrees: true" in run.stdout
 
 
+def test_classify_below_the_generator_squares_is_consistent(monkeypatch, capsys):
+    # x^2 lies above D = 1: classify still sees nu and chi part ways on it,
+    # while nu-eq-chi compares only the words up to D
+    text = "ring Q\ngenerator x degree 1\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli_main(["classify", "-", "--max-degree", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "nu-eq-chi: false\n" in out and "chi-is-morphism: false\n" in out
+    assert "consistent: true\n" in out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli_main(["nu-eq-chi", "-", "--max-degree", "1"]) == 0
+    assert "nu-eq-chi: true\n" in capsys.readouterr().out
+
+
 def test_cli_main_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(POLY))
     rc = cli_main(["check-commutative"])
