@@ -28,41 +28,47 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import count, repeat
 from math import gcd
 
 from .modules import GradedModulePresentation, _disjoint_sum
 
 
 def format_word(word) -> str:
+    """A word as its runs of letters: ("x", "x", "y") is x^2*y."""
     if not word:
         return "1"
     parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        parts.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
-        i = j
+    prev, n = word[0], 0
+    for letter in word:
+        if letter == prev:
+            n += 1
+        else:
+            parts.append(prev if n == 1 else f"{prev}^{n}")
+            prev, n = letter, 1
+    parts.append(prev if n == 1 else f"{prev}^{n}")
     return "*".join(parts)
 
 
 def _format_terms(items, fmt_key):
-    """Render a sorted list of (key, coeff) pairs as a signed sum."""
-    if not items:
-        return "0"
-    chunks = []
+    """Render sorted (key, coeff) pairs as a signed sum."""
+    out = []
     for key, c in items:
-        neg = c < 0
-        mag = -c if neg else c
-        body = fmt_key(key) if mag == 1 and key else str(mag) + ("*" + fmt_key(key) if key else "")
-        if not key and mag == 1:
-            body = "1"
-        if not chunks:
-            chunks.append(("-" if neg else "") + body)
+        if c < 0:
+            c = -c
+            out.append(" - ")
         else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+            out.append(" + ")
+        if not key:
+            out.append(str(c))
+        elif c == 1:
+            out.append(fmt_key(key))
+        else:
+            out.append(f"{c}*{fmt_key(key)}")
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def _reduce_terms(parent, terms: dict) -> dict:
@@ -91,7 +97,7 @@ def _reduce_terms(parent, terms: dict) -> dict:
 class _Memo(dict):
     """A dict that computes and keeps the value of a missing key.
 
-    Calling it looks the key up, so a memo stands in for its function.
+    Its bound ``__getitem__`` stands in for the function it memoises.
     """
 
     __slots__ = ("compute",)
@@ -103,7 +109,44 @@ class _Memo(dict):
         value = self[key] = self.compute(key)
         return value
 
-    __call__ = dict.__getitem__
+
+class _BasisOrder(dict):
+    """word -> (d, position of the word in basis(d)): the order terms print in.
+
+    A miss on a word whose degree d has a built basis records the keys of
+    all of basis(d) at once.  Otherwise the position is counted: words of
+    degree d that begin with an earlier letter come first, and as many
+    begin with a letter of degree e as there are words of degree d - e.
+    """
+
+    __slots__ = ("deg", "degrees", "bases", "counts")
+
+    def __init__(self, deg: dict, degrees, bases: dict):
+        self.deg = deg  # letter -> degree, in generator order
+        self.degrees = degrees
+        self.bases = bases
+        self.counts = [1]  # number of words of each degree, grown on demand
+
+    def __missing__(self, word):
+        d = rest = self.degrees[word]
+        built = self.bases.get(d)
+        if built is not None:
+            self.update(zip(built, zip(repeat(d), count())))
+            return self[word]
+        deg, counts = self.deg, self.counts
+        while len(counts) <= d:
+            n = len(counts)
+            counts.append(sum(counts[n - e] for e in deg.values() if e <= n))
+        pos = 0
+        for letter in word:
+            for name, e in deg.items():
+                if name == letter:
+                    break
+                if e <= rest:
+                    pos += counts[rest - e]
+            rest -= deg[letter]
+        key = self[word] = (d, pos)
+        return key
 
 
 def accumulate(acc: dict, terms: dict, c=1) -> None:
@@ -126,12 +169,11 @@ class TruncatedTensorAlgebra:
         self._ann = {g.name: g.annihilator for g in module.generators}
         self._basis_cache: dict[int, list] = {}
         deg, ann, char = self._deg, self._ann, self.ring.characteristic()
-        self._degrees = degrees = _Memo(lambda w: sum(deg[l] for l in w))
+        self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._moduli = _Memo(lambda w: reduce(gcd, (ann[l] for l in w), char))
-        # how elements print: terms by (degree, letter order), words as labels
-        order = {g.name: i for i, g in enumerate(module.generators)}
-        self.sort_key = _Memo(lambda w: (degrees[w], tuple(order[l] for l in w)))
-        self.format_key = _Memo(format_word)
+        # how elements print: terms in basis order, words as labels
+        self.sort_key = _BasisOrder(deg, self._degrees, self._basis_cache).__getitem__
+        self.format_key = _Memo(format_word).__getitem__
         # the modulus of every word, when no letter's annihilator lowers it
         self.fixed_modulus = (
             char if all(gcd(char, a) == char for a in ann.values()) else None
@@ -177,7 +219,10 @@ class TruncatedTensorAlgebra:
                     acc[w] = get(w, 0) + cv * v2
 
     def basis(self, d: int) -> list:
-        """All words of degree d, in a fixed order (first letter major)."""
+        """All words of degree d, in a fixed order (first letter major).
+
+        Building it records each word's degree.
+        """
         if d < 0 or d > self.truncation:
             return []
         cached = self._basis_cache.get(d)
@@ -192,6 +237,7 @@ class TruncatedTensorAlgebra:
                     for w in self.basis(d - g.degree)
                 ]
             self._basis_cache[d] = cached
+            self._degrees.update(zip(cached, repeat(d)))
         return cached
 
     def words_up_to(self, dmax: int | None = None):
@@ -369,8 +415,10 @@ class AlgebraElement:
             raise ValueError("elements belong to different algebras")
 
     def __str__(self):
-        key = self.parent.sort_key
-        items = sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+        terms = self.terms
+        items = terms.items()
+        if len(terms) > 1:
+            items = [(k, terms[k]) for k in sorted(terms, key=self.parent.sort_key)]
         return _format_terms(items, self.parent.format_key)
 
     __repr__ = __str__

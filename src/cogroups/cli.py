@@ -58,7 +58,26 @@ class Report:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, written out directly.
+
+        With ``indent`` the json module takes its pure-Python encoder; here
+        only the scalars go through ``json.dumps``, and the fixed shape of
+        the report is spelled out.
+        """
+        dumps = json.dumps
+        verdicts = [
+            f'{{\n      "name": {dumps(n)},\n      "value": {dumps(v)}\n    }}'
+            for n, v in self.verdicts
+        ]
+        return (
+            f'{{\n  "command": {dumps(self.command)},'
+            f'\n  "ring": {dumps(self.ring)},'
+            f'\n  "generators": {_json_list(map(dumps, self.generators))},'
+            f'\n  "max_degree": {dumps(self.max_degree)},'
+            f'\n  "verdicts": {_json_list(verdicts)},'
+            f'\n  "witnesses": {_json_list(map(dumps, self.witnesses))},'
+            f'\n  "exit_code": {dumps(self.exit_code)}\n}}'
+        )
 
     def render_text(self) -> str:
         lines = [
@@ -73,6 +92,12 @@ class Report:
             lines.append(f"witness: {w}")
         lines.append(f"exit-code: {self.exit_code}")
         return "\n".join(lines)
+
+
+def _json_list(items) -> str:
+    """A list of encoded items as ``indent=2`` prints it one level down."""
+    body = ",\n    ".join(items)
+    return f"[\n    {body}\n  ]" if body else "[]"
 
 
 def _fmt_value(value) -> str:

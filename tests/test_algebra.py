@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from cogroups.algebra import _format_terms
 from instances import (
     F2,
     F3,
@@ -331,13 +330,72 @@ def test_format_word():
     assert cg.format_word(("x", "y", "x")) == "x*y*x"
 
 
+def render_terms(items, fmt_key):
+    """Oracle renderer: sorted (key, coeff) pairs as a signed sum, term by term."""
+    if not items:
+        return "0"
+    chunks = []
+    for key, c in items:
+        neg = c < 0
+        mag = -c if neg else c
+        body = fmt_key(key) if mag == 1 and key else str(mag) + ("*" + fmt_key(key) if key else "")
+        if not key and mag == 1:
+            body = "1"
+        if not chunks:
+            chunks.append(("-" if neg else "") + body)
+        else:
+            chunks.append(("- " if neg else "+ ") + body)
+    return " ".join(chunks)
+
+
+def oracle_key(module):
+    """The print order of words: (degree, letter-order tuple)."""
+    order = {g.name: i for i, g in enumerate(module.generators)}
+
+    def key(w):
+        return (sum(module.degree_of(l) for l in w), tuple(order[l] for l in w))
+
+    return key
+
+
+def oracle_str(elem):
+    """An element rendered from ``oracle_key`` and ``format_word`` alone."""
+    parent = elem.parent
+    if isinstance(parent, cg.TensorSquare):
+        key = oracle_key(parent.algebra.module)
+        items = sorted(elem.terms.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1])))
+        return render_terms(
+            items, lambda p: f"{cg.format_word(p[0])}(x){cg.format_word(p[1])}"
+        )
+    key = oracle_key(parent.module)
+    return render_terms(sorted(elem.terms.items(), key=lambda kv: key(kv[0])), cg.format_word)
+
+
+def all_words(module, top):
+    """Every word of degree <= top, listed without any algebra's basis."""
+    words, frontier = [()], [((), 0)]
+    while frontier:
+        frontier = [
+            (w + (g.name,), d + g.degree)
+            for w, d in frontier
+            for g in module.generators
+            if d + g.degree <= top
+        ]
+        words += [w for w, _ in frontier]
+    return words
+
+
 @st.composite
 def printable_elements(draw):
-    """(ring, algebra, element of A, element of A (x) A) over Z, Q, Z/4, F_3."""
+    """(algebra, element of A, element of A (x) A) over Z, Q, Z/4, F_3.
+
+    No ``basis(d)`` of the algebra has been built yet.
+    """
     ring = draw(st.sampled_from((Z, Q, Z4, F3)))
     names = draw(st.permutations("xyz"))[: draw(st.integers(1, 3))]
-    A = cg.tensor_algebra(cg.module(ring, [(n, draw(st.integers(1, 2))) for n in names]), 4)
-    words = list(A.words_up_to())
+    module = cg.module(ring, [(n, draw(st.integers(1, 2))) for n in names])
+    A = cg.tensor_algebra(module, 4)
+    words = all_words(module, 4)
     coeff = st.integers(-5, 5)
     if ring is Q:
         coeff = coeff | st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -352,17 +410,41 @@ def printable_elements(draw):
 @given(printable_elements())
 def test_str_matches_a_render_from_format_word(case):
     A, elem, pair_elem = case
-    order = {g.name: i for i, g in enumerate(A.module.generators)}
+    want, want_pairs = oracle_str(elem), oracle_str(pair_elem)
+    # before any basis(d): sort keys are counted on demand
+    assert str(elem) == want and str(pair_elem) == want_pairs
+    # after basis(d) is built: the keys counted above are read back
+    list(A.words_up_to())
+    assert str(elem) == want and str(pair_elem) == want_pairs
+    # an algebra whose basis was built first: keys recorded a degree at a time
+    B = cg.tensor_algebra(A.module, A.truncation)
+    list(B.words_up_to())
+    assert str(B.element(elem.terms)) == want
+    assert str(cg.TensorSquare(B).element(pair_elem.terms)) == want_pairs
 
-    def key(w):
-        return (sum(A.module.degree_of(l) for l in w), [order[l] for l in w])
 
-    words = sorted(elem.terms.items(), key=lambda kv: key(kv[0]))
-    pairs = sorted(pair_elem.terms.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1])))
-    want = _format_terms(words, cg.format_word)
-    want_pairs = _format_terms(
-        pairs, lambda p: f"{cg.format_word(p[0])}(x){cg.format_word(p[1])}"
-    )
-    # twice: the second render reads the memoised keys
-    assert str(elem) == want and str(elem) == want
-    assert str(pair_elem) == want_pairs and str(pair_elem) == want_pairs
+def test_str_sorts_terms_of_mixed_degree_in_basis_order():
+    A = two_letter_algebra()
+    terms = {("y", "y", "x", "x"): 1, ("y", "x"): 1, ("x", "y"): -1, ("x",): 2, (): 3}
+    want = "3 + 2*x - x*y + y*x + y^2*x^2"
+    assert str(A.element(terms)) == want  # no basis built
+    B = two_letter_algebra()
+    B.basis(3)  # keys up to degree 3 come from the bases, y^2*x^2's is counted
+    assert str(B.element(terms)) == want
+    sq = cg.TensorSquare(B)
+    pair = sq.element({(("y",), ("x",)): 1, (("x",), ("y",)): 1, ((), ("x", "x")): -1})
+    assert str(pair) == "-1(x)x^2 + x(x)y + y(x)x" == oracle_str(pair)
+
+
+def test_basis_follows_the_oracle_key_and_counted_positions():
+    for key, *_ in MATRIX:
+        module = make_module(key)
+        A = cg.tensor_algebra(module, 8)
+        words = all_words(module, 8)
+        counted = {w: A.sort_key(w) for w in words}  # before any basis(d)
+        oracle = oracle_key(module)
+        for d in range(9):
+            basis = A.basis(d)
+            assert basis == sorted(basis, key=oracle), (key, d)
+            assert [counted[w] for w in basis] == [(d, i) for i in range(len(basis))]
+        assert list(A.words_up_to()) == sorted(words, key=oracle), key

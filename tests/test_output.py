@@ -1,0 +1,147 @@
+"""What a user reads: the report writers, the table goldens, README's examples."""
+
+import contextlib
+import io
+import itertools
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
+from cogroups.dsl import ProblemSpec
+from instances import MATRIX, make_module
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+
+DECONC_Z = """\
+ring Z
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = a * a
+coproduct c = a * b + b * a
+"""
+BINOM_Z9 = """\
+ring Zmod 9
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = 2 a * a
+coproduct c = 3 a * b + 3 b * a
+"""
+
+
+def run_main(argv, stdin):
+    """(exit code, stdout) of ``cli.main`` reading ``stdin``."""
+    out, old = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = cli_main(argv)
+    finally:
+        sys.stdin = old
+    return rc, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fname,text,argv",
+    [
+        ("antipode_deconc.txt", DECONC_Z, ["antipode", "-", "--max-degree", "5", "--seed", "0"]),
+        (
+            "inverse_binom.json",
+            BINOM_Z9,
+            ["inverse", "-", "--max-degree", "5", "--json", "--seed", "0"],
+        ),
+    ],
+)
+def test_table_goldens(fname, text, argv):
+    rc, out = run_main(argv, text)
+    assert rc == 0
+    assert out == (GOLDEN / fname).read_text()
+
+
+def oracle_json(report):
+    return json.dumps(report.to_dict(), indent=2)
+
+
+def test_render_json_matches_json_dumps_on_every_command_of_the_matrix():
+    for key, ring, *_ in MATRIX:
+        spec = ProblemSpec(ring, make_module(key))
+        for command in COMMANDS:
+            report = run_command(spec, command, max_degree=4)
+            assert report.render_json() == oracle_json(report), (key, command)
+
+
+def test_render_json_matches_json_dumps_on_lists_and_values():
+    values = [("t", True), ("f", False), ("n", None), ("i", -7), ("s", "x^2 - 3*y")]
+    for generators, verdicts, witnesses in itertools.product(
+        ([], ["x degree 2", "y degree 3 ann 4"]),
+        ([], values[:1], values),
+        ([], ["x: nu = x, chi = -x"], ["one", "two"]),
+    ):
+        report = Report("inverse", "Zmod 9", generators, 5, verdicts, witnesses, 1)
+        assert report.render_json() == oracle_json(report)
+
+
+TEXT = st.text(st.characters() | st.sampled_from('"\\\n\r\t\x00\x1f\x7fé \U0001f600'))
+VALUES = st.none() | st.booleans() | st.integers() | TEXT
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(
+        Report,
+        command=TEXT,
+        ring=TEXT,
+        generators=st.lists(TEXT, max_size=3),
+        max_degree=st.integers(0, 30),
+        verdicts=st.lists(st.tuples(TEXT, VALUES), max_size=4),
+        witnesses=st.lists(TEXT, max_size=3),
+        exit_code=st.integers(0, 2),
+    )
+)
+def test_render_json_matches_json_dumps_on_any_strings(report):
+    assert report.render_json() == oracle_json(report)
+
+
+def readme_blocks(lang):
+    """The bodies of README's fenced blocks tagged ``lang``."""
+    blocks, body, tag = [], None, None
+    for line in (ROOT / "README.md").read_text().splitlines(keepends=True):
+        if not line.startswith("```"):
+            if body is not None:
+                body.append(line)
+        elif body is None:
+            body, tag = [], line[3:].strip()
+        else:
+            if tag == lang:
+                blocks.append("".join(body))
+            body = None
+    return blocks
+
+
+def test_readme_shell_examples_print_what_readme_shows():
+    examples = [b for b in readme_blocks("") if b.startswith("$ printf ")]
+    assert len(examples) == 2
+    for block in examples:
+        command, shown = block.split("\n", 1)
+        m = re.fullmatch(r"\$ printf '(.*)' \| cogroups (\S+) -", command)
+        stdin = m.group(1).encode().decode("unicode_escape")
+        rc, out = run_main([m.group(2), "-"], stdin)
+        assert out == shown
+        assert f"exit-code: {rc}\n" in shown
+
+
+def test_readme_library_snippet_prints_what_readme_shows():
+    (snippet,) = readme_blocks("python")
+    # every comment in the snippet is a line that it prints
+    want = "".join(line.split("# ", 1)[1] + "\n" for line in snippet.splitlines() if "# " in line)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, "README.md", "exec"), {})
+    assert out.getvalue() == want
