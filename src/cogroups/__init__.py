@@ -51,14 +51,12 @@ from .convolution import (
     GradedMap,
     antipode,
     antipode_by_recursion,
-    antipode_negates_indecomposables,
     check_hopf_antipode,
     convolution_inverse,
     convolve,
     identity_map,
     is_algebra_morphism,
     is_antipode_surjective,
-    is_graded_antihomomorphism,
     unit_map,
 )
 from .classify import (
@@ -83,9 +81,9 @@ __all__ = [
     "Cogroup", "check_cogroup_axioms", "fold", "is_cogroup_morphism",
     "tensor_cogroup",
     "CoalgebraSource", "CogroupSource", "GradedMap", "antipode",
-    "antipode_by_recursion", "antipode_negates_indecomposables",
-    "check_hopf_antipode", "convolution_inverse", "convolve", "identity_map",
-    "is_algebra_morphism", "is_antipode_surjective", "is_graded_antihomomorphism", "unit_map",
+    "antipode_by_recursion", "check_hopf_antipode", "convolution_inverse",
+    "convolve", "identity_map", "is_algebra_morphism", "is_antipode_surjective",
+    "unit_map",
     "ClassificationReport", "classify_cogroup", "classify_module",
     "inverse_equals_antipode",
     "ParseError", "ProblemSpec", "parse_spec", "render_spec",

@@ -33,6 +33,7 @@ stops reading at a low degree never builds the higher ones.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
@@ -326,62 +327,85 @@ def check_hopf_antipode(A: Cogroup, chi: GradedMap) -> AxiomReport:
     return AxiomReport(checked, violations)
 
 
-def _spans(vectors, k, ring) -> bool:
-    """Whether the sparse vectors ``{coordinate: coefficient}`` span R^k.
+def _spans(vectors, coords, ring) -> bool:
+    """Whether the sparse vectors ``{coordinate: coefficient}`` span R^k,
+    k = len(coords).
 
-    Forward elimination over the coordinates 0..k-1 that pivots only on a
-    unit of R: a nonzero entry over Q and F_p, +-1 over Z, an entry prime
-    to n over Z/n.  Once the coordinates before i are cleared with unit
-    pivots, the pivot rows and the coordinates from i on split R^k as a
-    direct sum, so the vectors span R^k exactly when the unused ones span
-    the coordinates from i on: exactly when, at i and at each later
+    Forward elimination over ``coords``, in their order, that pivots only
+    on a unit of R: a nonzero entry over Q and F_p, +-1 over Z, an entry
+    prime to n over Z/n.  Once the coordinates before i are cleared with
+    unit pivots, the pivot rows and the coordinates from i on split R^k
+    as a direct sum, so the vectors span R^k exactly when the unused ones
+    span the coordinates from i on: exactly when, at i and at each later
     coordinate, their entries generate the unit ideal of R (R is a PID or
     a quotient of Z).  Over Z and Z/n a Euclid loop of row operations
     turns entries that generate it into a unit; when it leaves one
     non-unit, or none, they generate a proper ideal.
+
+    A column index, coordinate -> ids of the rows that hold it, finds the
+    rows at i without scanning the others; the row operation updates it
+    for the coordinates it creates or cancels, and a used pivot row
+    leaves it.  Rows are taken in id order, the order of ``vectors``, so
+    the pivot at i is the first unit among them.  Over Q a +-1 pivot is
+    its own inverse as a plain int, so integral rows stay ints and
+    ``Fraction`` arithmetic starts only at a pivot that is not +-1.
     """
     n = ring.characteristic()
     if ring.kind == "Z":
         is_unit, inverse = (lambda x: abs(x) == 1), (lambda x: x)
     elif ring.kind == "Q":
-        is_unit, inverse = bool, (lambda x: Fraction(1) / x)
+        is_unit, inverse = bool, (lambda x: x if abs(x) == 1 else Fraction(1) / x)
     else:  # Z/n and F_p, entries reduced mod n
         is_unit, inverse = (lambda x: gcd(x, n) == 1), (lambda x: pow(x, -1, n))
     rows = []
+    cols = defaultdict(set)
     for v in vectors:
-        row: dict = {}
-        _add_row(row, v, 1, n)
-        if row:
-            rows.append(row)
-    for i in range(k):
-        live = [r for r in rows if i in r]
-        top = next((r for r in live if is_unit(r[i])), None)
+        row = {}
+        for c, x in v.items():
+            # an integral Fraction over Q becomes an int
+            x = x % n if n else x.numerator if x.denominator == 1 else x
+            if x:
+                row[c] = x
+                cols[c].add(len(rows))
+        rows.append(row)
+    for i in coords:
+        live = sorted(cols[i])
+        top = next((t for t in live if is_unit(rows[t][i])), None)
         while top is None:
             if len(live) < 2:
                 return False
-            p = min(live, key=lambda r: abs(r[i]))
-            for r in live:
-                if r is not p:
-                    _add_row(r, p, -(r[i] // p[i]), n)
-            live = [r for r in live if i in r]
-            top = next((r for r in live if is_unit(r[i])), None)
-        inv = inverse(top[i])
-        for r in live:
-            if r is not top:
-                _add_row(r, top, -r[i] * inv, n)
-        rows = [r for r in rows if r is not top]
+            p = min(live, key=lambda t: abs(rows[t][i]))
+            pivot = rows[p]
+            for t in live:
+                if t != p:
+                    _add_row(rows[t], t, pivot, -(rows[t][i] // pivot[i]), n, cols)
+            live = sorted(cols[i])
+            top = next((t for t in live if is_unit(rows[t][i])), None)
+        pivot = rows[top]
+        inv = inverse(pivot[i])
+        for t in live:
+            if t != top:
+                _add_row(rows[t], t, pivot, -rows[t][i] * inv, n, cols)
+        for c in pivot:
+            cols[c].discard(top)
     return True
 
 
-def _add_row(row: dict, top: dict, f, n: int) -> None:
-    """row += f * top, reduced mod n (n = 0: unreduced), zeros dropped."""
-    accumulate(row, top, f)
-    for c in top:
-        x = row[c] % n if n else row[c]
-        if x:
-            row[c] = x
-        else:
+def _add_row(row: dict, rid: int, top: dict, f, n: int, cols) -> None:
+    """row += f * top, reduced mod n (n = 0: unreduced), zeros dropped;
+    ``cols`` gains or loses the row's id ``rid`` where an entry appears
+    or cancels."""
+    get = row.get
+    for c, y in top.items():
+        x = get(c, 0)
+        z = (x + f * y) % n if n else x + f * y
+        if z:
+            row[c] = z
+            if not x:
+                cols[c].add(rid)
+        elif x:
             del row[c]
+            cols[c].discard(rid)
 
 
 def is_antipode_surjective(A: Cogroup, chi: GradedMap) -> dict:
@@ -390,75 +414,40 @@ def is_antipode_surjective(A: Cogroup, chi: GradedMap) -> dict:
     The degree-d component is the direct sum over its words w of R / m_w
     (m_w the word modulus; m_w = 0 or the characteristic adds nothing).
     chi_d is onto exactly when the images chi(w), together with m_w e_w
-    for every word, span R^k; ``_spans`` decides that.  The antipode of
-    a connected graded Hopf algebra is bijective, so for chi =
-    ``antipode(A)`` every degree is expected to be onto.
+    for every word, span R^k; ``_spans`` decides that, with the words
+    themselves as coordinates, in basis order, and each image's terms as
+    its row.  The antipode of a connected graded Hopf algebra is
+    bijective, so for chi = ``antipode(A)`` every degree is expected to
+    be onto.
     """
     alg = A.algebra
     char = A.ring.characteristic()
     out: dict = {0: True}
     for d in range(1, A.truncation + 1):
         words = alg.basis(d)
-        index = {w: i for i, w in enumerate(words)}
+        inside = set(words)
         vectors = []
         for w in words:
             terms = chi.image(w).terms
-            if not index.keys() >= terms.keys():
+            if not inside.issuperset(terms):
                 raise ValueError(f"image of {format_word(w)} leaves degree {d}")
-            vectors.append({index[v]: c for v, c in terms.items()})
+            vectors.append(terms)
             m = alg.word_modulus(w)
             if m not in (0, char):
-                vectors.append({index[w]: m})
-        out[d] = _spans(vectors, len(words), A.ring)
-    return out
-
-
-def antipode_negates_indecomposables(A: Cogroup, chi: GradedMap) -> dict:
-    """Per degree: chi acts as -1 on the quotient by decomposables.
-
-    Decomposables in the tensor algebra are spanned by the words of
-    length >= 2, so the check is that the single-letter part of chi(w)
-    equals minus the single-letter part of w, for every word w.
-    """
-    alg = A.algebra
-    out: dict = {0: True}
-    for d in range(1, A.truncation + 1):
-        ok = True
-        for w in alg.basis(d):
-            img = chi.image(w)
-            proj = {v: c for v, c in img.terms.items() if len(v) == 1}
-            want = alg.element({w: -1}).terms if len(w) == 1 else {}
-            if proj != want:
-                ok = False
-                break
-        out[d] = ok
+                vectors.append({w: m})
+        out[d] = _spans(vectors, words, A.ring)
     return out
 
 
 def is_algebra_morphism(f: GradedMap, A: Cogroup) -> bool:
     """f(uv) = f(u) f(v) on all word pairs with deg u + deg v <= truncation."""
-    return _morphism_test(f, A, anti=False)
-
-
-def is_graded_antihomomorphism(f: GradedMap, A: Cogroup) -> bool:
-    """f(uv) = (-1)^{|u||v|} f(v) f(u) on the same pairs."""
-    return _morphism_test(f, A, anti=True)
-
-
-def _morphism_test(f: GradedMap, A: Cogroup, anti: bool) -> bool:
     alg = A.algebra
     D = A.truncation
     for du in range(1, D):
         for dv in range(1, D - du + 1):
-            sign = -1 if anti and (du * dv) % 2 else 1
             for u in alg.basis(du):
                 fu = f.image(u)
                 for v in alg.basis(dv):
-                    lhs = f.image(u + v)
-                    if anti:
-                        rhs = (f.image(v) * fu).scale(sign)
-                    else:
-                        rhs = fu * f.image(v)
-                    if lhs != rhs:
+                    if f.image(u + v) != fu * f.image(v):
                         return False
     return True

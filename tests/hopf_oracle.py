@@ -1,9 +1,11 @@
-"""The antipode laws on every word: the tests' oracle for ``check_hopf_antipode``.
+"""Antipode properties on every word, for the tests.
 
-This is the check that ``cogroups.convolution`` ran before the laws moved
-to generators.  It convolves chi with the identity both ways through the
+``check_hopf_on_words`` is the tests' oracle for ``check_hopf_antipode``:
+the check that ``cogroups.convolution`` ran before the laws moved to
+generators.  It convolves chi with the identity both ways through the
 public ``convolve`` and ``identity_map``, which build Dbar(w) for every
 word, and assumes nothing about products.
+``antipode_negates_indecomposables`` reads chi modulo decomposables.
 """
 
 import cogroups as cg
@@ -29,3 +31,21 @@ def check_hopf_on_words(A, chi) -> cg.AxiomReport:
                     f"(id * chi)({cg.format_word(w)}) = {right.image(w)}, expected 0"
                 )
     return cg.AxiomReport(checked, violations)
+
+
+def antipode_negates_indecomposables(A, chi) -> dict:
+    """Per degree: chi acts as -1 on the quotient by decomposables.
+
+    Decomposables in the tensor algebra are spanned by the words of
+    length >= 2, so the check is that the single-letter part of chi(w)
+    equals minus the single-letter part of w, for every word w.
+    """
+    alg = A.algebra
+    out = {0: True}
+    for d in range(1, A.truncation + 1):
+        out[d] = all(
+            {v: c for v, c in chi.image(w).terms.items() if len(v) == 1}
+            == (alg.element({w: -1}).terms if len(w) == 1 else {})
+            for w in alg.basis(d)
+        )
+    return out

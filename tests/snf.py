@@ -1,11 +1,18 @@
-"""Integer Smith normal form with its transforms: the tests' oracle.
+"""The tests' two oracles for ``convolution._spans``.
 
-``convolution._spans`` decides spanning by unit-pivot elimination; the
-tests compare it with the invariant factors computed here, and check
-these against the gcd-of-minors definition.
+``convolution._spans`` decides spanning by unit-pivot elimination over a
+column index.  The tests compare it with the invariant factors of the
+integer Smith normal form computed here, which they check against the
+gcd-of-minors definition, and with ``unindexed_spans``: the same
+elimination without the index, over integer coordinates, which finds the
+rows at each coordinate by scanning all of them.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+from cogroups.algebra import accumulate
 
 
 @dataclass(frozen=True)
@@ -119,3 +126,61 @@ def smith_normal_form(matrix) -> SnfResult:
 
     freeze = lambda M: tuple(tuple(row) for row in M)
     return SnfResult(U=freeze(U), D=freeze(A), V=freeze(V))
+
+
+def unindexed_spans(vectors, k, ring) -> bool:
+    """Whether the sparse vectors ``{coordinate: coefficient}`` span R^k.
+
+    Forward elimination over the coordinates 0..k-1 that pivots only on a
+    unit of R: a nonzero entry over Q and F_p, +-1 over Z, an entry prime
+    to n over Z/n.  Once the coordinates before i are cleared with unit
+    pivots, the pivot rows and the coordinates from i on split R^k as a
+    direct sum, so the vectors span R^k exactly when the unused ones span
+    the coordinates from i on: exactly when, at i and at each later
+    coordinate, their entries generate the unit ideal of R (R is a PID or
+    a quotient of Z).  Over Z and Z/n a Euclid loop of row operations
+    turns entries that generate it into a unit; when it leaves one
+    non-unit, or none, they generate a proper ideal.
+    """
+    n = ring.characteristic()
+    if ring.kind == "Z":
+        is_unit, inverse = (lambda x: abs(x) == 1), (lambda x: x)
+    elif ring.kind == "Q":
+        is_unit, inverse = bool, (lambda x: Fraction(1) / x)
+    else:  # Z/n and F_p, entries reduced mod n
+        is_unit, inverse = (lambda x: gcd(x, n) == 1), (lambda x: pow(x, -1, n))
+    rows = []
+    for v in vectors:
+        row: dict = {}
+        _add_row(row, v, 1, n)
+        if row:
+            rows.append(row)
+    for i in range(k):
+        live = [r for r in rows if i in r]
+        top = next((r for r in live if is_unit(r[i])), None)
+        while top is None:
+            if len(live) < 2:
+                return False
+            p = min(live, key=lambda r: abs(r[i]))
+            for r in live:
+                if r is not p:
+                    _add_row(r, p, -(r[i] // p[i]), n)
+            live = [r for r in live if i in r]
+            top = next((r for r in live if is_unit(r[i])), None)
+        inv = inverse(top[i])
+        for r in live:
+            if r is not top:
+                _add_row(r, top, -r[i] * inv, n)
+        rows = [r for r in rows if r is not top]
+    return True
+
+
+def _add_row(row: dict, top: dict, f, n: int) -> None:
+    """row += f * top, reduced mod n (n = 0: unreduced), zeros dropped."""
+    accumulate(row, top, f)
+    for c in top:
+        x = row[c] % n if n else row[c]
+        if x:
+            row[c] = x
+        else:
+            del row[c]

@@ -1,19 +1,22 @@
 """Convolution groups, the antipode, and the antipode's properties."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cogroups as cg
+from cogroups import convolution
 from cogroups.convolution import _spans
 from convolution_oracle import convolution_inverse_eagerly, explicit_identity
-from hopf_oracle import check_hopf_on_words
+from hopf_oracle import antipode_negates_indecomposables, check_hopf_on_words
 from instances import (
     F2,
     F3,
     MATRIX_KEYS,
     Q,
+    RINGS,
     Z,
     Z4,
     Z6,
@@ -23,7 +26,7 @@ from instances import (
     make_module,
     random_graded_map,
 )
-from snf import smith_normal_form
+from snf import smith_normal_form, unindexed_spans
 
 
 def loop_source(D=6):
@@ -252,18 +255,127 @@ def _snf_spans(vectors, k, ring):
 )
 def test_spans_matches_invariant_factors(case, ring):
     k, vectors = case
-    assert _spans(vectors, k, ring) == _snf_spans(vectors, k, ring)
+    assert _spans(vectors, range(k), ring) == _snf_spans(vectors, k, ring)
+
+
+# twelve distinct words: the coordinates of the word-keyed cases
+WORDS = [(a,) for a in "xyz"] + [(a, b) for a in "xyz" for b in "xyz"]
+
+
+@st.composite
+def spanning_problems(draw):
+    """(k, vectors over 0..k-1, ring, row scales): up to 12 coordinates
+    and 20 sparse rows.
+
+    A core of rows is triangular in a drawn coordinate order.  At most
+    three leading entries split into 2 and 3 on two rows, which over Z
+    and Z/6 only the Euclid loop turns into a unit; at most two are a
+    non-unit, a pair with gcd 2, or absent.  Up to three noise rows come
+    on top, and the rows are shuffled.  Over Q a row is divided by its
+    scale, which leaves the span the same.
+    """
+    ring = draw(st.sampled_from(RINGS))
+    k = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(k)))
+    entry = st.integers(-6, 6)
+    gaps = draw(st.sets(st.integers(0, 11), max_size=2))
+    pairs = draw(st.sets(st.integers(0, 11), max_size=3))
+    vectors = []
+    for pos, i in enumerate(order):
+        if pos in gaps:
+            leads = draw(st.sampled_from(((), (2,), (4, -6))))
+        elif pos in pairs:
+            leads = (2, 3)
+        else:
+            leads = (draw(st.sampled_from((1, -1))),)
+        later = order[pos + 1:]
+        tails = (
+            st.dictionaries(st.sampled_from(later), entry, max_size=2) if later else st.just({})
+        )
+        for a in leads:
+            vectors.append({**draw(tails), i: a})
+    if k:
+        vectors += draw(st.lists(
+            st.dictionaries(st.integers(0, k - 1), entry, min_size=1, max_size=3),
+            max_size=3,
+        ))
+    vectors = draw(st.permutations(vectors))
+    vectors = [{c: ring.normalize(x) for c, x in v.items()} for v in vectors]
+    scales = [draw(st.sampled_from((1, 2, 3))) for _ in vectors]
+    return k, vectors, ring, scales
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_problems(), st.booleans())
+@example((1, [{0: 2}, {0: 3}], Z, [1, 1]), True)
+@example((2, [{0: 2, 1: 1}, {0: 3}, {1: 2}], Z6, [1, 1, 1]), False)
+@example((2, [{1: 2}, {0: 3, 1: 1}], Q, [2, 3]), True)
+def test_indexed_spans_matches_both_oracles(case, by_words):
+    k, vectors, ring, scales = case
+    want = _snf_spans(vectors, k, ring)
+    if ring.kind == "Q":
+        vectors = [{c: Fraction(x, s) for c, x in v.items()} for v, s in zip(vectors, scales)]
+    assert unindexed_spans(vectors, k, ring) == want
+    coords = WORDS[:k] if by_words else range(k)
+    rows = [{coords[c]: x for c, x in v.items()} for v in vectors]
+    assert _spans(rows, coords, ring) == want
 
 
 def test_spans_euclid_branch():
     # no entry is a unit, but the entries generate the unit ideal
-    assert _spans([{0: 2}, {0: 3}], 1, Z)
-    assert _spans([{0: 2}, {0: 3}], 1, Z6)
-    assert not _spans([{0: 2}, {0: 4}], 1, Z6)
-    assert not _spans([{0: 2}, {0: -2}], 1, Z)
-    assert _spans([{0: 2}], 1, Q)
-    assert not _spans([{0: 2}], 1, F2)
-    assert _spans([], 0, Z)
+    assert _spans([{0: 2}, {0: 3}], range(1), Z)
+    assert _spans([{0: 2}, {0: 3}], range(1), Z6)
+    assert not _spans([{0: 2}, {0: 4}], range(1), Z6)
+    assert not _spans([{0: 2}, {0: -2}], range(1), Z)
+    assert _spans([{0: 2}], range(1), Q)
+    assert not _spans([{0: 2}], range(1), F2)
+    assert _spans([], range(0), Z)
+
+
+def unindexed_surjectivity(monkeypatch, A, f):
+    """``is_antipode_surjective`` with the unindexed oracle in place of
+    ``_spans``, fed integer coordinates in basis order."""
+
+    def spans(vectors, coords, ring):
+        index = {w: i for i, w in enumerate(coords)}
+        rows = [{index[w]: c for w, c in v.items()} for v in vectors]
+        return unindexed_spans(rows, len(coords), ring)
+
+    with monkeypatch.context() as m:
+        m.setattr(convolution, "_spans", spans)
+        return cg.is_antipode_surjective(A, f)
+
+
+def doubler(A) -> cg.GradedMap:
+    """w -> 2w: onto exactly where 2 is a unit mod the word moduli."""
+    alg = A.algebra
+    return cg.GradedMap(
+        cg.CogroupSource(A),
+        alg,
+        {w: alg.element({w: 2}) for w in alg.words_up_to() if w},
+    )
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_surjectivity_verdicts_match_the_unindexed_oracle(key, monkeypatch):
+    A = make_cogroup(key, 8)
+    maps = [make_antipode(key, 8)]
+    if A.ring in (Z, Z4):
+        maps.append(doubler(A))
+    for f in maps:
+        flags = cg.is_antipode_surjective(A, f)
+        assert set(flags) == set(range(9))
+        assert unindexed_surjectivity(monkeypatch, A, f) == flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(coassociative_coalgebras())
+def test_surjectivity_verdicts_match_the_unindexed_oracle_on_coproduct_tables(case):
+    A = cg.tensor_cogroup(*case)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for f in (cg.antipode(A), doubler(A)):
+            flags = cg.is_antipode_surjective(A, f)
+            assert unindexed_surjectivity(monkeypatch, A, f) == flags
 
 
 def test_antipode_signs_on_a_single_even_generator():
@@ -452,7 +564,6 @@ def test_antipode_is_surjective_everywhere():
 
 
 def test_surjectivity_detector_sees_a_gap():
-    # the doubler w -> 2w is onto exactly where 2 is a unit mod the word moduli
     patterns = {
         "z-free2": "TTfTfTf",
         "z4-free2": "TTfTfTf",
@@ -464,13 +575,7 @@ def test_surjectivity_detector_sees_a_gap():
     }
     for key, pattern in patterns.items():
         A = make_cogroup(key, 6)
-        alg = A.algebra
-        doubler = cg.GradedMap(
-            cg.CogroupSource(A),
-            alg,
-            {w: alg.element({w: 2}) for d in range(1, 7) for w in alg.basis(d)},
-        )
-        flags = cg.is_antipode_surjective(A, doubler)
+        flags = cg.is_antipode_surjective(A, doubler(A))
         assert "".join("T" if flags[d] else "f" for d in range(7)) == pattern, key
 
 
@@ -478,19 +583,34 @@ def test_antipode_negates_indecomposables():
     for key in ("q-even2", "q-pair11", "z4-free3"):
         A = make_cogroup(key, 6)
         chi = make_antipode(key, 6)
-        flags = cg.antipode_negates_indecomposables(A, chi)
+        flags = antipode_negates_indecomposables(A, chi)
         assert all(flags.values()), key
     A = make_cogroup("q-even2", 6)
-    flags = cg.antipode_negates_indecomposables(A, cg.identity_map(A))
+    flags = antipode_negates_indecomposables(A, cg.identity_map(A))
     assert not flags[2]
+
+
+def is_graded_antihomomorphism(f, A) -> bool:
+    """f(uv) = (-1)^{|u||v|} f(v) f(u) on all word pairs with
+    deg u + deg v <= truncation."""
+    alg = A.algebra
+    D = A.truncation
+    return all(
+        f.image(u + v) == (f.image(v) * f.image(u)).scale(-1 if du * dv % 2 else 1)
+        for du in range(1, D)
+        for dv in range(1, D - du + 1)
+        for u in alg.basis(du)
+        for v in alg.basis(dv)
+    )
 
 
 def test_antipode_is_antihomomorphism():
     for key in ("q-pair11", "q-even2", "z-tor43"):
         A = make_cogroup(key, 6)
         chi = make_antipode(key, 6)
-        assert cg.is_graded_antihomomorphism(chi, A), key
+        assert is_graded_antihomomorphism(chi, A), key
     A = make_cogroup("q-pair11", 6)
+    assert not is_graded_antihomomorphism(cg.identity_map(A), A)
     assert not cg.is_algebra_morphism(make_antipode("q-pair11", 6), A)
     B = make_cogroup("q-even2", 6)
     assert cg.is_algebra_morphism(make_antipode("q-even2", 6), B)
