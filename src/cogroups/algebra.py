@@ -17,7 +17,8 @@ word mixing coprime torsion letters is identically zero.  Coefficients
 are stored canonically: residues in [0, m) when m > 0, and otherwise
 plain ``int`` over Z and Q, with a ``Fraction`` only for a non-integral
 rational.  Sums and products accumulate into one dict and reduce once,
-in ``_reduce_terms``, at the end.
+in ``_reduce_terms``, at the end; ``homogeneous_product``, the word-table
+product of nu and chi, whose term pairs never meet, reduces each term.
 
 Sign conventions: multiplication of simple tensors in the tensor square
 follows the Koszul rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
@@ -178,6 +179,8 @@ class TruncatedTensorAlgebra:
         self.fixed_modulus = (
             char if all(gcd(char, a) == char for a in ann.values()) else None
         )
+        # every word's modulus where no product of nonzero coefficients vanishes, else None
+        self._exact = None if self.ring.kind == "Zmod" else self.fixed_modulus
 
     def __eq__(self, other):
         return self is other or (
@@ -185,9 +188,6 @@ class TruncatedTensorAlgebra:
             and self.module == other.module
             and self.truncation == other.truncation
         )
-
-    def __hash__(self):
-        return hash((self.module, self.truncation))
 
     def __repr__(self):
         return f"TruncatedTensorAlgebra({self.module.ring}, D={self.truncation})"
@@ -217,6 +217,20 @@ class TruncatedTensorAlgebra:
                 if deg[w2] <= room:
                     w = w1 + w2
                     acc[w] = get(w, 0) + cv * v2
+
+    def homogeneous_product(self, left: dict, right: dict, sign=1) -> "AlgebraElement":
+        """sign * left * right for sign = +-1, a homogeneous left factor and
+        a product inside the truncation: every word w1 + w2 then has one
+        prefix of the left factor's degree, so no two term pairs meet, and
+        over Z, Q and F_p no term needs more than its own reduction."""
+        p, rhs = self._exact, right.items()
+        if p:  # F_p
+            terms = {w1 + w2: sign * v1 * v2 % p for w1, v1 in left.items() for w2, v2 in rhs}
+            return AlgebraElement.trusted(self, terms)
+        terms = {w1 + w2: sign * v1 * v2 for w1, v1 in left.items() for w2, v2 in rhs}
+        if p is None or self.ring.kind == "Q" and Fraction in map(type, terms.values()):
+            return AlgebraElement(self, terms)
+        return AlgebraElement.trusted(self, terms)
 
     def basis(self, d: int) -> list:
         """All words of degree d, in a fixed order (first letter major).
@@ -286,9 +300,6 @@ class TensorSquare:
             isinstance(other, TensorSquare) and self.algebra == other.algebra
         )
 
-    def __hash__(self):
-        return hash(("tensor square", self.algebra))
-
     def degree(self, pair) -> int:
         wd = self.algebra.word_degree
         return wd(pair[0]) + wd(pair[1])
@@ -322,9 +333,6 @@ class TensorSquare:
     def element(self, terms: dict) -> "AlgebraElement":
         kept = {p: c for p, c in terms.items() if self.degree(p) <= self.truncation}
         return AlgebraElement(self, kept)
-
-    def zero(self):
-        return AlgebraElement.trusted(self, {})
 
     def one(self):
         return AlgebraElement(self, {((), ()): 1})
@@ -363,21 +371,12 @@ class AlgebraElement:
             and (self.parent is other.parent or self.parent == other.parent)
         )
 
-    def __hash__(self):
-        return hash((self.parent, frozenset(self.terms.items())))
-
     def coefficient(self, key):
         return self.terms.get(key, 0)
 
-    def degrees(self) -> set:
-        deg = self.parent.degree
-        return {deg(k) for k in self.terms}
-
     def is_homogeneous(self, d: int) -> bool:
-        return all(dd == d for dd in self.degrees())
-
-    def unit_coefficient(self):
-        return self.terms.get((), 0)
+        deg = self.parent.degree
+        return all(deg(k) == d for k in self.terms)
 
     def __add__(self, other):
         self._check(other)
@@ -439,8 +438,11 @@ class AlgebraMorphism:
         # one-letter words are the images themselves: no product by 1
         self._word_cache: dict = {(n,): img for n, img in self.images.items()}
         self._word_cache[()] = target.one()
+        self._top = 0  # a word up to this degree multiplies homogeneous images
         if check:
             self._validate()
+            if isinstance(target, TruncatedTensorAlgebra) and self.images.keys() <= source._deg.keys():
+                self._top = min(source.truncation, target.truncation)
 
     def _validate(self):
         for g in self.source.module.generators:
@@ -464,7 +466,11 @@ class AlgebraMorphism:
     def word_image(self, word):
         img = self._word_cache.get(word)
         if img is None:
-            img = self.word_image(word[:-1]) * self.images[word[-1]]
+            left, right = self.word_image(word[:-1]), self.images[word[-1]]
+            if self._top and self.source._degrees[word] <= self._top:
+                img = self.target.homogeneous_product(left.terms, right.terms)
+            else:
+                img = left * right
             self._word_cache[word] = img
         return img
 

@@ -102,32 +102,26 @@ class Cogroup:
         return AlgebraMorphism(alg, alg, {name: inverse.image(name) for name in names})
 
     def _derive_delta(self) -> AlgebraMorphism:
-        pi = self.fold_to_tensor_square()
-        images = {
-            name: pi(img) for name, img in self.phi.images.items()
-        }
-        return AlgebraMorphism(self.algebra, self.tensor_square, images, check=False)
-
-    def fold_to_tensor_square(self) -> AlgebraMorphism:
-        """pi : A * A -> A (x) A with a' -> a (x) 1 and a'' -> 1 (x) a."""
+        """D = pi . Phi, where pi : A * A -> A (x) A is a' -> a (x) 1, a'' -> 1 (x) a."""
         lmap, rmap = self.square_product.name_maps
         sq = self.tensor_square
-        images = {}
+        fold = {}
         for g in self.module.generators:
-            if g.degree > self.truncation:
-                continue
-            images[lmap[g.name]] = sq.pure((g.name,), ())
-            images[rmap[g.name]] = sq.pure((), (g.name,))
-        return AlgebraMorphism(self.square_product.algebra, sq, images, check=False)
+            if g.degree <= self.truncation:
+                fold[lmap[g.name]] = sq.pure((g.name,), ())
+                fold[rmap[g.name]] = sq.pure((), (g.name,))
+        pi = AlgebraMorphism(self.square_product.algebra, sq, fold, check=False)
+        images = {name: pi(img) for name, img in self.phi.images.items()}
+        return AlgebraMorphism(self.algebra, sq, images, check=False)
 
     # -- counit and coproduct -----------------------------------------
 
     def counit(self, elem):
-        return elem.unit_coefficient()
+        return elem.coefficient(())
 
     def unit_counit(self, elem):
         """eta . eps applied to an element of the underlying algebra."""
-        return self.algebra.scalar(elem.unit_coefficient())
+        return self.algebra.scalar(elem.coefficient(()))
 
     def reduced_coproduct_word(self, word):
         """Dbar of a basis word: D(word) minus its two outer terms."""

@@ -23,12 +23,13 @@ algebra morphism), chi of the identity of A on the cogroup source
 (``antipode_by_recursion``, which assumes no product structure;
 ``classify`` uses it as the independent chi).  ``antipode`` builds the
 same chi from generator data instead: the recursion on generators, then
-one product per longer word, since chi is a graded anti-homomorphism.
+one ``homogeneous_product`` per longer word, since chi is a graded
+anti-homomorphism.
 
-``convolution_inverse`` and ``identity_map`` fill their tables on
-demand, one whole degree at a time and in order: reading a key of degree
-d first fills every degree up to d not yet filled, so a caller that
-stops reading at a low degree never builds the higher ones.
+``convolution_inverse``, ``identity_map`` and ``antipode`` fill their
+tables on demand, one whole degree at a time and in order: reading a key
+of degree d first fills every degree up to d not yet filled, so a caller
+that stops reading at a low degree never builds the higher ones.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class GradedMap:
 
     The table maps basis keys of degree 1..D to elements; missing keys
     mean zero.  Degree 0 is silently the identity on scalars.  Read
-    images through ``image``: the maps of ``identity_map`` and
-    ``convolution_inverse`` fill their table on demand, by degree, so
+    images through ``image``: the maps of ``identity_map``, ``antipode``
+    and ``convolution_inverse`` fill their table on demand, by degree, so
     their ``table`` holds only the degrees read so far.
     """
 
@@ -251,29 +252,36 @@ def antipode(A: Cogroup) -> GradedMap:
     and never off nu.  A longer word a.w is then one product: chi is a
     graded anti-homomorphism, chi(a.w) = (-1)^{|a||w|} chi(w) chi(a).
     That holds because D is coassociative, which ``tensor_cogroup``
-    guarantees; ``antipode_by_recursion`` computes chi without it.
+    guarantees; ``antipode_by_recursion`` computes chi without it.  The
+    table fills on demand, by degree.
     """
     alg = A.algebra
-    table: dict = {}
-    for d in range(1, A.truncation + 1):
+    homogeneous = True  # chi(g) so far; then so is every product
+
+    def fill(table, d):
+        nonlocal homogeneous
         for w in alg.basis(d):
-            if len(w) == 1:
-                acc = {w: -1}
-                for c, y, z in A.reduced_coproduct_word(w):
-                    alg.mul_into(acc, {y: 1}, table[z].terms, -c)
-            else:
-                acc = _anti_product(alg, table.__getitem__, w)
-            table[w] = AlgebraElement(alg, acc)
-    return GradedMap(CogroupSource(A), alg, table, check=False)
+            if len(w) > 1:
+                table[w] = _anti_product(alg, table.__getitem__, w, homogeneous)
+                continue
+            acc = {w: -1}
+            for c, y, z in A.reduced_coproduct_word(w):
+                alg.mul_into(acc, {y: 1}, table[z].terms, -c)
+            img = table[w] = AlgebraElement(alg, acc)
+            homogeneous = homogeneous and img.is_homogeneous(d)
+
+    return _FilledByDegree(CogroupSource(A), alg, fill)
 
 
-def _anti_product(alg: TruncatedTensorAlgebra, image, w) -> dict:
-    """(-1)^{|a||v|} image(v) image(a) for the word w = a.v, unreduced."""
+def _anti_product(alg: TruncatedTensorAlgebra, image, w, homogeneous) -> AlgebraElement:
+    """(-1)^{|a||v|} image(v) image(a) for the word w = a.v."""
     a, rest = w[:1], w[1:]
-    acc: dict = {}
     sign = -1 if alg.word_degree(a) * alg.word_degree(rest) % 2 else 1
+    if homogeneous:
+        return alg.homogeneous_product(image(rest).terms, image(a).terms, sign)
+    acc: dict = {}
     alg.mul_into(acc, image(rest).terms, image(a).terms, sign)
-    return acc
+    return AlgebraElement(alg, acc)
 
 
 def antipode_by_recursion(A: Cogroup) -> GradedMap:
@@ -300,11 +308,13 @@ def check_hopf_antipode(A: Cogroup, chi: GradedMap) -> AxiomReport:
     alg = A.algebra
     checked = 0
     violations = []
+    homogeneous = True  # chi(g) so far; with no violation, chi(v) too
     for d in range(1, A.truncation + 1):
         for w in alg.basis(d):
             checked += 1
             img = chi.image(w)
             if len(w) == 1:
+                homogeneous = homogeneous and img.is_homogeneous(d)
                 left = dict(img.terms)
                 left[w] = left.get(w, 0) + 1
                 right = dict(left)
@@ -318,7 +328,7 @@ def check_hopf_antipode(A: Cogroup, chi: GradedMap) -> AxiomReport:
                             f"({law})({format_word(w)}) = {value}, expected 0"
                         )
                 continue
-            want = AlgebraElement(alg, _anti_product(alg, chi.image, w))
+            want = _anti_product(alg, chi.image, w, homogeneous and not violations)
             if img != want:
                 violations.append(
                     f"chi({format_word(w)}) = {img}, expected {want} "

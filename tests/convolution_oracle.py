@@ -1,10 +1,14 @@
-"""The convolution inverse built in one eager pass: the tests' oracle for
-``convolution_inverse``, which fills its table on demand, by degree.
+"""The convolution inverse and the antipode built in one eager pass: the
+tests' oracles for ``convolution_inverse`` and ``antipode``, which fill
+their tables on demand, by degree.
 
-``convolution_inverse_eagerly`` is the loop that ``cogroups.convolution``
-ran before the table was filled on demand: it builds every degree up to
-the truncation before it returns.  ``explicit_identity`` is the identity
-of a cogroup's algebra as a full table.
+``convolution_inverse_eagerly`` and ``antipode_eagerly`` are the loops
+that ``cogroups.convolution`` ran before the tables were filled on
+demand: they build every degree up to the truncation before they return,
+and multiply only through the general ``mul_into``.
+``explicit_identity`` is the identity of a cogroup's algebra as a full
+table, and ``general_product`` stands in for
+``TruncatedTensorAlgebra.homogeneous_product`` without its premise.
 """
 
 import cogroups as cg
@@ -29,6 +33,26 @@ def convolution_inverse_eagerly(f, via="right"):
     return cg.GradedMap(src, alg, table, check=False)
 
 
+def antipode_eagerly(A):
+    """chi from generator data: the recursion on generators, then
+    chi(a.v) = (-1)^{|a||v|} chi(v) chi(a) on longer words."""
+    alg = A.algebra
+    table: dict = {}
+    for d in range(1, A.truncation + 1):
+        for w in alg.basis(d):
+            if len(w) == 1:
+                acc = {w: -1}
+                for c, y, z in A.reduced_coproduct_word(w):
+                    alg.mul_into(acc, {y: 1}, table[z].terms, -c)
+            else:
+                a, rest = w[:1], w[1:]
+                acc = {}
+                sign = -1 if alg.word_degree(a) * alg.word_degree(rest) % 2 else 1
+                alg.mul_into(acc, table[rest].terms, table[a].terms, sign)
+            table[w] = cg.AlgebraElement(alg, acc)
+    return cg.GradedMap(cg.CogroupSource(A), alg, table, check=False)
+
+
 def explicit_identity(A):
     """The identity of A's algebra, every word of degree 1..D in the table."""
     alg = A.algebra
@@ -36,3 +60,10 @@ def explicit_identity(A):
         w: alg.element({w: 1}) for d in range(1, A.truncation + 1) for w in alg.basis(d)
     }
     return cg.GradedMap(cg.CogroupSource(A), alg, table, check=False)
+
+
+def general_product(alg, left, right, sign=1):
+    """sign * left * right through ``mul_into`` and one reduction."""
+    acc: dict = {}
+    alg.mul_into(acc, left, right, sign)
+    return cg.AlgebraElement(alg, acc)

@@ -3,6 +3,8 @@
 import pytest
 
 import cogroups as cg
+from cogroups.classify import _first_difference
+from convolution_oracle import antipode_eagerly
 from instances import MATRIX, MATRIX_KEYS, Q, Z, instance, make_antipode, make_cogroup, make_module
 
 
@@ -120,6 +122,25 @@ def test_classify_reads_chi_only_as_deep_as_its_verdicts():
     rep = cg.classify_cogroup(B)
     assert rep.consistent and rep.inverse_equals_antipode and rep.antipode_is_morphism
     assert sorted(B._reduced_cache) == [("x",) * k for k in range(1, 6)]
+
+
+def test_nu_eq_chi_fills_chi_only_to_the_first_difference(monkeypatch):
+    import cogroups.classify as classify
+
+    built = []
+
+    def kept_antipode(A):
+        built.append(cg.antipode(A))
+        return built[-1]
+
+    monkeypatch.setattr(classify, "antipode", kept_antipode)
+    m = cg.module(Q, [("x", 1), ("y", 1), ("z", 2)])
+    A = cg.tensor_cogroup(cg.trivial_coalgebra(m), 12)
+    verdict = cg.inverse_equals_antipode(A)
+    assert verdict == (False, "x^2: nu = x^2, chi = -x^2")
+    (chi,) = built
+    assert max(A.algebra.word_degree(w) for w in chi.table) == 2
+    assert verdict == _first_difference(A, antipode_eagerly(A), None)
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)

@@ -251,8 +251,9 @@ def test_cogroup_morphism_checks_the_algebras():
         cg.is_cogroup_morphism(f, A, B)
 
 
-# A Delta that lost the outer term 1 (x) x, and a map whose image leaves
-# its degree: both break invariants that must hold under ``python -O``.
+# A Delta that lost the outer term 1 (x) x, a map whose image leaves its
+# degree, and an unchecked morphism whose image is not homogeneous: all
+# break invariants that must hold under ``python -O``.
 BROKEN_FIXTURES = """
 import cogroups as cg
 assert not __debug__
@@ -275,6 +276,10 @@ try:
     cg.is_antipode_surjective(good, leak)
 except ValueError as exc:
     print("surjective:", exc)
+B = cg.tensor_algebra(cg.module(cg.RingSpec.rationals(), [("y", 1)]), 4)
+y = B.generator("y")
+mixed = cg.AlgebraMorphism(B, B, {"y": y + y * y}, check=False)
+print("unchecked:", mixed.word_image(("y", "y")))
 """
 
 
@@ -288,3 +293,4 @@ def test_invariant_errors_survive_python_O():
     assert run.returncode == 0, run.stderr
     assert "delta: coproduct of x lost its outer terms" in run.stdout
     assert "surjective: image of x leaves degree 2" in run.stdout
+    assert "unchecked: y^2 + 2*y^3 + y^4" in run.stdout

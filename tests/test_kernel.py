@@ -180,3 +180,57 @@ def test_rational_coefficients_from_ints_stay_int(A, data):
     f = cg.AlgebraMorphism(A, A, {n: A.generator(n).scale(-2) for n in A.module.names()})
     for elem in (a, a * b, a - b, -a, f(a), p * p, A.scalar(Fraction(6, 3))):
         assert all(type(c) is int for c in elem.terms.values()), elem
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras(), st.data())
+def test_homogeneous_product(A, data):
+    oracle = Oracle(A.module, A.truncation)
+    d = data.draw(st.sampled_from([d for d in range(A.truncation + 1) if A.basis(d)]))
+    sign = data.draw(st.sampled_from((1, -1)))
+    left = A.element(terms_of(data, A.basis(d), A.ring)).terms
+    right = A.element(terms_of(data, list(A.words_up_to(A.truncation - d)), A.ring)).terms
+    got = A.homogeneous_product(left, right, sign)
+    assert got.terms == oracle.mul({w: sign * c for w, c in left.items()}, right)
+    canonical = A.element(got.terms).terms
+    assert [(type(c), c) for c in got.terms.values()] == [
+        (type(c), c) for c in canonical.values()
+    ]
+
+
+def test_homogeneous_product_reduces_each_term():
+    Q, Z4 = cg.RingSpec.rationals(), cg.RingSpec.integers_mod(4)
+    F5, Z = cg.RingSpec.prime_field(5), cg.RingSpec.integers()
+    cases = [
+        (Q, [("x", 1)], {("x",): Fraction(1, 2)}, {("x",): 2}, -1, {("x", "x"): -1}),
+        (Q, [("x", 1)], {("x",): Fraction(1, 2)}, {("x",): Fraction(1, 3)}, 1,
+         {("x", "x"): Fraction(1, 6)}),
+        (F5, [("x", 1)], {("x",): 2}, {("x",): 3}, -1, {("x", "x"): 4}),
+        (Z4, [("x", 1)], {("x",): 2}, {("x",): 2, ("x", "x"): 1}, 1, {("x", "x", "x"): 2}),
+        (Z, [("x", 1, 2), ("y", 1, 3)], {("x",): 1}, {("y",): 1, ("x",): 3}, 1,
+         {("x", "x"): 1}),
+    ]
+    for ring, gens, left, right, sign, want in cases:
+        A = cg.tensor_algebra(cg.module(ring, gens), 3)
+        got = A.homogeneous_product(A.element(left).terms, A.element(right).terms, sign)
+        assert got.terms == want and all(type(c) is type(want[w]) for w, c in got.terms.items())
+
+
+def test_word_images_multiply_in_general_unless_validated():
+    """Only a validated map's generator images are known homogeneous;
+    every other map gets exactly the products of ``*``."""
+    Q = cg.RingSpec.rationals()
+    A = cg.tensor_algebra(cg.module(Q, [("x", 1), ("z", 3)]), 6)
+    B = cg.tensor_algebra(A.module, 2)
+    x = A.generator("x")
+    # (x + x^2)^2 has two term pairs on x^3
+    f = cg.AlgebraMorphism(A, A, {"x": x + x * x}, check=False)
+    assert f.word_image(("x", "x")) == x * x + (x * x * x).scale(2) + x * x * x * x
+    # z lies above B's truncation and "w" is no generator: neither is validated
+    for images, word in (
+        ({"x": x, "z": x + x * x}, ("z", "z")),
+        ({"x": x, "w": x + x * x}, ("x", "w", "w")),
+    ):
+        checked = cg.AlgebraMorphism(B, A, images)
+        general = cg.AlgebraMorphism(B, A, images, check=False)
+        assert checked.word_image(word) == general.word_image(word), word
