@@ -5,6 +5,7 @@ truncation degree, runs one check or computation, and renders a report
 as text or JSON.  Exit codes: 0 when the computation succeeded or the
 checked property holds, 1 when a checked property fails, 2 on input
 errors (unparsable description, unknown command, unreadable file).
+The argument parser is built once, at import, and reused by ``main``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import is_graded_commutative
+from .algebra import TruncatedTensorAlgebra, is_graded_commutative
 from .classify import classify_cogroup, inverse_equals_antipode
 from .coalgebra import is_cocommutative
 from .cogroup import check_cogroup_axioms, tensor_cogroup
@@ -44,7 +44,6 @@ class Report:
     verdicts: list
     witnesses: list
     exit_code: int
-    elapsed: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -122,15 +121,12 @@ def run_command(
         raise ValueError(f"unknown command {command!r}")
     if max_degree < 0:
         raise ValueError("truncation must be >= 0")
-    start = time.monotonic()
     verdicts: list = []
     witnesses: list = []
     exit_code = 0
     coalg = spec.coalgebra()
 
     if command == "check-commutative":
-        from .algebra import TruncatedTensorAlgebra
-
         ok, pair = is_graded_commutative(
             TruncatedTensorAlgebra(spec.module, max_degree)
         )
@@ -157,11 +153,7 @@ def run_command(
     elif command in ("antipode", "inverse"):
         A = tensor_cogroup(coalg, max_degree)
         label = "chi" if command == "antipode" else "nu"
-        if command == "antipode":
-            chi = antipode(A)
-            images = chi.image
-        else:
-            images = A.nu.word_image
+        images = antipode(A).image if command == "antipode" else A.nu.word_image
         fmt = A.algebra.format_key
         for d in range(0, max_degree + 1):
             for w in A.algebra.basis(d):
@@ -198,11 +190,10 @@ def run_command(
         verdicts=verdicts,
         witnesses=witnesses,
         exit_code=exit_code,
-        elapsed=time.monotonic() - start,
     )
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogroups",
         description="cogroup structure on tensor algebras: checks and tables",
@@ -217,7 +208,14 @@ def main(argv=None) -> int:
     parser.add_argument("--max-degree", type=int, default=10, metavar="D")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.path == "-":

@@ -25,8 +25,11 @@ over every word up to the requested degree is the test suite's oracle.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import (
     AlgebraMorphism,
+    FreeProduct,
     TensorSquare,
     TruncatedTensorAlgebra,
     format_word,
@@ -45,9 +48,10 @@ from .convolution import CoalgebraSource, GradedMap, convolution_inverse
 class Cogroup:
     """Tensor-algebra cogroup on the positive part of a coalgebra.
 
+    A * A, the tensor square, Phi, nu and D are built on first read.
     ``phi`` and ``nu`` can be supplied explicitly to build broken fixtures;
-    by default they are derived from the coalgebra table.  Treat instances
-    as immutable; internal caches only ever grow.
+    by default they are derived from the coalgebra table, and D from phi.
+    Treat instances as immutable; internal caches only ever grow.
     """
 
     def __init__(
@@ -62,16 +66,24 @@ class Cogroup:
         self.ring = coalgebra.ring
         self.truncation = truncation
         self.algebra = TruncatedTensorAlgebra(self.module, truncation)
-        self.square_product = free_product(self.algebra, self.algebra)  # A * A
-        self.tensor_square = TensorSquare(self.algebra)  # A (x) A
-        self.phi = phi if phi is not None else self._default_phi()
-        self.nu = nu if nu is not None else self._default_nu()
-        self.delta = self._derive_delta()
+        if phi is not None:
+            self.phi = phi
+        if nu is not None:
+            self.nu = nu
         self._reduced_cache: dict = {}
 
     # -- construction -------------------------------------------------
 
-    def _default_phi(self) -> AlgebraMorphism:
+    @cached_property
+    def square_product(self) -> FreeProduct:  # A * A
+        return free_product(self.algebra, self.algebra)
+
+    @cached_property
+    def tensor_square(self) -> TensorSquare:  # A (x) A
+        return TensorSquare(self.algebra)
+
+    @cached_property
+    def phi(self) -> AlgebraMorphism:
         prod = self.square_product.algebra
         lmap, rmap = self.square_product.name_maps
         images = {}
@@ -84,7 +96,8 @@ class Cogroup:
             images[g.name] = img
         return AlgebraMorphism(self.algebra, prod, images)
 
-    def _default_nu(self) -> AlgebraMorphism:
+    @cached_property
+    def nu(self) -> AlgebraMorphism:
         """nu on generators: the convolution inverse of the inclusion C -> A.
 
         ``convolution_inverse`` runs g(x) = -x - sum c_i y_i * g(z_i) over
@@ -101,7 +114,8 @@ class Cogroup:
         inverse = convolution_inverse(inclusion)
         return AlgebraMorphism(alg, alg, {name: inverse.image(name) for name in names})
 
-    def _derive_delta(self) -> AlgebraMorphism:
+    @cached_property
+    def delta(self) -> AlgebraMorphism:
         """D = pi . Phi, where pi : A * A -> A (x) A is a' -> a (x) 1, a'' -> 1 (x) a."""
         lmap, rmap = self.square_product.name_maps
         sq = self.tensor_square

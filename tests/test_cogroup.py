@@ -90,6 +90,58 @@ def test_delta_restricts_to_table():
     assert A.delta(A.algebra.generator("x")) == want
 
 
+LAZY = ("square_product", "tensor_square", "phi", "nu", "delta")
+
+
+def fresh_cogroups(D=6):
+    yield loop_cogroup(D)
+    for key in MATRIX_KEYS:
+        yield cg.tensor_cogroup(cg.trivial_coalgebra(make_module(key)), D)
+
+
+def built(A):
+    """The lazy structures that A has built so far."""
+    return {name for name in LAZY if name in vars(A)}
+
+
+def test_a_new_cogroup_builds_no_structure():
+    for A in fresh_cogroups():
+        assert built(A) == set()
+
+
+def test_the_inverse_table_builds_no_comultiplication(monkeypatch):
+    def refuse(*factors):
+        raise AssertionError("free product built")
+
+    monkeypatch.setattr("cogroups.cogroup.free_product", refuse)
+    for A in fresh_cogroups():
+        for w in A.algebra.words_up_to():
+            A.nu.word_image(w)
+        assert built(A) == {"nu"}
+
+
+def test_the_antipode_table_builds_no_inverse():
+    for A in fresh_cogroups():
+        chi = cg.antipode(A)
+        for w in A.algebra.words_up_to():
+            chi.image(w)
+        assert built(A) == set(LAZY) - {"nu"}
+
+
+def test_explicit_phi_and_nu_are_kept_and_delta_follows_phi():
+    C = cg.trivial_coalgebra(cg.module(Q, [("x", 2)]))
+    good = cg.Cogroup(C, 6)
+    prod = good.square_product.algebra
+    p = cg.AlgebraMorphism(good.algebra, prod, {"x": prod.generator("x'")}, check=False)
+    n = cg.AlgebraMorphism(good.algebra, good.algebra, {"x": good.algebra.generator("x")})
+    A = cg.Cogroup(C, 6, phi=p, nu=n)
+    assert A.phi is p and A.nu is n
+    assert built(A) == {"phi", "nu"}
+    x = A.algebra.generator("x")
+    assert A.delta(x) == A.tensor_square.pure(("x",), ())
+    assert good.delta(good.algebra.generator("x")) != good.tensor_square.pure(("x",), ())
+
+
 def test_reduced_coproduct_of_a_power():
     A = polynomial_cogroup()
     parts = A.reduced_coproduct_word(("X", "X"))

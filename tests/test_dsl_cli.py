@@ -360,6 +360,29 @@ def test_cli_main_error_paths(tmp_path, capsys):
     assert rc == 2 and "line 2" in captured.err
 
 
+def test_repeated_main_calls_in_one_process(tmp_path, capsys, monkeypatch):
+    # main reuses the parser built at import; a usage error in between
+    # leaves the next run's output unchanged
+    def refuse(*args, **kwargs):
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr("argparse.ArgumentParser", refuse)
+    path = tmp_path / "chain.cog"
+    path.write_text(Z4_CHAIN)
+    argv = ["antipode", str(path), "--max-degree", "4"]
+    first = cli_main(argv), capsys.readouterr()
+    assert first[0] == 0 and first[1].out.endswith("exit-code: 0\n")
+    with pytest.raises(SystemExit) as info:
+        cli_main(["antipode", str(path), "--max-degree", "x"])
+    assert info.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert (cli_main(argv), capsys.readouterr()) == first
+    with pytest.raises(SystemExit) as info:
+        cli_main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cogroups ")
+
+
 def test_cli_refuses_a_non_coassociative_table(tmp_path, capsys):
     path = tmp_path / "broken.cog"
     path.write_text(
