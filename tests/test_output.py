@@ -49,19 +49,25 @@ def run_main(argv, stdin):
 
 
 @pytest.mark.parametrize(
-    "fname,text,argv",
+    "fname,text,argv,code",
     [
-        ("antipode_deconc.txt", DECONC_Z, ["antipode", "-", "--max-degree", "5", "--seed", "0"]),
+        ("antipode_deconc.txt", DECONC_Z, ["antipode", "-", "--max-degree", "5", "--seed", "0"], 0),
         (
             "inverse_binom.json",
             BINOM_Z9,
             ["inverse", "-", "--max-degree", "5", "--json", "--seed", "0"],
+            0,
         ),
+        # commands that read the coproduct of a non-primitive table
+        ("nu_eq_chi_binom.txt", BINOM_Z9, ["nu-eq-chi", "-", "--max-degree", "5"], 1),
+        ("check_surjective_binom.txt", BINOM_Z9, ["check-surjective", "-", "--max-degree", "5"], 0),
+        ("check_hopf_deconc.txt", DECONC_Z, ["check-hopf", "-", "--max-degree", "5"], 0),
+        ("classify_deconc.json", DECONC_Z, ["classify", "-", "--max-degree", "5", "--json"], 0),
     ],
 )
-def test_table_goldens(fname, text, argv):
+def test_table_goldens(fname, text, argv, code):
     rc, out = run_main(argv, text)
-    assert rc == 0
+    assert rc == code
     assert out == (GOLDEN / fname).read_text()
 
 
