@@ -111,11 +111,9 @@ def trivial_coalgebra(module: GradedModulePresentation) -> CoalgebraPresentation
     return CoalgebraPresentation(module, {})
 
 
-def coproduct_morphism(
-    C: CoalgebraPresentation, alg: TruncatedTensorAlgebra
-) -> AlgebraMorphism:
-    """D : alg -> alg (x) alg with D(x) = x (x) 1 + Dbar(x) + 1 (x) x."""
-    sq = TensorSquare(alg)
+def coproduct_morphism(C: CoalgebraPresentation, sq: TensorSquare) -> AlgebraMorphism:
+    """D : A -> sq = A (x) A with D(x) = x (x) 1 + Dbar(x) + 1 (x) x."""
+    alg = sq.algebra
     images = {}
     for g in C.module.generators:
         if g.degree > alg.truncation:
@@ -167,9 +165,15 @@ def _reduce_triples(alg: TruncatedTensorAlgebra, terms: dict) -> dict:
 def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomReport:
     """Coassociativity and counit laws on all generators of degree <= truncation.
 
-    Failures are reported, not raised.
+    Failures are reported, not raised.  ``tensor_cogroup`` runs the same
+    laws, through ``coproduct_report``, on the D of the cogroup it builds.
     """
-    delta = coproduct_morphism(C, TruncatedTensorAlgebra(C.module, truncation))
+    alg = TruncatedTensorAlgebra(C.module, truncation)
+    return coproduct_report(coproduct_morphism(C, TensorSquare(alg)))
+
+
+def coproduct_report(delta: AlgebraMorphism) -> AxiomReport:
+    """``coproduct_laws`` on every generator that D has an image for."""
     laws = ("coassociativity", "left counit law", "right counit law")
     violations = []
     for x in delta.images:

@@ -61,6 +61,25 @@ MATRIX = [
 
 MATRIX_KEYS = [row[0] for row in MATRIX]
 
+# two chain tables in the description language: deconcatenation over Z
+# and a binomial table over Z/9
+DECONC_Z = """\
+ring Z
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = a * a
+coproduct c = a * b + b * a
+"""
+BINOM_Z9 = """\
+ring Zmod 9
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = 2 a * a
+coproduct c = 3 a * b + 3 b * a
+"""
+
 
 def instance(key):
     for row in MATRIX:

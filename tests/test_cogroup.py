@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from cogroups.cogroup import _check_axioms_on
+from cogroups.cogroup import _check_axioms_on, folded_phi
 from instances import (
     MATRIX_KEYS,
     Q,
@@ -93,10 +93,15 @@ def test_delta_restricts_to_table():
 LAZY = ("square_product", "tensor_square", "phi", "nu", "delta")
 
 
-def fresh_cogroups(D=6):
-    yield loop_cogroup(D)
+def fresh_coalgebras():
+    yield loop_cogroup().coalgebra
     for key in MATRIX_KEYS:
-        yield cg.tensor_cogroup(cg.trivial_coalgebra(make_module(key)), D)
+        yield cg.trivial_coalgebra(make_module(key))
+
+
+def fresh_cogroups(D=6):
+    for C in fresh_coalgebras():
+        yield cg.tensor_cogroup(C, D)
 
 
 def built(A):
@@ -104,28 +109,68 @@ def built(A):
     return {name for name in LAZY if name in vars(A)}
 
 
-def test_a_new_cogroup_builds_no_structure():
-    for A in fresh_cogroups():
-        assert built(A) == set()
-
-
-def test_the_inverse_table_builds_no_comultiplication(monkeypatch):
+def refuse_free_products(monkeypatch):
     def refuse(*factors):
         raise AssertionError("free product built")
 
     monkeypatch.setattr("cogroups.cogroup.free_product", refuse)
+
+
+def test_a_new_cogroup_builds_no_structure(monkeypatch):
+    for C in fresh_coalgebras():
+        assert built(cg.Cogroup(C, 6)) == set()
+    # the coalgebra laws are checked on the cogroup's own D
+    refuse_free_products(monkeypatch)
+    for A in fresh_cogroups():
+        assert built(A) == {"tensor_square", "delta"}
+
+
+def test_the_inverse_table_builds_no_comultiplication(monkeypatch):
+    refuse_free_products(monkeypatch)
     for A in fresh_cogroups():
         for w in A.algebra.words_up_to():
             A.nu.word_image(w)
-        assert built(A) == {"nu"}
+        assert built(A) == {"tensor_square", "delta", "nu"}
 
 
-def test_the_antipode_table_builds_no_inverse():
+def test_the_antipode_table_builds_no_inverse(monkeypatch):
+    refuse_free_products(monkeypatch)
     for A in fresh_cogroups():
         chi = cg.antipode(A)
         for w in A.algebra.words_up_to():
             chi.image(w)
-        assert built(A) == set(LAZY) - {"nu"}
+        assert built(A) == {"tensor_square", "delta"}
+
+
+def assert_delta_is_the_folded_phi(A):
+    """D from the table against its oracle pi . Phi, term order included."""
+    pi_phi = folded_phi(A)
+    for w in A.algebra.words_up_to():
+        got, want = A.delta.word_image(w), pi_phi.word_image(w)
+        assert list(got.terms.items()) == list(want.terms.items()), w
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_delta_from_the_table_is_pi_phi_on_the_matrix(key):
+    C = cg.trivial_coalgebra(make_module(key))
+    assert_delta_is_the_folded_phi(cg.tensor_cogroup(C, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coassociative_coalgebras())
+def test_delta_from_the_table_is_pi_phi(case):
+    assert_delta_is_the_folded_phi(cg.tensor_cogroup(*case))
+
+
+def test_the_restriction_check_reads_a_supplied_phi():
+    # Phi and nu of the table y -> x (x) x, on the primitive table
+    m = cg.module(Q, [("x", 1), ("y", 2)])
+    twisted = cg.tensor_cogroup(cg.CoalgebraPresentation(m, {"y": [(1, "x", "x")]}), 6)
+    A = cg.Cogroup(cg.trivial_coalgebra(m), 6, phi=twisted.phi, nu=twisted.nu)
+    assert cg.check_cogroup_axioms(A).violations == [
+        "coproduct does not restrict to the coalgebra on y"
+    ]
+    assert A.reduced_coproduct_word(("y",)) == ((1, ("x",), ("x",)),)
 
 
 def test_explicit_phi_and_nu_are_kept_and_delta_follows_phi():

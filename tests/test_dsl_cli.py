@@ -12,6 +12,7 @@ import pytest
 import cogroups as cg
 from cogroups.cli import COMMANDS, main as cli_main, run_command
 from cogroups.dsl import ParseError, ProblemSpec, parse_spec, render_spec
+from instances import BINOM_Z9
 
 POLY = "ring Q\ngenerator X degree 2\n"
 TORSION = "ring Zmod 4\ngenerator x degree 3\n"
@@ -381,6 +382,26 @@ def test_repeated_main_calls_in_one_process(tmp_path, capsys, monkeypatch):
         cli_main(["--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cogroups ")
+
+
+def test_only_check_cogroup_builds_a_free_product(tmp_path, capsys, monkeypatch):
+    # every other command reads D from the coproduct table, not from Phi
+    path = tmp_path / "binom.cog"
+    path.write_text(BINOM_Z9)
+    commands = [c for c in COMMANDS if c != "check-cogroup"]
+    assert len(commands) == 8
+    plain = {}
+    for command in commands:
+        rc = cli_main([command, str(path), "--max-degree", "6"])
+        plain[command] = rc, capsys.readouterr()
+
+    def refuse(*factors):
+        raise AssertionError("free product built")
+
+    monkeypatch.setattr("cogroups.cogroup.free_product", refuse)
+    for command in commands:
+        rc = cli_main([command, str(path), "--max-degree", "6"])
+        assert (rc, capsys.readouterr()) == plain[command], command
 
 
 def test_cli_refuses_a_non_coassociative_table(tmp_path, capsys):
