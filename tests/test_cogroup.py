@@ -349,8 +349,9 @@ def test_cogroup_morphism_checks_the_algebras():
 
 
 # A Delta that lost the outer term 1 (x) x, a map whose image leaves its
-# degree, and an unchecked morphism whose image is not homogeneous: all
-# break invariants that must hold under ``python -O``.
+# degree, an unchecked morphism whose image is not homogeneous, and four
+# invalid rings, generators and modules: all break invariants that must
+# hold under ``python -O``.
 BROKEN_FIXTURES = """
 import cogroups as cg
 assert not __debug__
@@ -377,6 +378,16 @@ B = cg.tensor_algebra(cg.module(cg.RingSpec.rationals(), [("y", 1)]), 4)
 y = B.generator("y")
 mixed = cg.AlgebraMorphism(B, B, {"y": y + y * y}, check=False)
 print("unchecked:", mixed.word_image(("y", "y")))
+for make in (
+    lambda: cg.RingSpec("Zmod", 1),
+    lambda: cg.CyclicGenerator("x", 0),
+    lambda: cg.module(cg.RingSpec.integers(), [("x", 2), ("x", 3)]),
+    lambda: cg.module(cg.RingSpec.rationals(), [("x", 2, 2)]),
+):
+    try:
+        make()
+    except ValueError as exc:
+        print("invalid:", exc)
 """
 
 
@@ -391,3 +402,7 @@ def test_invariant_errors_survive_python_O():
     assert "delta: coproduct of x lost its outer terms" in run.stdout
     assert "surjective: image of x leaves degree 2" in run.stdout
     assert "unchecked: y^2 + 2*y^3 + y^4" in run.stdout
+    assert "invalid: Zmod modulus must be >= 2" in run.stdout
+    assert "invalid: generator x: degree must be >= 1" in run.stdout
+    assert "invalid: duplicate generator name 'x'" in run.stdout
+    assert "invalid: generator x: annihilator 2 is not legal over Q" in run.stdout

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cogroups as cg
-from cogroups.cli import COMMANDS, main as cli_main, run_command
+from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ParseError, ProblemSpec, parse_spec, render_spec
 from instances import BINOM_Z9
 
@@ -143,6 +143,30 @@ def test_spec_keeps_the_parsed_coalgebra():
     assert by_hand.coalgebra() == spec.coalgebra()
     assert by_hand.coalgebra() is by_hand.coalgebra()
     assert render_spec(by_hand) == render_spec(spec)
+
+
+def test_spec_equality_ignores_the_presentation():
+    spec = parse_spec(LOOP)
+    bare = ProblemSpec(spec.ring, spec.module, dict(spec.coproduct))
+    assert bare == spec and bare.presentation is None
+    assert bare != ProblemSpec(spec.ring, spec.module)
+    empty, other = ProblemSpec(spec.ring, spec.module), ProblemSpec(spec.ring, spec.module)
+    assert empty.coproduct == {} and empty.coproduct is not other.coproduct
+    keyed = ProblemSpec(ring=spec.ring, module=spec.module, presentation=spec.presentation)
+    assert keyed == empty and keyed.presentation is spec.presentation
+
+
+def test_report_builds_from_keywords():
+    # the keywords the benchmark's trace replica passes
+    report = Report(
+        command="classify", ring="Q", generators=["x degree 2"], max_degree=4,
+        verdicts=[("consistent", True)], witnesses=[], exit_code=0,
+    )
+    assert report.render_text() == (
+        "command: classify\nring: Q\ngenerators: x degree 2\nmax-degree: 4\n"
+        "consistent: true\nexit-code: 0"
+    )
+    assert report.exit_code == 0 and report.witnesses == []
 
 
 def test_render_is_canonical():

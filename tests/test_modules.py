@@ -1,5 +1,7 @@
 """Graded module presentations and the locality predicate."""
 
+import pickle
+
 import pytest
 
 import cogroups as cg
@@ -26,6 +28,33 @@ def test_presentation_validation():
         cg.module(Z6, [("x", 2, 4)])
     cg.module(Z6, [("x", 2, 3)])
     cg.module(Z, [("x", 2, 5)])
+
+
+def test_generators_and_presentations_are_frozen_values():
+    g = cg.CyclicGenerator("x", 3, 4)
+    same = cg.CyclicGenerator(name="x", degree=3, annihilator=4)
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != cg.CyclicGenerator("x", 3) and g != ("x", 3, 4)
+    assert g.__eq__(("x", 3, 4)) is NotImplemented
+    assert repr(g) == "CyclicGenerator(name='x', degree=3, annihilator=4)"
+    h = cg.CyclicGenerator("y", 2)
+    m = cg.GradedModulePresentation(Z, [g, h])
+    assert type(m.generators) is tuple and m.generators == (g, h)
+    again = cg.GradedModulePresentation(ring=Z, generators=(g, h))
+    assert m == again and hash(m) == hash(again) and len({m, again}) == 1
+    assert m != cg.GradedModulePresentation(Z4, (g, h))
+    assert m != cg.GradedModulePresentation(Z, (h, g)) and m != (Z, (g, h))
+    assert repr(cg.GradedModulePresentation(Z, [h])) == (
+        "GradedModulePresentation(ring=RingSpec(kind='Z', modulus=0), "
+        "generators=(CyclicGenerator(name='y', degree=2, annihilator=0),))"
+    )
+    for obj, field in ((g, "degree"), (m, "generators")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, ())
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert g.degree == 3 and m.generators == (g, h)
+    assert pickle.loads(pickle.dumps(m)) == m
 
 
 def test_effective_annihilator_falls_back_to_characteristic():

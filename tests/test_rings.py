@@ -1,5 +1,6 @@
 """Ring contexts and Smith normal form."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -35,6 +36,22 @@ def test_invalid_ring_parameters():
         RingSpec.prime_field(6)
     with pytest.raises(ValueError):
         RingSpec.prime_field(1)
+
+
+def test_ring_spec_is_a_frozen_value():
+    ring = RingSpec("Zmod", 4)
+    same = RingSpec(kind="Zmod", modulus=4)
+    assert ring == same and hash(ring) == hash(same) and len({ring, same}) == 1
+    assert ring != RingSpec("Zmod", 6) and ring != RingSpec.integers()
+    assert ring != ("Zmod", 4) and ring.__eq__(("Zmod", 4)) is NotImplemented
+    with pytest.raises(AttributeError):
+        ring.modulus = 6
+    with pytest.raises(AttributeError):
+        del ring.kind
+    assert (ring.kind, ring.modulus) == ("Zmod", 4)
+    assert repr(ring) == "RingSpec(kind='Zmod', modulus=4)"
+    assert repr(RingSpec.rationals()) == "RingSpec(kind='Q', modulus=0)"
+    assert pickle.loads(pickle.dumps(ring)) == ring
 
 
 def test_composite_modulus_is_legal():
