@@ -21,8 +21,6 @@ commutativity.  That chi is filled on demand, one degree at a time, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import format_word, is_graded_commutative
 from .coalgebra import trivial_coalgebra
 from .cogroup import Cogroup, tensor_cogroup
@@ -32,23 +30,32 @@ from .modules import (
     is_admissible_free_cyclic,
     is_locally_at_most_singly_generated,
 )
+from .rings import value_eq
 
 
-@dataclass
 class ClassificationReport:
     """Independently computed verdicts, plus their mutual consistency.
 
     ``module_free_cyclic`` is None over non-fields, where the membership
-    test does not apply.
+    test does not apply.  Reports with equal fields are equal.
     """
 
-    inverse_equals_antipode: bool
-    antipode_is_morphism: bool
-    graded_commutative: bool
-    module_locally_cyclic: bool
-    module_free_cyclic: bool | None
-    consistent: bool
-    witness: str | None = None
+    __slots__ = ("inverse_equals_antipode", "antipode_is_morphism", "graded_commutative",
+                 "module_locally_cyclic", "module_free_cyclic", "consistent", "witness")
+    __eq__ = value_eq(*__slots__)
+
+    def __init__(
+        self, inverse_equals_antipode: bool, antipode_is_morphism: bool,
+        graded_commutative: bool, module_locally_cyclic: bool,
+        module_free_cyclic: bool | None, consistent: bool, witness: str | None = None,
+    ):
+        self.inverse_equals_antipode = inverse_equals_antipode
+        self.antipode_is_morphism = antipode_is_morphism
+        self.graded_commutative = graded_commutative
+        self.module_locally_cyclic = module_locally_cyclic
+        self.module_free_cyclic = module_free_cyclic
+        self.consistent = consistent
+        self.witness = witness
 
     def verdicts(self):
         out = [

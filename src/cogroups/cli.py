@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import TruncatedTensorAlgebra, is_graded_commutative
 from .classify import classify_cogroup, inverse_equals_antipode
@@ -35,15 +34,16 @@ COMMANDS = (
 )
 
 
-@dataclass
 class Report:
-    command: str
-    ring: str
-    generators: list
-    max_degree: int
-    verdicts: list
-    witnesses: list
-    exit_code: int
+    __slots__ = ("command", "ring", "generators", "max_degree", "verdicts", "witnesses", "exit_code")
+
+    def __init__(
+        self, command: str, ring: str, generators: list, max_degree: int,
+        verdicts: list, witnesses: list, exit_code: int,
+    ):
+        self.command, self.ring, self.generators = command, ring, generators
+        self.max_degree, self.verdicts, self.witnesses = max_degree, verdicts, witnesses
+        self.exit_code = exit_code
 
     def to_dict(self) -> dict:
         return {
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         else:
             with open(args.path, encoding="utf-8") as f:
                 text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

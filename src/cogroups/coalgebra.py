@@ -16,8 +16,6 @@ y (x) z -> (-1)^{|y||z|} z (x) y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
@@ -28,10 +26,11 @@ from .algebra import (
 from .modules import GradedModulePresentation
 
 
-@dataclass
 class AxiomReport:
-    checked: int
-    violations: list
+    __slots__ = ("checked", "violations")
+
+    def __init__(self, checked: int, violations: list):
+        self.checked, self.violations = checked, violations
 
     @property
     def ok(self) -> bool:

@@ -16,11 +16,10 @@ the position of the offending token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .coalgebra import CoalgebraPresentation
 from .modules import CyclicGenerator, GradedModulePresentation
-from .rings import RingSpec
+from .rings import RingSpec, value_eq
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|-?\d+|[=*+]|\S")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -35,27 +34,30 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
 class Token:
-    text: str
-    line: int
-    column: int
+    __slots__ = ("text", "line", "column")
+
+    def __init__(self, text: str, line: int, column: int):
+        self.text, self.line, self.column = text, line, column
 
 
-@dataclass
 class ProblemSpec:
     """A parsed problem: ring, graded module, and coproduct table.
 
     ``presentation`` is the coalgebra that ``parse_spec`` built; a spec
-    made by hand gets one on its first ``coalgebra()`` call.
+    made by hand gets one on its first ``coalgebra()`` call; equality ignores it.
     """
 
-    ring: RingSpec
-    module: GradedModulePresentation
-    coproduct: dict = field(default_factory=dict)
-    presentation: CoalgebraPresentation | None = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("ring", "module", "coproduct", "presentation")
+    __eq__ = value_eq("ring", "module", "coproduct")
+
+    def __init__(
+        self, ring: RingSpec, module: GradedModulePresentation, coproduct: dict | None = None,
+        presentation: CoalgebraPresentation | None = None,
+    ):
+        self.ring, self.module = ring, module
+        self.coproduct = {} if coproduct is None else coproduct
+        self.presentation = presentation
 
     def coalgebra(self) -> CoalgebraPresentation:
         if self.presentation is None:

@@ -17,43 +17,42 @@ must always agree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import NamedTuple
 
-from .rings import RingSpec
+from .rings import RingSpec, frozen_value
 
 
-@dataclass(frozen=True)
+@frozen_value
 class CyclicGenerator:
-    name: str
-    degree: int
-    annihilator: int = 0
+    __slots__ = ("name", "degree", "annihilator")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, degree: int, annihilator: int = 0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "annihilator", annihilator)
+        if not name:
             raise ValueError("generator needs a nonempty name")
-        if self.degree < 1:
-            raise ValueError(f"generator {self.name}: degree must be >= 1")
-        if self.annihilator < 0:
-            raise ValueError(f"generator {self.name}: annihilator must be >= 0")
+        if degree < 1:
+            raise ValueError(f"generator {name}: degree must be >= 1")
+        if annihilator < 0:
+            raise ValueError(f"generator {name}: annihilator must be >= 0")
 
 
-@dataclass(frozen=True)
+@frozen_value
 class GradedModulePresentation:
-    ring: RingSpec
-    generators: tuple
+    __slots__ = ("ring", "generators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+    def __init__(self, ring: RingSpec, generators: tuple):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "generators", tuple(generators))
         seen = set()
         for g in self.generators:
             if g.name in seen:
                 raise ValueError(f"duplicate generator name {g.name!r}")
             seen.add(g.name)
-            if not self.ring.legal_annihilator(g.annihilator):
+            if not ring.legal_annihilator(g.annihilator):
                 raise ValueError(
                     f"generator {g.name}: annihilator {g.annihilator} "
-                    f"is not legal over {self.ring}"
+                    f"is not legal over {ring}"
                 )
 
     def names(self):
@@ -144,9 +143,11 @@ def direct_sum(a: GradedModulePresentation, b: GradedModulePresentation):
     return _disjoint_sum((a, b))[0]
 
 
-class LocalityResult(NamedTuple):
-    ok: bool
-    witness: str | None
+class LocalityResult:
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: str | None):
+        self.ok, self.witness = ok, witness
 
 
 def _prime_factors(n: int):

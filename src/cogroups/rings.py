@@ -12,8 +12,8 @@ All integer arithmetic is unbounded; nothing here ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 _KINDS = ("Z", "Q", "Zmod", "Fp")
 
@@ -59,24 +59,54 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def value_eq(*fields):
+    """An ``__eq__`` comparing ``fields``; another class gives NotImplemented."""
+    key = attrgetter(*fields)
+    return lambda self, other: (
+        key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+    )
+
+
+def frozen_value(cls):
+    """Make ``cls`` an immutable value over its two or more ``__slots__``,
+    which its ``__init__`` sets with ``object.__setattr__``: equal slots give
+    equal objects and hashes, and ``repr`` is ``Name(field=value, ...)``."""
+    fields = cls.__slots__
+    key = attrgetter(*fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(fields, key(self)))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    cls.__eq__, cls.__repr__ = value_eq(*fields), __repr__
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__reduce__ = lambda self: (self.__class__, key(self))  # copies call __init__
+    cls.__setattr__ = cls.__delattr__ = __setattr__
+    return cls
+
+
+@frozen_value
 class RingSpec:
-    """One of Z, Q, Z/n, F_p.  ``modulus`` is n (resp. p) and 0 for Z, Q."""
+    """Immutable value: one of Z, Q, Z/n, F_p; ``modulus`` is n (resp. p), 0 for Z, Q."""
 
-    kind: str
-    modulus: int = 0
+    __slots__ = ("kind", "modulus")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Zmod":
-            if self.modulus < 2:
+    def __init__(self, kind: str, modulus: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
+        if kind not in _KINDS:
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "Zmod":
+            if modulus < 2:
                 raise ValueError("Zmod modulus must be >= 2")
-        elif self.kind == "Fp":
-            if not is_prime(self.modulus):
-                raise ValueError(f"Fp modulus {self.modulus} is not prime")
-        elif self.modulus != 0:
-            raise ValueError(f"{self.kind} takes no modulus")
+        elif kind == "Fp":
+            if not is_prime(modulus):
+                raise ValueError(f"Fp modulus {modulus} is not prime")
+        elif modulus != 0:
+            raise ValueError(f"{kind} takes no modulus")
 
     @classmethod
     def integers(cls) -> "RingSpec":

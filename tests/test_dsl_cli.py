@@ -385,6 +385,28 @@ def test_cli_main_error_paths(tmp_path, capsys):
     assert rc == 2 and "line 2" in captured.err
 
 
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.cog"
+    path.write_bytes(b"ring Q\ngenerator x degree 2 # caf\xe9 \xff\n")
+    rc = cli_main(["antipode", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_cli_imports_without_generating_classes():
+    # the value types and reports are plain classes, so importing the CLI
+    # loads neither dataclasses nor the inspect module that it imports
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, cogroups.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_repeated_main_calls_in_one_process(tmp_path, capsys, monkeypatch):
     # main reuses the parser built at import; a usage error in between
     # leaves the next run's output unchanged
