@@ -45,7 +45,7 @@ class ProblemSpec:
     """A parsed problem: ring, graded module, and coproduct table.
 
     ``presentation`` is the coalgebra that ``parse_spec`` built; a spec
-    made by hand gets one on its first ``coalgebra()`` call; equality ignores it.
+    made by hand gets one on its first ``coalgebra()`` call.  Equality ignores it.
     """
 
     __slots__ = ("ring", "module", "coproduct", "presentation")

@@ -79,7 +79,7 @@ def frozen_value(cls):
         return f"{self.__class__.__qualname__}({args})"
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     cls.__eq__, cls.__repr__ = value_eq(*fields), __repr__
     cls.__hash__ = lambda self: hash(key(self))
