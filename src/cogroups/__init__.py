@@ -12,11 +12,9 @@ from .modules import (
     CyclicGenerator,
     GradedModulePresentation,
     LocalityResult,
-    direct_sum,
     is_admissible_free_cyclic,
     is_locally_at_most_singly_generated,
     module,
-    shift,
 )
 from .algebra import (
     AlgebraElement,
@@ -24,12 +22,10 @@ from .algebra import (
     FreeProduct,
     TensorSquare,
     TruncatedTensorAlgebra,
-    compose,
     format_word,
     free_product,
     is_graded_commutative,
     renaming_morphism,
-    tensor_algebra,
 )
 from .coalgebra import (
     AxiomReport,
@@ -41,7 +37,6 @@ from .coalgebra import (
 from .cogroup import (
     Cogroup,
     check_cogroup_axioms,
-    fold,
     is_cogroup_morphism,
     tensor_cogroup,
 )
@@ -53,38 +48,30 @@ from .convolution import (
     antipode_by_recursion,
     check_hopf_antipode,
     convolution_inverse,
-    convolve,
     identity_map,
     is_algebra_morphism,
     is_antipode_surjective,
-    unit_map,
 )
 from .classify import (
     ClassificationReport,
     classify_cogroup,
-    classify_module,
     inverse_equals_antipode,
 )
-from .dsl import ParseError, ProblemSpec, parse_spec, render_spec
+from .dsl import ParseError, ProblemSpec, parse_spec
 
 __all__ = [
     "RingSpec", "is_prime",
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
-    "direct_sum", "is_admissible_free_cyclic",
-    "is_locally_at_most_singly_generated", "module", "shift",
+    "is_admissible_free_cyclic", "is_locally_at_most_singly_generated", "module",
     "AlgebraElement", "AlgebraMorphism", "FreeProduct",
-    "TensorSquare", "TruncatedTensorAlgebra", "compose", "format_word",
+    "TensorSquare", "TruncatedTensorAlgebra", "format_word",
     "free_product", "is_graded_commutative", "renaming_morphism",
-    "tensor_algebra",
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
     "is_cocommutative", "trivial_coalgebra",
-    "Cogroup", "check_cogroup_axioms", "fold", "is_cogroup_morphism",
-    "tensor_cogroup",
+    "Cogroup", "check_cogroup_axioms", "is_cogroup_morphism", "tensor_cogroup",
     "CoalgebraSource", "CogroupSource", "GradedMap", "antipode",
     "antipode_by_recursion", "check_hopf_antipode", "convolution_inverse",
-    "convolve", "identity_map", "is_algebra_morphism", "is_antipode_surjective",
-    "unit_map",
-    "ClassificationReport", "classify_cogroup", "classify_module",
-    "inverse_equals_antipode",
-    "ParseError", "ProblemSpec", "parse_spec", "render_spec",
+    "identity_map", "is_algebra_morphism", "is_antipode_surjective",
+    "ClassificationReport", "classify_cogroup", "inverse_equals_antipode",
+    "ParseError", "ProblemSpec", "parse_spec",
 ]

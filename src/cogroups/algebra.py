@@ -114,40 +114,22 @@ class _Memo(dict):
 class _BasisOrder(dict):
     """word -> (d, position of the word in basis(d)): the order terms print in.
 
-    A miss on a word whose degree d has a built basis records the keys of
-    all of basis(d) at once.  Otherwise the position is counted: words of
-    degree d that begin with an earlier letter come first, and as many
-    begin with a letter of degree e as there are words of degree d - e.
+    A miss builds basis(d), through the algebra, for the word's degree d
+    and records the keys of all its words at once.
     """
 
-    __slots__ = ("deg", "degrees", "bases", "counts")
+    __slots__ = ("degrees", "basis")
 
-    def __init__(self, deg: dict, degrees, bases: dict):
-        self.deg = deg  # letter -> degree, in generator order
+    def __init__(self, degrees, basis):
         self.degrees = degrees
-        self.bases = bases
-        self.counts = [1]  # number of words of each degree, grown on demand
+        self.basis = basis
 
     def __missing__(self, word):
-        d = rest = self.degrees[word]
-        built = self.bases.get(d)
-        if built is not None:
-            self.update(zip(built, zip(repeat(d), count())))
-            return self[word]
-        deg, counts = self.deg, self.counts
-        while len(counts) <= d:
-            n = len(counts)
-            counts.append(sum(counts[n - e] for e in deg.values() if e <= n))
-        pos = 0
-        for letter in word:
-            for name, e in deg.items():
-                if name == letter:
-                    break
-                if e <= rest:
-                    pos += counts[rest - e]
-            rest -= deg[letter]
-        key = self[word] = (d, pos)
-        return key
+        d = self.degrees[word]
+        self.update(zip(self.basis(d), zip(repeat(d), count())))
+        if word not in self:  # above the truncation: in no basis
+            raise KeyError(word)
+        return self[word]
 
 
 def accumulate(acc: dict, terms: dict, c=1) -> None:
@@ -173,7 +155,7 @@ class TruncatedTensorAlgebra:
         self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._moduli = _Memo(lambda w: reduce(gcd, (ann[l] for l in w), char))
         # how elements print: terms in basis order, words as labels
-        self.sort_key = _BasisOrder(deg, self._degrees, self._basis_cache).__getitem__
+        self.sort_key = _BasisOrder(self._degrees, self.basis).__getitem__
         self.format_key = _Memo(format_word).__getitem__
         # the modulus of every word, when no letter's annihilator lowers it
         self.fixed_modulus = (
@@ -483,11 +465,6 @@ class AlgebraMorphism:
         return AlgebraElement(self.target, acc)
 
 
-def compose(outer: AlgebraMorphism, inner: AlgebraMorphism) -> AlgebraMorphism:
-    images = {name: outer(img) for name, img in inner.images.items()}
-    return AlgebraMorphism(inner.source, outer.target, images, check=False)
-
-
 def renaming_morphism(source, target, name_map: dict) -> AlgebraMorphism:
     images = {
         n: target.generator(name_map.get(n, n))
@@ -495,10 +472,6 @@ def renaming_morphism(source, target, name_map: dict) -> AlgebraMorphism:
         if source.module.degree_of(n) <= source.truncation
     }
     return AlgebraMorphism(source, target, images, check=False)
-
-
-def tensor_algebra(module: GradedModulePresentation, truncation: int) -> TruncatedTensorAlgebra:
-    return TruncatedTensorAlgebra(module, truncation)
 
 
 class FreeProduct:

@@ -22,14 +22,9 @@ commutativity.  That chi is filled on demand, one degree at a time, so
 from __future__ import annotations
 
 from .algebra import format_word, is_graded_commutative
-from .coalgebra import trivial_coalgebra
-from .cogroup import Cogroup, tensor_cogroup
+from .cogroup import Cogroup
 from .convolution import antipode, antipode_by_recursion, is_algebra_morphism
-from .modules import (
-    GradedModulePresentation,
-    is_admissible_free_cyclic,
-    is_locally_at_most_singly_generated,
-)
+from .modules import is_admissible_free_cyclic, is_locally_at_most_singly_generated
 from .rings import value_eq
 
 
@@ -133,31 +128,3 @@ def classify_cogroup(A: Cogroup, truncation: int | None = None) -> Classificatio
         consistent=consistent,
         witness=witness,
     )
-
-
-def classify_module(
-    N: GradedModulePresentation, truncation: int | None = None
-) -> ClassificationReport:
-    """Classify the cogroup on T(N) with every generator primitive.
-
-    The truncation defaults to 2 * (max generator degree) + 2, enough to
-    watch the inverse and the antipode part ways on generator squares.
-    For a single cyclic summand the commutativity verdict is also checked
-    against the closed form: degree even, or cyclic quotient of
-    characteristic 2.
-    """
-    if truncation is None:
-        truncation = 2 * N.max_degree() + 2
-    A = tensor_cogroup(trivial_coalgebra(N), truncation)
-    report = classify_cogroup(A)
-    if len(N.generators) == 1:
-        g = N.generators[0]
-        eff = g.annihilator or N.ring.characteristic()
-        if eff != 1:
-            closed_form = g.degree % 2 == 0 or eff == 2
-            if closed_form != report.graded_commutative:
-                report.consistent = False
-                report.witness = (
-                    f"closed form predicts graded commutative = {closed_form}"
-                )
-    return report

@@ -4,7 +4,8 @@ Reads a problem description, builds the requested structure at a
 truncation degree, runs one check or computation, and renders a report
 as text or JSON.  Exit codes: 0 when the computation succeeded or the
 checked property holds, 1 when a checked property fails, 2 on input
-errors (unparsable description, unknown command, unreadable file).
+errors (unparsable description, unknown command, unreadable file, input
+that is not UTF-8, from a file or from stdin).
 The argument parser is built once, at import, and reused by ``main``.
 """
 
@@ -125,6 +126,8 @@ def run_command(
     witnesses: list = []
     exit_code = 0
     coalg = spec.coalgebra()
+    if command not in ("check-commutative", "check-cocommutative"):
+        A = tensor_cogroup(coalg, max_degree)
 
     if command == "check-commutative":
         ok, pair = is_graded_commutative(
@@ -139,19 +142,16 @@ def run_command(
         verdicts.append(("cocommutative", ok))
         exit_code = 0 if ok else 1
     elif command == "check-cogroup":
-        A = tensor_cogroup(coalg, max_degree)
         report = check_cogroup_axioms(A, max_degree)
         verdicts.append(("cogroup-axioms", report.ok))
         witnesses.extend(report.violations)
         exit_code = 0 if report.ok else 1
     elif command == "check-hopf":
-        A = tensor_cogroup(coalg, max_degree)
         report = check_hopf_antipode(A, antipode(A))
         verdicts.append(("hopf-antipode-laws", report.ok))
         witnesses.extend(report.violations)
         exit_code = 0 if report.ok else 1
     elif command in ("antipode", "inverse"):
-        A = tensor_cogroup(coalg, max_degree)
         label = "chi" if command == "antipode" else "nu"
         images = antipode(A).image if command == "antipode" else A.nu.word_image
         fmt = A.algebra.format_key
@@ -160,14 +160,12 @@ def run_command(
                 verdicts.append((f"{label}({fmt(w)})", str(images(w)) if d else "1"))
         exit_code = 0
     elif command == "nu-eq-chi":
-        A = tensor_cogroup(coalg, max_degree)
         ok, witness = inverse_equals_antipode(A, max_degree)
         verdicts.append(("nu-eq-chi", ok))
         if witness:
             witnesses.append(witness)
         exit_code = 0 if ok else 1
     elif command == "check-surjective":
-        A = tensor_cogroup(coalg, max_degree)
         degrees = is_antipode_surjective(A, antipode(A))
         for d in sorted(degrees):
             verdicts.append((f"surjective-degree-{d}", degrees[d]))
@@ -175,7 +173,6 @@ def run_command(
         verdicts.append(("surjective-all-degrees", ok))
         exit_code = 0 if ok else 1
     elif command == "classify":
-        A = tensor_cogroup(coalg, max_degree)
         report = classify_cogroup(A, max_degree)
         verdicts.extend(report.verdicts())
         if report.witness:
@@ -214,15 +211,22 @@ def _parser() -> argparse.ArgumentParser:
 _PARSER = _parser()
 
 
+def _read_input(path: str) -> str:
+    """The input as strict UTF-8, decoded from the bytes of the file or of
+    stdin alike; a stdin that is a text stream with no bytes under it
+    (an ``io.StringIO``) is read as text."""
+    if path != "-":
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
+    stdin = getattr(sys.stdin, "buffer", None)
+    return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        if args.path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.path, encoding="utf-8") as f:
-                text = f.read()
+        text = _read_input(args.path)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

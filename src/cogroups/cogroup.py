@@ -49,30 +49,17 @@ from .convolution import CoalgebraSource, GradedMap, convolution_inverse
 class Cogroup:
     """Tensor-algebra cogroup on the positive part of a coalgebra.
 
-    A * A, the tensor square, Phi, nu and D are built on first read.
-    ``phi`` and ``nu`` can be supplied explicitly to build broken fixtures;
-    by default they are derived from the coalgebra table.  D comes from
-    the table too, unless a ``phi`` was supplied: then D = pi . phi.
-    Treat instances as immutable; internal caches only ever grow.
+    A * A, the tensor square, Phi, nu and D are all built from the
+    coalgebra table, each on first read.  Treat instances as immutable;
+    internal caches only ever grow.
     """
 
-    def __init__(
-        self,
-        coalgebra: CoalgebraPresentation,
-        truncation: int,
-        phi: AlgebraMorphism | None = None,
-        nu: AlgebraMorphism | None = None,
-    ):
+    def __init__(self, coalgebra: CoalgebraPresentation, truncation: int):
         self.coalgebra = coalgebra
         self.module = coalgebra.module
         self.ring = coalgebra.ring
         self.truncation = truncation
         self.algebra = TruncatedTensorAlgebra(self.module, truncation)
-        self._phi_supplied = phi is not None
-        if phi is not None:
-            self.phi = phi
-        if nu is not None:
-            self.nu = nu
         self._reduced_cache: dict = {}
 
     # -- construction -------------------------------------------------
@@ -119,9 +106,7 @@ class Cogroup:
 
     @cached_property
     def delta(self) -> AlgebraMorphism:
-        """D : A -> A (x) A, from the table, or pi . phi for a supplied phi."""
-        if self._phi_supplied:
-            return folded_phi(self)
+        """D : A -> A (x) A, the table's ``coproduct_morphism``."""
         return coproduct_morphism(self.coalgebra, self.tensor_square)
 
     # -- counit and coproduct -----------------------------------------
@@ -173,16 +158,6 @@ def folded_phi(A: Cogroup) -> AlgebraMorphism:
     pi = AlgebraMorphism(A.square_product.algebra, sq, pi_images, check=False)
     images = {name: pi(img) for name, img in A.phi.images.items()}
     return AlgebraMorphism(A.algebra, sq, images, check=False)
-
-
-def fold(A: Cogroup) -> AlgebraMorphism:
-    """A * A -> A collapsing both tags onto the original generators."""
-    images = {}
-    for nm in A.square_product.name_maps:
-        for name, tagged in nm.items():
-            if A.module.degree_of(name) <= A.truncation:
-                images[tagged] = A.algebra.generator(name)
-    return AlgebraMorphism(A.square_product.algebra, A.algebra, images, check=False)
 
 
 def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomReport:

@@ -7,12 +7,13 @@ D(x) = x (x) 1 + sum c_i y_i (x) z_i + 1 (x) x this reads
 
     (f * g)(x) = f(x) + g(x) + sum c_i f(y_i) g(z_i)
 
-and the inverse is computed by degree induction:
+Only the inverse is computed here (the product is the tests' oracle),
+by degree induction, from the right:
 
-    right:  g(x) = -f(x) - sum c_i f(y_i) g(z_i)
-    left:   h(x) = -f(x) - sum c_i h(y_i) f(z_i)
+    g(x) = -f(x) - sum c_i f(y_i) g(z_i)
 
-(the two recursions agree; the test suite asserts it).  Sources come in
+(the left recursion h(x) = -f(x) - sum c_i h(y_i) f(z_i) gives the same
+map; the test suite holds the one against the other).  Sources come in
 two flavours: a presented coalgebra with its finite table, and the whole
 underlying coalgebra of a cogroup, whose basis elements are words.
 
@@ -39,7 +40,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .algebra import AlgebraElement, TruncatedTensorAlgebra, accumulate, format_word
+from .algebra import AlgebraElement, TruncatedTensorAlgebra, format_word
 from .coalgebra import AxiomReport, CoalgebraPresentation
 
 if TYPE_CHECKING:
@@ -196,39 +197,12 @@ def identity_map(A: Cogroup) -> GradedMap:
     return _FilledByDegree(CogroupSource(A), alg, fill)
 
 
-def unit_map(source, target: TruncatedTensorAlgebra) -> GradedMap:
-    """eta . eps: the convolution identity."""
-    return GradedMap(source, target, {}, check=False)
-
-
-def _require_parallel(f: GradedMap, g: GradedMap):
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("maps do not share source and target")
-
-
-def convolve(f: GradedMap, g: GradedMap) -> GradedMap:
-    _require_parallel(f, g)
-    src = f.source
-    alg = f.target
-    table = {}
-    for d in range(1, src.truncation + 1):
-        for x in src.basis(d):
-            acc = dict(f.image(x).terms)
-            accumulate(acc, g.image(x).terms)
-            for c, y, z in src.reduced_coproduct(x):
-                alg.mul_into(acc, f.image(y).terms, g.image(z).terms, c)
-            table[x] = AlgebraElement(alg, acc)
-    return GradedMap(src, alg, table, check=False)
-
-
-def convolution_inverse(f: GradedMap, via: str = "right") -> GradedMap:
-    """Inverse in the convolution group, by either one-sided recursion.
+def convolution_inverse(f: GradedMap) -> GradedMap:
+    """Inverse in the convolution group, by the right recursion.
 
     The recursion runs on demand, a whole degree at a time and in the
     order of a full build, so every image is the one a full build gives.
     """
-    if via not in ("right", "left"):
-        raise ValueError("via must be 'right' or 'left'")
     src = f.source
     alg = f.target
 
@@ -236,10 +210,7 @@ def convolution_inverse(f: GradedMap, via: str = "right") -> GradedMap:
         for x in src.basis(d):
             acc = {k: -v for k, v in f.image(x).terms.items()}
             for c, y, z in src.reduced_coproduct(x):
-                if via == "right":
-                    alg.mul_into(acc, f.image(y).terms, table[z].terms, -c)
-                else:
-                    alg.mul_into(acc, table[y].terms, f.image(z).terms, -c)
+                alg.mul_into(acc, f.image(y).terms, table[z].terms, -c)
             table[x] = AlgebraElement(alg, acc)
 
     return _FilledByDegree(src, alg, fill)

@@ -144,17 +144,12 @@ def parse_spec(text: str) -> ProblemSpec:
                 ring = RingSpec.integers()
             elif kind.text == "Q":
                 ring = RingSpec.rationals()
-            elif kind.text == "Zmod":
-                n = cur.integer("a modulus")
-                if int(n.text) < 2:
-                    raise ParseError("Zmod modulus must be >= 2", n.line, n.column)
-                ring = RingSpec.integers_mod(int(n.text))
-            elif kind.text == "Fp":
-                p = cur.integer("a prime")
-                try:
-                    ring = RingSpec.prime_field(int(p.text))
-                except ValueError as exc:  # composite, or beyond certification
-                    raise ParseError(str(exc), p.line, p.column) from exc
+            elif kind.text in ("Zmod", "Fp"):
+                n = cur.integer("a modulus" if kind.text == "Zmod" else "a prime")
+                try:  # Zmod below 2; Fp composite, or beyond certification
+                    ring = RingSpec(kind.text, int(n.text))
+                except ValueError as exc:
+                    raise ParseError(str(exc), n.line, n.column) from exc
             else:
                 raise ParseError(
                     f"unknown ring '{kind.text}' (want Z, Q, Zmod <n> or Fp <p>)",
@@ -262,24 +257,3 @@ def parse_spec(text: str) -> ProblemSpec:
     return ProblemSpec(
         ring=ring, module=module, coproduct=dict(coalg.table), presentation=coalg
     )
-
-
-def render_spec(spec: ProblemSpec) -> str:
-    """Canonical text for a ProblemSpec; parses back to an equal spec."""
-    lines = [f"ring {spec.ring}"]
-    for g in spec.module.generators:
-        line = f"generator {g.name} degree {g.degree}"
-        if g.annihilator:
-            line += f" ann {g.annihilator}"
-        lines.append(line)
-    coalg = spec.coalgebra()
-    for g in spec.module.generators:
-        entries = coalg.reduced_coproduct(g.name)
-        if not entries:
-            continue
-        parts = []
-        for c, y, z in entries:
-            head = f"{y} * {z}" if c == 1 else f"{c} {y} * {z}"
-            parts.append(head)
-        lines.append(f"coproduct {g.name} = " + " + ".join(parts))
-    return "\n".join(lines) + "\n"

@@ -91,16 +91,6 @@ def module(ring: RingSpec, gens) -> GradedModulePresentation:
     return GradedModulePresentation(ring, tuple(out))
 
 
-def shift(mod: GradedModulePresentation, n: int) -> GradedModulePresentation:
-    """Place every cyclic summand of ``mod`` in degree n."""
-    if n < 1:
-        raise ValueError("shift degree must be >= 1")
-    gens = tuple(
-        CyclicGenerator(g.name, n, g.annihilator) for g in mod.generators
-    )
-    return GradedModulePresentation(mod.ring, gens)
-
-
 def _fresh(name: str, taken: set) -> str:
     while name in taken:
         name = name + "'"
@@ -134,13 +124,6 @@ def _disjoint_sum(modules):
         for g in m.generators
     )
     return GradedModulePresentation(modules[0].ring, gens), name_maps
-
-
-def direct_sum(a: GradedModulePresentation, b: GradedModulePresentation):
-    """Direct sum; generator names are made disjoint automatically."""
-    if a.ring != b.ring:
-        raise ValueError("direct sum needs a common base ring")
-    return _disjoint_sum((a, b))[0]
 
 
 class LocalityResult:

@@ -157,7 +157,7 @@ class RingSpec:
             return False
         if a == 0:
             return True
-        if self.is_field() or self.kind == "Q":
+        if self.is_field():
             return False
         if self.kind == "Zmod":
             return self.modulus % a == 0

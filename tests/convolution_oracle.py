@@ -1,17 +1,44 @@
-"""The convolution inverse and the antipode built in one eager pass: the
-tests' oracles for ``convolution_inverse`` and ``antipode``, which fill
-their tables on demand, by degree.
+"""The convolution product, and the convolution inverse and the antipode
+built in one eager pass: the tests' oracles for ``convolution_inverse``
+and ``antipode``, which fill their tables on demand, by degree.
 
-``convolution_inverse_eagerly`` and ``antipode_eagerly`` are the loops
-that ``cogroups.convolution`` ran before the tables were filled on
-demand: they build every degree up to the truncation before they return,
-and multiply only through the general ``mul_into``.
+``convolve`` is the product (f * g)(x) = f(x) + g(x) + sum c f(y) g(z)
+over Dbar(x), and ``unit_map`` its identity eta . eps; the library
+computes neither.  ``convolution_inverse_eagerly`` and
+``antipode_eagerly`` are the loops that ``cogroups.convolution`` ran
+before the tables were filled on demand: they build every degree up to
+the truncation before they return, and multiply only through the general
+``mul_into``.  The eager inverse runs either one-sided recursion; the
+library runs only the right one.
 ``explicit_identity`` is the identity of a cogroup's algebra as a full
 table, and ``general_product`` stands in for
 ``TruncatedTensorAlgebra.homogeneous_product`` without its premise.
 """
 
 import cogroups as cg
+from cogroups.algebra import accumulate
+
+
+def unit_map(source, target):
+    """eta . eps: the convolution identity."""
+    return cg.GradedMap(source, target, {}, check=False)
+
+
+def convolve(f, g):
+    """The convolution product f * g, every degree up to the truncation."""
+    if f.source != g.source or f.target != g.target:
+        raise ValueError("maps do not share source and target")
+    src = f.source
+    alg = f.target
+    table = {}
+    for d in range(1, src.truncation + 1):
+        for x in src.basis(d):
+            acc = dict(f.image(x).terms)
+            accumulate(acc, g.image(x).terms)
+            for c, y, z in src.reduced_coproduct(x):
+                alg.mul_into(acc, f.image(y).terms, g.image(z).terms, c)
+            table[x] = cg.AlgebraElement(alg, acc)
+    return cg.GradedMap(src, alg, table, check=False)
 
 
 def convolution_inverse_eagerly(f, via="right"):

@@ -2,21 +2,22 @@
 
 ``check_hopf_on_words`` is the tests' oracle for ``check_hopf_antipode``:
 the check that ``cogroups.convolution`` ran before the laws moved to
-generators.  It convolves chi with the identity both ways through the
-public ``convolve`` and ``identity_map``, which build Dbar(w) for every
-word, and assumes nothing about products.
+generators.  It convolves chi with the identity both ways through
+``convolve`` (in ``convolution_oracle``) and ``identity_map``, which
+build Dbar(w) for every word, and assumes nothing about products.
 ``antipode_negates_indecomposables`` reads chi modulo decomposables.
 """
 
 import cogroups as cg
+from convolution_oracle import convolve
 
 
 def check_hopf_on_words(A, chi) -> cg.AxiomReport:
     """mul.(chi (x) 1).D = eta.eps = mul.(1 (x) chi).D on every word of
     positive degree up to the truncation."""
     ident = cg.identity_map(A)
-    left = cg.convolve(chi, ident)
-    right = cg.convolve(ident, chi)
+    left = convolve(chi, ident)
+    right = convolve(ident, chi)
     checked = 0
     violations = []
     for d in range(1, A.truncation + 1):

@@ -4,7 +4,9 @@ The matrix spans the supported rings, 1-3 generators, degrees 1-5 and
 annihilators {0, 2, 3, 4, 6}, with a documented expectation for graded
 commutativity of the tensor algebra (equivalently, locality of the
 module).  Builders cache constructed cogroups per (instance, truncation)
-so the acceptance criteria can share the heavy work.
+so the acceptance criteria can share the heavy work.  ``classify_module``
+classifies a module with its closed-form check, and ``render_spec``
+prints a parsed spec back as input text.
 """
 
 from fractions import Fraction
@@ -113,6 +115,53 @@ def make_antipode(key, truncation=8) -> cg.GradedMap:
         cached = cg.antipode(make_cogroup(key, truncation))
         _chi_cache[(key, truncation)] = cached
     return cached
+
+
+def classify_module(N, truncation=None) -> cg.ClassificationReport:
+    """Classify the cogroup on T(N) with every generator primitive.
+
+    The truncation defaults to 2 * (max generator degree) + 2, enough to
+    watch the inverse and the antipode part ways on generator squares.
+    For a single cyclic summand the commutativity verdict is also checked
+    against the closed form: degree even, or cyclic quotient of
+    characteristic 2.
+    """
+    if truncation is None:
+        truncation = 2 * N.max_degree() + 2
+    A = cg.tensor_cogroup(cg.trivial_coalgebra(N), truncation)
+    report = cg.classify_cogroup(A)
+    if len(N.generators) == 1:
+        g = N.generators[0]
+        eff = g.annihilator or N.ring.characteristic()
+        if eff != 1:
+            closed_form = g.degree % 2 == 0 or eff == 2
+            if closed_form != report.graded_commutative:
+                report.consistent = False
+                report.witness = (
+                    f"closed form predicts graded commutative = {closed_form}"
+                )
+    return report
+
+
+def render_spec(spec) -> str:
+    """Canonical text for a ProblemSpec; parses back to an equal spec."""
+    lines = [f"ring {spec.ring}"]
+    for g in spec.module.generators:
+        line = f"generator {g.name} degree {g.degree}"
+        if g.annihilator:
+            line += f" ann {g.annihilator}"
+        lines.append(line)
+    coalg = spec.coalgebra()
+    for g in spec.module.generators:
+        entries = coalg.reduced_coproduct(g.name)
+        if not entries:
+            continue
+        parts = []
+        for c, y, z in entries:
+            head = f"{y} * {z}" if c == 1 else f"{c} {y} * {z}"
+            parts.append(head)
+        lines.append(f"coproduct {g.name} = " + " + ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def random_coefficient(rng, ring, source_ann, word_modulus):

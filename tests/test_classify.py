@@ -5,13 +5,23 @@ import pytest
 import cogroups as cg
 from cogroups.classify import _first_difference
 from convolution_oracle import antipode_eagerly
-from instances import MATRIX, MATRIX_KEYS, Q, Z, instance, make_antipode, make_cogroup, make_module
+from instances import (
+    MATRIX,
+    MATRIX_KEYS,
+    Q,
+    Z,
+    classify_module,
+    instance,
+    make_antipode,
+    make_cogroup,
+    make_module,
+)
 
 
 def test_matrix_three_way_agreement():
     trues = falses = 0
     for key, ring, gens, expected in MATRIX:
-        rep = cg.classify_module(make_module(key))
+        rep = classify_module(make_module(key))
         assert rep.consistent, key
         assert rep.graded_commutative == expected, key
         assert rep.inverse_equals_antipode == expected, key
@@ -25,16 +35,16 @@ def test_matrix_three_way_agreement():
 
 
 def test_field_reports_carry_the_membership_verdict():
-    rep = cg.classify_module(make_module("q-even2"))
+    rep = classify_module(make_module("q-even2"))
     assert rep.module_free_cyclic is True
-    rep = cg.classify_module(make_module("q-odd3"))
+    rep = classify_module(make_module("q-odd3"))
     assert rep.module_free_cyclic is False
-    rep = cg.classify_module(make_module("z-tor32"))
+    rep = classify_module(make_module("z-tor32"))
     assert rep.module_free_cyclic is None
 
 
 def test_report_verdict_listing():
-    rep = cg.classify_module(make_module("q-even2"))
+    rep = classify_module(make_module("q-even2"))
     names = [n for n, _ in rep.verdicts()]
     assert names == [
         "nu-eq-chi",
@@ -48,7 +58,7 @@ def test_report_verdict_listing():
 
 
 def test_failing_reports_carry_witnesses():
-    rep = cg.classify_module(make_module("z4-free3"))
+    rep = classify_module(make_module("z4-free3"))
     assert not rep.graded_commutative
     assert rep.consistent
     assert rep.witness and "nu" in rep.witness and "chi" in rep.witness
@@ -153,21 +163,21 @@ def test_classify_verdicts_hold_at_every_truncation(key):
         rep = cg.classify_cogroup(cg.tensor_cogroup(C, D))
         assert rep.consistent, (key, D)
         assert rep.inverse_equals_antipode == rep.antipode_is_morphism == expected, (key, D)
-        assert rep.verdicts() == cg.classify_module(make_module(key)).verdicts(), (key, D)
+        assert rep.verdicts() == classify_module(make_module(key)).verdicts(), (key, D)
 
 
 def test_classify_module_coprime_and_common_torsion():
     coprime = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
-    rep = cg.classify_module(coprime)
+    rep = classify_module(coprime)
     assert rep.module_locally_cyclic and rep.graded_commutative and rep.consistent
     common = cg.module(Z, [("x", 2, 3), ("y", 4, 6)])
-    rep = cg.classify_module(common)
+    rep = classify_module(common)
     assert not rep.module_locally_cyclic and not rep.graded_commutative
     assert rep.consistent
 
 
 def test_classify_module_truncation_override():
-    rep = cg.classify_module(make_module("q-even2"), truncation=4)
+    rep = classify_module(make_module("q-even2"), truncation=4)
     assert rep.consistent and rep.graded_commutative
 
 
@@ -178,6 +188,6 @@ def test_closed_form_cross_check_single_generator():
         ([("x", 3, 2)], True),
         ([("x", 5, 4)], False),
     ):
-        rep = cg.classify_module(cg.module(Z, gens))
+        rep = classify_module(cg.module(Z, gens))
         assert rep.consistent
         assert rep.graded_commutative == expected

@@ -11,8 +11,8 @@ import pytest
 
 import cogroups as cg
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
-from cogroups.dsl import ParseError, ProblemSpec, parse_spec, render_spec
-from instances import BINOM_Z9
+from cogroups.dsl import ParseError, ProblemSpec, parse_spec
+from instances import BINOM_Z9, render_spec
 
 POLY = "ring Q\ngenerator X degree 2\n"
 TORSION = "ring Zmod 4\ngenerator x degree 3\n"
@@ -80,7 +80,7 @@ def test_parse_error_positions():
     e = err("ring Z\nring Q")
     assert (e.line, e.column) == (2, 1) and "duplicate ring" in e.message
     e = err("ring Zmod 1")
-    assert (e.line, e.column) == (1, 11)
+    assert (e.line, e.column) == (1, 11) and e.message == "Zmod modulus must be >= 2"
     e = err("ring Fp 9")
     assert (e.line, e.column) == (1, 9) and "not prime" in e.message
     e = err("ring Z\ngenerator x degree 0")
@@ -394,6 +394,30 @@ def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
     assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
 
+def test_stdin_and_a_file_decode_the_same_bytes_alike(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def both(data):
+        path = tmp_path / "spec.cog"
+        path.write_bytes(data)
+        return [
+            subprocess.run(
+                [sys.executable, "-m", "cogroups.cli", "antipode", *args, "--max-degree", "4"],
+                input=stdin, env=env, capture_output=True, timeout=60,
+            )
+            for args, stdin in (([str(path)], None), ([], data))
+        ]
+
+    from_file, from_stdin = both(b"ring Q\ngenerator x degree 2 # caf\xe9\n")
+    assert from_file.returncode == from_stdin.returncode == 2
+    assert from_file.stdout == from_stdin.stdout == b""
+    assert from_file.stderr == from_stdin.stderr
+    assert from_stdin.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xe9")
+    from_file, from_stdin = both("ring Q\ngenerator x degree 2 # café\n".encode())
+    assert from_file.returncode == from_stdin.returncode == 0
+    assert from_file.stdout == from_stdin.stdout and b"chi(x^2): x^2" in from_stdin.stdout
+
+
 def test_cli_imports_without_generating_classes():
     # the value types and reports are plain classes, so importing the CLI
     # loads neither dataclasses nor the inspect module that it imports
@@ -448,6 +472,22 @@ def test_only_check_cogroup_builds_a_free_product(tmp_path, capsys, monkeypatch)
     for command in commands:
         rc = cli_main([command, str(path), "--max-degree", "6"])
         assert (rc, capsys.readouterr()) == plain[command], command
+
+
+def test_each_command_builds_the_cogroup_at_most_once(monkeypatch):
+    built = []
+
+    def counting(C, truncation):
+        built.append(truncation)
+        return cg.tensor_cogroup(C, truncation)
+
+    monkeypatch.setattr("cogroups.cli.tensor_cogroup", counting)
+    spec = parse_spec(BINOM_Z9)
+    for command in COMMANDS:
+        built.clear()
+        run_command(spec, command, max_degree=4)
+        table_only = command in ("check-commutative", "check-cocommutative")
+        assert built == ([] if table_only else [4]), command
 
 
 def test_cli_refuses_a_non_coassociative_table(tmp_path, capsys):

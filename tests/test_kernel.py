@@ -81,7 +81,7 @@ def algebras(draw, rings=RINGS):
         (name, draw(st.integers(1, 3)), draw(st.sampled_from(anns)))
         for name in "xyz"[: draw(st.integers(1, 3))]
     ]
-    return cg.tensor_algebra(cg.module(ring, gens), draw(st.integers(2, 6)))
+    return cg.TruncatedTensorAlgebra(cg.module(ring, gens), draw(st.integers(2, 6)))
 
 
 def coefficients(ring, fractions=True):
@@ -211,7 +211,7 @@ def test_homogeneous_product_reduces_each_term():
          {("x", "x"): 1}),
     ]
     for ring, gens, left, right, sign, want in cases:
-        A = cg.tensor_algebra(cg.module(ring, gens), 3)
+        A = cg.TruncatedTensorAlgebra(cg.module(ring, gens), 3)
         got = A.homogeneous_product(A.element(left).terms, A.element(right).terms, sign)
         assert got.terms == want and all(type(c) is type(want[w]) for w, c in got.terms.items())
 
@@ -220,8 +220,8 @@ def test_word_images_multiply_in_general_unless_validated():
     """Only a validated map's generator images are known homogeneous;
     every other map gets exactly the products of ``*``."""
     Q = cg.RingSpec.rationals()
-    A = cg.tensor_algebra(cg.module(Q, [("x", 1), ("z", 3)]), 6)
-    B = cg.tensor_algebra(A.module, 2)
+    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 1), ("z", 3)]), 6)
+    B = cg.TruncatedTensorAlgebra(A.module, 2)
     x = A.generator("x")
     # (x + x^2)^2 has two term pairs on x^3
     f = cg.AlgebraMorphism(A, A, {"x": x + x * x}, check=False)
