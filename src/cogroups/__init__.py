@@ -14,11 +14,11 @@ from .modules import (
     LocalityResult,
     is_admissible_free_cyclic,
     is_locally_at_most_singly_generated,
-    module,
 )
 from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
+    AntiMorphism,
     FreeProduct,
     TensorSquare,
     TruncatedTensorAlgebra,
@@ -62,8 +62,8 @@ from .dsl import ParseError, ProblemSpec, parse_spec
 __all__ = [
     "RingSpec", "is_prime",
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
-    "is_admissible_free_cyclic", "is_locally_at_most_singly_generated", "module",
-    "AlgebraElement", "AlgebraMorphism", "FreeProduct",
+    "is_admissible_free_cyclic", "is_locally_at_most_singly_generated",
+    "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "FreeProduct",
     "TensorSquare", "TruncatedTensorAlgebra", "format_word",
     "free_product", "is_graded_commutative", "renaming_morphism",
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",

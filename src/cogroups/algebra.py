@@ -445,24 +445,55 @@ class AlgebraMorphism:
                     f"{g.annihilator}"
                 )
 
-    def word_image(self, word):
-        img = self._word_cache.get(word)
-        if img is None:
-            left, right = self.word_image(word[:-1]), self.images[word[-1]]
+    def image(self, word):
+        """The image of a basis word, built in a loop from the longest part
+        of it already cached: a long word cannot hit the recursion limit."""
+        cache = self._word_cache
+        img = cache.get(word)
+        if img is not None:
+            return img
+        pending, cut = [], self._rest
+        while img is None:
+            pending.append(word)
+            word = word[cut]
+            img = cache.get(word)
+        for word in reversed(pending):
+            letter, sign = self._step(word)
+            right = self.images[letter].terms
             if self._top and self.source._degrees[word] <= self._top:
-                img = self.target.homogeneous_product(left.terms, right.terms)
+                img = self.target.homogeneous_product(img.terms, right, sign)
             else:
-                img = left * right
-            self._word_cache[word] = img
+                acc: dict = {}
+                self.target.mul_into(acc, img.terms, right, sign)
+                img = AlgebraElement(self.target, acc)
+            cache[word] = img
         return img
+
+    # f(word) = sign f(rest) f(a) with rest = word[_rest] and (a, sign) = _step(word)
+    _rest = slice(None, -1)
+
+    @staticmethod
+    def _step(word):
+        return word[-1], 1
 
     def __call__(self, elem: AlgebraElement):
         if elem.parent is not self.source and elem.parent != self.source:
             raise ValueError("element is not in the source algebra")
         acc: dict = {}
         for w, c in elem.terms.items():
-            accumulate(acc, self.word_image(w).terms, c)
+            accumulate(acc, self.image(w).terms, c)
         return AlgebraElement(self.target, acc)
+
+
+class AntiMorphism(AlgebraMorphism):
+    """A graded anti-morphism: f(a.v) = (-1)^{|a||v|} f(v) f(a), built from
+    the cached suffix v where an ``AlgebraMorphism`` uses the prefix."""
+
+    _rest = slice(1, None)
+
+    def _step(self, word):
+        da, d = self.source._deg[word[0]], self.source._degrees[word]
+        return word[0], -1 if da * (d - da) % 2 else 1
 
 
 def renaming_morphism(source, target, name_map: dict) -> AlgebraMorphism:

@@ -78,7 +78,7 @@ def _first_difference(A: Cogroup, chi, truncation: int | None):
     alg = A.algebra
     for d in range(1, D + 1):
         for w in alg.basis(d):
-            nu_w = A.nu.word_image(w)
+            nu_w = A.nu.image(w)
             chi_w = chi.image(w)
             if nu_w != chi_w:
                 return False, f"{format_word(w)}: nu = {nu_w}, chi = {chi_w}"

@@ -110,14 +110,8 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def run_command(
-    spec: ProblemSpec, command: str, max_degree: int = 10, seed: int = 0
-) -> Report:
-    """Execute one command against a parsed problem description.
-
-    ``seed`` is accepted for interface stability; every command here is
-    deterministic.
-    """
+def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report:
+    """Execute one command against a parsed problem description."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     if max_degree < 0:
@@ -153,7 +147,7 @@ def run_command(
         exit_code = 0 if report.ok else 1
     elif command in ("antipode", "inverse"):
         label = "chi" if command == "antipode" else "nu"
-        images = antipode(A).image if command == "antipode" else A.nu.word_image
+        images = antipode(A).image if command == "antipode" else A.nu.image
         fmt = A.algebra.format_key
         for d in range(0, max_degree + 1):
             for w in A.algebra.basis(d):
@@ -204,7 +198,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--max-degree", type=int, default=10, metavar="D")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0)  # ignored: every command is deterministic
     return parser
 
 
@@ -233,9 +227,7 @@ def main(argv=None) -> int:
 
     try:
         spec = parse_spec(text)
-        report = run_command(
-            spec, args.command, max_degree=args.max_degree, seed=args.seed
-        )
+        report = run_command(spec, args.command, max_degree=args.max_degree)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -137,10 +137,10 @@ def coproduct_laws(delta: AlgebraMorphism, w) -> tuple:
     left: dict = {}
     right: dict = {}
     for (w1, w2), c in dw.items():
-        for (u, v), c2 in delta.word_image(w1).terms.items():
+        for (u, v), c2 in delta.image(w1).terms.items():
             key = (u, v, w2)
             left[key] = left.get(key, 0) + c * c2
-        for (u, v), c2 in delta.word_image(w2).terms.items():
+        for (u, v), c2 in delta.image(w2).terms.items():
             key = (w1, u, v)
             right[key] = right.get(key, 0) + c * c2
     return (

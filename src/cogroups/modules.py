@@ -80,17 +80,6 @@ class GradedModulePresentation:
         return max((g.degree for g in self.generators), default=0)
 
 
-def module(ring: RingSpec, gens) -> GradedModulePresentation:
-    """Build a presentation from (name, degree) or (name, degree, ann) triples."""
-    out = []
-    for item in gens:
-        if isinstance(item, CyclicGenerator):
-            out.append(item)
-        else:
-            out.append(CyclicGenerator(*item))
-    return GradedModulePresentation(ring, tuple(out))
-
-
 def _fresh(name: str, taken: set) -> str:
     while name in taken:
         name = name + "'"

@@ -5,14 +5,13 @@ and ``antipode``, which fill their tables on demand, by degree.
 ``convolve`` is the product (f * g)(x) = f(x) + g(x) + sum c f(y) g(z)
 over Dbar(x), and ``unit_map`` its identity eta . eps; the library
 computes neither.  ``convolution_inverse_eagerly`` and
-``antipode_eagerly`` are the loops that ``cogroups.convolution`` ran
-before the tables were filled on demand: they build every degree up to
-the truncation before they return, and multiply only through the general
-``mul_into``.  The eager inverse runs either one-sided recursion; the
-library runs only the right one.
+``antipode_eagerly`` build every degree up to the truncation before they
+return, and multiply only through the general ``mul_into``: the library
+builds its inverses by degree on demand and chi's words through
+``homogeneous_product``.  The eager inverse runs either one-sided
+recursion; the library runs only the right one.
 ``explicit_identity`` is the identity of a cogroup's algebra as a full
-table, and ``general_product`` stands in for
-``TruncatedTensorAlgebra.homogeneous_product`` without its premise.
+table.
 """
 
 import cogroups as cg
@@ -88,9 +87,3 @@ def explicit_identity(A):
     }
     return cg.GradedMap(cg.CogroupSource(A), alg, table, check=False)
 
-
-def general_product(alg, left, right, sign=1):
-    """sign * left * right through ``mul_into`` and one reduction."""
-    acc: dict = {}
-    alg.mul_into(acc, left, right, sign)
-    return cg.AlgebraElement(alg, acc)

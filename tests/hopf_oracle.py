@@ -1,10 +1,11 @@
 """Antipode properties on every word, for the tests.
 
-``check_hopf_on_words`` is the tests' oracle for ``check_hopf_antipode``:
-the check that ``cogroups.convolution`` ran before the laws moved to
-generators.  It convolves chi with the identity both ways through
-``convolve`` (in ``convolution_oracle``) and ``identity_map``, which
-build Dbar(w) for every word, and assumes nothing about products.
+``check_hopf_on_words`` is the tests' oracle for ``check_hopf_antipode``,
+which checks the laws on generators only: it checks them on every word,
+for any map, anti-morphism or not.  It convolves chi with the identity
+both ways through ``convolve`` (in ``convolution_oracle``) and
+``identity_map``, which build Dbar(w) for every word, and assumes
+nothing about products.
 ``antipode_negates_indecomposables`` reads chi modulo decomposables.
 """
 
@@ -14,8 +15,11 @@ from convolution_oracle import convolve
 
 def check_hopf_on_words(A, chi) -> cg.AxiomReport:
     """mul.(chi (x) 1).D = eta.eps = mul.(1 (x) chi).D on every word of
-    positive degree up to the truncation."""
+    positive degree up to the truncation.  chi is any map with an
+    ``image`` of each word; it is read as a full table."""
     ident = cg.identity_map(A)
+    table = {w: chi.image(w) for w in A.algebra.words_up_to() if w}
+    chi = cg.GradedMap(ident.source, A.algebra, table, check=False)
     left = convolve(chi, ident)
     right = convolve(ident, chi)
     checked = 0

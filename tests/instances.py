@@ -4,9 +4,10 @@ The matrix spans the supported rings, 1-3 generators, degrees 1-5 and
 annihilators {0, 2, 3, 4, 6}, with a documented expectation for graded
 commutativity of the tensor algebra (equivalently, locality of the
 module).  Builders cache constructed cogroups per (instance, truncation)
-so the acceptance criteria can share the heavy work.  ``classify_module``
-classifies a module with its closed-form check, and ``render_spec``
-prints a parsed spec back as input text.
+so the acceptance criteria can share the heavy work.  ``module`` builds a
+presentation from plain tuples, ``classify_module`` classifies a module
+with its closed-form check, and ``render_spec`` prints a parsed spec
+back as input text.
 """
 
 from fractions import Fraction
@@ -90,9 +91,14 @@ def instance(key):
     raise KeyError(key)
 
 
+def module(ring, gens) -> cg.GradedModulePresentation:
+    """A presentation from (name, degree) or (name, degree, ann) tuples."""
+    return cg.GradedModulePresentation(ring, tuple(cg.CyclicGenerator(*g) for g in gens))
+
+
 def make_module(key):
     _, ring, gens, _ = instance(key)
-    return cg.module(ring, gens)
+    return module(ring, gens)
 
 
 _cogroup_cache = {}
@@ -247,5 +253,5 @@ def coassociative_coalgebras(draw, max_generators=3):
                      chain[i - 1], chain[n - i - 1])
                     for i in range(1, n)
                 ]
-    C = cg.CoalgebraPresentation(cg.module(ring, gens), table)
+    C = cg.CoalgebraPresentation(module(ring, gens), table)
     return C, draw(st.integers(3, 6))

@@ -29,6 +29,7 @@ from instances import (
     make_antipode,
     make_cogroup,
     make_module,
+    module,
     random_graded_map,
 )
 
@@ -38,9 +39,9 @@ GOLDEN = Path(__file__).parent / "golden"
 def criterion_01_convolution_group_laws():
     """Randomized convolution group laws on two word-basis coalgebras."""
     start = time.monotonic()
-    torsion_pair = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
+    torsion_pair = module(Z, [("x", 2, 3), ("y", 4, 5)])
     cogroups = (
-        cg.tensor_cogroup(cg.trivial_coalgebra(cg.module(Q, [("X", 2)])), 10),
+        cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("X", 2)])), 10),
         cg.tensor_cogroup(cg.trivial_coalgebra(torsion_pair), 10),
     )
     for A in cogroups:
@@ -120,7 +121,7 @@ def criterion_05_closed_form_for_one_cyclic_summand():
             if not ring.legal_annihilator(a):
                 continue
             for n in range(1, 7):
-                m = cg.module(ring, [("x", n, a)])
+                m = module(ring, [("x", n, a)])
                 direct, _ = cg.is_graded_commutative(cg.TruncatedTensorAlgebra(m, 2 * n))
                 quotient_char = a or ring.characteristic()
                 closed = n % 2 == 0 or quotient_char == 2
@@ -139,16 +140,16 @@ def criterion_06_module_membership_matches_commutativity():
         )
         assert report.module_locally_cyclic == direct == expected, key
         assert report.consistent, key
-    coprime = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
+    coprime = module(Z, [("x", 2, 3), ("y", 4, 5)])
     assert classify_module(coprime).module_locally_cyclic is True
-    common = cg.module(Z, [("x", 2, 3), ("y", 4, 6)])
+    common = module(Z, [("x", 2, 3), ("y", 4, 6)])
     assert classify_module(common).module_locally_cyclic is False
 
 
 def criterion_07_characteristic_two_trivial_inverse():
     """Over F2, single cyclic summands: nu = chi = identity on words <= 9."""
     for degree in (1, 3, 2):
-        N = cg.module(F2, [("x", degree)])
+        N = module(F2, [("x", degree)])
         A = cg.tensor_cogroup(cg.trivial_coalgebra(N), 9)
         chi = cg.antipode(A)
         for d in range(1, 10):
@@ -163,7 +164,7 @@ def criterion_08_hom_sets_between_polynomial_cogroups():
     degrees = (2, 4, 6)
     coeffs = (0, 1, -1, 2, -2, Fraction(1, 2))
     built = {
-        n: cg.tensor_cogroup(cg.trivial_coalgebra(cg.module(Q, [("X", n)])), 12)
+        n: cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("X", n)])), 12)
         for n in degrees
     }
     for n in degrees:

@@ -19,15 +19,16 @@ from instances import (
     annihilators,
     brute_force_graded_commutative,
     make_module,
+    module,
 )
 
 
 def poly_algebra(D=10):
-    return cg.TruncatedTensorAlgebra(cg.module(Q, [("X", 2)]), D)
+    return cg.TruncatedTensorAlgebra(module(Q, [("X", 2)]), D)
 
 
 def two_letter_algebra(D=6):
-    return cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 1), ("y", 2)]), D)
+    return cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("y", 2)]), D)
 
 
 def test_basis_single_generator():
@@ -49,20 +50,20 @@ def test_basis_counts_follow_compositions():
 
 
 def test_word_degree_and_modulus():
-    m = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
+    m = module(Z, [("x", 2, 3), ("y", 4, 5)])
     A = cg.TruncatedTensorAlgebra(m, 10)
     assert A.word_degree(("x", "y")) == 6
     assert A.word_modulus(("x",)) == 3
     assert A.word_modulus(("x", "x")) == 3
     assert A.word_modulus(("x", "y")) == 1
     assert A.word_modulus(()) == 0
-    B = cg.TruncatedTensorAlgebra(cg.module(Z6, [("u", 1), ("v", 1, 3)]), 4)
+    B = cg.TruncatedTensorAlgebra(module(Z6, [("u", 1), ("v", 1, 3)]), 4)
     assert B.word_modulus(("u",)) == 6
     assert B.word_modulus(("u", "v")) == 3
 
 
 def test_coprime_torsion_words_vanish():
-    m = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
+    m = module(Z, [("x", 2, 3), ("y", 4, 5)])
     A = cg.TruncatedTensorAlgebra(m, 10)
     x, y = A.generator("x"), A.generator("y")
     assert not (x * y)
@@ -71,7 +72,7 @@ def test_coprime_torsion_words_vanish():
 
 
 def test_element_normalization_and_equality():
-    A = cg.TruncatedTensorAlgebra(cg.module(Z6, [("x", 2, 3)]), 6)
+    A = cg.TruncatedTensorAlgebra(module(Z6, [("x", 2, 3)]), 6)
     assert A.element({("x",): 4}) == A.element({("x",): 1})
     assert A.element({("x",): 3}) == A.zero()
     assert A.element({("x",): 1}) != A.zero()
@@ -117,7 +118,7 @@ def test_multiplication_is_associative_and_distributive():
 
 
 def test_truncation_coherence():
-    m = cg.module(Q, [("x", 1), ("y", 2)])
+    m = module(Q, [("x", 1), ("y", 2)])
     low, high = cg.TruncatedTensorAlgebra(m, 5), cg.TruncatedTensorAlgebra(m, 9)
     rng = random.Random(5)
     for _ in range(8):
@@ -155,8 +156,8 @@ def test_morphism_validation():
         cg.AlgebraMorphism(A, A, {})
     with pytest.raises(ValueError):
         cg.AlgebraMorphism(A, B, {"X": B.generator("x")})  # degree 1 != 2
-    T = cg.TruncatedTensorAlgebra(cg.module(Z, [("t", 2, 2)]), 8)
-    U = cg.TruncatedTensorAlgebra(cg.module(Z, [("u", 2, 0)]), 8)
+    T = cg.TruncatedTensorAlgebra(module(Z, [("t", 2, 2)]), 8)
+    U = cg.TruncatedTensorAlgebra(module(Z, [("u", 2, 0)]), 8)
     with pytest.raises(ValueError):
         cg.AlgebraMorphism(T, U, {"t": U.generator("u")})  # 2u != 0
     cg.AlgebraMorphism(U, T, {"u": T.generator("t")})  # free source is fine
@@ -176,7 +177,7 @@ def test_compose_and_renaming():
     double = cg.AlgebraMorphism(A, A, {"X": A.generator("X").scale(2)})
     quad = cg.AlgebraMorphism(A, A, {"X": double(double.images["X"])})
     assert quad(A.generator("X")) == A.generator("X").scale(4)
-    m2 = cg.module(Q, [("Y", 2)])
+    m2 = module(Q, [("Y", 2)])
     B = cg.TruncatedTensorAlgebra(m2, 8)
     rho = cg.renaming_morphism(A, B, {"X": "Y"})
     X = A.generator("X")
@@ -184,7 +185,7 @@ def test_compose_and_renaming():
 
 
 def test_free_product_with_unit_keeps_names():
-    unit = cg.TruncatedTensorAlgebra(cg.module(Q, []), 6)
+    unit = cg.TruncatedTensorAlgebra(module(Q, []), 6)
     B = two_letter_algebra()
     fp = cg.free_product(unit, B)
     assert fp.algebra.module.names() == ("x", "y")
@@ -192,8 +193,8 @@ def test_free_product_with_unit_keeps_names():
 
 
 def test_free_product_renames_only_collisions():
-    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 2), ("u", 2)]), 6)
-    B = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 2), ("v", 2)]), 6)
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 2), ("u", 2)]), 6)
+    B = cg.TruncatedTensorAlgebra(module(Q, [("x", 2), ("v", 2)]), 6)
     fp = cg.free_product(A, B)
     assert fp.name_maps[0] == {"x": "x'", "u": "u"}
     assert fp.name_maps[1] == {"x": "x''", "v": "v"}
@@ -223,14 +224,14 @@ def test_free_power_matches_self_product():
 
 
 def test_free_product_keeps_primed_names_disjoint():
-    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 2), ("x'", 4)]), 6)
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 2), ("x'", 4)]), 6)
     names = cg.free_product(A, A).algebra.module.names()
     assert len(set(names)) == 4
 
 
 def test_free_product_primes_mark_the_factor():
-    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 2)]), 6)
-    B = cg.TruncatedTensorAlgebra(cg.module(Q, [("y", 2)]), 6)
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 2)]), 6)
+    B = cg.TruncatedTensorAlgebra(module(Q, [("y", 2)]), 6)
     fp = cg.free_product(A, B, A)
     assert fp.algebra.module.names() == ("x'", "y", "x'''")
 
@@ -243,13 +244,13 @@ def test_free_product_needs_a_factor():
 def test_free_product_needs_matching_context():
     A = poly_algebra(6)
     with pytest.raises(ValueError):
-        cg.free_product(A, cg.TruncatedTensorAlgebra(cg.module(Z, [("x", 2)]), 6))
+        cg.free_product(A, cg.TruncatedTensorAlgebra(module(Z, [("x", 2)]), 6))
     with pytest.raises(ValueError):
         cg.free_product(A, poly_algebra(8))
 
 
 def test_tensor_square_koszul_sign():
-    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 1), ("y", 2)]), 6)
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("y", 2)]), 6)
     sq = cg.TensorSquare(A)
     x_left = sq.pure(("x",), ())
     x_right = sq.pure((), ("x",))
@@ -261,7 +262,7 @@ def test_tensor_square_koszul_sign():
 
 
 def test_tensor_square_is_associative():
-    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 1), ("y", 2)]), 6)
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("y", 2)]), 6)
     sq = cg.TensorSquare(A)
     rng = random.Random(7)
     pairs = [(u, v) for u in A.words_up_to(2) for v in A.words_up_to(2)]
@@ -277,7 +278,7 @@ def test_tensor_square_is_associative():
 
 
 def test_tensor_square_coefficients_reduce_by_pair():
-    m = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
+    m = module(Z, [("x", 2, 3), ("y", 4, 5)])
     sq = cg.TensorSquare(cg.TruncatedTensorAlgebra(m, 10))
     assert not sq.pure(("x",), ("y",))  # coprime torsion across the pair
     assert sq.pure(("x",), ("x",), 4) == sq.pure(("x",), ("x",), 1)
@@ -302,7 +303,7 @@ def random_modules(draw):
         (name, draw(st.integers(1, 3)), draw(st.sampled_from(anns)))
         for name in "xyz"[:draw(st.integers(1, 3))]
     ]
-    return cg.module(ring, gens)
+    return module(ring, gens)
 
 
 @settings(max_examples=100, deadline=None)
@@ -316,9 +317,9 @@ def test_graded_commutativity_matches_brute_force_and_locality(M):
 
 def test_graded_commutativity_ignores_truncation():
     # truncation 3 cannot see the degree-8 commutator; the check widens
-    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("X", 4)]), 3)
+    A = cg.TruncatedTensorAlgebra(module(Q, [("X", 4)]), 3)
     assert cg.is_graded_commutative(A) == (True, None)
-    B = cg.TruncatedTensorAlgebra(cg.module(Q, [("X", 3)]), 3)
+    B = cg.TruncatedTensorAlgebra(module(Q, [("X", 3)]), 3)
     flag, witness = cg.is_graded_commutative(B)
     assert not flag and witness == ("X", "X")
 
@@ -393,9 +394,9 @@ def printable_elements(draw):
     """
     ring = draw(st.sampled_from((Z, Q, Z4, F3)))
     names = draw(st.permutations("xyz"))[: draw(st.integers(1, 3))]
-    module = cg.module(ring, [(n, draw(st.integers(1, 2))) for n in names])
-    A = cg.TruncatedTensorAlgebra(module, 4)
-    words = all_words(module, 4)
+    N = module(ring, [(n, draw(st.integers(1, 2))) for n in names])
+    A = cg.TruncatedTensorAlgebra(N, 4)
+    words = all_words(N, 4)
     coeff = st.integers(-5, 5)
     if ring is Q:
         coeff = coeff | st.fractions(min_value=-3, max_value=3, max_denominator=4)

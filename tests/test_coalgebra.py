@@ -16,6 +16,7 @@ from instances import (
     annihilators,
     coassociative_coalgebras,
     make_module,
+    module,
 )
 
 
@@ -28,7 +29,7 @@ def test_trivial_coalgebra_is_primitive():
 
 
 def test_table_normalization_combines_and_sorts():
-    m = cg.module(Q, [("y", 2), ("w", 2), ("x", 4)])
+    m = module(Q, [("y", 2), ("w", 2), ("x", 4)])
     C = cg.CoalgebraPresentation(
         m, {"x": [(1, "w", "y"), (1, "y", "w"), (2, "y", "w")]}
     )
@@ -36,7 +37,7 @@ def test_table_normalization_combines_and_sorts():
 
 
 def test_table_coefficients_reduce_modulo_pair():
-    m = cg.module(Z, [("y", 2, 3), ("x", 4)])
+    m = module(Z, [("y", 2, 3), ("x", 4)])
     C = cg.CoalgebraPresentation(m, {"x": [(4, "y", "y")]})
     assert C.reduced_coproduct("x") == ((1, "y", "y"),)
     dropped = cg.CoalgebraPresentation(m, {"x": [(3, "y", "y")]})
@@ -45,7 +46,7 @@ def test_table_coefficients_reduce_modulo_pair():
 
 
 def test_table_validation():
-    m = cg.module(Q, [("y", 2), ("x", 4)])
+    m = module(Q, [("y", 2), ("x", 4)])
     with pytest.raises(KeyError):
         cg.CoalgebraPresentation(m, {"zzz": [(1, "y", "y")]})
     with pytest.raises(ValueError):
@@ -56,16 +57,16 @@ def test_table_validation():
 
 def test_non_integral_coefficients_are_refused():
     for ring, c in ((Q, Fraction(1, 2)), (Q, 2.7), (Z, Fraction(3, 2))):
-        m = cg.module(ring, [("y", 2), ("x", 4)])
+        m = module(ring, [("y", 2), ("x", 4)])
         with pytest.raises(ValueError, match=rf"coproduct of x: coefficient {re.escape(str(c))} "):
             cg.CoalgebraPresentation(m, {"x": [(c, "y", "y")]})
-    m = cg.module(Q, [("y", 2), ("x", 4)])
+    m = module(Q, [("y", 2), ("x", 4)])
     C = cg.CoalgebraPresentation(m, {"x": [(Fraction(4, 2), "y", "y")]})
     assert C.reduced_coproduct("x") == ((2, "y", "y"),)
 
 
 def test_annihilator_compatibility():
-    m = cg.module(Z, [("y", 2, 4), ("x", 4, 2)])
+    m = module(Z, [("y", 2, 4), ("x", 4, 2)])
     ok = cg.CoalgebraPresentation(m, {"x": [(2, "y", "y")]})
     assert ok.reduced_coproduct("x") == ((2, "y", "y"),)
     with pytest.raises(ValueError):
@@ -77,13 +78,13 @@ def test_axioms_pass_for_primitive_and_symmetric_tables():
         C = cg.trivial_coalgebra(make_module(key))
         rep = cg.check_coalgebra_axioms(C, 10)
         assert rep.ok and rep.checked == len(C.module.generators)
-    m = cg.module(Q, [("y", 2), ("x", 4)])
+    m = module(Q, [("y", 2), ("x", 4)])
     C = cg.CoalgebraPresentation(m, {"x": [(1, "y", "y")]})
     assert cg.check_coalgebra_axioms(C, 10).ok
 
 
 def test_axioms_catch_broken_coassociativity():
-    m = cg.module(Q, [("y", 2), ("m", 4), ("x", 6)])
+    m = module(Q, [("y", 2), ("m", 4), ("x", 6)])
     C = cg.CoalgebraPresentation(
         m, {"m": [(1, "y", "y")], "x": [(1, "m", "y")]}
     )
@@ -98,24 +99,24 @@ def test_axioms_catch_broken_coassociativity():
 
 
 def test_axioms_respect_truncation():
-    m = cg.module(Q, [("y", 2), ("x", 12)])
+    m = module(Q, [("y", 2), ("x", 12)])
     C = cg.trivial_coalgebra(m)
     assert cg.check_coalgebra_axioms(C, 10).checked == 1
 
 
 def test_cocommutativity_signs():
-    even = cg.module(Q, [("y", 2), ("x", 4)])
+    even = module(Q, [("y", 2), ("x", 4)])
     assert cg.is_cocommutative(cg.CoalgebraPresentation(even, {"x": [(1, "y", "y")]}))
-    odd = cg.module(Q, [("y", 1), ("x", 2)])
+    odd = module(Q, [("y", 1), ("x", 2)])
     assert not cg.is_cocommutative(cg.CoalgebraPresentation(odd, {"x": [(1, "y", "y")]}))
-    odd2 = cg.module(F2, [("y", 1), ("x", 2)])
+    odd2 = module(F2, [("y", 1), ("x", 2)])
     assert cg.is_cocommutative(cg.CoalgebraPresentation(odd2, {"x": [(1, "y", "y")]}))
-    tor = cg.module(Z, [("y", 1, 2), ("x", 2, 2)])
+    tor = module(Z, [("y", 1, 2), ("x", 2, 2)])
     assert cg.is_cocommutative(cg.CoalgebraPresentation(tor, {"x": [(1, "y", "y")]}))
 
 
 def test_cocommutativity_needs_symmetry():
-    m = cg.module(Q, [("y", 1), ("w", 1), ("x", 2)])
+    m = module(Q, [("y", 1), ("w", 1), ("x", 2)])
     C = cg.CoalgebraPresentation(m, {"x": [(1, "y", "w")]})
     assert cg.check_coalgebra_axioms(C, 10).ok
     assert not cg.is_cocommutative(C)
@@ -146,9 +147,7 @@ def raw_presentations(draw):
     ring = draw(st.sampled_from(RINGS))
     names = "abcd"[: draw(st.integers(1, 4))]
     degree = {n: draw(st.integers(1, 4)) for n in names}
-    module = cg.module(
-        ring, [(n, degree[n], draw(st.sampled_from(annihilators(ring)))) for n in names]
-    )
+    M = module(ring, [(n, degree[n], draw(st.sampled_from(annihilators(ring)))) for n in names])
     sloppy = draw(st.integers(0, 9)) == 0
     table = {}
     for x in names:
@@ -161,7 +160,7 @@ def raw_presentations(draw):
                 (draw(coefficients), y, z)
                 for y, z in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
             ]
-    return module, table
+    return M, table
 
 
 def _build(cls, module, table):

@@ -18,16 +18,17 @@ from instances import (
     coassociative_coalgebras,
     make_cogroup,
     make_module,
+    module,
 )
 
 
 def polynomial_cogroup(n=2, D=10):
-    return cg.tensor_cogroup(cg.trivial_coalgebra(cg.module(Q, [("X", n)])), D)
+    return cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("X", n)])), D)
 
 
 def loop_cogroup(D=8):
     """y primitive in degree 1, x in degree 2 with Dbar(x) = y (x) y."""
-    m = cg.module(Q, [("y", 1), ("x", 2)])
+    m = module(Q, [("y", 1), ("x", 2)])
     C = cg.CoalgebraPresentation(m, {"x": [(1, "y", "y")]})
     return cg.tensor_cogroup(C, D)
 
@@ -71,7 +72,7 @@ def test_nu_on_words_matches_nu_on_elements(key):
     A = make_cogroup(key, 8)
     alg = A.algebra
     for w in alg.words_up_to():
-        assert A.nu.word_image(w) == A.nu(alg.element({w: 1})), w
+        assert A.nu.image(w) == A.nu(alg.element({w: 1})), w
 
 
 def test_nu_on_words_with_coprime_annihilators_is_zero():
@@ -79,7 +80,7 @@ def test_nu_on_words_with_coprime_annihilators_is_zero():
         A = make_cogroup(key, 8)
         w = ("x", "y")
         assert A.algebra.word_modulus(w) == 1
-        assert not A.nu.word_image(w), key
+        assert not A.nu.image(w), key
         assert not A.nu(A.algebra.element({w: 1})), key
 
 
@@ -129,7 +130,7 @@ def test_the_inverse_table_builds_no_comultiplication(monkeypatch):
     refuse_free_products(monkeypatch)
     for A in fresh_cogroups():
         for w in A.algebra.words_up_to():
-            A.nu.word_image(w)
+            A.nu.image(w)
         assert built(A) == {"tensor_square", "delta", "nu"}
 
 
@@ -146,7 +147,7 @@ def assert_delta_is_the_folded_phi(A):
     """D from the table against its oracle pi . Phi, term order included."""
     pi_phi = folded_phi(A)
     for w in A.algebra.words_up_to():
-        got, want = A.delta.word_image(w), pi_phi.word_image(w)
+        got, want = A.delta.image(w), pi_phi.image(w)
         assert list(got.terms.items()) == list(want.terms.items()), w
 
 
@@ -164,7 +165,7 @@ def test_delta_from_the_table_is_pi_phi(case):
 
 def test_the_restriction_check_reads_a_supplied_phi():
     # Phi and nu of the table y -> x (x) x, on the primitive table
-    m = cg.module(Q, [("x", 1), ("y", 2)])
+    m = module(Q, [("x", 1), ("y", 2)])
     twisted = cg.tensor_cogroup(cg.CoalgebraPresentation(m, {"y": [(1, "x", "x")]}), 6)
     A = cg.Cogroup(cg.trivial_coalgebra(m), 6)
     A.phi, A.nu = twisted.phi, twisted.nu
@@ -176,7 +177,7 @@ def test_the_restriction_check_reads_a_supplied_phi():
 
 
 def test_assigned_phi_and_nu_are_kept_and_delta_reads_the_table():
-    C = cg.trivial_coalgebra(cg.module(Q, [("x", 2)]))
+    C = cg.trivial_coalgebra(module(Q, [("x", 2)]))
     good = cg.Cogroup(C, 6)
     prod = good.square_product.algebra
     p = cg.AlgebraMorphism(good.algebra, prod, {"x": prod.generator("x'")}, check=False)
@@ -209,7 +210,7 @@ def test_counit_is_degree_zero_projection():
 
 
 def test_tensor_cogroup_rejects_broken_coalgebras():
-    m = cg.module(Q, [("y", 2), ("m", 4), ("x", 6)])
+    m = module(Q, [("y", 2), ("m", 4), ("x", 6)])
     bad = cg.CoalgebraPresentation(m, {"m": [(1, "y", "y")], "x": [(1, "m", "y")]})
     with pytest.raises(ValueError):
         cg.tensor_cogroup(bad, 8)
@@ -233,7 +234,7 @@ def test_axioms_pass_on_reference_instances():
 
 
 def test_axioms_pass_with_torsion_coproduct():
-    m = cg.module(Z, [("y", 2, 4), ("x", 4, 2)])
+    m = module(Z, [("y", 2, 4), ("x", 4, 2)])
     C = cg.CoalgebraPresentation(m, {"x": [(2, "y", "y")]})
     assert cg.check_cogroup_axioms(cg.tensor_cogroup(C, 8)).ok
 
@@ -287,7 +288,7 @@ def test_generator_level_axioms_agree_with_every_word(case, part, rng):
 
 
 def test_axioms_catch_a_broken_comultiplication():
-    C = cg.trivial_coalgebra(cg.module(Q, [("x", 2)]))
+    C = cg.trivial_coalgebra(module(Q, [("x", 2)]))
     good = cg.Cogroup(C, 6)
     prod = good.square_product.algebra
     broken_phi = cg.AlgebraMorphism(
@@ -310,7 +311,7 @@ def test_axioms_catch_a_broken_comultiplication():
 
 
 def test_axioms_catch_a_broken_inverse():
-    C = cg.trivial_coalgebra(cg.module(Q, [("x", 2)]))
+    C = cg.trivial_coalgebra(module(Q, [("x", 2)]))
     good = cg.Cogroup(C, 6)
     wrong_nu = cg.AlgebraMorphism(
         good.algebra, good.algebra, {"x": good.algebra.generator("x")}
@@ -333,7 +334,7 @@ def test_cogroup_morphism_scaling_passes():
 
 def test_cogroup_morphism_square_fails():
     src = polynomial_cogroup(2, 8)
-    tgt = cg.tensor_cogroup(cg.trivial_coalgebra(cg.module(Q, [("Y", 1)])), 8)
+    tgt = cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("Y", 1)])), 8)
     Y = tgt.algebra.generator("Y")
     f = cg.AlgebraMorphism(src.algebra, tgt.algebra, {"X": Y * Y})
     assert not cg.is_cogroup_morphism(f, src, tgt)
@@ -350,14 +351,18 @@ def test_cogroup_morphism_checks_the_algebras():
 
 
 # A Delta that lost the outer term 1 (x) x, a map whose image leaves its
-# degree, an unchecked morphism whose image is not homogeneous, and four
-# invalid rings, generators and modules: all break invariants that must
-# hold under ``python -O``.
+# degree, a map that is not an anti-morphism given to the Hopf check, an
+# unchecked morphism whose image is not homogeneous, and four invalid
+# rings, generators and modules: all break invariants that must hold
+# under ``python -O``.
 BROKEN_FIXTURES = """
 import cogroups as cg
 from cogroups.cogroup import folded_phi
+from instances import (
+    module,
+)
 assert not __debug__
-C = cg.trivial_coalgebra(cg.module(cg.RingSpec.rationals(), [("x", 2)]))
+C = cg.trivial_coalgebra(module(cg.RingSpec.rationals(), [("x", 2)]))
 good = cg.Cogroup(C, 4)
 prod = good.square_product.algebra
 phi = cg.AlgebraMorphism(good.algebra, prod, {"x": prod.generator("x'")}, check=False)
@@ -378,15 +383,19 @@ try:
     cg.is_antipode_surjective(good, leak)
 except ValueError as exc:
     print("surjective:", exc)
-B = cg.TruncatedTensorAlgebra(cg.module(cg.RingSpec.rationals(), [("y", 1)]), 4)
+try:
+    cg.check_hopf_antipode(good, cg.identity_map(good))
+except ValueError as exc:
+    print("hopf:", exc)
+B = cg.TruncatedTensorAlgebra(module(cg.RingSpec.rationals(), [("y", 1)]), 4)
 y = B.generator("y")
 mixed = cg.AlgebraMorphism(B, B, {"y": y + y * y}, check=False)
-print("unchecked:", mixed.word_image(("y", "y")))
+print("unchecked:", mixed.image(("y", "y")))
 for make in (
     lambda: cg.RingSpec("Zmod", 1),
     lambda: cg.CyclicGenerator("x", 0),
-    lambda: cg.module(cg.RingSpec.integers(), [("x", 2), ("x", 3)]),
-    lambda: cg.module(cg.RingSpec.rationals(), [("x", 2, 2)]),
+    lambda: module(cg.RingSpec.integers(), [("x", 2), ("x", 3)]),
+    lambda: module(cg.RingSpec.rationals(), [("x", 2, 2)]),
 ):
     try:
         make()
@@ -396,8 +405,8 @@ for make in (
 
 
 def test_invariant_errors_survive_python_O():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     run = subprocess.run(
         [sys.executable, "-O", "-c", BROKEN_FIXTURES],
         env=env, capture_output=True, text=True, timeout=120,
@@ -405,6 +414,7 @@ def test_invariant_errors_survive_python_O():
     assert run.returncode == 0, run.stderr
     assert "delta: coproduct of x lost its outer terms" in run.stdout
     assert "surjective: image of x leaves degree 2" in run.stdout
+    assert "hopf: the antipode laws are checked for an AntiMorphism only" in run.stdout
     assert "unchecked: y^2 + 2*y^3 + y^4" in run.stdout
     assert "invalid: Zmod modulus must be >= 2" in run.stdout
     assert "invalid: generator x: degree must be >= 1" in run.stdout

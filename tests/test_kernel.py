@@ -14,7 +14,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from instances import RINGS, annihilators
+from instances import RINGS, annihilators, module
 
 
 class Oracle:
@@ -81,7 +81,7 @@ def algebras(draw, rings=RINGS):
         (name, draw(st.integers(1, 3)), draw(st.sampled_from(anns)))
         for name in "xyz"[: draw(st.integers(1, 3))]
     ]
-    return cg.TruncatedTensorAlgebra(cg.module(ring, gens), draw(st.integers(2, 6)))
+    return cg.TruncatedTensorAlgebra(module(ring, gens), draw(st.integers(2, 6)))
 
 
 def coefficients(ring, fractions=True):
@@ -211,7 +211,7 @@ def test_homogeneous_product_reduces_each_term():
          {("x", "x"): 1}),
     ]
     for ring, gens, left, right, sign, want in cases:
-        A = cg.TruncatedTensorAlgebra(cg.module(ring, gens), 3)
+        A = cg.TruncatedTensorAlgebra(module(ring, gens), 3)
         got = A.homogeneous_product(A.element(left).terms, A.element(right).terms, sign)
         assert got.terms == want and all(type(c) is type(want[w]) for w, c in got.terms.items())
 
@@ -220,12 +220,12 @@ def test_word_images_multiply_in_general_unless_validated():
     """Only a validated map's generator images are known homogeneous;
     every other map gets exactly the products of ``*``."""
     Q = cg.RingSpec.rationals()
-    A = cg.TruncatedTensorAlgebra(cg.module(Q, [("x", 1), ("z", 3)]), 6)
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("z", 3)]), 6)
     B = cg.TruncatedTensorAlgebra(A.module, 2)
     x = A.generator("x")
     # (x + x^2)^2 has two term pairs on x^3
     f = cg.AlgebraMorphism(A, A, {"x": x + x * x}, check=False)
-    assert f.word_image(("x", "x")) == x * x + (x * x * x).scale(2) + x * x * x * x
+    assert f.image(("x", "x")) == x * x + (x * x * x).scale(2) + x * x * x * x
     # z lies above B's truncation and "w" is no generator: neither is validated
     for images, word in (
         ({"x": x, "z": x + x * x}, ("z", "z")),
@@ -233,4 +233,4 @@ def test_word_images_multiply_in_general_unless_validated():
     ):
         checked = cg.AlgebraMorphism(B, A, images)
         general = cg.AlgebraMorphism(B, A, images, check=False)
-        assert checked.word_image(word) == general.word_image(word), word
+        assert checked.image(word) == general.image(word), word

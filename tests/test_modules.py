@@ -6,7 +6,7 @@ import pytest
 
 import cogroups as cg
 from cogroups.modules import _disjoint_sum
-from instances import F2, F3, MATRIX, Q, Z, Z4, Z6, make_module
+from instances import F2, F3, MATRIX, Q, Z, Z4, Z6, make_module, module
 
 
 def test_generator_validation():
@@ -22,13 +22,13 @@ def test_generator_validation():
 
 def test_presentation_validation():
     with pytest.raises(ValueError):
-        cg.module(Z, [("x", 2), ("x", 3)])
+        module(Z, [("x", 2), ("x", 3)])
     with pytest.raises(ValueError):
-        cg.module(Q, [("x", 2, 2)])
+        module(Q, [("x", 2, 2)])
     with pytest.raises(ValueError):
-        cg.module(Z6, [("x", 2, 4)])
-    cg.module(Z6, [("x", 2, 3)])
-    cg.module(Z, [("x", 2, 5)])
+        module(Z6, [("x", 2, 4)])
+    module(Z6, [("x", 2, 3)])
+    module(Z, [("x", 2, 5)])
 
 
 def test_generators_and_presentations_are_frozen_values():
@@ -59,17 +59,17 @@ def test_generators_and_presentations_are_frozen_values():
 
 
 def test_effective_annihilator_falls_back_to_characteristic():
-    m = cg.module(Z6, [("x", 2, 0), ("y", 2, 3)])
+    m = module(Z6, [("x", 2, 0), ("y", 2, 3)])
     assert m.effective_annihilator("x") == 6
     assert m.effective_annihilator("y") == 3
-    free = cg.module(Z, [("x", 2, 0)])
+    free = module(Z, [("x", 2, 0)])
     assert free.effective_annihilator("x") == 0
 
 
 def test_max_degree():
-    m = cg.module(Z, [("x", 2, 3), ("y", 5, 0)])
+    m = module(Z, [("x", 2, 3), ("y", 5, 0)])
     assert m.max_degree() == 5
-    assert cg.module(Z, []).max_degree() == 0
+    assert module(Z, []).max_degree() == 0
 
 
 def direct_sum(a, b):
@@ -77,8 +77,8 @@ def direct_sum(a, b):
 
 
 def test_direct_sum_is_disjoint():
-    a = cg.module(Z, [("x", 2)])
-    b = cg.module(Z, [("x", 3), ("y", 4)])
+    a = module(Z, [("x", 2)])
+    b = module(Z, [("x", 3), ("y", 4)])
     s = direct_sum(a, b)
     assert len(s.generators) == 3
     assert len(set(s.names())) == 3
@@ -86,46 +86,46 @@ def test_direct_sum_is_disjoint():
 
 
 def test_direct_sum_with_zero_keeps_names():
-    zero = cg.module(Z, [])
-    a = cg.module(Z, [("x", 2), ("y", 3)])
+    zero = module(Z, [])
+    a = module(Z, [("x", 2), ("y", 3)])
     assert direct_sum(zero, a).names() == ("x", "y")
     assert direct_sum(a, zero).names() == ("x", "y")
 
 
 def test_locality_fixed_cases():
-    assert cg.is_locally_at_most_singly_generated(cg.module(Z, [("x", 3, 2)])).ok
-    assert not cg.is_locally_at_most_singly_generated(cg.module(Z, [("x", 3, 4)])).ok
-    assert not cg.is_locally_at_most_singly_generated(cg.module(Z, [("x", 3, 0)])).ok
-    assert cg.is_locally_at_most_singly_generated(cg.module(Z, [("x", 2, 0)])).ok
-    two_free = cg.module(Z, [("x", 2, 0), ("y", 4, 0)])
+    assert cg.is_locally_at_most_singly_generated(module(Z, [("x", 3, 2)])).ok
+    assert not cg.is_locally_at_most_singly_generated(module(Z, [("x", 3, 4)])).ok
+    assert not cg.is_locally_at_most_singly_generated(module(Z, [("x", 3, 0)])).ok
+    assert cg.is_locally_at_most_singly_generated(module(Z, [("x", 2, 0)])).ok
+    two_free = module(Z, [("x", 2, 0), ("y", 4, 0)])
     res = cg.is_locally_at_most_singly_generated(two_free)
     assert not res.ok and "prime 2" in res.witness
-    coprime = cg.module(Z, [("x", 2, 3), ("y", 4, 5)])
+    coprime = module(Z, [("x", 2, 3), ("y", 4, 5)])
     assert cg.is_locally_at_most_singly_generated(coprime).ok
-    shared = cg.module(Z, [("x", 2, 3), ("y", 4, 6)])
+    shared = module(Z, [("x", 2, 3), ("y", 4, 6)])
     res = cg.is_locally_at_most_singly_generated(shared)
     assert not res.ok and "prime 3" in res.witness
 
 
 def test_locality_parity_exemption_is_z2_only():
-    assert cg.is_locally_at_most_singly_generated(cg.module(Z, [("x", 5, 2)])).ok
-    assert not cg.is_locally_at_most_singly_generated(cg.module(Z, [("x", 5, 6)])).ok
-    assert cg.is_locally_at_most_singly_generated(cg.module(Z4, [("x", 5, 2)])).ok
-    assert not cg.is_locally_at_most_singly_generated(cg.module(Z4, [("x", 5, 0)])).ok
+    assert cg.is_locally_at_most_singly_generated(module(Z, [("x", 5, 2)])).ok
+    assert not cg.is_locally_at_most_singly_generated(module(Z, [("x", 5, 6)])).ok
+    assert cg.is_locally_at_most_singly_generated(module(Z4, [("x", 5, 2)])).ok
+    assert not cg.is_locally_at_most_singly_generated(module(Z4, [("x", 5, 0)])).ok
 
 
 def test_locality_over_fields():
-    assert cg.is_locally_at_most_singly_generated(cg.module(Q, [("x", 4)])).ok
-    assert not cg.is_locally_at_most_singly_generated(cg.module(Q, [("x", 3)])).ok
-    assert cg.is_locally_at_most_singly_generated(cg.module(F2, [("x", 3)])).ok
-    assert not cg.is_locally_at_most_singly_generated(cg.module(F3, [("x", 3)])).ok
-    two = cg.module(F2, [("x", 1), ("y", 2)])
+    assert cg.is_locally_at_most_singly_generated(module(Q, [("x", 4)])).ok
+    assert not cg.is_locally_at_most_singly_generated(module(Q, [("x", 3)])).ok
+    assert cg.is_locally_at_most_singly_generated(module(F2, [("x", 3)])).ok
+    assert not cg.is_locally_at_most_singly_generated(module(F3, [("x", 3)])).ok
+    two = module(F2, [("x", 1), ("y", 2)])
     assert not cg.is_locally_at_most_singly_generated(two).ok
-    assert cg.is_locally_at_most_singly_generated(cg.module(Q, [])).ok
+    assert cg.is_locally_at_most_singly_generated(module(Q, [])).ok
 
 
 def test_locality_witness_names_real_generators():
-    m = cg.module(Z6, [("a", 2, 3), ("b", 4, 3)])
+    m = module(Z6, [("a", 2, 3), ("b", 4, 3)])
     res = cg.is_locally_at_most_singly_generated(m)
     assert not res.ok
     assert "a" in res.witness and "b" in res.witness
@@ -140,20 +140,20 @@ def test_matrix_expectations_match_locality():
 
 
 def test_admissible_free_cyclic():
-    assert cg.is_admissible_free_cyclic(cg.module(Q, []))
-    assert cg.is_admissible_free_cyclic(cg.module(Q, [("x", 4)]))
-    assert not cg.is_admissible_free_cyclic(cg.module(Q, [("x", 3)]))
-    assert cg.is_admissible_free_cyclic(cg.module(F2, [("x", 3)]))
-    assert not cg.is_admissible_free_cyclic(cg.module(F3, [("x", 3)]))
-    assert not cg.is_admissible_free_cyclic(cg.module(Q, [("x", 2), ("y", 2)]))
+    assert cg.is_admissible_free_cyclic(module(Q, []))
+    assert cg.is_admissible_free_cyclic(module(Q, [("x", 4)]))
+    assert not cg.is_admissible_free_cyclic(module(Q, [("x", 3)]))
+    assert cg.is_admissible_free_cyclic(module(F2, [("x", 3)]))
+    assert not cg.is_admissible_free_cyclic(module(F3, [("x", 3)]))
+    assert not cg.is_admissible_free_cyclic(module(Q, [("x", 2), ("y", 2)]))
     with pytest.raises(ValueError):
-        cg.is_admissible_free_cyclic(cg.module(Z, [("x", 2)]))
+        cg.is_admissible_free_cyclic(module(Z, [("x", 2)]))
 
 
 def test_admissible_agrees_with_locality_over_fields():
     for ring in (Q, F2, F3):
         for gens in ([], [("x", 1)], [("x", 2)], [("x", 3)], [("x", 2), ("y", 4)]):
-            m = cg.module(ring, gens)
+            m = module(ring, gens)
             assert cg.is_admissible_free_cyclic(m) == (
                 cg.is_locally_at_most_singly_generated(m).ok
             )
