@@ -350,11 +350,13 @@ def test_cogroup_morphism_checks_the_algebras():
         cg.is_cogroup_morphism(f, A, B)
 
 
-# A Delta that lost the outer term 1 (x) x, a map whose image leaves its
-# degree, a map that is not an anti-morphism given to the Hopf check, an
-# unchecked morphism whose image is not homogeneous, and four invalid
-# rings, generators and modules: all break invariants that must hold
-# under ``python -O``.
+# A Delta that lost the outer term 1 (x) x, a table and an unchecked
+# anti-morphism whose images leave their degree (the anti-morphism fails
+# the surjectivity certificate and reaches the per-degree check), a map
+# that is not an anti-morphism given to the Hopf check, an unchecked
+# morphism whose image is not homogeneous, and four invalid rings,
+# generators and modules: all break invariants that must hold under
+# ``python -O``.
 BROKEN_FIXTURES = """
 import cogroups as cg
 from cogroups.cogroup import folded_phi
@@ -383,6 +385,11 @@ try:
     cg.is_antipode_surjective(good, leak)
 except ValueError as exc:
     print("surjective:", exc)
+anti = cg.AntiMorphism(alg, alg, {"x": alg.element({("x",): -1, ("x", "x"): 1})}, check=False)
+try:
+    cg.is_antipode_surjective(good, anti)
+except ValueError as exc:
+    print("surjective anti:", exc)
 try:
     cg.check_hopf_antipode(good, cg.identity_map(good))
 except ValueError as exc:
@@ -414,6 +421,7 @@ def test_invariant_errors_survive_python_O():
     assert run.returncode == 0, run.stderr
     assert "delta: coproduct of x lost its outer terms" in run.stdout
     assert "surjective: image of x leaves degree 2" in run.stdout
+    assert "surjective anti: image of x leaves degree 2" in run.stdout
     assert "hopf: the antipode laws are checked for an AntiMorphism only" in run.stdout
     assert "unchecked: y^2 + 2*y^3 + y^4" in run.stdout
     assert "invalid: Zmod modulus must be >= 2" in run.stdout

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cogroups as cg
 from cogroups import convolution
-from cogroups.convolution import _spans
+from cogroups.convolution import _bijective_on_generators, _spans
 from cogroups.cogroup import folded_phi
 from convolution_oracle import (
     antipode_eagerly,
@@ -33,6 +33,7 @@ from instances import (
     make_cogroup,
     make_module,
     module,
+    random_coefficient,
     random_graded_map,
 )
 from snf import smith_normal_form, unindexed_spans
@@ -414,16 +415,27 @@ def doubler(A) -> cg.GradedMap:
     )
 
 
+def surjectivity_by_oracles(monkeypatch, A, f) -> dict:
+    """``is_antipode_surjective`` on f, which must give the flags that
+    ``_spans`` and the unindexed oracle give on a table copy of f: the
+    generator certificate never says onto where they say not."""
+    flags = cg.is_antipode_surjective(A, f)
+    table = with_images(A, f, {})
+    assert cg.is_antipode_surjective(A, table) == flags
+    assert unindexed_surjectivity(monkeypatch, A, table) == flags
+    return flags
+
+
 @pytest.mark.parametrize("key", MATRIX_KEYS)
 def test_surjectivity_verdicts_match_the_unindexed_oracle(key, monkeypatch):
     A = make_cogroup(key, 8)
-    maps = [make_antipode(key, 8)]
+    chi = make_antipode(key, 8)
+    assert _bijective_on_generators(A, chi)
+    flags = surjectivity_by_oracles(monkeypatch, A, chi)
+    assert flags == dict.fromkeys(range(9), True)
     if A.ring in (Z, Z4):
-        maps.append(doubler(A))
-    for f in maps:
-        flags = cg.is_antipode_surjective(A, f)
-        assert set(flags) == set(range(9))
-        assert unindexed_surjectivity(monkeypatch, A, f) == flags
+        f = doubler(A)
+        assert unindexed_surjectivity(monkeypatch, A, f) == cg.is_antipode_surjective(A, f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -431,9 +443,84 @@ def test_surjectivity_verdicts_match_the_unindexed_oracle(key, monkeypatch):
 def test_surjectivity_verdicts_match_the_unindexed_oracle_on_coproduct_tables(case):
     A = cg.tensor_cogroup(*case)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for f in (cg.antipode(A), doubler(A)):
-            flags = cg.is_antipode_surjective(A, f)
-            assert unindexed_surjectivity(monkeypatch, A, f) == flags
+        chi = cg.antipode(A)
+        assert _bijective_on_generators(A, chi)
+        assert all(surjectivity_by_oracles(monkeypatch, A, chi).values())
+        f = doubler(A)
+        assert unindexed_surjectivity(monkeypatch, A, f) == cg.is_antipode_surjective(A, f)
+
+
+@st.composite
+def near_antipodes(draw):
+    """(A, f): a cogroup of ``coassociative_coalgebras`` and an
+    AntiMorphism that sends each generator g to u g, u often +-1, plus
+    random words of degree |g| and length >= 2, and now and then another
+    generator of that degree: maps on both sides of the certificate."""
+    A = cg.tensor_cogroup(*draw(coassociative_coalgebras()))
+    alg = A.algebra
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    images = {}
+    for g in A.module.generators:
+        if g.degree > A.truncation:
+            continue
+        terms = {}
+        for w in alg.basis(g.degree):
+            if len(w) > 1 or rng.random() < 0.2:
+                terms[w] = random_coefficient(rng, A.ring, g.annihilator, alg.word_modulus(w))
+        u = random_coefficient(rng, A.ring, g.annihilator, alg.word_modulus((g.name,)))
+        terms[(g.name,)] = rng.choice((1, -1, u))
+        images[g.name] = alg.element(terms)
+    return A, cg.AntiMorphism(alg, alg, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_antipodes())
+def test_surjectivity_certificate_never_says_onto_where_the_oracle_says_not(case):
+    A, f = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        flags = surjectivity_by_oracles(monkeypatch, A, f)
+    if _bijective_on_generators(A, f):
+        assert all(flags.values())
+
+
+def anti_morphism(A, images) -> cg.AntiMorphism:
+    alg = A.algebra
+    return cg.AntiMorphism(alg, alg, {g: alg.element(t) for g, t in images.items()})
+
+
+def flag_pattern(flags) -> str:
+    return "".join("T" if flags[d] else "f" for d in sorted(flags))
+
+
+def test_surjectivity_mutations_reach_the_fallback(monkeypatch):
+    # over Z, x -> 2x: the leading coefficient is no unit
+    A = make_cogroup("z-free2", 6)
+    f = anti_morphism(A, {"x": {("x",): 2}})
+    assert not _bijective_on_generators(A, f)
+    flags = surjectivity_by_oracles(monkeypatch, A, f)
+    assert flag_pattern(flags) == "TTfTfTf"
+    assert cg.is_antipode_surjective(A, doubler(A)) == flags
+    # x -> -x + y with |y| = |x|: a length-1 extra term, onto or not
+    B = make_cogroup("q-pair22", 6)
+    x, y = ("x",), ("y",)
+    for images, want in (
+        ({"x": {x: -1, y: 1}, "y": {y: -1}}, "TTTTTTT"),
+        ({"x": {x: -1, y: 1}, "y": {x: 1, y: -1}}, "TTfTfTf"),
+    ):
+        f = anti_morphism(B, images)
+        assert not _bijective_on_generators(B, f)
+        assert flag_pattern(surjectivity_by_oracles(monkeypatch, B, f)) == want
+    # over Z with ann 4, x -> 3x: 3 is a unit mod 4
+    C = make_cogroup("z-tor43", 8)
+    f = anti_morphism(C, {"x": {("x",): 3}})
+    assert _bijective_on_generators(C, f)
+    assert all(surjectivity_by_oracles(monkeypatch, C, f).values())
+    # a generator with ann 1 is zero, and its image 0 has a unit mod 1
+    m = module(Z6, [("x", 1, 2), ("y", 1, 3), ("z", 1, 1)])
+    E = cg.tensor_cogroup(cg.trivial_coalgebra(m), 5)
+    chi = cg.antipode(E)
+    assert not chi.images["z"] and _bijective_on_generators(E, chi)
+    assert all(surjectivity_by_oracles(monkeypatch, E, chi).values())
 
 
 def test_antipode_signs_on_a_single_even_generator():
@@ -630,15 +717,26 @@ def test_hopf_check_names_the_wrong_word():
     ]
 
 
-def test_hopf_check_builds_dbar_on_generators_only():
+def deconcatenation_cogroup(D=8) -> cg.Cogroup:
     m = module(Z, [("a", 1), ("b", 2), ("c", 3)])
     C = cg.CoalgebraPresentation(
         m, {"b": [(1, "a", "a")], "c": [(1, "a", "b"), (1, "b", "a")]}
     )
-    A = cg.tensor_cogroup(C, 8)
+    return cg.tensor_cogroup(C, D)
+
+
+def test_hopf_check_builds_dbar_on_generators_only():
+    A = deconcatenation_cogroup()
     chi = cg.antipode(A)
     assert cg.check_hopf_antipode(A, chi).ok
     assert sorted(A._reduced_cache) == [("a",), ("b",), ("c",)]
+    assert max(map(len, chi._word_cache)) == 1
+
+
+def test_surjectivity_of_the_antipode_reads_generators_only():
+    A = deconcatenation_cogroup()
+    chi = cg.antipode(A)
+    assert cg.is_antipode_surjective(A, chi) == dict.fromkeys(range(9), True)
     assert max(map(len, chi._word_cache)) == 1
 
 
@@ -661,10 +759,9 @@ def test_surjectivity_detector_sees_a_gap():
         "f2-odd1": "Tffffff",
         "q-even2": "TTTTTTT",
     }
-    for key, pattern in patterns.items():
+    for key, want in patterns.items():
         A = make_cogroup(key, 6)
-        flags = cg.is_antipode_surjective(A, doubler(A))
-        assert "".join("T" if flags[d] else "f" for d in range(7)) == pattern, key
+        assert flag_pattern(cg.is_antipode_surjective(A, doubler(A))) == want, key
 
 
 def test_antipode_negates_indecomposables():
@@ -716,6 +813,25 @@ def test_graded_map_validation():
     free = cg.TruncatedTensorAlgebra(module(Z, [("u", 2)]), 6)
     with pytest.raises(ValueError):
         cg.GradedMap(tsrc, free, {("x",): free.generator("u")})  # 3u != 0
+
+
+def test_graded_maps_compare_with_algebra_morphisms():
+    A = make_cogroup("z-tor43", 6)
+    chi, table = cg.antipode(A), cg.antipode_by_recursion(A)
+    assert chi == table and table == chi
+    assert not (chi != table or table != chi)
+    wrong = wrong_on_a_generator(A, chi)
+    assert wrong != table and table != wrong
+    assert not (wrong == table or table == wrong)
+    # nu is an AlgebraMorphism; on the odd generator x, nu(xx) = -chi(xx)
+    nu_table = with_images(A, A.nu, {})
+    assert A.nu == nu_table and nu_table == A.nu
+    assert A.nu != table and table != A.nu
+    # a morphism out of other words is never equal
+    deeper = cg.antipode(make_cogroup("z-tor43", 8))
+    assert table != deeper and deeper != table
+    src, B = loop_source()
+    assert cg.GradedMap(src, B.algebra, {}) != B.nu
 
 
 def test_difference_witness_points_at_first_gap():
