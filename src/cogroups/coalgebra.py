@@ -5,13 +5,14 @@ Dbar(x) = sum c_i * y_i (x) z_i with y_i, z_i generators of positive
 degree adding up to deg x.  The full coproduct is then
 D(x) = x (x) 1 + Dbar(x) + 1 (x) x, and D(1) = 1 (x) 1.
 
-The coalgebra is computed in the tensor algebra A = T(C+): each Dbar(x)
-is reduced as an element of the tensor square A (x) A, and
-``coproduct_morphism`` extends D to the algebra morphism A -> A (x) A.
-Coassociativity and the counit laws are checked on generators by
-``coproduct_laws``, the same check the cogroup layer runs on its own
-coproduct; cocommutativity is invariance of Dbar under the signed twist
-y (x) z -> (-1)^{|y||z|} z (x) y.
+Each Dbar(x) is reduced as an element of the tensor square of A = T(C+),
+and ``coproduct_morphism`` extends D to the algebra morphism
+A -> A (x) A.  ``check_coalgebra_axioms`` reads the laws off the table:
+coassociativity on x is sum c Dbar(y) (x) z = sum c y (x) Dbar(z) over
+the terms c y (x) z of Dbar(x), and the counit laws always hold.
+``coproduct_laws`` checks them on one word of any D : A -> A (x) A, as
+the cogroup layer does on its own D.  Cocommutativity is invariance of
+Dbar under the signed twist y (x) z -> (-1)^{|y||z|} z (x) y.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ def coproduct_laws(delta: AlgebraMorphism, w) -> tuple:
     each coefficient reduced modulo the modulus of its letters.
     """
     alg = delta.source
-    word_elem = alg.element({w: 1})
-    dw = delta(word_elem).terms
+    want = {} if alg.word_modulus(w) == 1 else {w: 1}  # w, or 0 where its modulus is 1
+    dw = delta.image(w).terms if want else {}
     left: dict = {}
     right: dict = {}
     for (w1, w2), c in dw.items():
@@ -145,8 +146,8 @@ def coproduct_laws(delta: AlgebraMorphism, w) -> tuple:
             right[key] = right.get(key, 0) + c * c2
     return (
         _reduce_triples(alg, left) == _reduce_triples(alg, right),
-        alg.element({w2: c for (w1, w2), c in dw.items() if not w1}) == word_elem,
-        alg.element({w1: c for (w1, w2), c in dw.items() if not w2}) == word_elem,
+        _reduce_terms(alg, {w2: c for (w1, w2), c in dw.items() if not w1}) == want,
+        _reduce_terms(alg, {w1: c for (w1, w2), c in dw.items() if not w2}) == want,
     )
 
 
@@ -162,24 +163,27 @@ def _reduce_triples(alg: TruncatedTensorAlgebra, terms: dict) -> dict:
 
 
 def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomReport:
-    """Coassociativity and counit laws on all generators of degree <= truncation.
+    """Coassociativity on the generators of degree <= truncation, off the table.
 
-    Failures are reported, not raised.  ``tensor_cogroup`` runs the same
-    laws, through ``coproduct_report``, on the D of the cogroup it builds.
+    On x, (D (x) 1) D(x) - (1 (x) D) D(x) = sum c (Dbar(y) (x) z - y (x) Dbar(z))
+    over the terms c y (x) z of Dbar(x).  The counit laws, which hold for
+    every table, count in ``checked``.  Failures are reported, not raised.
     """
-    alg = TruncatedTensorAlgebra(C.module, truncation)
-    return coproduct_report(coproduct_morphism(C, TensorSquare(alg)))
-
-
-def coproduct_report(delta: AlgebraMorphism) -> AxiomReport:
-    """``coproduct_laws`` on every generator that D has an image for."""
-    laws = ("coassociativity", "left counit law", "right counit law")
+    alg = C._square.algebra  # a word's modulus does not depend on the truncation
+    gens = [g.name for g in C.module.generators if g.degree <= truncation]
     violations = []
-    for x in delta.images:
-        for holds, law in zip(coproduct_laws(delta, (x,)), laws):
-            if not holds:
-                violations.append(f"{law} fails on {x}")
-    return AxiomReport(len(delta.images), violations)
+    for x in gens:
+        diff: dict = {}
+        for c, y, z in C.table.get(x, ()):
+            for c2, u, v in C.table.get(y, ()):
+                key = ((u,), (v,), (z,))
+                diff[key] = diff.get(key, 0) + c * c2
+            for c2, u, v in C.table.get(z, ()):
+                key = ((y,), (u,), (v,))
+                diff[key] = diff.get(key, 0) - c * c2
+        if _reduce_triples(alg, diff):
+            violations.append(f"coassociativity fails on {x}")
+    return AxiomReport(len(gens), violations)
 
 
 def is_cocommutative(C: CoalgebraPresentation) -> bool:

@@ -121,23 +121,10 @@ class GradedMap:
     their ``table`` holds only the degrees read so far.
     """
 
-    def __init__(self, source, target: TruncatedTensorAlgebra, table: dict, *, check=True):
+    def __init__(self, source, target: TruncatedTensorAlgebra, table: dict):
         self.source = source
         self.target = target
         self.table = dict(table)
-        if check:
-            self._validate()
-
-    def _validate(self):
-        for key, img in self.table.items():
-            d = self.source.degree(key)
-            if d < 1 or d > self.source.truncation:
-                raise ValueError(f"key {key!r} has degree {d} outside 1..{self.source.truncation}")
-            if img and not img.is_homogeneous(d):
-                raise ValueError(f"image of {key!r} is not homogeneous of degree {d}")
-            a = self.source.annihilator(key)
-            if a and img.scale(a):
-                raise ValueError(f"image of {key!r} is not killed by {a}")
 
     def image(self, key) -> AlgebraElement:
         img = self.table.get(key)
@@ -172,7 +159,7 @@ class _FilledByDegree(GradedMap):
     """
 
     def __init__(self, source, target, fill):
-        super().__init__(source, target, {}, check=False)
+        super().__init__(source, target, {})
         self._fill = fill
         self._filled = 0
 

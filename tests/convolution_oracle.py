@@ -20,7 +20,7 @@ from cogroups.algebra import accumulate
 
 def unit_map(source, target):
     """eta . eps: the convolution identity."""
-    return cg.GradedMap(source, target, {}, check=False)
+    return cg.GradedMap(source, target, {})
 
 
 def convolve(f, g):
@@ -37,7 +37,7 @@ def convolve(f, g):
             for c, y, z in src.reduced_coproduct(x):
                 alg.mul_into(acc, f.image(y).terms, g.image(z).terms, c)
             table[x] = cg.AlgebraElement(alg, acc)
-    return cg.GradedMap(src, alg, table, check=False)
+    return cg.GradedMap(src, alg, table)
 
 
 def convolution_inverse_eagerly(f, via="right"):
@@ -56,7 +56,7 @@ def convolution_inverse_eagerly(f, via="right"):
                 else:
                     alg.mul_into(acc, table[y].terms, f.image(z).terms, -c)
             table[x] = cg.AlgebraElement(alg, acc)
-    return cg.GradedMap(src, alg, table, check=False)
+    return cg.GradedMap(src, alg, table)
 
 
 def antipode_eagerly(A):
@@ -76,7 +76,7 @@ def antipode_eagerly(A):
                 sign = -1 if alg.word_degree(a) * alg.word_degree(rest) % 2 else 1
                 alg.mul_into(acc, table[rest].terms, table[a].terms, sign)
             table[w] = cg.AlgebraElement(alg, acc)
-    return cg.GradedMap(cg.CogroupSource(A), alg, table, check=False)
+    return cg.GradedMap(cg.CogroupSource(A), alg, table)
 
 
 def explicit_identity(A):
@@ -85,5 +85,5 @@ def explicit_identity(A):
     table = {
         w: alg.element({w: 1}) for d in range(1, A.truncation + 1) for w in alg.basis(d)
     }
-    return cg.GradedMap(cg.CogroupSource(A), alg, table, check=False)
+    return cg.GradedMap(cg.CogroupSource(A), alg, table)
 

@@ -19,7 +19,7 @@ def check_hopf_on_words(A, chi) -> cg.AxiomReport:
     ``image`` of each word; it is read as a full table."""
     ident = cg.identity_map(A)
     table = {w: chi.image(w) for w in A.algebra.words_up_to() if w}
-    chi = cg.GradedMap(ident.source, A.algebra, table, check=False)
+    chi = cg.GradedMap(ident.source, A.algebra, table)
     left = convolve(chi, ident)
     right = convolve(ident, chi)
     checked = 0

@@ -6,8 +6,9 @@ commutativity of the tensor algebra (equivalently, locality of the
 module).  Builders cache constructed cogroups per (instance, truncation)
 so the acceptance criteria can share the heavy work.  ``module`` builds a
 presentation from plain tuples, ``classify_module`` classifies a module
-with its closed-form check, and ``render_spec`` prints a parsed spec
-back as input text.
+with its closed-form check, ``render_spec`` prints a parsed spec
+back as input text, and ``graded_map`` validates a table before it
+wraps it in a ``GradedMap``, which takes its table as given.
 """
 
 from fractions import Fraction
@@ -180,6 +181,22 @@ def random_coefficient(rng, ring, source_ann, word_modulus):
     return step * rng.randrange(word_modulus // step)
 
 
+def graded_map(source, target, table: dict) -> cg.GradedMap:
+    """A ``GradedMap`` whose table is validated first: each key has degree
+    1..D and goes to a homogeneous image of its degree that the key's
+    annihilator kills.  The library takes its tables as given."""
+    for key, img in table.items():
+        d = source.degree(key)
+        if d < 1 or d > source.truncation:
+            raise ValueError(f"key {key!r} has degree {d} outside 1..{source.truncation}")
+        if img and not img.is_homogeneous(d):
+            raise ValueError(f"image of {key!r} is not homogeneous of degree {d}")
+        a = source.annihilator(key)
+        if a and img.scale(a):
+            raise ValueError(f"image of {key!r} is not killed by {a}")
+    return cg.GradedMap(source, target, table)
+
+
 def random_graded_map(source, target, rng) -> cg.GradedMap:
     """A random degree-preserving unit-fixing map, annihilator-legal."""
     table = {}
@@ -192,7 +209,7 @@ def random_graded_map(source, target, rng) -> cg.GradedMap:
                 if c:
                     terms[w] = c
             table[key] = target.element(terms)
-    return cg.GradedMap(source, target, table)
+    return graded_map(source, target, table)
 
 
 def brute_force_graded_commutative(algebra, top_degree):
@@ -255,3 +272,41 @@ def coassociative_coalgebras(draw, max_generators=3):
                 ]
     C = cg.CoalgebraPresentation(module(ring, gens), table)
     return C, draw(st.integers(3, 6))
+
+
+@st.composite
+def raw_presentations(draw):
+    """(module, raw table): random tables, a few of them refused.
+
+    Half are coassociative tables from ``coassociative_coalgebras`` with
+    one coefficient changed.  The others draw every term over 1-4
+    generators with annihilators; one table in ten may hold terms of the
+    wrong degree.  Coefficients are integers, some as integral Fractions.
+    """
+    coefficients = st.integers(-4, 6) | st.integers(-4, 6).map(lambda c: Fraction(2 * c, 2))
+    if draw(st.booleans()):
+        C, _ = draw(coassociative_coalgebras(max_generators=4))
+        table = {x: list(terms) for x, terms in C.table.items()}
+        if table:
+            terms = table[draw(st.sampled_from(sorted(table)))]
+            i = draw(st.integers(0, len(terms) - 1))
+            c, y, z = terms[i]
+            terms[i] = (c + draw(st.sampled_from((1, -1, 2, 3))), y, z)
+        return C.module, table
+    ring = draw(st.sampled_from(RINGS))
+    names = "abcd"[: draw(st.integers(1, 4))]
+    degree = {n: draw(st.integers(1, 4)) for n in names}
+    M = module(ring, [(n, degree[n], draw(st.sampled_from(annihilators(ring)))) for n in names])
+    sloppy = draw(st.integers(0, 9)) == 0
+    table = {}
+    for x in names:
+        pairs = [
+            (y, z) for y in names for z in names
+            if sloppy or degree[y] + degree[z] == degree[x]
+        ]
+        if pairs and draw(st.booleans()):
+            table[x] = [
+                (draw(coefficients), y, z)
+                for y, z in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+            ]
+    return M, table

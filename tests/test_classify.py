@@ -1,6 +1,9 @@
 """Classification reports and their internal consistency."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroups.classify import _first_difference
@@ -9,13 +12,17 @@ from instances import (
     MATRIX,
     MATRIX_KEYS,
     Q,
+    RINGS,
     Z,
+    Z6,
+    annihilators,
     classify_module,
     instance,
     make_antipode,
     make_cogroup,
     make_module,
     module,
+    raw_presentations,
 )
 
 
@@ -192,3 +199,66 @@ def test_closed_form_cross_check_single_generator():
         rep = classify_module(module(Z, gens))
         assert rep.consistent
         assert rep.graded_commutative == expected
+
+
+def consistent_nu_eq_chi(A):
+    """Whether ``classify`` reports A consistent with nu = chi."""
+    rep = cg.classify_cogroup(A)
+    return rep.consistent and rep.inverse_equals_antipode
+
+
+@st.composite
+def local_tables(draw):
+    """(module, raw table) on a module that each prime sees at most once:
+    pairwise coprime annihilators on up to 3 generators over Z and Z/6,
+    one generator elsewhere, in degrees 1 and 2.  Dbar(x) has a term
+    c y (x) z for every pair of degree |x|, with c != 0 wherever
+    ann(x) * c = 0 modulo gcd(char, ann y, ann z) allows it."""
+    ring = draw(st.sampled_from(RINGS))
+    if ring == Z:
+        anns = draw(st.permutations((draw(st.sampled_from((2, 4))), 3, 5)))
+    elif ring == Z6:
+        anns = draw(st.permutations((2, 3)))
+    else:
+        anns = [draw(st.sampled_from(annihilators(ring)))]
+    names = "abc"[: draw(st.integers(1, len(anns)))]
+    degree = {n: draw(st.integers(1, 2)) for n in names}
+    ann = dict(zip(names, anns))
+    char = ring.characteristic()
+    table = {}
+    for x in names:
+        terms = []
+        for y in names:
+            for z in names:
+                if degree[y] + degree[z] == degree[x]:
+                    m = gcd(char, ann[y], ann[z])
+                    step = m // gcd(ann[x], m) if m else int(not ann[x])
+                    terms.append((step * draw(st.integers(1, 3)), y, z))
+        if terms:
+            table[x] = terms
+    return module(ring, [(n, degree[n], ann[n]) for n in names]), table
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_presentations() | local_tables())
+def test_a_cogroup_with_nu_equal_to_chi_has_a_primitive_table(presentation):
+    """Where nu = chi the tensor algebra is graded commutative, so each prime
+    sees at most one generator, and a legal Dbar(x) on lower generators
+    then reduces to zero: the finite-type objects of A_CG^co have
+    primitive tables (ROADMAP item 5)."""
+    try:
+        C = cg.CoalgebraPresentation(*presentation)
+        A = cg.tensor_cogroup(C, 4)
+    except (KeyError, ValueError):  # a refused table or a non-coassociative one
+        return
+    if consistent_nu_eq_chi(A):
+        assert C.table == {}
+
+
+def test_coprime_torsion_reduces_a_written_table_to_zero():
+    # Dbar(y) = 2 x (x) x is legal (3 * 2 = 0 mod 2) and zero mod 2
+    m = module(Z, [("x", 1, 2), ("y", 2, 3)])
+    C = cg.CoalgebraPresentation(m, {"y": [(2, "x", "x")]})
+    assert C.table == {} and consistent_nu_eq_chi(cg.tensor_cogroup(C, 4))
+    with pytest.raises(ValueError, match="not compatible with annihilator 3"):
+        cg.CoalgebraPresentation(m, {"y": [(1, "x", "x")]})

@@ -4,19 +4,19 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coalgebra_oracle as oracle
 import cogroups as cg
+from cogroup_oracle import table_report
 from instances import (
     F2,
     Q,
-    RINGS,
     Z,
-    annihilators,
-    coassociative_coalgebras,
+    Z4,
     make_module,
     module,
+    raw_presentations,
 )
 
 
@@ -125,44 +125,6 @@ def test_cocommutativity_needs_symmetry():
     assert cg.is_cocommutative(cg.trivial_coalgebra(m))
 
 
-@st.composite
-def raw_presentations(draw):
-    """(module, raw table): random tables, a few of them refused.
-
-    Half are coassociative tables from ``coassociative_coalgebras`` with
-    one coefficient changed.  The others draw every term over 1-4
-    generators with annihilators; one table in ten may hold terms of the
-    wrong degree.  Coefficients are integers, some as integral Fractions.
-    """
-    coefficients = st.integers(-4, 6) | st.integers(-4, 6).map(lambda c: Fraction(2 * c, 2))
-    if draw(st.booleans()):
-        C, _ = draw(coassociative_coalgebras(max_generators=4))
-        table = {x: list(terms) for x, terms in C.table.items()}
-        if table:
-            terms = table[draw(st.sampled_from(sorted(table)))]
-            i = draw(st.integers(0, len(terms) - 1))
-            c, y, z = terms[i]
-            terms[i] = (c + draw(st.sampled_from((1, -1, 2, 3))), y, z)
-        return C.module, table
-    ring = draw(st.sampled_from(RINGS))
-    names = "abcd"[: draw(st.integers(1, 4))]
-    degree = {n: draw(st.integers(1, 4)) for n in names}
-    M = module(ring, [(n, degree[n], draw(st.sampled_from(annihilators(ring)))) for n in names])
-    sloppy = draw(st.integers(0, 9)) == 0
-    table = {}
-    for x in names:
-        pairs = [
-            (y, z) for y in names for z in names
-            if sloppy or degree[y] + degree[z] == degree[x]
-        ]
-        if pairs and draw(st.booleans()):
-            table[x] = [
-                (draw(coefficients), y, z)
-                for y, z in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
-            ]
-    return M, table
-
-
 def _build(cls, module, table):
     try:
         return cls(module, table), None
@@ -184,3 +146,28 @@ def test_coalgebra_matches_the_generator_name_oracle(presentation):
     for D in range(6):
         report = cg.check_coalgebra_axioms(C, D)
         assert (report.checked, report.violations) == oracle.check_coalgebra_axioms(O, D)
+
+
+def raw_coalgebras():
+    """Coalgebras on the tables of ``raw_presentations`` that are not refused."""
+    return raw_presentations().map(lambda p: _build(cg.CoalgebraPresentation, *p)[0]).filter(
+        lambda C: C is not None
+    )
+
+
+# y ann 4: 2 y(x)y(x)y survives mod 4, so m(x)y alone is not coassociative
+TORSION = module(Z, [("y", 2, 4), ("m", 4, 2), ("x", 6)])
+Z4_CHAIN = module(Z4, [("a", 1), ("b", 2), ("c", 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_coalgebras(), st.integers(0, 6))
+@example(cg.CoalgebraPresentation(TORSION, {"m": [(2, "y", "y")], "x": [(1, "m", "y")]}), 6)
+@example(cg.CoalgebraPresentation(TORSION, {"m": [(2, "y", "y")], "x": [(1, "m", "y"), (1, "y", "m")]}), 6)
+@example(cg.CoalgebraPresentation(Z4_CHAIN, {"b": [(2, "a", "a")], "c": [(1, "a", "b")]}), 4)
+@example(cg.CoalgebraPresentation(Z4_CHAIN, {"b": [(2, "a", "a")], "c": [(1, "a", "b"), (1, "b", "a")]}), 4)
+def test_the_laws_read_off_the_table_match_the_laws_on_d(C, D):
+    """The table-level check and ``coproduct_laws`` on every generator of the
+    table's D give the same report, violations in the same order."""
+    report, oracle_report = cg.check_coalgebra_axioms(C, D), table_report(C, D)
+    assert (report.checked, report.violations) == (oracle_report.checked, oracle_report.violations)

@@ -1,6 +1,7 @@
 """Cogroup structure on tensor algebras: maps, axioms, morphisms."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from cogroups.cogroup import _check_axioms_on, folded_phi
+from cogroup_oracle import check_axioms_on, folded_phi
 from instances import (
     MATRIX_KEYS,
     Q,
@@ -120,10 +121,10 @@ def refuse_free_products(monkeypatch):
 def test_a_new_cogroup_builds_no_structure(monkeypatch):
     for C in fresh_coalgebras():
         assert built(cg.Cogroup(C, 6)) == set()
-    # the coalgebra laws are checked on the cogroup's own D
+    # the coalgebra laws are read off the table: no tensor square, no D
     refuse_free_products(monkeypatch)
     for A in fresh_cogroups():
-        assert built(A) == {"tensor_square", "delta"}
+        assert built(A) == set()
 
 
 def test_the_inverse_table_builds_no_comultiplication(monkeypatch):
@@ -131,7 +132,23 @@ def test_the_inverse_table_builds_no_comultiplication(monkeypatch):
     for A in fresh_cogroups():
         for w in A.algebra.words_up_to():
             A.nu.image(w)
-        assert built(A) == {"tensor_square", "delta", "nu"}
+        assert built(A) == {"nu"}
+
+
+def test_the_axiom_check_builds_one_free_product(monkeypatch):
+    """check-cogroup builds A * A and never A * A * A."""
+    calls = []
+
+    def counting(*factors):
+        calls.append(factors)
+        return cg.free_product(*factors)
+
+    monkeypatch.setattr("cogroups.cogroup.free_product", counting)
+    for A in fresh_cogroups():
+        calls.clear()
+        assert cg.check_cogroup_axioms(A).ok
+        assert calls == [(A.algebra, A.algebra)]
+        assert built(A) == set(LAZY)
 
 
 def test_the_antipode_table_builds_no_inverse(monkeypatch):
@@ -244,9 +261,13 @@ def failure_kinds(report):
 
 
 def both_levels(A):
-    """The generator-level check, after comparing it with every word."""
+    """The check by substitution, after comparing it with the free-product
+    oracle on the same words, report for report, and on every word."""
     fast = cg.check_cogroup_axioms(A)
-    slow = _check_axioms_on(A, A.truncation, A.algebra.words_up_to())
+    words = [()] + [(n,) for n in A.phi.images]
+    same = check_axioms_on(A, A.truncation, words)
+    assert (fast.checked, fast.violations) == (same.checked, same.violations)
+    slow = check_axioms_on(A, A.truncation, A.algebra.words_up_to())
     assert fast.ok == slow.ok
     assert failure_kinds(slow) <= failure_kinds(fast)
     return fast
@@ -260,8 +281,8 @@ def test_axioms_are_checked_on_the_unit_and_generators():
 
 
 def broken(A, part, rng):
-    """A fresh cogroup on A's table with one generator image of Phi or nu
-    moved off by a legal term; D = pi . Phi follows a broken Phi."""
+    """A fresh cogroup on A's table with one generator image of Phi, nu or
+    D moved off by a legal term; D = pi . Phi follows a broken Phi."""
     g = rng.choice(list(A.phi.images))
     bad = cg.Cogroup(A.coalgebra, A.truncation)
     if part == "phi":
@@ -270,6 +291,10 @@ def broken(A, part, rng):
         images[g] = images[g] - prod.generator(A.square_product.name_maps[1][g])
         bad.phi = cg.AlgebraMorphism(A.algebra, prod, images, check=False)
         bad.delta = folded_phi(bad)
+    elif part == "delta":  # g (x) 1 twice: the counit law fails
+        images = dict(A.delta.images)
+        images[g] = images[g] + A.tensor_square.pure((g,), ())
+        bad.delta = cg.AlgebraMorphism(A.algebra, A.tensor_square, images, check=False)
     else:
         images = dict(A.nu.images)
         images[g] = images[g] + A.algebra.generator(g)
@@ -278,13 +303,45 @@ def broken(A, part, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(coassociative_coalgebras(), st.sampled_from((None, "phi", "nu")), st.randoms())
+@given(coassociative_coalgebras(), st.sampled_from((None, "phi", "nu", "delta")), st.randoms())
 def test_generator_level_axioms_agree_with_every_word(case, part, rng):
     C, D = case
     A = cg.tensor_cogroup(C, D)
     if part is not None:
         A = broken(A, part, rng)
     assert both_levels(A).ok == (part is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((Q, Z4)),
+    st.integers(2, 4),
+    st.lists(st.tuples(
+        st.sampled_from("xy"),
+        st.lists(st.sampled_from(("x'", "x''", "y'", "y''")), min_size=2, max_size=3),
+        st.sampled_from((1, -1, 2)),
+    ), max_size=4),
+)
+def test_a_phi_that_leaves_its_degree_is_checked_as_on_every_word(ring, D, extra):
+    """Phi with longer words of any degree added to its generator images:
+    the substituted products run past the truncation and must be cut
+    there, as in A * A * A."""
+    A = cg.Cogroup(cg.trivial_coalgebra(module(ring, [("x", 1), ("y", 2)])), D)
+    prod = A.square_product.algebra
+    images = {n: prod.element({(n + "'",): 1, (n + "''",): 1}) for n in "xy"}
+    for n, word, c in extra:
+        images[n] = images[n] + prod.element({tuple(word): c})
+    A.phi = cg.AlgebraMorphism(A.algebra, prod, images, check=False)
+    both_levels(A)
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_each_broken_part_is_caught_as_on_every_word(key):
+    A = make_cogroup(key, 5)
+    rng = random.Random(key)
+    assert both_levels(A).ok
+    for part in ("phi", "nu", "delta"):
+        assert not both_levels(broken(A, part, rng)).ok, part
 
 
 def test_axioms_catch_a_broken_comultiplication():
@@ -359,7 +416,7 @@ def test_cogroup_morphism_checks_the_algebras():
 # ``python -O``.
 BROKEN_FIXTURES = """
 import cogroups as cg
-from cogroups.cogroup import folded_phi
+from cogroup_oracle import folded_phi
 from instances import (
     module,
 )
@@ -379,7 +436,6 @@ alg = good.algebra
 leak = cg.GradedMap(
     cg.CogroupSource(good), alg,
     {w: alg.element({w + ("x",): 1}) for w in alg.words_up_to(2) if w},
-    check=False,
 )
 try:
     cg.is_antipode_surjective(good, leak)

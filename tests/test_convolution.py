@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import cogroups as cg
 from cogroups import convolution
 from cogroups.convolution import _bijective_on_generators, _spans
-from cogroups.cogroup import folded_phi
+from cogroup_oracle import folded_phi
 from convolution_oracle import (
     antipode_eagerly,
     convolution_inverse_eagerly,
@@ -29,6 +29,7 @@ from instances import (
     Z4,
     Z6,
     coassociative_coalgebras,
+    graded_map,
     make_antipode,
     make_cogroup,
     make_module,
@@ -188,7 +189,7 @@ def test_on_demand_inverse_matches_the_eager_loop_on_coproduct_tables(case):
     rng = random.Random(0)
     assert_inverse_matches_the_eager_loop(cg.identity_map(A), explicit_identity(A), rng)
     alg = A.algebra
-    inclusion = cg.GradedMap(
+    inclusion = graded_map(
         cg.CoalgebraSource(A.coalgebra, A.truncation),
         alg,
         {g.name: alg.generator(g.name) for g in A.module.generators if g.degree <= A.truncation},
@@ -408,7 +409,7 @@ def unindexed_surjectivity(monkeypatch, A, f):
 def doubler(A) -> cg.GradedMap:
     """w -> 2w: onto exactly where 2 is a unit mod the word moduli."""
     alg = A.algebra
-    return cg.GradedMap(
+    return graded_map(
         cg.CogroupSource(A),
         alg,
         {w: alg.element({w: 2}) for w in alg.words_up_to() if w},
@@ -617,7 +618,7 @@ def with_images(A, chi, changes) -> cg.GradedMap:
     """chi as a full table, with some images replaced."""
     table = {w: chi.image(w) for w in A.algebra.words_up_to() if w}
     table.update(changes)
-    return cg.GradedMap(cg.CogroupSource(A), A.algebra, table, check=False)
+    return cg.GradedMap(cg.CogroupSource(A), A.algebra, table)
 
 
 def wrong_on_a_generator(A, chi) -> cg.AntiMorphism:
@@ -658,7 +659,7 @@ def without_the_koszul_sign(A, chi):
             table[w] = chi.image(w)
         elif w:
             table[w] = table[w[1:]] * table[w[:1]]
-    return cg.GradedMap(cg.CogroupSource(A), A.algebra, table, check=False)
+    return cg.GradedMap(cg.CogroupSource(A), A.algebra, table)
 
 
 def hopf_reports(A, f):
@@ -807,12 +808,12 @@ def test_graded_map_validation():
     alg = A.algebra
     x = alg.generator("x")
     with pytest.raises(ValueError):
-        cg.GradedMap(src, alg, {("x",): x * x})  # wrong degree
+        graded_map(src, alg, {("x",): x * x})  # wrong degree
     T = make_cogroup("z-tor32", 6)
     tsrc = cg.CogroupSource(T)
     free = cg.TruncatedTensorAlgebra(module(Z, [("u", 2)]), 6)
     with pytest.raises(ValueError):
-        cg.GradedMap(tsrc, free, {("x",): free.generator("u")})  # 3u != 0
+        graded_map(tsrc, free, {("x",): free.generator("u")})  # 3u != 0
 
 
 def test_graded_maps_compare_with_algebra_morphisms():
