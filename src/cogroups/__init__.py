@@ -19,13 +19,10 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     AntiMorphism,
-    FreeProduct,
     TensorSquare,
     TruncatedTensorAlgebra,
     format_word,
-    free_product,
     is_graded_commutative,
-    renaming_morphism,
 )
 from .coalgebra import (
     AxiomReport,
@@ -63,9 +60,8 @@ __all__ = [
     "RingSpec", "is_prime",
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
     "is_admissible_free_cyclic", "is_locally_at_most_singly_generated",
-    "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "FreeProduct",
-    "TensorSquare", "TruncatedTensorAlgebra", "format_word",
-    "free_product", "is_graded_commutative", "renaming_morphism",
+    "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "TensorSquare",
+    "TruncatedTensorAlgebra", "format_word", "is_graded_commutative",
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
     "is_cocommutative", "trivial_coalgebra",
     "Cogroup", "check_cogroup_axioms", "is_cogroup_morphism", "tensor_cogroup",

@@ -32,7 +32,7 @@ from functools import reduce
 from itertools import count, repeat
 from math import gcd
 
-from .modules import GradedModulePresentation, _disjoint_sum
+from .modules import GradedModulePresentation
 
 
 def format_word(word) -> str:
@@ -494,47 +494,6 @@ class AntiMorphism(AlgebraMorphism):
     def _step(self, word):
         da, d = self.source._deg[word[0]], self.source._degrees[word]
         return word[0], -1 if da * (d - da) % 2 else 1
-
-
-def renaming_morphism(source, target, name_map: dict) -> AlgebraMorphism:
-    images = {
-        n: target.generator(name_map.get(n, n))
-        for n in source.module.names()
-        if source.module.degree_of(n) <= source.truncation
-    }
-    return AlgebraMorphism(source, target, images, check=False)
-
-
-class FreeProduct:
-    """T(M_1) * ... * T(M_k) presented as the tensor algebra on M_1 (+) ... (+) M_k.
-
-    ``inclusions[i]`` embeds factor i, and ``name_maps[i]`` sends its
-    generator names to their names in the product.  A name found in more
-    than one factor gets i + 1 primes in factor i, so A * A has the slots
-    x' and x'', and A * A * A adds a third slot with three primes.
-    """
-
-    def __init__(self, algebra, inclusions, name_maps):
-        self.algebra = algebra
-        self.inclusions = inclusions
-        self.name_maps = name_maps
-
-
-def free_product(*factors: TruncatedTensorAlgebra) -> FreeProduct:
-    if not factors:
-        raise ValueError("free product needs at least one factor")
-    first = factors[0]
-    for f in factors[1:]:
-        if f.ring != first.ring:
-            raise ValueError("free product needs a common base ring")
-        if f.truncation != first.truncation:
-            raise ValueError("free product factors must share the truncation degree")
-    module, name_maps = _disjoint_sum([f.module for f in factors])
-    prod = TruncatedTensorAlgebra(module, first.truncation)
-    inclusions = tuple(
-        renaming_morphism(f, prod, nm) for f, nm in zip(factors, name_maps)
-    )
-    return FreeProduct(prod, inclusions, name_maps)
 
 
 def is_graded_commutative(algebra: TruncatedTensorAlgebra):

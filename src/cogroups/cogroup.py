@@ -15,14 +15,20 @@ algebra maps fixed by their generator images, D is computed directly as
 the morphism with D(x) = x (x) 1 + Dbar(x) + 1 (x) x into the
 Koszul-signed tensor square, the coalgebra's ``coproduct_morphism``.
 ``tensor_cogroup`` checks the coalgebra laws on the table itself, so
-building a cogroup builds neither A * A nor the tensor square nor D.
+building a cogroup builds neither the tensor square nor D.
+
+Phi is kept as its generator images alone, each a dict of slot terms
+{(word, slots): c}: the letter word[i] stands in factor slots[i] of
+A * A, so x' is ((x,), (0,)) and y' z'' is ((y, z), (0, 1)).  No algebra
+A * A is built.
 
 The axiom suite checks coassociativity of Phi, the counit laws, both
 inverse laws, that D is coassociative and counital (the coalgebra's
 ``coproduct_laws``) and that pi . Phi restricts to the table.  Each law
 equates two algebra morphisms out of A, so it is checked on the unit
-and the generators only, by substitution into the terms of Phi(w); no
-A * A * A is built.  The same laws on every word are the tests' oracle.
+and the generators only, by substitution into the terms of Phi(w).
+The same laws on every word, through the free products, are the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -31,13 +37,11 @@ from functools import cached_property
 
 from .algebra import (
     AlgebraMorphism,
-    FreeProduct,
     TensorSquare,
     TruncatedTensorAlgebra,
     _reduce_terms,
     accumulate,
     format_word,
-    free_product,
 )
 from .coalgebra import (
     AxiomReport,
@@ -52,8 +56,8 @@ from .convolution import CoalgebraSource, GradedMap, convolution_inverse
 class Cogroup:
     """Tensor-algebra cogroup on the positive part of a coalgebra.
 
-    A * A, the tensor square, Phi, nu and D are all built from the
-    coalgebra table, each on first read.  Treat instances as immutable;
+    The tensor square, Phi (as slot terms), nu and D are all built from
+    the coalgebra table, each on first read.  Treat instances as immutable;
     internal caches only ever grow.
     """
 
@@ -68,26 +72,23 @@ class Cogroup:
     # -- construction -------------------------------------------------
 
     @cached_property
-    def square_product(self) -> FreeProduct:  # A * A
-        return free_product(self.algebra, self.algebra)
-
-    @cached_property
     def tensor_square(self) -> TensorSquare:  # A (x) A
         return TensorSquare(self.algebra)
 
     @cached_property
-    def phi(self) -> AlgebraMorphism:
-        prod = self.square_product.algebra
-        lmap, rmap = self.square_product.name_maps
-        images = {}
+    def phi(self) -> dict:
+        """Phi on generators as slot terms: x -> x' + x'' + sum c y' z''."""
+        slots, images = _SlotWords(self.algebra), {}
         for g in self.module.generators:
             if g.degree > self.truncation:
                 continue
-            img = prod.generator(lmap[g.name]) + prod.generator(rmap[g.name])
-            for c, y, z in self.coalgebra.reduced_coproduct(g.name):
-                img = img + (prod.generator(lmap[y]) * prod.generator(rmap[z])).scale(c)
-            images[g.name] = img
-        return AlgebraMorphism(self.algebra, prod, images)
+            x = g.name
+            terms = {((x,), (0,)): 1, ((x,), (1,)): 1}
+            for c, y, z in self.coalgebra.reduced_coproduct(x):
+                key = ((y, z), (0, 1))
+                terms[key] = terms.get(key, 0) + c
+            images[x] = _reduce_terms(slots, terms)
+        return images
 
     @cached_property
     def nu(self) -> AlgebraMorphism:
@@ -111,14 +112,7 @@ class Cogroup:
         """D : A -> A (x) A, the table's ``coproduct_morphism``."""
         return coproduct_morphism(self.coalgebra, self.tensor_square)
 
-    # -- counit and coproduct -----------------------------------------
-
-    def counit(self, elem):
-        return elem.coefficient(())
-
-    def unit_counit(self, elem):
-        """eta . eps applied to an element of the underlying algebra."""
-        return self.algebra.scalar(elem.coefficient(()))
+    # -- coproduct ----------------------------------------------------
 
     def reduced_coproduct_word(self, word):
         """Dbar of a basis word: D(word) minus its two outer terms."""
@@ -173,7 +167,7 @@ class _SlotWords:
 def _substitute(parent, terms: dict, left: dict, right: dict, unit=((), ())) -> dict:
     """f(Phi(w)) multiplied out in ``parent``, whose 1 is ``unit``, for the
     algebra map f out of A * A with x' -> left[x] and x'' -> right[x];
-    ``terms`` holds Phi(w) as {(word, slots): c}."""
+    ``terms`` holds Phi(w), or any element of A * A, as slot terms."""
     images = (left, right)
     out: dict = {}
     for (word, slots), c in terms.items():
@@ -191,21 +185,14 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
 
     Both sides of each law are algebra morphisms out of A (composites of
     Phi, nu, D and the counit), so they agree on every word once they
-    agree on the unit and the generators; only those are checked.  A
-    letter x' or x'' of Phi(w) is read as x in slot 0 or 1, and each law
-    substitutes into these terms: (Phi * 1) Phi against (1 * Phi) Phi in
-    slots 0-2, nu in one slot and x in the other, and pi . Phi as
-    x (x) 1 and 1 (x) x in the Koszul-signed tensor square.
+    agree on the unit and the generators; only those are checked.  Each
+    law substitutes into the slot terms of Phi(w): (Phi * 1) Phi against
+    (1 * Phi) Phi in slots 0-2, nu in one slot and x in the other, and
+    pi . Phi as x (x) 1 and 1 (x) x in the Koszul-signed tensor square.
     """
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    alg, sq = A.algebra, A.tensor_square
-    letters = {p: (n, s) for s, m in enumerate(A.square_product.name_maps) for n, p in m.items()}
-
-    def tagged(terms: dict) -> dict:  # {(word, slots): c}
-        return {tuple(zip(*map(letters.__getitem__, p))) or ((), ()): c for p, c in terms.items()}
-
-    names = tuple(A.phi.images)
-    phi = {n: tagged(A.phi.images[n].terms) for n in names}
+    alg, sq, phi = A.algebra, A.tensor_square, A.phi
+    names = tuple(phi)
     shifted = {n: {(w, tuple(s + 1 for s in ss)): c for (w, ss), c in t.items()}
                for n, t in phi.items()}
     first, third = ({n: {((n,), (k,)): 1} for n in names} for k in (0, 2))
@@ -219,7 +206,7 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
     violations = []
     for w in words:
         one = {} if alg.word_modulus(w) == 1 else {w: 1}  # w, or 0 where its modulus is 1
-        pw = tagged(A.phi.image(w).terms) if one else {}
+        pw = (phi[w[0]] if w else {((), ()): 1}) if one else {}
         if _substitute(triple, pw, phi, third) != _substitute(triple, pw, first, shifted):
             violations.append(f"Phi coassociativity fails on {format_word(w)}")
         if any({v: c for (v, ss), c in pw.items() if k not in ss} != one for k in (0, 1)):
@@ -252,26 +239,21 @@ def is_cogroup_morphism(
     """Whether f intertwines the comultiplications: Phi_B . f = (f * f) . Phi_A.
 
     Checked on generators, which suffices because both sides are algebra
-    morphisms out of the source.
+    morphisms out of the source: Phi_B substituted into f(g) in slot 0
+    against f's images substituted into the slot terms of Phi_A(g).
     """
     if f.source != A.algebra or f.target != B.algebra:
         raise ValueError("morphism does not run between the underlying algebras")
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    f_star_f = AlgebraMorphism(
-        A.square_product.algebra,
-        B.square_product.algebra,
-        {
-            anm[n]: incl(f.images[n])
-            for anm, incl in zip(A.square_product.name_maps, B.square_product.inclusions)
-            for n in f.images
-        },
-        check=False,
+    slots = _SlotWords(B.algebra)
+    left, right = (
+        {n: {(w, (k,) * len(w)): c for w, c in img.terms.items()} for n, img in f.images.items()}
+        for k in (0, 1)
     )
     for g in A.module.generators:
         if g.degree > D:
             continue
-        lhs = B.phi(f(A.algebra.generator(g.name)))
-        rhs = f_star_f(A.phi(A.algebra.generator(g.name)))
-        if lhs != rhs:
+        lhs = _substitute(slots, left[g.name], B.phi, {})
+        if lhs != _substitute(slots, A.phi[g.name], left, right):
             return False
     return True

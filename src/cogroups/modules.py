@@ -16,8 +16,6 @@ must always agree.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .rings import RingSpec, frozen_value
 
 
@@ -78,41 +76,6 @@ class GradedModulePresentation:
 
     def max_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
-
-
-def _fresh(name: str, taken: set) -> str:
-    while name in taken:
-        name = name + "'"
-    return name
-
-
-def _merge_names(*factors):
-    """Disjointify k name tuples, one name map per factor.
-
-    A name that occurs in more than one factor gets i + 1 primes in
-    factor i (more while the result is taken); other names are kept.
-    """
-    counts = Counter(n for names in factors for n in names)
-    taken = set(counts)
-    maps = []
-    for i, names in enumerate(factors):
-        nm = {}
-        for n in names:
-            nm[n] = n if counts[n] == 1 else _fresh(n + "'" * (i + 1), taken)
-            taken.add(nm[n])
-        maps.append(nm)
-    return tuple(maps)
-
-
-def _disjoint_sum(modules):
-    """The direct sum of ``modules`` with disjoint names, and the name maps."""
-    name_maps = _merge_names(*(m.names() for m in modules))
-    gens = tuple(
-        CyclicGenerator(nm[g.name], g.degree, g.annihilator)
-        for m, nm in zip(modules, name_maps)
-        for g in m.generators
-    )
-    return GradedModulePresentation(modules[0].ring, gens), name_maps
 
 
 class LocalityResult:

@@ -454,7 +454,7 @@ def test_repeated_main_calls_in_one_process(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("usage: cogroups ")
 
 
-def test_only_check_cogroup_builds_a_free_product(tmp_path, capsys, monkeypatch):
+def test_only_check_cogroup_reads_phi(tmp_path, capsys, monkeypatch):
     # every other command reads D from the coproduct table, not from Phi
     path = tmp_path / "binom.cog"
     path.write_text(BINOM_Z9)
@@ -465,13 +465,15 @@ def test_only_check_cogroup_builds_a_free_product(tmp_path, capsys, monkeypatch)
         rc = cli_main([command, str(path), "--max-degree", "6"])
         plain[command] = rc, capsys.readouterr()
 
-    def refuse(*factors):
-        raise AssertionError("free product built")
+    def refuse(A):
+        raise AssertionError("Phi read")
 
-    monkeypatch.setattr("cogroups.cogroup.free_product", refuse)
+    monkeypatch.setattr(cg.Cogroup, "phi", property(refuse))
     for command in commands:
         rc = cli_main([command, str(path), "--max-degree", "6"])
         assert (rc, capsys.readouterr()) == plain[command], command
+    with pytest.raises(AssertionError, match="Phi read"):
+        cli_main(["check-cogroup", str(path), "--max-degree", "6"])
 
 
 def test_each_command_builds_the_cogroup_at_most_once(monkeypatch):

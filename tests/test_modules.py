@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 import cogroups as cg
-from cogroups.modules import _disjoint_sum
+from cogroup_oracle import disjoint_sum
 from instances import F2, F3, MATRIX, Q, Z, Z4, Z6, make_module, module
 
 
@@ -73,7 +73,7 @@ def test_max_degree():
 
 
 def direct_sum(a, b):
-    return _disjoint_sum((a, b))[0]
+    return disjoint_sum((a, b))[0]
 
 
 def test_direct_sum_is_disjoint():
