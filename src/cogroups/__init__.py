@@ -38,7 +38,6 @@ from .cogroup import (
     tensor_cogroup,
 )
 from .convolution import (
-    CoalgebraSource,
     CogroupSource,
     GradedMap,
     antipode,
@@ -65,7 +64,7 @@ __all__ = [
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
     "is_cocommutative", "trivial_coalgebra",
     "Cogroup", "check_cogroup_axioms", "is_cogroup_morphism", "tensor_cogroup",
-    "CoalgebraSource", "CogroupSource", "GradedMap", "antipode",
+    "CogroupSource", "GradedMap", "antipode",
     "antipode_by_recursion", "check_hopf_antipode", "convolution_inverse",
     "identity_map", "is_algebra_morphism", "is_antipode_surjective",
     "ClassificationReport", "classify_cogroup", "inverse_equals_antipode",

@@ -410,13 +410,14 @@ class AlgebraMorphism:
 
     Determined by generator images, extended multiplicatively over words
     and linearly over terms.  The target is any element parent: a tensor
-    algebra or a tensor square.
+    algebra or a tensor square.  The ``images`` dict is kept, not copied,
+    so maps built on one dict share it; do not change it afterwards.
     """
 
     def __init__(self, source: TruncatedTensorAlgebra, target, images: dict, *, check=True):
         self.source = source
         self.target = target
-        self.images = dict(images)
+        self.images = images
         # one-letter words are the images themselves: no product by 1
         self._word_cache: dict = {(n,): img for n, img in self.images.items()}
         self._word_cache[()] = target.one()
@@ -446,30 +447,38 @@ class AlgebraMorphism:
                 )
 
     def image(self, word):
-        """The image of a basis word, built in a loop from the longest part
-        of it already cached: a long word cannot hit the recursion limit."""
+        """The image of a basis word, one step from its cut word (the word
+        less one end letter) when that is cached, as it always is for
+        words read in basis order.  Otherwise the missing cut words are
+        built first, in a loop: a long word cannot hit the recursion limit."""
         cache = self._word_cache
         img = cache.get(word)
         if img is not None:
             return img
-        pending, cut = [], self._rest
-        while img is None:
-            pending.append(word)
-            word = word[cut]
-            img = cache.get(word)
-        for word in reversed(pending):
-            letter, sign = self._step(word)
-            right = self.images[letter].terms
-            if self._top and self.source._degrees[word] <= self._top:
-                img = self.target.homogeneous_product(img.terms, right, sign)
-            else:
-                acc: dict = {}
-                self.target.mul_into(acc, img.terms, right, sign)
-                img = AlgebraElement(self.target, acc)
-            cache[word] = img
+        cut = self._rest
+        img = cache.get(word[cut])
+        if img is None:
+            pending = [word[cut]]
+            while (img := cache.get(pending[-1][cut])) is None:
+                pending.append(pending[-1][cut])
+            for part in reversed(pending):
+                img = self._extend(part, img)
+        return self._extend(word, img)
+
+    def _extend(self, word, img):
+        """f(word) from f of its cut word, cached."""
+        letter, sign = self._step(word)
+        right = self.images[letter].terms
+        if self._top and self.source._degrees[word] <= self._top:
+            img = self.target.homogeneous_product(img.terms, right, sign)
+        else:
+            acc: dict = {}
+            self.target.mul_into(acc, img.terms, right, sign)
+            img = AlgebraElement(self.target, acc)
+        self._word_cache[word] = img
         return img
 
-    # f(word) = sign f(rest) f(a) with rest = word[_rest] and (a, sign) = _step(word)
+    # f(word) = sign f(cut) f(a) with cut = word[_rest] and (a, sign) = _step(word)
     _rest = slice(None, -1)
 
     @staticmethod

@@ -8,15 +8,16 @@ the defining module being locally at most singly generated, which over a
 field means: zero, or one free generator of even degree (any degree in
 characteristic 2).
 
-Every predicate below is computed independently - nu and chi as
-convolution inverses of two different maps (the inclusion C -> A,
-extended to an algebra morphism, and the identity of A, word by word),
-commutativity on generator pairs, locality by primary decomposition -
-and the report records whether they agree.  chi comes from
-``antipode_by_recursion``: ``antipode`` builds chi as an
-anti-homomorphism, so chi-is-morphism would then only restate
-commutativity.  That chi is filled on demand, one degree at a time, so
-``classify_cogroup`` builds it only as deep as its two verdicts read.
+Every predicate below is computed independently - nu from its
+generator images read off the coalgebra table, extended to an algebra
+morphism, chi as the convolution inverse of the identity of A, word by
+word over D, commutativity on generator pairs, locality by primary
+decomposition - and the report records whether they agree.  chi comes
+from ``antipode_by_recursion``: ``antipode`` builds chi as an
+anti-homomorphism on nu's generator images, so chi-is-morphism would
+then only restate commutativity.  That chi is filled on demand, one
+degree at a time, so ``classify_cogroup`` builds it only as deep as its
+two verdicts read.
 """
 
 from __future__ import annotations

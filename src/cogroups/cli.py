@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
-from .algebra import TruncatedTensorAlgebra, is_graded_commutative
+from .algebra import TruncatedTensorAlgebra, _format_terms, is_graded_commutative
 from .classify import classify_cogroup, inverse_equals_antipode
 from .coalgebra import is_cocommutative
 from .cogroup import check_cogroup_axioms, tensor_cogroup
@@ -61,21 +62,24 @@ class Report:
         """``json.dumps(self.to_dict(), indent=2)``, written out directly.
 
         With ``indent`` the json module takes its pure-Python encoder; here
-        only the scalars go through ``json.dumps``, and the fixed shape of
-        the report is spelled out.
+        the fixed shape of the report is spelled out, a string goes through
+        ``encode_basestring_ascii``, which is what ``json.dumps`` calls on
+        a ``str`` with its default arguments, and a bool, int or None
+        through ``json.dumps``.
         """
-        dumps = json.dumps
+        dumps, enc = json.dumps, encode_basestring_ascii
         verdicts = [
-            f'{{\n      "name": {dumps(n)},\n      "value": {dumps(v)}\n    }}'
+            f'{{\n      "name": {enc(n)},'
+            f'\n      "value": {enc(v) if isinstance(v, str) else dumps(v)}\n    }}'
             for n, v in self.verdicts
         ]
         return (
-            f'{{\n  "command": {dumps(self.command)},'
-            f'\n  "ring": {dumps(self.ring)},'
-            f'\n  "generators": {_json_list(map(dumps, self.generators))},'
+            f'{{\n  "command": {enc(self.command)},'
+            f'\n  "ring": {enc(self.ring)},'
+            f'\n  "generators": {_json_list(map(enc, self.generators))},'
             f'\n  "max_degree": {dumps(self.max_degree)},'
             f'\n  "verdicts": {_json_list(verdicts)},'
-            f'\n  "witnesses": {_json_list(map(dumps, self.witnesses))},'
+            f'\n  "witnesses": {_json_list(map(enc, self.witnesses))},'
             f'\n  "exit_code": {dumps(self.exit_code)}\n}}'
         )
 
@@ -149,9 +153,11 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         label = "chi" if command == "antipode" else "nu"
         images = antipode(A).image if command == "antipode" else A.nu.image
         fmt = A.algebra.format_key
+        # a word's image is stored in basis order, the order str() sorts into
         for d in range(0, max_degree + 1):
             for w in A.algebra.basis(d):
-                verdicts.append((f"{label}({fmt(w)})", str(images(w)) if d else "1"))
+                value = _format_terms(images(w).terms.items(), fmt) if d else "1"
+                verdicts.append((f"{label}({fmt(w)})", value))
         exit_code = 0
     elif command == "nu-eq-chi":
         ok, witness = inverse_equals_antipode(A, max_degree)

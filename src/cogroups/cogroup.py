@@ -5,7 +5,7 @@ Dbar(x) = sum c_i y_i (x) z_i, the tensor algebra A = T(C+) on the
 positive part carries a cogroup structure for the free product:
 
     Phi(x) = x' + x'' + sum c_i y_i' * z_i''      (comultiplication)
-    nu(x)  = the convolution inverse of the inclusion C -> A,
+    nu(x)  = -x - sum c_i y_i * nu(z_i),
              extended to an algebra morphism        (inverse)
 
 with counit the projection onto degree 0.  The underlying Hopf-style
@@ -15,7 +15,9 @@ algebra maps fixed by their generator images, D is computed directly as
 the morphism with D(x) = x (x) 1 + Dbar(x) + 1 (x) x into the
 Koszul-signed tensor square, the coalgebra's ``coproduct_morphism``.
 ``tensor_cogroup`` checks the coalgebra laws on the table itself, so
-building a cogroup builds neither the tensor square nor D.
+building a cogroup builds neither the tensor square nor D.  nu's
+generator images, read off the table, are also the antipode's, so nu
+and chi build no D either.
 
 Phi is kept as its generator images alone, each a dict of slot terms
 {(word, slots): c}: the letter word[i] stands in factor slots[i] of
@@ -36,6 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algebra import (
+    AlgebraElement,
     AlgebraMorphism,
     TensorSquare,
     TruncatedTensorAlgebra,
@@ -50,15 +53,15 @@ from .coalgebra import (
     coproduct_laws,
     coproduct_morphism,
 )
-from .convolution import CoalgebraSource, GradedMap, convolution_inverse
 
 
 class Cogroup:
     """Tensor-algebra cogroup on the positive part of a coalgebra.
 
-    The tensor square, Phi (as slot terms), nu and D are all built from
-    the coalgebra table, each on first read.  Treat instances as immutable;
-    internal caches only ever grow.
+    The tensor square, Phi (as slot terms), the generator images of nu
+    and chi, nu and D are all built from the coalgebra table, each on
+    first read.  Treat instances as immutable; internal caches only ever
+    grow.
     """
 
     def __init__(self, coalgebra: CoalgebraPresentation, truncation: int):
@@ -91,21 +94,30 @@ class Cogroup:
         return images
 
     @cached_property
-    def nu(self) -> AlgebraMorphism:
-        """nu on generators: the convolution inverse of the inclusion C -> A.
+    def generator_images(self) -> dict:
+        """nu and chi on the generators, one dict for both: g -> -g - sum
+        c y f(z) over the table's Dbar(g), each z of lower degree.
 
-        ``convolution_inverse`` runs g(x) = -x - sum c_i y_i * g(z_i) over
-        the coalgebra table; its images are the generator images.
+        Each image's terms are in basis order, which within a degree is
+        lexicographic in the generators' declaration index; every word
+        image built from them by ``homogeneous_product`` then is too.
         """
-        alg = self.algebra
-        names = [g.name for g in self.module.generators if g.degree <= self.truncation]
-        inclusion = GradedMap(
-            CoalgebraSource(self.coalgebra, self.truncation),
-            alg,
-            {name: alg.generator(name) for name in names},
-        )
-        inverse = convolution_inverse(inclusion)
-        return AlgebraMorphism(alg, alg, {name: inverse.image(name) for name in names})
+        index = {n: i for i, n in enumerate(self.module.names())}
+        images: dict = {}
+        for g in sorted(self.module.generators, key=lambda g: g.degree):
+            if g.degree > self.truncation:
+                break
+            acc = {(g.name,): -1}
+            for c, y, z in self.coalgebra.table.get(g.name, ()):
+                accumulate(acc, {(y,) + w: v for w, v in images[z].terms.items()}, -c)
+            order = sorted(acc, key=lambda w: [index[l] for l in w])
+            images[g.name] = AlgebraElement(self.algebra, {w: acc[w] for w in order})
+        return images
+
+    @cached_property
+    def nu(self) -> AlgebraMorphism:
+        """The inverse: the algebra morphism with the generator images."""
+        return AlgebraMorphism(self.algebra, self.algebra, self.generator_images)
 
     @cached_property
     def delta(self) -> AlgebraMorphism:

@@ -13,17 +13,18 @@ by degree induction, from the right:
     g(x) = -f(x) - sum c_i f(y_i) g(z_i)
 
 (the left recursion h(x) = -f(x) - sum c_i h(y_i) f(z_i) gives the same
-map; the test suite holds the one against the other).  Sources come in
-two flavours: a presented coalgebra with its finite table, and the whole
-underlying coalgebra of a cogroup, whose basis elements are words.
+map; the test suite holds the one against the other).  The source is
+the whole underlying coalgebra of a cogroup, whose basis elements are
+words.
 
 The inverse nu and the antipode chi agree on generators and differ in
 how they extend: nu is an ``AlgebraMorphism``, chi an ``AntiMorphism``.
-Each generator recursion is a convolution inverse: nu's is
-``convolution_inverse`` of the inclusion C -> A (``Cogroup.nu``), chi's
-runs in ``antipode`` on Dbar(g).  ``antipode_by_recursion`` is the
-inverse of the identity of A, word by word, with no product structure;
-``classify`` uses it as the independent chi.
+Both take the one set of generator images ``Cogroup.generator_images``
+computes off the coalgebra table, g -> -g - sum c y f(z) over Dbar(g):
+the convolution inverse of the inclusion C -> A, which is the tests'
+oracle for it.  ``antipode_by_recursion`` is the inverse of the
+identity of A, word by word, with no product structure; ``classify``
+uses it as the independent chi.
 
 ``convolution_inverse`` and ``identity_map`` fill their tables on
 demand, one whole degree at a time and in order: reading a key of degree
@@ -44,41 +45,10 @@ from typing import TYPE_CHECKING
 from .algebra import (
     AlgebraElement, AlgebraMorphism, AntiMorphism, TruncatedTensorAlgebra, format_word,
 )
-from .coalgebra import AxiomReport, CoalgebraPresentation
+from .coalgebra import AxiomReport
 
 if TYPE_CHECKING:
     from .cogroup import Cogroup
-
-
-class CoalgebraSource:
-    """Basis = the coalgebra's generators; reduced coproducts from its table."""
-
-    def __init__(self, coalgebra: CoalgebraPresentation, truncation: int):
-        self.coalgebra = coalgebra
-        self.module = coalgebra.module
-        self.ring = coalgebra.ring
-        self.truncation = truncation
-
-    def basis(self, d: int):
-        if d < 1 or d > self.truncation:
-            return []
-        return [g.name for g in self.module.generators if g.degree == d]
-
-    def degree(self, key) -> int:
-        return self.module.degree_of(key)
-
-    def annihilator(self, key) -> int:
-        return self.module.effective_annihilator(key)
-
-    def reduced_coproduct(self, key):
-        return self.coalgebra.reduced_coproduct(key)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoalgebraSource)
-            and self.coalgebra == other.coalgebra
-            and self.truncation == other.truncation
-        )
 
 
 class CogroupSource:
@@ -207,21 +177,11 @@ def convolution_inverse(f: GradedMap) -> GradedMap:
 
 def antipode(A: Cogroup) -> AntiMorphism:
     """chi = the convolution inverse of the identity, from generator data:
-    chi(g) = -g - sum c y chi(z) over Dbar(g), read off D and never off nu,
-    where each z is a generator of lower degree; then the graded
-    anti-morphism with these images.  It is the inverse because D is
-    coassociative, which ``tensor_cogroup`` guarantees;
-    ``antipode_by_recursion`` computes chi without that."""
-    alg = A.algebra
-    images = {}
-    for g in sorted(A.module.generators, key=lambda g: g.degree):
-        if g.degree > A.truncation:
-            break
-        acc = {(g.name,): -1}
-        for c, y, z in A.reduced_coproduct_word((g.name,)):
-            alg.mul_into(acc, {y: 1}, images[z[0]].terms, -c)
-        images[g.name] = AlgebraElement(alg, acc)
-    return AntiMorphism(alg, alg, images)
+    the graded anti-morphism with chi(g) = -g - sum c y chi(z) over the
+    table's Dbar(g), the generator images it shares with nu.  It is the
+    inverse because D is coassociative, which ``tensor_cogroup``
+    guarantees; ``antipode_by_recursion`` computes chi without that."""
+    return AntiMorphism(A.algebra, A.algebra, A.generator_images)
 
 
 def antipode_by_recursion(A: Cogroup) -> GradedMap:
@@ -250,9 +210,9 @@ def check_hopf_antipode(A: Cogroup, chi: AntiMorphism) -> AxiomReport:
         left = dict(chi.image(w).terms)
         left[w] = left.get(w, 0) + 1
         right = dict(left)
-        for c, y, z in A.reduced_coproduct_word(w):
-            alg.mul_into(left, chi.image(y).terms, {z: 1}, c)
-            alg.mul_into(right, {y: 1}, chi.image(z).terms, c)
+        for c, y, z in A.coalgebra.table.get(w[0], ()):  # Dbar(g), read off the table
+            alg.mul_into(left, chi.image((y,)).terms, {(z,): 1}, c)
+            alg.mul_into(right, {(y,): 1}, chi.image((z,)).terms, c)
         for law, terms in (("chi * id", left), ("id * chi", right)):
             value = AlgebraElement(alg, terms)
             if value:

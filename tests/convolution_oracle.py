@@ -2,6 +2,11 @@
 built in one eager pass: the tests' oracles for ``convolution_inverse``
 and ``antipode``, which fill their tables on demand, by degree.
 
+``CoalgebraSource`` is a presented coalgebra as a convolution source:
+its basis is the generators, its reduced coproducts the table.
+``inclusion_inverse`` is ``convolution_inverse`` of the inclusion
+C -> A over it, the oracle for ``Cogroup.generator_images``.
+
 ``convolve`` is the product (f * g)(x) = f(x) + g(x) + sum c f(y) g(z)
 over Dbar(x), and ``unit_map`` its identity eta . eps; the library
 computes neither.  ``convolution_inverse_eagerly`` and
@@ -16,6 +21,49 @@ table.
 
 import cogroups as cg
 from cogroups.algebra import accumulate
+
+
+class CoalgebraSource:
+    """Basis = the coalgebra's generators; reduced coproducts from its table."""
+
+    def __init__(self, coalgebra, truncation: int):
+        self.coalgebra = coalgebra
+        self.module = coalgebra.module
+        self.ring = coalgebra.ring
+        self.truncation = truncation
+
+    def basis(self, d: int):
+        if d < 1 or d > self.truncation:
+            return []
+        return [g.name for g in self.module.generators if g.degree == d]
+
+    def degree(self, key) -> int:
+        return self.module.degree_of(key)
+
+    def annihilator(self, key) -> int:
+        return self.module.effective_annihilator(key)
+
+    def reduced_coproduct(self, key):
+        return self.coalgebra.reduced_coproduct(key)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CoalgebraSource)
+            and self.coalgebra == other.coalgebra
+            and self.truncation == other.truncation
+        )
+
+
+def inclusion_inverse(A):
+    """{g: image}: ``convolution_inverse`` of the inclusion C -> A on every
+    generator up to the truncation."""
+    alg = A.algebra
+    names = [g.name for g in A.module.generators if g.degree <= A.truncation]
+    inclusion = cg.GradedMap(
+        CoalgebraSource(A.coalgebra, A.truncation), alg, {n: alg.generator(n) for n in names}
+    )
+    inverse = cg.convolution_inverse(inclusion)
+    return {n: inverse.image(n) for n in names}
 
 
 def unit_map(source, target):

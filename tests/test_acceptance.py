@@ -18,7 +18,7 @@ import pytest
 
 import cogroups as cg
 from cogroups.cli import main as cli_main
-from convolution_oracle import convolution_inverse_eagerly, convolve, unit_map
+from convolution_oracle import CoalgebraSource, convolution_inverse_eagerly, convolve, unit_map
 from hopf_oracle import antipode_negates_indecomposables
 from instances import (
     F2,
@@ -199,7 +199,7 @@ def criterion_09_trivial_sources_convolve_by_addition():
     """On generator-basis sources with trivial tables, * is +, degreewise."""
     for key, ring, gens, expected in MATRIX:
         A = make_cogroup(key, 8)
-        src = cg.CoalgebraSource(A.coalgebra, 8)
+        src = CoalgebraSource(A.coalgebra, 8)
         rng = random.Random(hash(key) & 0xFFFF)
         for _ in range(10):
             f = random_graded_map(src, A.algebra, rng)

@@ -106,7 +106,7 @@ def test_delta_restricts_to_table():
     assert A.delta(A.algebra.generator("x")) == want
 
 
-LAZY = ("tensor_square", "phi", "nu", "delta")
+LAZY = ("tensor_square", "phi", "generator_images", "nu", "delta")
 
 
 def fresh_coalgebras():
@@ -137,7 +137,8 @@ def test_the_inverse_table_builds_no_comultiplication():
     for A in fresh_cogroups():
         for w in A.algebra.words_up_to():
             A.nu.image(w)
-        assert built(A) == {"nu"}
+        assert built(A) == {"generator_images", "nu"}
+        assert A._reduced_cache == {}
 
 
 def test_the_axiom_check_reads_every_structure():
@@ -147,11 +148,14 @@ def test_the_axiom_check_reads_every_structure():
 
 
 def test_the_antipode_table_builds_no_inverse():
+    # chi reads its generator images off the table: no nu, no D, no tensor square
     for A in fresh_cogroups():
         chi = cg.antipode(A)
         for w in A.algebra.words_up_to():
             chi.image(w)
-        assert built(A) == {"tensor_square", "delta"}
+        assert built(A) == {"generator_images"}
+        assert A._reduced_cache == {}
+        assert chi.images is A.generator_images is A.nu.images
 
 
 def assert_delta_is_the_folded_phi(A):

@@ -9,13 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import cogroups as cg
 from cogroups import convolution
+from cogroups.algebra import _format_terms
 from cogroups.convolution import _bijective_on_generators, _spans
-from cogroup_oracle import folded_phi
 from convolution_oracle import (
+    CoalgebraSource,
     antipode_eagerly,
     convolution_inverse_eagerly,
     convolve,
     explicit_identity,
+    inclusion_inverse,
     unit_map,
 )
 from hopf_oracle import antipode_negates_indecomposables, check_hopf_on_words
@@ -44,7 +46,7 @@ def loop_source(D=6):
     m = module(Q, [("y", 1), ("x", 2)])
     C = cg.CoalgebraPresentation(m, {"x": [(1, "y", "y")]})
     A = cg.tensor_cogroup(C, D)
-    return cg.CoalgebraSource(C, D), A
+    return CoalgebraSource(C, D), A
 
 
 def test_coalgebra_source_basis():
@@ -99,7 +101,7 @@ def test_convolution_inverse_both_sides():
 def test_trivial_coproduct_convolution_is_addition():
     for key in ("z-coprime", "f3-pair"):
         A = make_cogroup(key, 6)
-        src = cg.CoalgebraSource(A.coalgebra, 6)
+        src = CoalgebraSource(A.coalgebra, 6)
         rng = random.Random(8)
         for _ in range(3):
             f = random_graded_map(src, A.algebra, rng)
@@ -190,7 +192,7 @@ def test_on_demand_inverse_matches_the_eager_loop_on_coproduct_tables(case):
     assert_inverse_matches_the_eager_loop(cg.identity_map(A), explicit_identity(A), rng)
     alg = A.algebra
     inclusion = graded_map(
-        cg.CoalgebraSource(A.coalgebra, A.truncation),
+        CoalgebraSource(A.coalgebra, A.truncation),
         alg,
         {g.name: alg.generator(g.name) for g in A.module.generators if g.degree <= A.truncation},
     )
@@ -219,21 +221,16 @@ def test_on_demand_antipode_matches_the_eager_loop_on_coproduct_tables(case):
 
 
 def test_antipode_refuses_a_non_homogeneous_coproduct():
-    """Phi(y) with terms of degree 3 puts x^2 + x^3 into chi(y), which the
-    anti-morphism's validation refuses; ``tensor_cogroup`` refuses such a
-    D before any chi is built."""
-    C = cg.trivial_coalgebra(module(Q, [("x", 1), ("y", 2)]))
-    A = cg.Cogroup(C, 5)
-    A.phi = {  # x' + x'' and y' + y'' + x' x'' + x' x' x''
-        "x": {(("x",), (0,)): 1, (("x",), (1,)): 1},
-        "y": {
-            (("y",), (0,)): 1, (("y",), (1,)): 1,
-            (("x", "x"), (0, 1)): 1, (("x", "x", "x"), (0, 0, 1)): 1,
-        },
-    }
-    A.delta = folded_phi(A)  # D = pi . Phi follows the broken Phi
+    """chi is read off the table, so a coproduct term of the wrong degree
+    is refused there; an image x^2 + x^3 of y, as such a term would give
+    chi, is refused by the anti-morphism's validation."""
+    m = module(Q, [("x", 1), ("y", 2)])
+    with pytest.raises(ValueError, match="coproduct of y: term x\\(x\\)y has degree 3, expected 2"):
+        cg.CoalgebraPresentation(m, {"y": [(1, "x", "y")]})
+    alg = cg.tensor_cogroup(cg.trivial_coalgebra(m), 5).algebra
+    x, y = alg.generator("x"), alg.generator("y")
     with pytest.raises(ValueError, match="image of y is not homogeneous of degree 2"):
-        cg.antipode(A)
+        cg.AntiMorphism(alg, alg, {"x": -x, "y": -y + x * x + x * x * x})
 
 
 def test_the_top_word_of_a_deep_truncation_needs_no_recursion():
@@ -269,7 +266,11 @@ def test_on_demand_tables_hold_only_the_degrees_read(key):
 
 
 def assert_nu_is_chi_on_generators(A):
+    """nu and chi share one dict of generator images, and it is the
+    convolution inverse of the inclusion C -> A."""
     chi = cg.antipode(A)
+    assert chi.images is A.nu.images is A.generator_images
+    assert A.generator_images == inclusion_inverse(A)
     for g in A.module.generators:
         if g.degree <= A.truncation:
             assert A.nu.images[g.name] == chi.image((g.name,)), g.name
@@ -285,6 +286,35 @@ def test_nu_and_chi_agree_on_generators(key):
 @given(coassociative_coalgebras())
 def test_nu_and_chi_agree_on_generators_of_coproduct_tables(case):
     assert_nu_is_chi_on_generators(cg.tensor_cogroup(*case))
+
+
+@st.composite
+def coprime_torsion_coalgebras(draw):
+    """(coalgebra, truncation) over Z or Z/6 with a 2-torsion and a
+    3-torsion primitive generator, so that every word holding both has
+    modulus 1, next to a free pair c, d with Dbar(d) = s c (x) c."""
+    ring = draw(st.sampled_from((Z, Z6)))
+    a, b = (draw(st.integers(1, 2)) for _ in "ab")
+    gens = [("a", a, 2), ("b", b, 3), ("c", 1, 0), ("d", 2, 0)]
+    draw(st.randoms()).shuffle(gens)
+    table = {"d": [(draw(st.sampled_from((1, -1, 2))), "c", "c")]}
+    return cg.CoalgebraPresentation(module(ring, gens), table), draw(st.integers(3, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(coassociative_coalgebras(), coprime_torsion_coalgebras()), st.booleans())
+def test_word_images_are_stored_in_print_order(case, top_first):
+    """Every word image of nu and chi holds its terms in the order ``str``
+    sorts them into, whether the words are read in basis order or the
+    highest degree first, so the table commands print them unsorted."""
+    A = cg.tensor_cogroup(*case)
+    alg, fmt = A.algebra, A.algebra.format_key
+    words = [w for w in alg.words_up_to() if w]
+    for f in (A.nu, cg.antipode(A)):
+        for w in reversed(words) if top_first else words:
+            img = f.image(w)
+            assert list(img.terms) == sorted(img.terms, key=alg.sort_key), w
+            assert _format_terms(img.terms.items(), fmt) == str(img), w
 
 
 def _snf_spans(vectors, k, ring):
@@ -729,10 +759,12 @@ def deconcatenation_cogroup(D=8) -> cg.Cogroup:
 
 
 def test_hopf_check_builds_dbar_on_generators_only():
+    # Dbar of a generator is read off the table: no D, no tensor square
     A = deconcatenation_cogroup()
     chi = cg.antipode(A)
     assert cg.check_hopf_antipode(A, chi).ok
-    assert sorted(A._reduced_cache) == [("a",), ("b",), ("c",)]
+    assert A._reduced_cache == {}
+    assert not {"tensor_square", "delta"} & vars(A).keys()
     assert max(map(len, chi._word_cache)) == 1
 
 

@@ -476,6 +476,30 @@ def test_only_check_cogroup_reads_phi(tmp_path, capsys, monkeypatch):
         cli_main(["check-cogroup", str(path), "--max-degree", "6"])
 
 
+def test_only_check_cogroup_and_classify_build_d(tmp_path, capsys, monkeypatch):
+    # nu and chi read Dbar of a generator off the table: no D, no tensor square
+    path = tmp_path / "binom.cog"
+    path.write_text(BINOM_Z9)
+    commands = [c for c in COMMANDS if c not in ("check-cogroup", "classify")]
+    assert len(commands) == 7
+    plain = {}
+    for command in commands:
+        rc = cli_main([command, str(path), "--max-degree", "6"])
+        plain[command] = rc, capsys.readouterr()
+
+    def refuse(A):
+        raise AssertionError("D read")
+
+    for name in ("tensor_square", "delta"):
+        monkeypatch.setattr(cg.Cogroup, name, property(refuse))
+    for command in commands:
+        rc = cli_main([command, str(path), "--max-degree", "6"])
+        assert (rc, capsys.readouterr()) == plain[command], command
+    for command in ("check-cogroup", "classify"):
+        with pytest.raises(AssertionError, match="D read"):
+            cli_main([command, str(path), "--max-degree", "6"])
+
+
 def test_each_command_builds_the_cogroup_at_most_once(monkeypatch):
     built = []
 
