@@ -153,6 +153,9 @@ class TruncatedTensorAlgebra:
         self._basis_cache: dict[int, list] = {}
         deg, ann, char = self._deg, self._ann, self.ring.characteristic()
         self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
+        self._degrees.update(((n,), d) for n, d in deg.items())
+        # a word's degree, the element protocol's name for it too
+        self.word_degree = self.degree = self._degrees.__getitem__
         self._moduli = _Memo(lambda w: reduce(gcd, (ann[l] for l in w), char))
         # how elements print: terms in basis order, words as labels
         self.sort_key = _BasisOrder(self._degrees, self.basis).__getitem__
@@ -174,17 +177,13 @@ class TruncatedTensorAlgebra:
     def __repr__(self):
         return f"TruncatedTensorAlgebra({self.module.ring}, D={self.truncation})"
 
-    def word_degree(self, word) -> int:
-        return self._degrees[word]
-
     def word_modulus(self, word) -> int:
         """gcd of the ring characteristic and the letters' annihilators."""
         if self.fixed_modulus is not None:
             return self.fixed_modulus
         return self._moduli[word]
 
-    # the element protocol's names for a word's degree and modulus
-    degree = word_degree
+    # the element protocol's name for a word's modulus
     modulus = word_modulus
 
     def mul_into(self, acc: dict, left: dict, right: dict, c=1) -> None:

@@ -64,13 +64,13 @@ class Report:
         With ``indent`` the json module takes its pure-Python encoder; here
         the fixed shape of the report is spelled out, a string goes through
         ``encode_basestring_ascii``, which is what ``json.dumps`` calls on
-        a ``str`` with its default arguments, and a bool, int or None
-        through ``json.dumps``.
+        a ``str`` with its default arguments, a verdict of True, False or
+        None is its literal, and an int goes through ``json.dumps``.
         """
         dumps, enc = json.dumps, encode_basestring_ascii
         verdicts = [
             f'{{\n      "name": {enc(n)},'
-            f'\n      "value": {enc(v) if isinstance(v, str) else dumps(v)}\n    }}'
+            f'\n      "value": {_json_value(v)}\n    }}'
             for n, v in self.verdicts
         ]
         return (
@@ -102,6 +102,15 @@ def _json_list(items) -> str:
     """A list of encoded items as ``indent=2`` prints it one level down."""
     body = ",\n    ".join(items)
     return f"[\n    {body}\n  ]" if body else "[]"
+
+
+def _json_value(value) -> str:
+    # True and False by identity: 1 == True, so a dict lookup prints 1 as true
+    if value is True or value is False:
+        return _fmt_value(value)
+    if value is None:
+        return "null"
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _fmt_value(value) -> str:

@@ -102,16 +102,22 @@ class Cogroup:
         lexicographic in the generators' declaration index; every word
         image built from them by ``homogeneous_product`` then is too.
         """
+        alg, table = self.algebra, self.coalgebra.table
         index = {n: i for i, n in enumerate(self.module.names())}
         images: dict = {}
         for g in sorted(self.module.generators, key=lambda g: g.degree):
             if g.degree > self.truncation:
                 break
             acc = {(g.name,): -1}
-            for c, y, z in self.coalgebra.table.get(g.name, ()):
-                accumulate(acc, {(y,) + w: v for w, v in images[z].terms.items()}, -c)
-            order = sorted(acc, key=lambda w: [index[l] for l in w])
-            images[g.name] = AlgebraElement(self.algebra, {w: acc[w] for w in order})
+            get = acc.get
+            for c, y, z in table.get(g.name, ()):
+                for w, v in images[z].terms.items():
+                    w = (y,) + w
+                    acc[w] = get(w, 0) - c * v
+            terms = _reduce_terms(alg, acc)
+            if len(terms) > 1:
+                terms = {w: terms[w] for w in sorted(terms, key=lambda w: [index[l] for l in w])}
+            images[g.name] = AlgebraElement.trusted(alg, terms)
         return images
 
     @cached_property

@@ -34,13 +34,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-class Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text: str, line: int, column: int):
-        self.text, self.line, self.column = text, line, column
-
-
 class ProblemSpec:
     """A parsed problem: ring, graded module, and coproduct table.
 
@@ -74,123 +67,107 @@ class ProblemSpec:
         return out
 
 
-def _tokenize(line: str, lineno: int):
-    body = line.split("#", 1)[0]
-    return [
-        Token(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(body)
-    ]
-
-
 class _Cursor:
-    def __init__(self, tokens, lineno):
-        self.tokens = tokens
-        self.lineno = lineno
+    """One line's token texts and a read position; reads return token
+    indices.  A column is found only for an error, by scanning the line again."""
+
+    __slots__ = ("texts", "body", "lineno", "pos")
+
+    def __init__(self, texts: list, body: str, lineno: int):
+        self.texts, self.body, self.lineno = texts, body, lineno
         self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str, i: int) -> ParseError:
+        """A ``ParseError`` at token i, or just past the last one."""
+        spans = [m.span() for m in _TOKEN.finditer(self.body)]
+        column = spans[i][0] + 1 if i < len(spans) else spans[-1][1] + 1
+        return ParseError(message, self.lineno, column)
 
-    def next(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise ParseError(
-                f"expected {what} at end of line", self.lineno, last.column + len(last.text)
-            )
-        self.pos += 1
-        return tok
+    def peek(self) -> str | None:
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
 
-    def expect(self, text: str) -> Token:
-        tok = self.next(f"'{text}'")
-        if tok.text != text:
-            raise ParseError(f"expected '{text}', got '{tok.text}'", tok.line, tok.column)
-        return tok
+    def next(self, what: str) -> int:
+        i = self.pos
+        if i == len(self.texts):
+            raise self.error(f"expected {what} at end of line", i)
+        self.pos = i + 1
+        return i
 
-    def name(self, what="a name") -> Token:
-        tok = self.next(what)
-        if not _NAME.match(tok.text):
-            raise ParseError(f"expected {what}, got '{tok.text}'", tok.line, tok.column)
-        return tok
+    def expect(self, text: str) -> int:
+        i = self.next(f"'{text}'")
+        if self.texts[i] != text:
+            raise self.error(f"expected '{text}', got '{self.texts[i]}'", i)
+        return i
 
-    def integer(self, what="an integer") -> Token:
-        tok = self.next(what)
-        if not _INT.match(tok.text):
-            raise ParseError(f"expected {what}, got '{tok.text}'", tok.line, tok.column)
-        return tok
+    def read(self, pattern: re.Pattern, what: str) -> int:
+        """The next token, which must match ``pattern``: _NAME or _INT."""
+        i = self.next(what)
+        if not pattern.match(self.texts[i]):
+            raise self.error(f"expected {what}, got '{self.texts[i]}'", i)
+        return i
 
     def done(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected '{tok.text}'", tok.line, tok.column)
+        if self.pos < len(self.texts):
+            raise self.error(f"unexpected '{self.texts[self.pos]}'", self.pos)
 
 
 def parse_spec(text: str) -> ProblemSpec:
     ring: RingSpec | None = None
-    gens: list[CyclicGenerator] = []
-    gen_tokens: dict[str, Token] = {}
-    coproduct_lines: list = []
+    known: dict[str, CyclicGenerator] = {}  # in declaration order
+    coproduct_lines: list = []  # (cursor, target index, [(coeff, y index, z index)])
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if not tokens:
+        body = raw.split("#", 1)[0]
+        texts = _TOKEN.findall(body)
+        if not texts:
             continue
-        cur = _Cursor(tokens, lineno)
-        head = cur.next("a statement")
-        if head.text == "ring":
+        cur = _Cursor(texts, body, lineno)
+        head = texts[cur.next("a statement")]
+        if head == "ring":
             if ring is not None:
-                raise ParseError("duplicate ring declaration", head.line, head.column)
-            kind = cur.next("a ring name")
-            if kind.text == "Z":
+                raise cur.error("duplicate ring declaration", 0)
+            k = cur.next("a ring name")
+            kind = texts[k]
+            if kind == "Z":
                 ring = RingSpec.integers()
-            elif kind.text == "Q":
+            elif kind == "Q":
                 ring = RingSpec.rationals()
-            elif kind.text in ("Zmod", "Fp"):
-                n = cur.integer("a modulus" if kind.text == "Zmod" else "a prime")
+            elif kind in ("Zmod", "Fp"):
+                n = cur.read(_INT, "a modulus" if kind == "Zmod" else "a prime")
                 try:  # Zmod below 2; Fp composite, or beyond certification
-                    ring = RingSpec(kind.text, int(n.text))
+                    ring = RingSpec(kind, int(texts[n]))
                 except ValueError as exc:
-                    raise ParseError(str(exc), n.line, n.column) from exc
+                    raise cur.error(str(exc), n) from exc
             else:
-                raise ParseError(
-                    f"unknown ring '{kind.text}' (want Z, Q, Zmod <n> or Fp <p>)",
-                    kind.line,
-                    kind.column,
+                raise cur.error(
+                    f"unknown ring '{kind}' (want Z, Q, Zmod <n> or Fp <p>)", k
                 )
             cur.done()
-        elif head.text == "generator":
+        elif head == "generator":
             if ring is None:
-                raise ParseError(
-                    "generator before ring declaration", head.line, head.column
-                )
-            name = cur.name("a generator name")
-            if name.text in gen_tokens:
-                raise ParseError(
-                    f"duplicate generator '{name.text}'", name.line, name.column
-                )
+                raise cur.error("generator before ring declaration", 0)
+            n = cur.read(_NAME, "a generator name")
+            name = texts[n]
+            if name in known:
+                raise cur.error(f"duplicate generator '{name}'", n)
             cur.expect("degree")
-            deg = cur.integer("a degree")
-            if int(deg.text) < 1:
-                raise ParseError("degree must be >= 1", deg.line, deg.column)
+            d = cur.read(_INT, "a degree")
+            degree = int(texts[d])
+            if degree < 1:
+                raise cur.error("degree must be >= 1", d)
             ann = 0
             if cur.peek() is not None:
                 cur.expect("ann")
-                annt = cur.integer("an annihilator")
-                ann = int(annt.text)
+                a = cur.read(_INT, "an annihilator")
+                ann = int(texts[a])
                 if not ring.legal_annihilator(ann):
-                    raise ParseError(
-                        f"annihilator {ann} is not legal over {ring}",
-                        annt.line,
-                        annt.column,
-                    )
+                    raise cur.error(f"annihilator {ann} is not legal over {ring}", a)
             cur.done()
-            gens.append(CyclicGenerator(name.text, int(deg.text), ann))
-            gen_tokens[name.text] = name
-        elif head.text == "coproduct":
+            known[name] = CyclicGenerator(name, degree, ann)
+        elif head == "coproduct":
             if ring is None:
-                raise ParseError(
-                    "coproduct before ring declaration", head.line, head.column
-                )
-            target = cur.name("a generator name")
+                raise cur.error("coproduct before ring declaration", 0)
+            target = cur.read(_NAME, "a generator name")
             cur.expect("=")
             terms = []
             while True:
@@ -198,55 +175,47 @@ def parse_spec(text: str) -> ProblemSpec:
                     cur.expect("+")
                 coeff = 1
                 tok = cur.peek()
-                if tok is not None and _INT.match(tok.text):
-                    coeff = int(cur.next("a coefficient").text)
-                y = cur.name("a generator name")
+                if tok is not None and _INT.match(tok):
+                    coeff = int(texts[cur.next("a coefficient")])
+                y = cur.read(_NAME, "a generator name")
                 cur.expect("*")
-                z = cur.name("a generator name")
+                z = cur.read(_NAME, "a generator name")
                 terms.append((coeff, y, z))
                 if cur.peek() is None:
                     break
-            coproduct_lines.append((target, terms))
+            coproduct_lines.append((cur, target, terms))
         else:
-            raise ParseError(
-                f"unknown statement '{head.text}'", head.line, head.column
-            )
+            raise cur.error(f"unknown statement '{head}'", 0)
 
     if ring is None:
         raise ParseError("missing ring declaration", 1, 1)
 
-    module = GradedModulePresentation(ring, tuple(gens))
-    known = {g.name: g for g in gens}
+    module = GradedModulePresentation(ring, tuple(known.values()))
 
     table: dict = {}
-    for target, terms in coproduct_lines:
-        if target.text not in known:
-            raise ParseError(
-                f"unknown generator '{target.text}'", target.line, target.column
-            )
-        if target.text in table:
-            raise ParseError(
-                f"duplicate coproduct for '{target.text}'", target.line, target.column
-            )
+    for cur, target, terms in coproduct_lines:
+        texts = cur.texts
+        x = texts[target]
+        if x not in known:
+            raise cur.error(f"unknown generator '{x}'", target)
+        if x in table:
+            raise cur.error(f"duplicate coproduct for '{x}'", target)
+        dx = known[x].degree
         checked = []
         for coeff, y, z in terms:
-            for tok in (y, z):
-                if tok.text not in known:
-                    raise ParseError(
-                        f"unknown generator '{tok.text}'", tok.line, tok.column
-                    )
-            dy = known[y.text].degree
-            dz = known[z.text].degree
-            dx = known[target.text].degree
+            for i in (y, z):
+                if texts[i] not in known:
+                    raise cur.error(f"unknown generator '{texts[i]}'", i)
+            dy = known[texts[y]].degree
+            dz = known[texts[z]].degree
             if dy + dz != dx:
-                raise ParseError(
-                    f"degree imbalance: {y.text}*{z.text} has degree {dy + dz}, "
-                    f"{target.text} has degree {dx}",
-                    y.line,
-                    y.column,
+                raise cur.error(
+                    f"degree imbalance: {texts[y]}*{texts[z]} has degree {dy + dz}, "
+                    f"{x} has degree {dx}",
+                    y,
                 )
-            checked.append((coeff, y.text, z.text))
-        table[target.text] = checked
+            checked.append((coeff, texts[y], texts[z]))
+        table[x] = checked
 
     try:
         coalg = CoalgebraPresentation(module, table)

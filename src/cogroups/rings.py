@@ -12,24 +12,31 @@ All integer arithmetic is unbounded; nothing here ever rounds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from operator import attrgetter
 
 _KINDS = ("Z", "Q", "Zmod", "Fp")
 
-# Miller-Rabin with the first 13 primes as bases is deterministic below
-# psi_13 = 3317044064679887385961981 = 1287836182261 * 2575672364521, the
-# least strong pseudoprime to all of them.  Base 41 is what rejects
-# psi_12 = 318665857834031151167461, the least one to the first 12.
+# Miller-Rabin on the first k primes as bases is deterministic below psi_k,
+# the least strong pseudoprime to all of them (Jaeschke, Math. Comp. 61
+# (1993); Sorenson and Webster, Math. Comp. 86 (2017)).  psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11; psi_13 = 1287836182261 * 2575672364521 is the bound.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CERTIFICATION_BOUND = 3317044064679887385961981
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, PRIME_CERTIFICATION_BOUND,
+)
 
 
 def is_prime(n: int) -> bool:
     """Certified primality below ``PRIME_CERTIFICATION_BOUND``.
 
-    Raises ``ValueError`` at or above the bound, where the Miller-Rabin
-    bases used here no longer decide primality.
+    Miller-Rabin runs on the first k bases for the least k with n < psi_k:
+    2 for a 5-digit n.  Raises ``ValueError`` at or above the bound, where
+    the 13 bases used here no longer decide primality.
     """
     if n >= PRIME_CERTIFICATION_BOUND:
         raise ValueError(
@@ -46,7 +53,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

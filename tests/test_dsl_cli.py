@@ -8,11 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
+import dsl_oracle
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ParseError, ProblemSpec, parse_spec
-from instances import BINOM_Z9, render_spec
+from instances import BINOM_Z9, raw_presentations, render_spec
 
 POLY = "ring Q\ngenerator X degree 2\n"
 TORSION = "ring Zmod 4\ngenerator x degree 3\n"
@@ -95,6 +97,12 @@ def test_parse_error_positions():
     assert (e.line, e.column) == (2, 1) and "unknown statement" in e.message
     e = err("ring Z\ngenerator x degree 2\ngenerator x degree 4")
     assert (e.line, e.column) == (3, 11) and "duplicate generator" in e.message
+    e = err("ring R")
+    assert (e.line, e.column) == (1, 6) and e.message.startswith("unknown ring 'R'")
+    e = err("ring Z\ngenerator x degree 2 ann 3 extra")
+    assert (e.line, e.column) == (2, 28) and e.message == "unexpected 'extra'"
+    e = err("ring Z\ngenerator 3 degree 2")
+    assert (e.line, e.column) == (2, 11) and e.message == "expected a generator name, got '3'"
 
 
 def test_parse_error_positions_in_coproducts():
@@ -111,6 +119,106 @@ def test_parse_error_positions_in_coproducts():
     assert (e.line, e.column) == (5, 11) and "duplicate coproduct" in e.message
     e = err("coproduct x = y * y")
     assert (e.line, e.column) == (1, 1) and "before ring" in e.message
+    e = err(base + "coproduct x = y y")
+    assert (e.line, e.column) == (4, 17) and e.message == "expected '*', got 'y'"
+    e = err(base + "coproduct x = 2")
+    assert (e.line, e.column) == (4, 16)
+    assert e.message == "expected a generator name at end of line"
+
+
+def _lines(draw, module, table):
+    """Token lists of an input that states ``module`` and ``table``."""
+    lines = [["ring", *str(module.ring).split()]]
+    for g in module.generators:
+        lines.append(["generator", g.name, "degree", str(g.degree)])
+        if g.annihilator or draw(st.booleans()) and draw(st.booleans()):
+            lines[-1] += ["ann", str(g.annihilator)]
+    for x, terms in table.items():
+        line = ["coproduct", x, "="]
+        for c, y, z in terms:
+            line += ["+"] if line[-1] != "=" else []
+            line += [] if c == 1 and draw(st.booleans()) else [str(int(c))]
+            line += [y, "*", z]
+        lines.append(line)
+    return lines
+
+
+JUNK = ("zz", "x'", "_", "ring", "degree", "0", "-3", "7", "=", "*", "+", "@", ",", "#")
+# (kind, junk): junk is the replacement of "junk" and the tail of "tail"
+MUTATIONS = [(kind, None) for kind in ("drop", "double", "swap", "glue", "line", "comment")]
+MUTATIONS += [(kind, j) for kind in ("junk", "tail") for j in JUNK]
+
+
+def _mutate(lines, r, i, kind, junk):
+    """A copy of the token lists with token i of line r dropped, doubled,
+    swapped with the next one, glued to it or replaced by junk, with line
+    r repeated at the end, a comment before token i or junk after the line."""
+    lines = [list(row) for row in lines]
+    row = lines[r]
+    if kind == "drop":
+        del row[i]
+    elif kind == "double":
+        row.insert(i, row[i])
+    elif kind == "swap":
+        row[i : i + 2] = row[i : i + 2][::-1]
+    elif kind == "glue":
+        row[i : i + 2] = ["".join(row[i : i + 2])]
+    elif kind == "junk":
+        row[i] = junk
+    elif kind == "line":
+        lines.append(list(row))
+    elif kind == "comment":
+        row.insert(i, "# note")
+    elif kind == "tail":
+        row.append(junk)
+    return lines
+
+
+@st.composite
+def mutated_inputs(draw):
+    """Input text stating a random table, valid or with one mutation, and
+    blank or comment lines; tokens are set apart by varied whitespace."""
+    lines = _lines(draw, *draw(raw_presentations()))
+    if draw(st.integers(0, 4)):  # four inputs in five are mutated
+        # on a coproduct line, when there is one, half the time
+        r = draw(st.integers(0, len(lines) - 1))
+        if lines[-1][0] == "coproduct" and draw(st.booleans()):
+            r = len(lines) - 1
+        i = draw(st.integers(0, len(lines[r]) - 1))
+        lines = _mutate(lines, r, i, *draw(st.sampled_from(MUTATIONS)))
+    spaces = st.sampled_from((" ", " ", "  ", "\t"))
+    text = [draw(st.sampled_from(("", " "))) + "".join(
+        t + draw(spaces) for t in row
+    ) for row in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(("", "  ", "# c"))))
+    return "\n".join(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return ("ParseError", e.line, e.column, e.message)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_inputs())
+def test_parser_matches_the_token_object_oracle(text):
+    assert _outcome(parse_spec, text) == _outcome(dsl_oracle.parse_spec, text)
+
+
+@pytest.mark.parametrize("text", [
+    LOOP, Z4_CHAIN, BINOM_Z9, "ring Fp 5\ngenerator x degree 2\n",
+    "ring Z\ngenerator y degree 1 ann 4\ngenerator x degree 2 ann 2\ncoproduct x = 2 y * y\n",
+], ids=["loop", "z4-chain", "binom-z9", "fp5", "z-ann"])
+def test_parser_matches_the_token_object_oracle_on_every_single_mutation(text):
+    lines = [line.split() for line in text.splitlines() if line.split()]
+    for r, row in enumerate(lines):
+        for i in range(len(row)):
+            for mutation in MUTATIONS:
+                mutant = "\n".join(map(" ".join, _mutate(lines, r, i, *mutation)))
+                assert _outcome(parse_spec, mutant) == _outcome(dsl_oracle.parse_spec, mutant)
 
 
 def test_round_trips():
@@ -514,6 +622,23 @@ def test_each_command_builds_the_cogroup_at_most_once(monkeypatch):
         run_command(spec, command, max_degree=4)
         table_only = command in ("check-commutative", "check-cocommutative")
         assert built == ([] if table_only else [4]), command
+
+
+def test_setup_builds_one_algebra_and_no_tensor_square(monkeypatch):
+    # the table is reduced and checked without an algebra; a cogroup builds A
+    built = []
+    for cls in (cg.TruncatedTensorAlgebra, cg.TensorSquare):
+        def counting(self, *args, __init__=cls.__init__, name=cls.__name__):
+            built.append(name)
+            __init__(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    spec = parse_spec(BINOM_Z9)
+    assert built == []
+    for command in ("antipode", "inverse", "check-hopf", "nu-eq-chi", "check-surjective"):
+        run_command(spec, command, max_degree=6)
+        assert built == ["TruncatedTensorAlgebra"], command
+        built.clear()
 
 
 def test_cli_refuses_a_non_coassociative_table(tmp_path, capsys):

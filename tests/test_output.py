@@ -67,13 +67,19 @@ def test_render_json_matches_json_dumps_on_every_command_of_the_matrix():
 
 
 def test_render_json_matches_json_dumps_on_lists_and_values():
-    values = [("t", True), ("f", False), ("n", None), ("i", -7), ("s", "x^2 - 3*y")]
-    for generators, verdicts, witnesses in itertools.product(
+    # 0 == False and 1 == True with equal hashes: only identity tells them apart
+    values = [
+        ("t", True), ("f", False), ("n", None), ("0", 0), ("1", 1), ("-1", -1),
+        ("i", -7), ("big", 2**70), ("s", "x^2 - 3*y"), ("e", ""),
+    ]
+    for generators, verdicts, witnesses, max_degree, exit_code in itertools.product(
         ([], ["x degree 2", "y degree 3 ann 4"]),
-        ([], values[:1], values),
+        ([], values[:1], values, [values[3]], [values[4]]),
         ([], ["x: nu = x, chi = -x"], ["one", "two"]),
+        (0, 1, 5),
+        (0, 1),
     ):
-        report = Report("inverse", "Zmod 9", generators, 5, verdicts, witnesses, 1)
+        report = Report("inverse", "Zmod 9", generators, max_degree, verdicts, witnesses, exit_code)
         assert report.render_json() == oracle_json(report)
 
 

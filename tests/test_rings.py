@@ -1,6 +1,7 @@
 """Ring contexts and Smith normal form."""
 
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -137,6 +138,39 @@ def test_is_prime_certifies_below_psi13_and_refuses_from_it():
     with pytest.raises(ValueError, match="bound") as info:
         RingSpec.prime_field(PSI_13)
     assert "not prime" not in str(info.value)
+
+
+# psi_1 .. psi_13, the least strong pseudoprimes to the first k prime bases
+# (Jaeschke 1993; Sorenson and Webster 2017); psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321,
+    3825123056546413051, 3825123056546413051, 3825123056546413051,
+    PSI_12, PSI_13,
+)
+
+
+def _is_prime_on_all_13_bases(n):
+    if n < 2:
+        return False
+    for p in BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in BASES)
+
+
+def test_is_prime_with_bases_sized_to_n_matches_all_13_bases():
+    assert all(_strong_probable_prime(psi, a) for k, psi in enumerate(PSI, 1) for a in BASES[:k])
+    rng = random.Random(23)
+    numbers = list(range(10**5))
+    numbers += [psi + e for psi in PSI[:-1] for e in (-2, -1, 0, 1, 2)]
+    numbers += [PSI_13 - e for e in (1, 2)]
+    for digits in range(5, 26):
+        top = min(10**digits, PSI_13)
+        numbers += [rng.randrange(10 ** (digits - 1), top) | 1 for _ in range(200)]
+    for n in numbers:
+        assert cg.is_prime(n) == _is_prime_on_all_13_bases(n), n
 
 
 # Smith normal form --------------------------------------------------------
