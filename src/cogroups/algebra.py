@@ -17,8 +17,9 @@ word mixing coprime torsion letters is identically zero.  Coefficients
 are stored canonically: residues in [0, m) when m > 0, and otherwise
 plain ``int`` over Z and Q, with a ``Fraction`` only for a non-integral
 rational.  Sums and products accumulate into one dict and reduce once,
-in ``_reduce_terms``, at the end; ``homogeneous_product``, the word-table
-product of nu and chi, whose term pairs never meet, reduces each term.
+in ``_reduce_terms``, at the end.  A morphism's word images are filled
+one degree at a time, as products of homogeneous images whose term pairs
+never meet, so there the reduction is chosen once for the whole map.
 
 Sign conventions: multiplication of simple tensors in the tensor square
 follows the Koszul rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
@@ -150,7 +151,7 @@ class TruncatedTensorAlgebra:
         self.truncation = truncation
         self._deg = {g.name: g.degree for g in module.generators}
         self._ann = {g.name: g.annihilator for g in module.generators}
-        self._basis_cache: dict[int, list] = {}
+        self._basis_cache: list = [[()]]  # basis(d) at index d
         deg, ann, char = self._deg, self._ann, self.ring.characteristic()
         self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._degrees.update(((n,), d) for n, d in deg.items())
@@ -161,11 +162,7 @@ class TruncatedTensorAlgebra:
         self.sort_key = _BasisOrder(self._degrees, self.basis).__getitem__
         self.format_key = _Memo(format_word).__getitem__
         # the modulus of every word, when no letter's annihilator lowers it
-        self.fixed_modulus = (
-            char if all(gcd(char, a) == char for a in ann.values()) else None
-        )
-        # every word's modulus where no product of nonzero coefficients vanishes, else None
-        self._exact = None if self.ring.kind == "Zmod" else self.fixed_modulus
+        self.fixed_modulus = char if all(gcd(char, a) == char for a in ann.values()) else None
 
     def __eq__(self, other):
         return self is other or (
@@ -199,41 +196,22 @@ class TruncatedTensorAlgebra:
                     w = w1 + w2
                     acc[w] = get(w, 0) + cv * v2
 
-    def homogeneous_product(self, left: dict, right: dict, sign=1) -> "AlgebraElement":
-        """sign * left * right for sign = +-1, a homogeneous left factor and
-        a product inside the truncation: every word w1 + w2 then has one
-        prefix of the left factor's degree, so no two term pairs meet, and
-        over Z, Q and F_p no term needs more than its own reduction."""
-        p, rhs = self._exact, right.items()
-        if p:  # F_p
-            terms = {w1 + w2: sign * v1 * v2 % p for w1, v1 in left.items() for w2, v2 in rhs}
-            return AlgebraElement.trusted(self, terms)
-        terms = {w1 + w2: sign * v1 * v2 for w1, v1 in left.items() for w2, v2 in rhs}
-        if p is None or self.ring.kind == "Q" and Fraction in map(type, terms.values()):
-            return AlgebraElement(self, terms)
-        return AlgebraElement.trusted(self, terms)
-
     def basis(self, d: int) -> list:
         """All words of degree d, in a fixed order (first letter major).
 
-        Building it records each word's degree.
+        The degrees below d are built first, in a loop, so a deep
+        truncation cannot hit the recursion limit.  Building a degree
+        records each word's degree.
         """
         if d < 0 or d > self.truncation:
             return []
-        cached = self._basis_cache.get(d)
-        if cached is None:
-            if d == 0:
-                cached = [()]
-            else:
-                cached = [
-                    (g.name,) + w
-                    for g in self.module.generators
-                    if g.degree <= d
-                    for w in self.basis(d - g.degree)
-                ]
-            self._basis_cache[d] = cached
-            self._degrees.update(zip(cached, repeat(d)))
-        return cached
+        cache, gens = self._basis_cache, self.module.generators
+        while len(cache) <= d:
+            e = len(cache)
+            words = [(g.name,) + w for g in gens if g.degree <= e for w in cache[e - g.degree]]
+            cache.append(words)
+            self._degrees.update(zip(words, repeat(e)))
+        return cache[d]
 
     def words_up_to(self, dmax: int | None = None):
         top = self.truncation if dmax is None else min(dmax, self.truncation)
@@ -411,20 +389,32 @@ class AlgebraMorphism:
     and linearly over terms.  The target is any element parent: a tensor
     algebra or a tensor square.  The ``images`` dict is kept, not copied,
     so maps built on one dict share it; do not change it afterwards.
+
+    Word images are filled a whole degree at a time: basis(d) lists a.v
+    for each generator a and v in basis(d - |a|), so f on basis(d) is f(a)
+    times each image of degree d - |a|, in turn.  Reading a word fills its
+    degree and those below; the library reads in basis order, or reads
+    only generators, from ``images``.
     """
+
+    _anti = False  # f(a.v) = f(a) f(v); an AntiMorphism swaps the factors and signs
 
     def __init__(self, source: TruncatedTensorAlgebra, target, images: dict, *, check=True):
         self.source = source
         self.target = target
         self.images = images
-        # one-letter words are the images themselves: no product by 1
-        self._word_cache: dict = {(n,): img for n, img in self.images.items()}
-        self._word_cache[()] = target.one()
-        self._top = 0  # a word up to this degree multiplies homogeneous images
+        self._by_degree: list = []  # f on basis(d), as term dicts, at index d
+        self._top = 0  # a degree up to this multiplies homogeneous images
+        self._mod = None  # reduction there: % p (F_p), none (0), else _reduce_terms (None)
         if check:
             self._validate()
-            if isinstance(target, TruncatedTensorAlgebra) and self.images.keys() <= source._deg.keys():
+            if isinstance(target, TruncatedTensorAlgebra) and images.keys() <= source._deg.keys():
                 self._top = min(source.truncation, target.truncation)
+                # no product of nonzero coefficients vanishes over Z, Q and F_p, but
+                # a Fraction, like a residue mod n, needs _reduce_terms
+                ints = all(type(c) is int for img in images.values() for c in img.terms.values())
+                if target.ring.kind != "Zmod" and ints:
+                    self._mod = target.fixed_modulus
 
     def _validate(self):
         for g in self.source.module.generators:
@@ -445,44 +435,54 @@ class AlgebraMorphism:
                     f"{g.annihilator}"
                 )
 
-    def image(self, word):
-        """The image of a basis word, one step from its cut word (the word
-        less one end letter) when that is cached, as it always is for
-        words read in basis order.  Otherwise the missing cut words are
-        built first, in a loop: a long word cannot hit the recursion limit."""
-        cache = self._word_cache
-        img = cache.get(word)
-        if img is not None:
-            return img
-        cut = self._rest
-        img = cache.get(word[cut])
-        if img is None:
-            pending = [word[cut]]
-            while (img := cache.get(pending[-1][cut])) is None:
-                pending.append(pending[-1][cut])
-            for part in reversed(pending):
-                img = self._extend(part, img)
-        return self._extend(word, img)
+    def image(self, word) -> AlgebraElement:
+        """The image of a basis word of the source."""
+        try:
+            d, i = self.source.sort_key(word)
+        except KeyError:
+            raise ValueError(f"{format_word(word)} is not a basis word of the source") from None
+        return AlgebraElement.trusted(self.target, self.degree_images(d)[i])
 
-    def _extend(self, word, img):
-        """f(word) from f of its cut word, cached."""
-        letter, sign = self._step(word)
-        right = self.images[letter].terms
-        if self._top and self.source._degrees[word] <= self._top:
-            img = self.target.homogeneous_product(img.terms, right, sign)
-        else:
-            acc: dict = {}
-            self.target.mul_into(acc, img.terms, right, sign)
-            img = AlgebraElement(self.target, acc)
-        self._word_cache[word] = img
-        return img
+    def degree_images(self, d: int) -> list:
+        """f on basis(d), d <= the source's truncation, in its order, as shared
+        reduced term dicts.  The first read fills d and each degree below."""
+        filled = self._by_degree
+        while len(filled) <= d:
+            filled.append(self._fill(len(filled)))
+        return filled[d]
 
-    # f(word) = sign f(cut) f(a) with cut = word[_rest] and (a, sign) = _step(word)
-    _rest = slice(None, -1)
-
-    @staticmethod
-    def _step(word):
-        return word[-1], 1
+    def _fill(self, d: int) -> list:
+        if not d:
+            return [self.target.one().terms]
+        filled, images, target, out = self._by_degree, self.images, self.target, []
+        general, mod, anti = d > self._top, self._mod, self._anti
+        for g in self.source.module.generators:
+            e = d - g.degree
+            if e < 0 or not filled[e]:
+                continue
+            fa = images[g.name].terms
+            if not e:  # a one-letter word: its image, with no product by 1
+                out.append(fa)
+                continue
+            sign = -1 if anti and g.degree * e % 2 else 1
+            pairs = zip(filled[e], repeat(fa)) if anti else zip(repeat(fa), filled[e])
+            if general:  # the images may meet or leave the target: multiply out
+                for left, right in pairs:
+                    acc: dict = {}
+                    target.mul_into(acc, left, right, sign)
+                    out.append(_reduce_terms(target, acc))
+            elif mod:
+                out += [
+                    {w1 + w2: sign * v1 * v2 % mod for w1, v1 in left.items() for w2, v2 in right.items()}
+                    for left, right in pairs
+                ]
+            else:
+                products = [
+                    {w1 + w2: sign * v1 * v2 for w1, v1 in left.items() for w2, v2 in right.items()}
+                    for left, right in pairs
+                ]
+                out += products if mod == 0 else [_reduce_terms(target, t) for t in products]
+        return out
 
     def __call__(self, elem: AlgebraElement):
         if elem.parent is not self.source and elem.parent != self.source:
@@ -494,14 +494,9 @@ class AlgebraMorphism:
 
 
 class AntiMorphism(AlgebraMorphism):
-    """A graded anti-morphism: f(a.v) = (-1)^{|a||v|} f(v) f(a), built from
-    the cached suffix v where an ``AlgebraMorphism`` uses the prefix."""
+    """A graded anti-morphism: f(a.v) = (-1)^{|a||v|} f(v) f(a)."""
 
-    _rest = slice(1, None)
-
-    def _step(self, word):
-        da, d = self.source._deg[word[0]], self.source._degrees[word]
-        return word[0], -1 if da * (d - da) % 2 else 1
+    _anti = True
 
 
 def is_graded_commutative(algebra: TruncatedTensorAlgebra):

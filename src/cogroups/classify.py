@@ -22,7 +22,7 @@ two verdicts read.
 
 from __future__ import annotations
 
-from .algebra import format_word, is_graded_commutative
+from .algebra import AlgebraElement, AlgebraMorphism, format_word, is_graded_commutative
 from .cogroup import Cogroup
 from .convolution import antipode, antipode_by_recursion, is_algebra_morphism
 from .modules import is_admissible_free_cyclic, is_locally_at_most_singly_generated
@@ -75,13 +75,15 @@ def inverse_equals_antipode(A: Cogroup, truncation: int | None = None):
 
 
 def _first_difference(A: Cogroup, chi, truncation: int | None):
+    """nu against chi in basis order, a morphism's images a degree at a time."""
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    alg = A.algebra
+    alg, morphism = A.algebra, isinstance(chi, AlgebraMorphism)
     for d in range(1, D + 1):
-        for w in alg.basis(d):
-            nu_w = A.nu.image(w)
-            chi_w = chi.image(w)
+        words = alg.basis(d)
+        chis = chi.degree_images(d) if morphism else (chi.image(w).terms for w in words)
+        for w, nu_w, chi_w in zip(words, A.nu.degree_images(d), chis):
             if nu_w != chi_w:
+                nu_w, chi_w = (AlgebraElement.trusted(alg, t) for t in (nu_w, chi_w))
                 return False, f"{format_word(w)}: nu = {nu_w}, chi = {chi_w}"
     return True, None
 

@@ -160,13 +160,12 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         exit_code = 0 if report.ok else 1
     elif command in ("antipode", "inverse"):
         label = "chi" if command == "antipode" else "nu"
-        images = antipode(A).image if command == "antipode" else A.nu.image
+        f = antipode(A) if command == "antipode" else A.nu
         fmt = A.algebra.format_key
-        # a word's image is stored in basis order, the order str() sorts into
+        # a word's terms are stored in basis order, the order str() sorts into
         for d in range(0, max_degree + 1):
-            for w in A.algebra.basis(d):
-                value = _format_terms(images(w).terms.items(), fmt) if d else "1"
-                verdicts.append((f"{label}({fmt(w)})", value))
+            for w, terms in zip(A.algebra.basis(d), f.degree_images(d)):
+                verdicts.append((f"{label}({fmt(w)})", _format_terms(terms.items(), fmt)))
         exit_code = 0
     elif command == "nu-eq-chi":
         ok, witness = inverse_equals_antipode(A, max_degree)

@@ -136,16 +136,20 @@ def coproduct_laws(delta: AlgebraMorphism, w) -> tuple:
     (D (x) 1) D(w) and (1 (x) D) D(w) are compared as triples of words,
     each coefficient reduced modulo the modulus of its letters.
     """
-    alg = delta.source
+    alg, unit = delta.source, {((), ()): 1}
+
+    def image(v):  # the unit and generators are read off, with no degree filled
+        return delta.image(v).terms if len(v) > 1 else delta.images[v[0]].terms if v else unit
+
     want = {} if alg.word_modulus(w) == 1 else {w: 1}  # w, or 0 where its modulus is 1
-    dw = delta.image(w).terms if want else {}
+    dw = image(w) if want else {}
     left: dict = {}
     right: dict = {}
     for (w1, w2), c in dw.items():
-        for (u, v), c2 in delta.image(w1).terms.items():
+        for (u, v), c2 in image(w1).items():
             key = (u, v, w2)
             left[key] = left.get(key, 0) + c * c2
-        for (u, v), c2 in delta.image(w2).terms.items():
+        for (u, v), c2 in image(w2).items():
             key = (w1, u, v)
             right[key] = right.get(key, 0) + c * c2
     return (

@@ -100,7 +100,7 @@ class Cogroup:
 
         Each image's terms are in basis order, which within a degree is
         lexicographic in the generators' declaration index; every word
-        image built from them by ``homogeneous_product`` then is too.
+        image that nu's and chi's degree fill multiplies from them then is too.
         """
         alg, table = self.algebra, self.coalgebra.table
         index = {n: i for i, n in enumerate(self.module.names())}

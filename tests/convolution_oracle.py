@@ -12,8 +12,8 @@ over Dbar(x), and ``unit_map`` its identity eta . eps; the library
 computes neither.  ``convolution_inverse_eagerly`` and
 ``antipode_eagerly`` build every degree up to the truncation before they
 return, and multiply only through the general ``mul_into``: the library
-builds its inverses by degree on demand and chi's words through
-``homogeneous_product``.  The eager inverse runs either one-sided
+builds its inverses by degree on demand, and chi's words a degree at a
+time as products of homogeneous images.  The eager inverse runs either one-sided
 recursion; the library runs only the right one.
 ``explicit_identity`` is the identity of a cogroup's algebra as a full
 table.

@@ -65,8 +65,8 @@ MATRIX = [
 
 MATRIX_KEYS = [row[0] for row in MATRIX]
 
-# two chain tables in the description language: deconcatenation over Z
-# and a binomial table over Z/9
+# tables in the description language: deconcatenation over Z and a
+# binomial table over Z/9
 DECONC_Z = """\
 ring Z
 generator a degree 1
@@ -82,6 +82,31 @@ generator b degree 2
 generator c degree 3
 coproduct b = 2 a * a
 coproduct c = 3 a * b + 3 b * a
+"""
+# the binomial table over F_7, coprime torsion letters over Z whose mixed
+# words have modulus 1, and a deconcatenation table of scale 2 over Q
+BINOM_F7 = """\
+ring Fp 7
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = 2 a * a
+coproduct c = 3 a * b + 3 b * a
+"""
+TORSION_Z = """\
+ring Z
+generator x degree 1 ann 2
+generator y degree 1 ann 3
+generator z degree 2
+coproduct z = x * x + y * y
+"""
+DECONC_Q2 = """\
+ring Q
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = 2 a * a
+coproduct c = 2 a * b + 2 b * a
 """
 
 

@@ -157,7 +157,7 @@ def test_nu_eq_chi_fills_chi_only_to_the_first_difference(monkeypatch):
     verdict = cg.inverse_equals_antipode(A)
     assert verdict == (False, "x^2: nu = x^2, chi = -x^2")
     (chi,) = built
-    assert max(A.algebra.word_degree(w) for w in chi._word_cache if len(w) > 1) == 2
+    assert len(chi._by_degree) == 3  # degrees 0, 1 and 2
     assert verdict == _first_difference(A, antipode_eagerly(A), None)
 
 

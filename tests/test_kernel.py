@@ -8,9 +8,13 @@ two must agree on products in A, on products in A (x) A with the Koszul
 sign, and on morphism application, over all four ring kinds.
 """
 
+import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
@@ -182,55 +186,105 @@ def test_rational_coefficients_from_ints_stay_int(A, data):
         assert all(type(c) is int for c in elem.terms.values()), elem
 
 
-@settings(max_examples=100, deadline=None)
+def fill_image(data, T, oracle, gen):
+    """A legal image of ``gen`` in T, over Q scaled by a fraction."""
+    terms = legal_image(data, T, oracle, gen)
+    if T.ring.kind == "Q":
+        c = data.draw(st.fractions(-3, 3, max_denominator=4))
+        terms = {w: c * v for w, v in terms.items()}
+    return T.element(terms)
+
+
+def letter_products(f, word):
+    """f(a1)...f(aL) for an algebra morphism, (-1)^s f(aL)...f(a1) with
+    s = sum over i < j of |ai||aj| for an anti-morphism, multiplied with ``*``."""
+    deg = f.source.word_degree
+    factors = [f.images[l] for l in word]
+    sign = 1
+    if isinstance(f, cg.AntiMorphism):
+        factors.reverse()
+        sign = (-1) ** sum(deg(word[i:i + 1]) * deg(word[i + 1:]) for i in range(len(word)))
+    return reduce(mul, factors, f.target.one()).scale(sign)
+
+
+@settings(max_examples=150, deadline=None)
 @given(algebras(), st.data())
-def test_homogeneous_product(A, data):
-    oracle = Oracle(A.module, A.truncation)
-    d = data.draw(st.sampled_from([d for d in range(A.truncation + 1) if A.basis(d)]))
-    sign = data.draw(st.sampled_from((1, -1)))
-    left = A.element(terms_of(data, A.basis(d), A.ring)).terms
-    right = A.element(terms_of(data, list(A.words_up_to(A.truncation - d)), A.ring)).terms
-    got = A.homogeneous_product(left, right, sign)
-    assert got.terms == oracle.mul({w: sign * c for w, c in left.items()}, right)
-    canonical = A.element(got.terms).terms
-    assert [(type(c), c) for c in got.terms.values()] == [
-        (type(c), c) for c in canonical.values()
-    ]
+def test_degree_fill_matches_letter_by_letter_products(A, data):
+    """The fill of each degree, for nu and for chi, against the products
+    of ``*`` on every basis word: over Z with torsion letters, Q with
+    fractions, Z/4 and Z/6 with zero divisors, F_2 and F_3, into a target
+    truncated at or below the source.  Terms are stored in basis order."""
+    T = cg.TruncatedTensorAlgebra(A.module, data.draw(st.integers(1, A.truncation)))
+    oracle = Oracle(T.module, T.truncation)
+    images = {
+        g.name: fill_image(data, T, oracle, g)
+        for g in A.module.generators
+        if g.degree <= A.truncation
+    }
+    for cls in (cg.AlgebraMorphism, cg.AntiMorphism):
+        f = cls(A, T, images)
+        for d in range(A.truncation + 1):
+            filled = f.degree_images(d)
+            assert len(filled) == len(A.basis(d))
+            for w, terms in zip(A.basis(d), filled):
+                want = letter_products(f, w).terms
+                assert terms == want, (cls, w)
+                assert {v: type(c) for v, c in terms.items()} == {v: type(c) for v, c in want.items()}
+                assert list(terms) == sorted(terms, key=T.sort_key), (cls, w)
 
 
-def test_homogeneous_product_reduces_each_term():
+def test_degree_fill_reduces_each_product():
     Q, Z4 = cg.RingSpec.rationals(), cg.RingSpec.integers_mod(4)
     F5, Z = cg.RingSpec.prime_field(5), cg.RingSpec.integers()
+    xx, xy = ("x", "x"), ("x", "y")
+    # (ring, generators, images as terms, word, its image under nu and under chi)
     cases = [
-        (Q, [("x", 1)], {("x",): Fraction(1, 2)}, {("x",): 2}, -1, {("x", "x"): -1}),
-        (Q, [("x", 1)], {("x",): Fraction(1, 2)}, {("x",): Fraction(1, 3)}, 1,
-         {("x", "x"): Fraction(1, 6)}),
-        (F5, [("x", 1)], {("x",): 2}, {("x",): 3}, -1, {("x", "x"): 4}),
-        (Z4, [("x", 1)], {("x",): 2}, {("x",): 2, ("x", "x"): 1}, 1, {("x", "x", "x"): 2}),
-        (Z, [("x", 1, 2), ("y", 1, 3)], {("x",): 1}, {("y",): 1, ("x",): 3}, 1,
-         {("x", "x"): 1}),
+        (Q, [("x", 1), ("y", 1)], {"x": {("x",): Fraction(1, 2)}, "y": {("y",): 2}},
+         xy, {xy: 1}, {("y", "x"): -1}),
+        (Q, [("x", 1)], {"x": {("x",): Fraction(1, 2)}}, xx,
+         {xx: Fraction(1, 4)}, {xx: Fraction(-1, 4)}),
+        (F5, [("x", 1)], {"x": {("x",): 2}}, xx, {xx: 4}, {xx: 1}),
+        (Z4, [("x", 1)], {"x": {("x",): 2}}, xx, {}, {}),
+        (Z, [("x", 1, 2), ("y", 1, 3)], {"x": {("x",): 1}, "y": {("y",): 1}}, xy, {}, {}),
+        (Z, [("x", 1, 2), ("y", 1, 3)], {"x": {("x",): 1}, "y": {("y",): 1}}, xx, {xx: 1}, {xx: 1}),
     ]
-    for ring, gens, left, right, sign, want in cases:
+    for ring, gens, terms, word, nu_want, chi_want in cases:
         A = cg.TruncatedTensorAlgebra(module(ring, gens), 3)
-        got = A.homogeneous_product(A.element(left).terms, A.element(right).terms, sign)
-        assert got.terms == want and all(type(c) is type(want[w]) for w, c in got.terms.items())
+        images = {n: A.element(t) for n, t in terms.items()}
+        for cls, want in ((cg.AlgebraMorphism, nu_want), (cg.AntiMorphism, chi_want)):
+            got = cls(A, A, images).image(word).terms
+            assert got == want and all(type(c) is type(want[w]) for w, c in got.items())
 
 
 def test_word_images_multiply_in_general_unless_validated():
-    """Only a validated map's generator images are known homogeneous;
-    every other map gets exactly the products of ``*``."""
+    """Only a validated map's generator images are known homogeneous and
+    inside the target; an unvalidated map, and a target truncated below
+    the source, get exactly the products of ``*`` on every basis word."""
+    Q = cg.RingSpec.rationals()
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("z", 3)]), 6)
+    B = cg.TruncatedTensorAlgebra(A.module, 2)
+    x, z, bx = A.generator("x"), A.generator("z"), B.generator("x")
+    # (x + x^2)^2 has two term pairs on x^3
+    f = cg.AlgebraMorphism(A, A, {"x": x + x * x, "z": z}, check=False)
+    assert f.image(("x", "x")) == x * x + (x * x * x).scale(2) + x * x * x * x
+    for g in (
+        f,
+        cg.AntiMorphism(A, A, {"x": x + x * x, "z": z - x * x * x}, check=False),
+        cg.AlgebraMorphism(A, B, {"x": bx, "z": B.zero()}),
+        cg.AlgebraMorphism(A, B, {"x": bx + bx * bx, "z": B.zero()}, check=False),
+    ):
+        for w in A.words_up_to():
+            assert g.image(w) == letter_products(g, w), w
+
+
+def test_only_basis_words_have_images():
     Q = cg.RingSpec.rationals()
     A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("z", 3)]), 6)
     B = cg.TruncatedTensorAlgebra(A.module, 2)
     x = A.generator("x")
-    # (x + x^2)^2 has two term pairs on x^3
-    f = cg.AlgebraMorphism(A, A, {"x": x + x * x}, check=False)
-    assert f.image(("x", "x")) == x * x + (x * x * x).scale(2) + x * x * x * x
-    # z lies above B's truncation and "w" is no generator: neither is validated
-    for images, word in (
-        ({"x": x, "z": x + x * x}, ("z", "z")),
-        ({"x": x, "w": x + x * x}, ("x", "w", "w")),
-    ):
-        checked = cg.AlgebraMorphism(B, A, images)
-        general = cg.AlgebraMorphism(B, A, images, check=False)
-        assert checked.image(word) == general.image(word), word
+    # z lies above B's truncation and "w" is no generator
+    f = cg.AlgebraMorphism(B, A, {"x": x, "z": x + x * x, "w": x})
+    for word, name in ((("z",), "z"), (("z", "z"), "z^2"), (("x", "w", "w"), "x*w^2")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} is not a basis word")):
+            f.image(word)
+    assert f.image(("x", "x")) == x * x

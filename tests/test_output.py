@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogroups.algebra import AlgebraMorphism
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
-from cogroups.dsl import ProblemSpec
-from instances import BINOM_Z9, DECONC_Z, MATRIX, make_module
+from cogroups.dsl import ProblemSpec, parse_spec
+from instances import BINOM_F7, BINOM_Z9, DECONC_Q2, DECONC_Z, MATRIX, TORSION_Z, make_module
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,6 +46,11 @@ def run_main(argv, stdin):
         ("check_surjective_binom.txt", BINOM_Z9, ["check-surjective", "-", "--max-degree", "5"]),
         ("check_hopf_deconc.txt", DECONC_Z, ["check-hopf", "-", "--max-degree", "5"]),
         ("classify_deconc.json", DECONC_Z, ["classify", "-", "--max-degree", "5", "--json"]),
+        # three more tables: F_p, coprime torsion letters (words mixing x
+        # and y have modulus 1 and print 0) and Q with a scale-2 table
+        ("antipode_binom_fp.txt", BINOM_F7, ["antipode", "-", "--max-degree", "7"]),
+        ("inverse_torsion_z.json", TORSION_Z, ["inverse", "-", "--max-degree", "5", "--json"]),
+        ("antipode_deconc_q2.txt", DECONC_Q2, ["antipode", "-", "--max-degree", "6"]),
     ],
 )
 def test_table_goldens(fname, text, argv):
@@ -52,6 +58,29 @@ def test_table_goldens(fname, text, argv):
     golden = (GOLDEN / fname).read_text()
     assert out == golden
     assert re.search(r'exit.code"?: (\d)', golden).group(1) == str(rc)
+
+
+@pytest.mark.parametrize("command", ("antipode", "inverse"))
+def test_the_tables_fill_each_degree_once_and_look_up_no_word(command, monkeypatch):
+    """The table commands zip basis(d) with the map's fill of degree d:
+    no word image is looked up, and each degree is filled exactly once."""
+    fills = []
+    fill = AlgebraMorphism._fill
+
+    def counted(self, d):
+        fills.append((self, d))
+        return fill(self, d)
+
+    def refused(self, word):
+        raise AssertionError(f"the image of {word} was looked up")
+
+    monkeypatch.setattr(AlgebraMorphism, "_fill", counted)
+    monkeypatch.setattr(AlgebraMorphism, "image", refused)
+    for text in (DECONC_Z, BINOM_Z9, BINOM_F7, TORSION_Z, DECONC_Q2):
+        fills.clear()
+        run_command(parse_spec(text), command, max_degree=6)
+        assert len({f for f, _ in fills}) == 1
+        assert [d for _, d in fills] == list(range(7))
 
 
 def oracle_json(report):

@@ -1,4 +1,5 @@
-"""Every job of the benchmark's seed-1 job lists, through ``cli.main`` in
+"""Every job of the benchmark's seed-1 job lists, and the two table
+commands on the ROADMAP's baseline instances, through ``cli.main`` in
 text and JSON, checked by the benchmark's own oracle."""
 
 import dataclasses
@@ -26,3 +27,29 @@ def test_every_seed_1_job_passes_the_benchmark_oracle(workload):
             assert rc == oracle.expected_exit(job), (job.key, as_json)
             if not job.expect_refusal:
                 assert oracle.check_output(job, rc, stdout) == [], (job.key, as_json)
+
+
+# the ROADMAP's baseline instances, (name, degree, ann) generators, and
+# the truncation of their table runs
+BASELINE = (
+    (oracle.Presentation("Z", 0, (("x", 1, 0), ("y", 2, 0))), 8),
+    (oracle.Presentation("Q", 0, (("x", 1, 0), ("y", 1, 0), ("z", 2, 0))), 8),
+    (
+        oracle.Presentation(
+            "Zmod", 4, (("a", 1, 0), ("b", 2, 0), ("c", 3, 0)),
+            {"b": ((2, "a", "a"),), "c": ((1, "a", "b"), (1, "b", "a"))},
+        ),
+        8,
+    ),
+    (oracle.Presentation("Zmod", 6, (("x", 2, 2), ("y", 2, 3))), 10),
+    (oracle.Presentation("Z", 0, (("x", 2, 2), ("y", 2, 3), ("z", 2, 5))), 10),
+)
+
+
+@pytest.mark.parametrize("command", ("antipode", "inverse"))
+def test_the_tables_of_the_baseline_instances_pass_the_benchmark_oracle(command):
+    for pres, top in BASELINE:
+        for as_json in (False, True):
+            job = oracle.Job(f"{command}-{pres.ring}-D{top}", command, pres, top, as_json)
+            rc, stdout = call_main(cli, job)
+            assert oracle.check_output(job, rc, stdout) == [], (job.key, as_json)
