@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     AntiMorphism,
+    GradedMap,
     TensorSquare,
     TruncatedTensorAlgebra,
     format_word,
@@ -38,13 +39,9 @@ from .cogroup import (
     tensor_cogroup,
 )
 from .convolution import (
-    CogroupSource,
-    GradedMap,
     antipode,
     antipode_by_recursion,
     check_hopf_antipode,
-    convolution_inverse,
-    identity_map,
     is_algebra_morphism,
     is_antipode_surjective,
 )
@@ -59,14 +56,13 @@ __all__ = [
     "RingSpec", "is_prime",
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
     "is_admissible_free_cyclic", "is_locally_at_most_singly_generated",
-    "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "TensorSquare",
+    "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "GradedMap", "TensorSquare",
     "TruncatedTensorAlgebra", "format_word", "is_graded_commutative",
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
     "is_cocommutative", "trivial_coalgebra",
     "Cogroup", "check_cogroup_axioms", "is_cogroup_morphism", "tensor_cogroup",
-    "CogroupSource", "GradedMap", "antipode",
-    "antipode_by_recursion", "check_hopf_antipode", "convolution_inverse",
-    "identity_map", "is_algebra_morphism", "is_antipode_surjective",
+    "antipode", "antipode_by_recursion", "check_hopf_antipode",
+    "is_algebra_morphism", "is_antipode_surjective",
     "ClassificationReport", "classify_cogroup", "inverse_equals_antipode",
     "ParseError", "ProblemSpec", "parse_spec",
 ]

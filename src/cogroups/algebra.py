@@ -17,9 +17,13 @@ word mixing coprime torsion letters is identically zero.  Coefficients
 are stored canonically: residues in [0, m) when m > 0, and otherwise
 plain ``int`` over Z and Q, with a ``Fraction`` only for a non-integral
 rational.  Sums and products accumulate into one dict and reduce once,
-in ``_reduce_terms``, at the end.  A morphism's word images are filled
-one degree at a time, as products of homogeneous images whose term pairs
-never meet, so there the reduction is chosen once for the whole map.
+in ``_reduce_terms``, at the end.
+
+There is one map type out of a tensor algebra, ``GradedMap``: word
+images stored a whole degree at a time, in basis order, as term dicts.
+A subclass fills one degree from those below.  A morphism's fill
+multiplies homogeneous images whose term pairs never meet, so there the
+reduction is chosen once for the whole map.
 
 Sign conventions: multiplication of simple tensors in the tensor square
 follows the Koszul rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
@@ -382,7 +386,48 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-class AlgebraMorphism:
+class GradedMap:
+    """Degree-preserving map out of a truncated tensor algebra, stored a
+    whole degree at a time: f on basis(d), in its order, as reduced term
+    dicts of the target.  A subclass supplies ``_fill(d)``, which may read
+    every degree below d from ``_by_degree``.  Degree 0 is 1 -> 1.
+
+    Reading a word fills its degree and those below, in a loop, so a deep
+    truncation cannot hit the recursion limit; the library reads in basis
+    order, or reads generators only.
+    """
+
+    def __init__(self, source: TruncatedTensorAlgebra, target):
+        self.source = source
+        self.target = target
+        self._by_degree: list = []  # f on basis(d), as term dicts, at index d
+
+    def image(self, word) -> AlgebraElement:
+        """The image of a basis word of the source."""
+        try:
+            d, i = self.source.sort_key(word)
+        except KeyError:
+            raise ValueError(f"{format_word(word)} is not a basis word of the source") from None
+        return AlgebraElement.trusted(self.target, self.degree_images(d)[i])
+
+    def degree_images(self, d: int) -> list:
+        """f on basis(d), d <= the source's truncation, in its order, as shared
+        reduced term dicts.  The first read fills d and each degree below."""
+        filled = self._by_degree
+        while len(filled) <= d:
+            filled.append(self._fill(len(filled)) if filled else [self.target.one().terms])
+        return filled[d]
+
+    def __call__(self, elem: AlgebraElement):
+        if elem.parent is not self.source and elem.parent != self.source:
+            raise ValueError("element is not in the source algebra")
+        acc: dict = {}
+        for w, c in elem.terms.items():
+            accumulate(acc, self.image(w).terms, c)
+        return AlgebraElement(self.target, acc)
+
+
+class AlgebraMorphism(GradedMap):
     """Degree-preserving algebra map out of a truncated tensor algebra.
 
     Determined by generator images, extended multiplicatively over words
@@ -390,20 +435,15 @@ class AlgebraMorphism:
     algebra or a tensor square.  The ``images`` dict is kept, not copied,
     so maps built on one dict share it; do not change it afterwards.
 
-    Word images are filled a whole degree at a time: basis(d) lists a.v
-    for each generator a and v in basis(d - |a|), so f on basis(d) is f(a)
-    times each image of degree d - |a|, in turn.  Reading a word fills its
-    degree and those below; the library reads in basis order, or reads
-    only generators, from ``images``.
+    basis(d) lists a.v for each generator a and v in basis(d - |a|), so
+    f on basis(d) is f(a) times each image of degree d - |a|, in turn.
     """
 
     _anti = False  # f(a.v) = f(a) f(v); an AntiMorphism swaps the factors and signs
 
     def __init__(self, source: TruncatedTensorAlgebra, target, images: dict, *, check=True):
-        self.source = source
-        self.target = target
+        super().__init__(source, target)
         self.images = images
-        self._by_degree: list = []  # f on basis(d), as term dicts, at index d
         self._top = 0  # a degree up to this multiplies homogeneous images
         self._mod = None  # reduction there: % p (F_p), none (0), else _reduce_terms (None)
         if check:
@@ -435,25 +475,7 @@ class AlgebraMorphism:
                     f"{g.annihilator}"
                 )
 
-    def image(self, word) -> AlgebraElement:
-        """The image of a basis word of the source."""
-        try:
-            d, i = self.source.sort_key(word)
-        except KeyError:
-            raise ValueError(f"{format_word(word)} is not a basis word of the source") from None
-        return AlgebraElement.trusted(self.target, self.degree_images(d)[i])
-
-    def degree_images(self, d: int) -> list:
-        """f on basis(d), d <= the source's truncation, in its order, as shared
-        reduced term dicts.  The first read fills d and each degree below."""
-        filled = self._by_degree
-        while len(filled) <= d:
-            filled.append(self._fill(len(filled)))
-        return filled[d]
-
     def _fill(self, d: int) -> list:
-        if not d:
-            return [self.target.one().terms]
         filled, images, target, out = self._by_degree, self.images, self.target, []
         general, mod, anti = d > self._top, self._mod, self._anti
         for g in self.source.module.generators:
@@ -483,14 +505,6 @@ class AlgebraMorphism:
                 ]
                 out += products if mod == 0 else [_reduce_terms(target, t) for t in products]
         return out
-
-    def __call__(self, elem: AlgebraElement):
-        if elem.parent is not self.source and elem.parent != self.source:
-            raise ValueError("element is not in the source algebra")
-        acc: dict = {}
-        for w, c in elem.terms.items():
-            accumulate(acc, self.image(w).terms, c)
-        return AlgebraElement(self.target, acc)
 
 
 class AntiMorphism(AlgebraMorphism):

@@ -11,18 +11,19 @@ characteristic 2).
 Every predicate below is computed independently - nu from its
 generator images read off the coalgebra table, extended to an algebra
 morphism, chi as the convolution inverse of the identity of A, word by
-word over D, commutativity on generator pairs, locality by primary
+word over Dbar, commutativity on generator pairs, locality by primary
 decomposition - and the report records whether they agree.  chi comes
 from ``antipode_by_recursion``: ``antipode`` builds chi as an
 anti-homomorphism on nu's generator images, so chi-is-morphism would
-then only restate commutativity.  That chi is filled on demand, one
-degree at a time, so ``classify_cogroup`` builds it only as deep as its
-two verdicts read.
+then only restate commutativity.  Both chis, like nu, are graded maps
+filled on demand, one whole degree at a time in basis order: nu and chi
+are compared list against list, and ``classify_cogroup`` builds chi, and
+the Dbar it reads, only as deep as its two verdicts read.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, AlgebraMorphism, format_word, is_graded_commutative
+from .algebra import AlgebraElement, format_word, is_graded_commutative
 from .cogroup import Cogroup
 from .convolution import antipode, antipode_by_recursion, is_algebra_morphism
 from .modules import is_admissible_free_cyclic, is_locally_at_most_singly_generated
@@ -75,13 +76,11 @@ def inverse_equals_antipode(A: Cogroup, truncation: int | None = None):
 
 
 def _first_difference(A: Cogroup, chi, truncation: int | None):
-    """nu against chi in basis order, a morphism's images a degree at a time."""
+    """nu against chi in basis order, a degree at a time."""
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    alg, morphism = A.algebra, isinstance(chi, AlgebraMorphism)
+    alg = A.algebra
     for d in range(1, D + 1):
-        words = alg.basis(d)
-        chis = chi.degree_images(d) if morphism else (chi.image(w).terms for w in words)
-        for w, nu_w, chi_w in zip(words, A.nu.degree_images(d), chis):
+        for w, nu_w, chi_w in zip(alg.basis(d), A.nu.degree_images(d), chi.degree_images(d)):
             if nu_w != chi_w:
                 nu_w, chi_w = (AlgebraElement.trusted(alg, t) for t in (nu_w, chi_w))
                 return False, f"{format_word(w)}: nu = {nu_w}, chi = {chi_w}"

@@ -231,7 +231,12 @@ def _read_input(path: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # an optional positional is filled, empty, before the options that come
+    # ahead of it, so a path after an option is left over: parse again,
+    # intermixed, only then (it costs several times a plain parse)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:
+        args = _PARSER.parse_intermixed_args(argv)
 
     try:
         text = _read_input(args.path)

@@ -200,14 +200,17 @@ def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomRe
 
 
 def is_cocommutative(C: CoalgebraPresentation) -> bool:
-    """Invariance of every reduced coproduct under the signed twist."""
-    sq = TensorSquare(TruncatedTensorAlgebra(C.module, C.module.max_degree()))
-    deg = C.module.degree_of
+    """Invariance of every reduced coproduct under the signed twist, each
+    twisted coefficient at z (x) y reduced modulo gcd(char, ann y, ann z)."""
+    deg, char = C.module.degree_of, C.ring.characteristic()
+    ann = {g.name: g.annihilator for g in C.module.generators}
     for dbar in C.table.values():
-        straight = {((y,), (z,)): c for c, y, z in dbar}
-        twisted = {
-            ((z,), (y,)): -c if deg(y) * deg(z) % 2 else c for c, y, z in dbar
-        }
-        if AlgebraElement(sq, straight) != AlgebraElement(sq, twisted):
+        twisted = {}
+        for c, y, z in dbar:
+            if deg(y) * deg(z) % 2:
+                m = gcd(char, ann[y], ann[z])
+                c = -c % m if m else -c
+            twisted[(z, y)] = c
+        if twisted != {(y, z): c for c, y, z in dbar}:
             return False
     return True

@@ -17,7 +17,9 @@ Koszul-signed tensor square, the coalgebra's ``coproduct_morphism``.
 ``tensor_cogroup`` checks the coalgebra laws on the table itself, so
 building a cogroup builds neither the tensor square nor D.  nu's
 generator images, read off the table, are also the antipode's, so nu
-and chi build no D either.
+and chi build no D either.  Dbar on words, which only the word recursion
+for chi reads, is D on basis(d) less its two outer terms, filled a whole
+degree at a time from D's own degree list.
 
 Phi is kept as its generator images alone, each a dict of slot terms
 {(word, slots): c}: the letter word[i] stands in factor slots[i] of
@@ -70,7 +72,7 @@ class Cogroup:
         self.ring = coalgebra.ring
         self.truncation = truncation
         self.algebra = TruncatedTensorAlgebra(self.module, truncation)
-        self._reduced_cache: dict = {}
+        self._reduced_by_degree: list = []  # Dbar on basis(d) at index d
 
     # -- construction -------------------------------------------------
 
@@ -132,24 +134,33 @@ class Cogroup:
 
     # -- coproduct ----------------------------------------------------
 
+    def reduced_coproducts(self, d: int) -> list:
+        """Dbar on basis(d), in its order: D(w) minus its two outer terms,
+        each a tuple of (c, y, z) for the terms c y (x) z.  The first read
+        fills d and each degree below from ``delta.degree_images``."""
+        filled, alg = self._reduced_by_degree, self.algebra
+        while len(filled) <= d:
+            e = len(filled)
+            dbars = []
+            for w, image in zip(alg.basis(e), self.delta.degree_images(e)):
+                if alg.word_modulus(w) == 1:  # w is 0, and so is D(w)
+                    dbars.append(())
+                    continue
+                terms = dict(image)
+                left, right = terms.pop((w, ()), 0), terms.pop(((), w), 0)
+                if e and (left != 1 or right != 1):
+                    raise ValueError(f"coproduct of {format_word(w)} lost its outer terms")
+                dbars.append(tuple((c, y, z) for (y, z), c in terms.items()))
+            filled.append(dbars)
+        return filled[d]
+
     def reduced_coproduct_word(self, word):
-        """Dbar of a basis word: D(word) minus its two outer terms."""
-        cached = self._reduced_cache.get(word)
-        if cached is None:
-            one = 0 if self.algebra.word_modulus(word) == 1 else 1
-            terms = dict(self.delta.image(word).terms) if one else {}
-            if word:
-                left = terms.pop((word, ()), 0)
-                right = terms.pop(((), word), 0)
-                if left != one or right != one:
-                    raise ValueError(
-                        f"coproduct of {format_word(word)} lost its outer terms"
-                    )
-            else:
-                terms.pop(((), ()), None)
-            cached = tuple((c, p[0], p[1]) for p, c in terms.items())
-            self._reduced_cache[word] = cached
-        return cached
+        """Dbar of a basis word, read off ``reduced_coproducts``."""
+        try:
+            d, i = self.algebra.sort_key(word)
+        except KeyError:
+            raise ValueError(f"{format_word(word)} is not a basis word of the source") from None
+        return self.reduced_coproducts(d)[i]
 
 
 def tensor_cogroup(C: CoalgebraPresentation, truncation: int) -> Cogroup:

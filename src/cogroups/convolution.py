@@ -1,4 +1,4 @@
-"""Convolution groups of degree-preserving maps into a graded algebra.
+"""The antipode of a tensor-algebra cogroup, its Hopf laws and bijectivity.
 
 For a connected graded coalgebra C and a connected graded algebra B, the
 maps f : C -> B that preserve degree and fix the unit form a group under
@@ -7,29 +7,23 @@ D(x) = x (x) 1 + sum c_i y_i (x) z_i + 1 (x) x this reads
 
     (f * g)(x) = f(x) + g(x) + sum c_i f(y_i) g(z_i)
 
-Only the inverse is computed here (the product is the tests' oracle),
-by degree induction, from the right:
+and the inverse of f follows by degree induction, from the right:
 
-    g(x) = -f(x) - sum c_i f(y_i) g(z_i)
+    g(x) = -f(x) - sum c_i f(y_i) g(z_i).
 
-(the left recursion h(x) = -f(x) - sum c_i h(y_i) f(z_i) gives the same
-map; the test suite holds the one against the other).  The source is
-the whole underlying coalgebra of a cogroup, whose basis elements are
-words.
-
-The inverse nu and the antipode chi agree on generators and differ in
-how they extend: nu is an ``AlgebraMorphism``, chi an ``AntiMorphism``.
-Both take the one set of generator images ``Cogroup.generator_images``
-computes off the coalgebra table, g -> -g - sum c y f(z) over Dbar(g):
-the convolution inverse of the inclusion C -> A, which is the tests'
-oracle for it.  ``antipode_by_recursion`` is the inverse of the
-identity of A, word by word, with no product structure; ``classify``
-uses it as the independent chi.
-
-``convolution_inverse`` and ``identity_map`` fill their tables on
-demand, one whole degree at a time and in order: reading a key of degree
-d first fills every degree up to d not yet filled, so a caller that
-stops reading at a low degree never builds the higher ones.
+The antipode chi is the inverse of the identity of A, on whose words
+the recursion runs.  The inverse nu and chi agree on generators and
+differ in how they extend: nu is an ``AlgebraMorphism``, chi an
+``AntiMorphism``.  Both take the one set of generator images
+``Cogroup.generator_images`` computes off the coalgebra table,
+g -> -g - sum c y f(z) over Dbar(g): the inverse of the inclusion
+C -> A.  ``antipode_by_recursion`` runs the recursion on every word of
+A instead, with no product structure; ``classify`` uses it as the
+independent chi.  Like nu and chi it is a ``GradedMap``, filled one
+whole degree at a time and in order, so a caller that stops reading at
+a low degree never builds the higher ones.  The convolution product,
+the left recursion and the inverse of any map on a dict table are the
+tests' oracles.
 
 The Hopf laws and the bijectivity of chi are proved from its generator
 images; a map that fails the bijectivity certificate goes to ``_spans``.
@@ -42,137 +36,11 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .algebra import (
-    AlgebraElement, AlgebraMorphism, AntiMorphism, TruncatedTensorAlgebra, format_word,
-)
+from .algebra import AlgebraElement, AntiMorphism, GradedMap, _reduce_terms, format_word
 from .coalgebra import AxiomReport
 
 if TYPE_CHECKING:
     from .cogroup import Cogroup
-
-
-class CogroupSource:
-    """Basis = all words of the cogroup's underlying algebra."""
-
-    def __init__(self, cogroup: Cogroup):
-        self.cogroup = cogroup
-        self.ring = cogroup.ring
-        self.truncation = cogroup.truncation
-        self._algebra = cogroup.algebra
-
-    def basis(self, d: int):
-        if d < 1:
-            return []
-        return self._algebra.basis(d)
-
-    def degree(self, key) -> int:
-        return self._algebra.word_degree(key)
-
-    def annihilator(self, key) -> int:
-        return self._algebra.word_modulus(key)
-
-    def reduced_coproduct(self, key):
-        return self.cogroup.reduced_coproduct_word(key)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CogroupSource)
-            and self.cogroup is other.cogroup
-        )
-
-
-class GradedMap:
-    """Degree-preserving map from a convolution source into an algebra.
-
-    The table maps basis keys of degree 1..D to elements; missing keys
-    mean zero.  Degree 0 is silently the identity on scalars.  Read
-    images through ``image``: the maps of ``identity_map`` and
-    ``convolution_inverse`` fill their table on demand, by degree, so
-    their ``table`` holds only the degrees read so far.
-    """
-
-    def __init__(self, source, target: TruncatedTensorAlgebra, table: dict):
-        self.source = source
-        self.target = target
-        self.table = dict(table)
-
-    def image(self, key) -> AlgebraElement:
-        img = self.table.get(key)
-        return img if img is not None else self.target.zero()
-
-    def __eq__(self, other):
-        if isinstance(other, AlgebraMorphism):
-            src = self.source  # a morphism out of the words that key this map
-            same = isinstance(src, CogroupSource) and other.source == src.cogroup.algebra
-        elif isinstance(other, GradedMap):
-            same = self.source == other.source
-        else:
-            return NotImplemented
-        return same and self.target == other.target and self.difference_witness(other) is None
-
-    def difference_witness(self, other):
-        """First basis key where the two maps disagree, or None."""
-        for d in range(1, self.source.truncation + 1):
-            for key in self.source.basis(d):
-                if self.image(key) != other.image(key):
-                    return key
-        return None
-
-
-class _FilledByDegree(GradedMap):
-    """A GradedMap whose table ``fill(table, d)`` fills one whole degree
-    at a time, in order, when a key of a degree not yet filled is read.
-
-    Filling whole degrees in order keeps the fill a loop, so a deep
-    truncation cannot hit the recursion limit, and ``fill`` may read any
-    key of a lower degree straight from the table.
-    """
-
-    def __init__(self, source, target, fill):
-        super().__init__(source, target, {})
-        self._fill = fill
-        self._filled = 0
-
-    def image(self, key) -> AlgebraElement:
-        img = self.table.get(key)
-        if img is None:
-            top = min(self.source.degree(key), self.source.truncation)
-            while self._filled < top:
-                self._filled += 1
-                self._fill(self.table, self._filled)
-            img = self.table.get(key)
-            if img is None:
-                return self.target.zero()
-        return img
-
-
-def identity_map(A: Cogroup) -> GradedMap:
-    alg = A.algebra
-
-    def fill(table, d):
-        for w in alg.basis(d):
-            table[w] = alg.element({w: 1})
-
-    return _FilledByDegree(CogroupSource(A), alg, fill)
-
-
-def convolution_inverse(f: GradedMap) -> GradedMap:
-    """Inverse in the convolution group, by the right recursion.
-
-    The recursion runs on demand, a whole degree at a time and in the
-    order of a full build, so every image is the one a full build gives.
-    """
-    src = f.source
-    alg = f.target
-
-    def fill(table, d):
-        for x in src.basis(d):
-            acc = {k: -v for k, v in f.image(x).terms.items()}
-            for c, y, z in src.reduced_coproduct(x):
-                alg.mul_into(acc, f.image(y).terms, table[z].terms, -c)
-            table[x] = AlgebraElement(alg, acc)
-
-    return _FilledByDegree(src, alg, fill)
 
 
 def antipode(A: Cogroup) -> AntiMorphism:
@@ -187,9 +55,28 @@ def antipode(A: Cogroup) -> AntiMorphism:
 def antipode_by_recursion(A: Cogroup) -> GradedMap:
     """chi as the convolution inverse of the identity, word by word:
     chi(w) = -w - sum c y chi(z) over Dbar(w).  It assumes no product
-    structure and builds about 2^len(w) terms per word, on demand: only
-    the degrees read so far are built."""
-    return convolution_inverse(identity_map(A))
+    structure and builds about 2^len(w) terms per word, a degree at a
+    time: only the degrees read so far are built."""
+    return _RecursionInverse(A)
+
+
+class _RecursionInverse(GradedMap):
+    """The right recursion g(w) = -w - sum c y g(z) over A's Dbar(w)."""
+
+    def __init__(self, A: Cogroup):
+        super().__init__(A.algebra, A.algebra)
+        self.cogroup = A
+
+    def _fill(self, d: int) -> list:
+        alg, filled, out = self.target, self._by_degree, []
+        position = alg.sort_key
+        for w, dbar in zip(alg.basis(d), self.cogroup.reduced_coproducts(d)):
+            acc = {w: -1}
+            for c, y, z in dbar:
+                e, i = position(z)
+                alg.mul_into(acc, {y: 1}, filled[e][i], -c)
+            out.append(_reduce_terms(alg, acc))
+        return out
 
 
 def check_hopf_antipode(A: Cogroup, chi: AntiMorphism) -> AxiomReport:

@@ -1,26 +1,58 @@
-"""The convolution product, and the convolution inverse and the antipode
-built in one eager pass: the tests' oracles for ``convolution_inverse``
-and ``antipode``, which fill their tables on demand, by degree.
+"""The convolution group on tables, built in one eager pass: the tests'
+oracles for ``antipode_by_recursion``, ``antipode`` and
+``Cogroup.generator_images``, which fill a whole degree at a time.
 
-``CoalgebraSource`` is a presented coalgebra as a convolution source:
-its basis is the generators, its reduced coproducts the table.
-``inclusion_inverse`` is ``convolution_inverse`` of the inclusion
-C -> A over it, the oracle for ``Cogroup.generator_images``.
+A ``TableMap`` is a degree-preserving map given by a table from basis
+keys of degree 1..D to elements of an algebra; missing keys mean zero.
+Its source is a convolution source: a basis by degree, each key's
+degree and annihilator, and its reduced coproduct.  ``WordSource`` is
+the whole underlying coalgebra of a cogroup, whose basis elements are
+words and whose reduced coproducts are ``Cogroup.reduced_coproduct_word``.
+``CoalgebraSource`` is a presented coalgebra: its basis is the
+generators, its reduced coproducts the table.  ``inclusion_inverse`` is
+the inverse of the inclusion C -> A over it, the oracle for
+``Cogroup.generator_images``.
 
 ``convolve`` is the product (f * g)(x) = f(x) + g(x) + sum c f(y) g(z)
 over Dbar(x), and ``unit_map`` its identity eta . eps; the library
 computes neither.  ``convolution_inverse_eagerly`` and
 ``antipode_eagerly`` build every degree up to the truncation before they
 return, and multiply only through the general ``mul_into``: the library
-builds its inverses by degree on demand, and chi's words a degree at a
-time as products of homogeneous images.  The eager inverse runs either one-sided
-recursion; the library runs only the right one.
-``explicit_identity`` is the identity of a cogroup's algebra as a full
-table.
+builds chi's words a degree at a time as products of homogeneous images.
+The eager inverse runs either one-sided recursion; the library runs only
+the right one.  ``explicit_identity`` is the identity of a cogroup's
+algebra as a full table.
 """
 
 import cogroups as cg
 from cogroups.algebra import accumulate
+
+
+class WordSource:
+    """Basis = all words of positive degree of the cogroup's algebra."""
+
+    def __init__(self, cogroup):
+        self.cogroup = cogroup
+        self.ring = cogroup.ring
+        self.truncation = cogroup.truncation
+        self._algebra = cogroup.algebra
+
+    def basis(self, d: int):
+        if d < 1:
+            return []
+        return self._algebra.basis(d)
+
+    def degree(self, key) -> int:
+        return self._algebra.word_degree(key)
+
+    def annihilator(self, key) -> int:
+        return self._algebra.word_modulus(key)
+
+    def reduced_coproduct(self, key):
+        return self.cogroup.reduced_coproduct_word(key)
+
+    def __eq__(self, other):
+        return isinstance(other, WordSource) and self.cogroup is other.cogroup
 
 
 class CoalgebraSource:
@@ -54,21 +86,62 @@ class CoalgebraSource:
         )
 
 
+class TableMap:
+    """Degree-preserving map from a convolution source into an algebra.
+
+    The table maps basis keys of degree 1..D to elements and is taken as
+    given; missing keys mean zero.  A table map over a ``WordSource``
+    equals a library map out of that cogroup's algebra that has the same
+    image on every word.
+    """
+
+    def __init__(self, source, target, table: dict):
+        self.source = source
+        self.target = target
+        self.table = dict(table)
+
+    def image(self, key) -> cg.AlgebraElement:
+        img = self.table.get(key)
+        return img if img is not None else self.target.zero()
+
+    def degree_images(self, d: int) -> list:
+        """The images of basis(d), in its order, as term dicts."""
+        return [self.image(key).terms for key in self.source.basis(d)]
+
+    def __eq__(self, other):
+        if isinstance(other, TableMap):
+            same = self.source == other.source
+        elif isinstance(other, cg.GradedMap):
+            src = self.source  # a library map out of the words that key this map
+            same = isinstance(src, WordSource) and other.source == src.cogroup.algebra
+        else:
+            return NotImplemented
+        return same and self.target == other.target and self.difference_witness(other) is None
+
+    def difference_witness(self, other):
+        """First basis key where the two maps disagree, or None."""
+        for d in range(1, self.source.truncation + 1):
+            for key in self.source.basis(d):
+                if self.image(key) != other.image(key):
+                    return key
+        return None
+
+
 def inclusion_inverse(A):
-    """{g: image}: ``convolution_inverse`` of the inclusion C -> A on every
+    """{g: image}: the convolution inverse of the inclusion C -> A on every
     generator up to the truncation."""
     alg = A.algebra
     names = [g.name for g in A.module.generators if g.degree <= A.truncation]
-    inclusion = cg.GradedMap(
+    inclusion = TableMap(
         CoalgebraSource(A.coalgebra, A.truncation), alg, {n: alg.generator(n) for n in names}
     )
-    inverse = cg.convolution_inverse(inclusion)
+    inverse = convolution_inverse_eagerly(inclusion)
     return {n: inverse.image(n) for n in names}
 
 
 def unit_map(source, target):
     """eta . eps: the convolution identity."""
-    return cg.GradedMap(source, target, {})
+    return TableMap(source, target, {})
 
 
 def convolve(f, g):
@@ -85,7 +158,7 @@ def convolve(f, g):
             for c, y, z in src.reduced_coproduct(x):
                 alg.mul_into(acc, f.image(y).terms, g.image(z).terms, c)
             table[x] = cg.AlgebraElement(alg, acc)
-    return cg.GradedMap(src, alg, table)
+    return TableMap(src, alg, table)
 
 
 def convolution_inverse_eagerly(f, via="right"):
@@ -104,7 +177,7 @@ def convolution_inverse_eagerly(f, via="right"):
                 else:
                     alg.mul_into(acc, table[y].terms, f.image(z).terms, -c)
             table[x] = cg.AlgebraElement(alg, acc)
-    return cg.GradedMap(src, alg, table)
+    return TableMap(src, alg, table)
 
 
 def antipode_eagerly(A):
@@ -124,7 +197,7 @@ def antipode_eagerly(A):
                 sign = -1 if alg.word_degree(a) * alg.word_degree(rest) % 2 else 1
                 alg.mul_into(acc, table[rest].terms, table[a].terms, sign)
             table[w] = cg.AlgebraElement(alg, acc)
-    return cg.GradedMap(cg.CogroupSource(A), alg, table)
+    return TableMap(WordSource(A), alg, table)
 
 
 def explicit_identity(A):
@@ -133,5 +206,4 @@ def explicit_identity(A):
     table = {
         w: alg.element({w: 1}) for d in range(1, A.truncation + 1) for w in alg.basis(d)
     }
-    return cg.GradedMap(cg.CogroupSource(A), alg, table)
-
+    return TableMap(WordSource(A), alg, table)

@@ -3,23 +3,23 @@
 ``check_hopf_on_words`` is the tests' oracle for ``check_hopf_antipode``,
 which checks the laws on generators only: it checks them on every word,
 for any map, anti-morphism or not.  It convolves chi with the identity
-both ways through ``convolve`` (in ``convolution_oracle``) and
-``identity_map``, which build Dbar(w) for every word, and assumes
+both ways through ``convolve`` and ``explicit_identity`` (in
+``convolution_oracle``), which read Dbar(w) for every word, and assumes
 nothing about products.
 ``antipode_negates_indecomposables`` reads chi modulo decomposables.
 """
 
 import cogroups as cg
-from convolution_oracle import convolve
+from convolution_oracle import TableMap, convolve, explicit_identity
 
 
 def check_hopf_on_words(A, chi) -> cg.AxiomReport:
     """mul.(chi (x) 1).D = eta.eps = mul.(1 (x) chi).D on every word of
     positive degree up to the truncation.  chi is any map with an
     ``image`` of each word; it is read as a full table."""
-    ident = cg.identity_map(A)
+    ident = explicit_identity(A)
     table = {w: chi.image(w) for w in A.algebra.words_up_to() if w}
-    chi = cg.GradedMap(ident.source, A.algebra, table)
+    chi = TableMap(ident.source, A.algebra, table)
     left = convolve(chi, ident)
     right = convolve(ident, chi)
     checked = 0

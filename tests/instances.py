@@ -8,7 +8,7 @@ so the acceptance criteria can share the heavy work.  ``module`` builds a
 presentation from plain tuples, ``classify_module`` classifies a module
 with its closed-form check, ``render_spec`` prints a parsed spec
 back as input text, and ``graded_map`` validates a table before it
-wraps it in a ``GradedMap``, which takes its table as given.
+wraps it in a ``TableMap``, which takes its table as given.
 """
 
 from fractions import Fraction
@@ -17,6 +17,7 @@ from math import comb, gcd
 from hypothesis import strategies as st
 
 import cogroups as cg
+from convolution_oracle import TableMap
 
 Z = cg.RingSpec.integers()
 Q = cg.RingSpec.rationals()
@@ -141,7 +142,7 @@ def make_cogroup(key, truncation=8) -> cg.Cogroup:
 _chi_cache = {}
 
 
-def make_antipode(key, truncation=8) -> cg.GradedMap:
+def make_antipode(key, truncation=8) -> cg.AntiMorphism:
     cached = _chi_cache.get((key, truncation))
     if cached is None:
         cached = cg.antipode(make_cogroup(key, truncation))
@@ -206,8 +207,8 @@ def random_coefficient(rng, ring, source_ann, word_modulus):
     return step * rng.randrange(word_modulus // step)
 
 
-def graded_map(source, target, table: dict) -> cg.GradedMap:
-    """A ``GradedMap`` whose table is validated first: each key has degree
+def graded_map(source, target, table: dict) -> TableMap:
+    """A ``TableMap`` whose table is validated first: each key has degree
     1..D and goes to a homogeneous image of its degree that the key's
     annihilator kills.  The library takes its tables as given."""
     for key, img in table.items():
@@ -219,10 +220,10 @@ def graded_map(source, target, table: dict) -> cg.GradedMap:
         a = source.annihilator(key)
         if a and img.scale(a):
             raise ValueError(f"image of {key!r} is not killed by {a}")
-    return cg.GradedMap(source, target, table)
+    return TableMap(source, target, table)
 
 
-def random_graded_map(source, target, rng) -> cg.GradedMap:
+def random_graded_map(source, target, rng) -> TableMap:
     """A random degree-preserving unit-fixing map, annihilator-legal."""
     table = {}
     for d in range(1, source.truncation + 1):
@@ -297,6 +298,19 @@ def coassociative_coalgebras(draw, max_generators=3):
                 ]
     C = cg.CoalgebraPresentation(module(ring, gens), table)
     return C, draw(st.integers(3, 6))
+
+
+@st.composite
+def coprime_torsion_coalgebras(draw):
+    """(coalgebra, truncation) over Z or Z/6 with a 2-torsion and a
+    3-torsion primitive generator, so that every word holding both has
+    modulus 1, next to a free pair c, d with Dbar(d) = s c (x) c."""
+    ring = draw(st.sampled_from((Z, Z6)))
+    a, b = (draw(st.integers(1, 2)) for _ in "ab")
+    gens = [("a", a, 2), ("b", b, 3), ("c", 1, 0), ("d", 2, 0)]
+    draw(st.randoms()).shuffle(gens)
+    table = {"d": [(draw(st.sampled_from((1, -1, 2))), "c", "c")]}
+    return cg.CoalgebraPresentation(module(ring, gens), table), draw(st.integers(3, 6))
 
 
 @st.composite

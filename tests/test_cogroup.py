@@ -26,6 +26,7 @@ from instances import (
     Z,
     Z4,
     coassociative_coalgebras,
+    coprime_torsion_coalgebras,
     make_cogroup,
     make_module,
     module,
@@ -138,7 +139,7 @@ def test_the_inverse_table_builds_no_comultiplication():
         for w in A.algebra.words_up_to():
             A.nu.image(w)
         assert built(A) == {"generator_images", "nu"}
-        assert A._reduced_cache == {}
+        assert A._reduced_by_degree == []
 
 
 def test_the_axiom_check_reads_every_structure():
@@ -154,7 +155,7 @@ def test_the_antipode_table_builds_no_inverse():
         for w in A.algebra.words_up_to():
             chi.image(w)
         assert built(A) == {"generator_images"}
-        assert A._reduced_cache == {}
+        assert A._reduced_by_degree == []
         assert chi.images is A.generator_images is A.nu.images
 
 
@@ -176,6 +177,34 @@ def test_delta_from_the_table_is_pi_phi_on_the_matrix(key):
 @given(coassociative_coalgebras())
 def test_delta_from_the_table_is_pi_phi(case):
     assert_delta_is_the_folded_phi(cg.tensor_cogroup(*case))
+
+
+def assert_dbar_is_the_folded_phi_less_its_outer_terms(A):
+    """Each degree of ``reduced_coproducts`` against pi . Phi on basis(d)
+    with w (x) 1 and 1 (x) w taken out, 1 (x) 1 on the empty word."""
+    pi_phi = folded_phi(A)
+    for d in range(A.truncation + 1):
+        words = A.algebra.basis(d)
+        dbars = A.reduced_coproducts(d)
+        assert len(dbars) == len(words), d
+        for w, dbar in zip(words, dbars):
+            want = dict(pi_phi.image(w).terms)
+            want.pop((w, ()), None)
+            want.pop(((), w), None)
+            assert len(dbar) == len(want) and {(y, z): c for c, y, z in dbar} == want, w
+            assert A.reduced_coproduct_word(w) is dbar
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_reduced_coproducts_are_pi_phi_less_its_outer_terms_on_the_matrix(key):
+    C = cg.trivial_coalgebra(make_module(key))
+    assert_dbar_is_the_folded_phi_less_its_outer_terms(cg.tensor_cogroup(C, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(coassociative_coalgebras(), coprime_torsion_coalgebras()))
+def test_reduced_coproducts_are_pi_phi_less_its_outer_terms(case):
+    assert_dbar_is_the_folded_phi_less_its_outer_terms(cg.tensor_cogroup(*case))
 
 
 def test_the_restriction_check_reads_a_supplied_phi():
@@ -212,6 +241,8 @@ def test_reduced_coproduct_of_a_power():
     assert set(parts) == {(2, ("X",), ("X",))}
     assert A.reduced_coproduct_word(("X",)) == ()
     assert A.reduced_coproduct_word(()) == ()
+    with pytest.raises(ValueError, match="X\\^6 is not a basis word"):  # degree 12 > 10
+        A.reduced_coproduct_word(("X",) * 6)
 
 
 def test_tensor_cogroup_rejects_broken_coalgebras():
@@ -435,6 +466,7 @@ def test_cogroup_morphism_checks_the_algebras():
 BROKEN_FIXTURES = """
 import cogroups as cg
 from cogroup_oracle import folded_phi
+from convolution_oracle import TableMap, WordSource, explicit_identity
 from instances import (
     module,
 )
@@ -449,8 +481,8 @@ try:
 except ValueError as exc:
     print("delta:", exc)
 alg = good.algebra
-leak = cg.GradedMap(
-    cg.CogroupSource(good), alg,
+leak = TableMap(
+    WordSource(good), alg,
     {w: alg.element({w + ("x",): 1}) for w in alg.words_up_to(2) if w},
 )
 try:
@@ -463,7 +495,7 @@ try:
 except ValueError as exc:
     print("surjective anti:", exc)
 try:
-    cg.check_hopf_antipode(good, cg.identity_map(good))
+    cg.check_hopf_antipode(good, explicit_identity(good))
 except ValueError as exc:
     print("hopf:", exc)
 B = cg.TruncatedTensorAlgebra(module(cg.RingSpec.rationals(), [("y", 1)]), 4)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 import dsl_oracle
-from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
+from cogroups.cli import _PARSER, COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ParseError, ProblemSpec, parse_spec
 from instances import BINOM_Z9, raw_presentations, render_spec
 
@@ -562,6 +562,39 @@ def test_repeated_main_calls_in_one_process(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("usage: cogroups ")
 
 
+def test_a_path_may_follow_the_options(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "chain.cog"
+    path.write_text(Z4_CHAIN)
+    for command in ("classify", "antipode", "check-cocommutative"):
+        for tail in ([], ["--json"]):
+            runs = [
+                (cli_main(argv + tail), capsys.readouterr())
+                for argv in (
+                    [command, str(path), "--max-degree", "3"],
+                    [command, "--max-degree", "3", str(path)],
+                )
+            ]
+            assert runs[0][1].out and not runs[0][1].err
+            assert runs[1] == runs[0], (command, tail)
+    # the usual order parses once, with no intermixed re-parse
+    monkeypatch.setattr(_PARSER, "parse_intermixed_args", None)
+    assert cli_main(["classify", str(path), "--max-degree", "3"]) == 0
+
+
+def test_unknown_arguments_are_still_refused(capsys):
+    usage = _PARSER.format_usage()
+    for argv, extra in (
+        (["classify", "a", "b"], "b"),
+        (["classify", "a", "--bogus"], "--bogus"),
+        (["classify", "--max-degree", "3", "a", "b"], "b"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and not captured.out
+        assert captured.err == f"{usage}cogroups: error: unrecognized arguments: {extra}\n", argv
+
+
 def test_only_check_cogroup_reads_phi(tmp_path, capsys, monkeypatch):
     # every other command reads D from the coproduct table, not from Phi
     path = tmp_path / "binom.cog"
@@ -639,6 +672,9 @@ def test_setup_builds_one_algebra_and_no_tensor_square(monkeypatch):
         run_command(spec, command, max_degree=6)
         assert built == ["TruncatedTensorAlgebra"], command
         built.clear()
+    # cocommutativity is read off the table alone
+    run_command(spec, "check-cocommutative", max_degree=6)
+    assert built == []
 
 
 def test_cli_refuses_a_non_coassociative_table(tmp_path, capsys):

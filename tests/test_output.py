@@ -80,7 +80,7 @@ def test_the_tables_fill_each_degree_once_and_look_up_no_word(command, monkeypat
         fills.clear()
         run_command(parse_spec(text), command, max_degree=6)
         assert len({f for f, _ in fills}) == 1
-        assert [d for _, d in fills] == list(range(7))
+        assert [d for _, d in fills] == list(range(1, 7))  # degree 0 is 1 -> 1
 
 
 def oracle_json(report):
