@@ -20,7 +20,6 @@ from .algebra import (
     AlgebraMorphism,
     AntiMorphism,
     GradedMap,
-    TensorSquare,
     TruncatedTensorAlgebra,
     format_word,
     is_graded_commutative,
@@ -56,7 +55,7 @@ __all__ = [
     "RingSpec", "is_prime",
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
     "is_admissible_free_cyclic", "is_locally_at_most_singly_generated",
-    "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "GradedMap", "TensorSquare",
+    "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "GradedMap",
     "TruncatedTensorAlgebra", "format_word", "is_graded_commutative",
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
     "is_cocommutative", "trivial_coalgebra",

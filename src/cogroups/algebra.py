@@ -5,11 +5,10 @@ basis word for every sequence of generators whose degrees sum to d.  We
 keep everything below a truncation degree D: products simply drop the
 part above D, which is safe because every computation here is degreewise.
 
-There is one element type, ``AlgebraElement``: a sparse dict from basis
-keys to coefficients over a parent.  The parent is either a
-``TruncatedTensorAlgebra``, whose keys are words (tuples of generator
-names), or its ``TensorSquare``, whose keys are pairs of words.  The
-parent supplies each key's degree and modulus and the product of keys.
+There is one element type, ``AlgebraElement``: a sparse dict from words
+(tuples of generator names) to coefficients over its parent, a
+``TruncatedTensorAlgebra``, which supplies each word's degree and
+modulus and the product of words.
 
 Reduction rule: the coefficient module of a key is R/(m), where m is the
 gcd of the ring characteristic and the annihilators of its letters, so a
@@ -24,10 +23,6 @@ images stored a whole degree at a time, in basis order, as term dicts.
 A subclass fills one degree from those below.  A morphism's fill
 multiplies homogeneous images whose term pairs never meet, so there the
 reduction is chosen once for the whole map.
-
-Sign conventions: multiplication of simple tensors in the tensor square
-follows the Koszul rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
-Degree-preserving maps are applied to tensors slotwise without signs.
 """
 
 from __future__ import annotations
@@ -159,8 +154,7 @@ class TruncatedTensorAlgebra:
         deg, ann, char = self._deg, self._ann, self.ring.characteristic()
         self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._degrees.update(((n,), d) for n, d in deg.items())
-        # a word's degree, the element protocol's name for it too
-        self.word_degree = self.degree = self._degrees.__getitem__
+        self.word_degree = self._degrees.__getitem__
         self._moduli = _Memo(lambda w: reduce(gcd, (ann[l] for l in w), char))
         # how elements print: terms in basis order, words as labels
         self.sort_key = _BasisOrder(self._degrees, self.basis).__getitem__
@@ -184,7 +178,7 @@ class TruncatedTensorAlgebra:
             return self.fixed_modulus
         return self._moduli[word]
 
-    # the element protocol's name for a word's modulus
+    # the name ``_reduce_terms`` reads a key's modulus by
     modulus = word_modulus
 
     def mul_into(self, acc: dict, left: dict, right: dict, c=1) -> None:
@@ -247,65 +241,8 @@ class TruncatedTensorAlgebra:
         return self.element({(name,): 1})
 
 
-class TensorSquare:
-    """A (x) A with the Koszul-signed multiplication, truncated by total degree."""
-
-    def __init__(self, algebra: TruncatedTensorAlgebra):
-        self.algebra = algebra
-        self.ring = algebra.ring
-        self.truncation = algebra.truncation
-        self.fixed_modulus = algebra.fixed_modulus
-        wm = algebra.word_modulus
-        self._moduli = _Memo(lambda p: gcd(wm(p[0]), wm(p[1])))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, TensorSquare) and self.algebra == other.algebra
-        )
-
-    def degree(self, pair) -> int:
-        wd = self.algebra.word_degree
-        return wd(pair[0]) + wd(pair[1])
-
-    def modulus(self, pair) -> int:
-        return self._moduli[pair]
-
-    def mul_into(self, acc: dict, left: dict, right: dict, c=1) -> None:
-        """acc += c * left * right with the Koszul sign, unreduced and truncated."""
-        deg = self.algebra._degrees
-        top = self.truncation
-        get = acc.get
-        for (a1, b1), v1 in left.items():
-            db = deg[b1]
-            room = top - deg[a1] - db
-            cv = c * v1
-            for (a2, b2), v2 in right.items():
-                da2 = deg[a2]
-                if da2 + deg[b2] <= room:
-                    p = (a1 + a2, b1 + b2)
-                    acc[p] = get(p, 0) + (-cv * v2 if db * da2 % 2 else cv * v2)
-
-    def sort_key(self, pair):
-        key = self.algebra.sort_key
-        return (key(pair[0]), key(pair[1]))
-
-    def format_key(self, pair) -> str:
-        fmt = self.algebra.format_key
-        return f"{fmt(pair[0])}(x){fmt(pair[1])}"
-
-    def element(self, terms: dict) -> "AlgebraElement":
-        kept = {p: c for p, c in terms.items() if self.degree(p) <= self.truncation}
-        return AlgebraElement(self, kept)
-
-    def one(self):
-        return AlgebraElement(self, {((), ()): 1})
-
-    def pure(self, w1, w2, c=1):
-        return self.element({(w1, w2): c})
-
-
 class AlgebraElement:
-    """Sparse element of a truncated tensor algebra or of its tensor square.
+    """Sparse element of a truncated tensor algebra.
 
     Treat instances as immutable: morphisms cache and share them.
     """
@@ -338,7 +275,7 @@ class AlgebraElement:
         return self.terms.get(key, 0)
 
     def is_homogeneous(self, d: int) -> bool:
-        deg = self.parent.degree
+        deg = self.parent.word_degree
         return all(deg(k) == d for k in self.terms)
 
     def __add__(self, other):
@@ -431,8 +368,7 @@ class AlgebraMorphism(GradedMap):
     """Degree-preserving algebra map out of a truncated tensor algebra.
 
     Determined by generator images, extended multiplicatively over words
-    and linearly over terms.  The target is any element parent: a tensor
-    algebra or a tensor square.  The ``images`` dict is kept, not copied,
+    and linearly over terms.  The ``images`` dict is kept, not copied,
     so maps built on one dict share it; do not change it afterwards.
 
     basis(d) lists a.v for each generator a and v in basis(d - |a|), so
@@ -448,7 +384,7 @@ class AlgebraMorphism(GradedMap):
         self._mod = None  # reduction there: % p (F_p), none (0), else _reduce_terms (None)
         if check:
             self._validate()
-            if isinstance(target, TruncatedTensorAlgebra) and images.keys() <= source._deg.keys():
+            if images.keys() <= source._deg.keys():
                 self._top = min(source.truncation, target.truncation)
                 # no product of nonzero coefficients vanishes over Z, Q and F_p, but
                 # a Fraction, like a residue mod n, needs _reduce_terms

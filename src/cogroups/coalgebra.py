@@ -5,28 +5,27 @@ Dbar(x) = sum c_i * y_i (x) z_i with y_i, z_i generators of positive
 degree adding up to deg x.  The full coproduct is then
 D(x) = x (x) 1 + Dbar(x) + 1 (x) x, and D(1) = 1 (x) 1.
 
-Each coefficient of Dbar(x) at y (x) z is reduced modulo gcd(char, ann y,
-ann z), as in the tensor square of A = T(C+), which is not built for it,
-and ``coproduct_morphism`` extends D to the algebra morphism A -> A (x) A.
+The tensor square of A = T(C+) is never built.  Its elements are pair
+dicts {(left word, right word): c}, each coefficient reduced modulo the
+modulus of the word left.right, gcd(char, ann of its letters), as each
+coefficient of Dbar(x) at y (x) z is reduced modulo gcd(char, ann y,
+ann z).  ``coproduct_pairs`` is D on the generators as pair dicts, and
+``_pair_product`` multiplies them with the Koszul sign
+(a (x) b)(p (x) q) = (-1)^{|b||p|} ap (x) bq.
 ``check_coalgebra_axioms`` reads the laws off the table: coassociativity
 on x is sum c Dbar(y) (x) z = sum c y (x) Dbar(z) over the terms
 c y (x) z of Dbar(x), and the counit laws always hold.  ``coproduct_laws``
-checks them on one word of any D : A -> A (x) A, as the cogroup layer
-does on its own D.  Cocommutativity is invariance of Dbar under the
-signed twist y (x) z -> (-1)^{|y||z|} z (x) y.
+checks them on the unit or a generator for any D given on generators,
+as the cogroup layer does on its own D.  Cocommutativity is invariance
+of Dbar under the signed twist y (x) z -> (-1)^{|y||z|} z (x) y.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 
-from .algebra import (
-    AlgebraElement,
-    AlgebraMorphism,
-    TensorSquare,
-    TruncatedTensorAlgebra,
-    _reduce_terms,
-)
+from .algebra import TruncatedTensorAlgebra, _reduce_terms
 from .modules import GradedModulePresentation
 
 
@@ -115,33 +114,51 @@ def trivial_coalgebra(module: GradedModulePresentation) -> CoalgebraPresentation
     return CoalgebraPresentation(module, {})
 
 
-def coproduct_morphism(C: CoalgebraPresentation, sq: TensorSquare) -> AlgebraMorphism:
-    """D : A -> sq = A (x) A with D(x) = x (x) 1 + Dbar(x) + 1 (x) x."""
-    alg = sq.algebra
+def coproduct_pairs(C: CoalgebraPresentation, algebra: TruncatedTensorAlgebra) -> dict:
+    """D on the generators of degree <= the algebra's truncation, as pair
+    dicts: x -> x (x) 1 + 1 (x) x + sum c y (x) z over the table's Dbar(x)."""
     images = {}
     for g in C.module.generators:
-        if g.degree > alg.truncation:
+        if g.degree > algebra.truncation:
             continue
         x = (g.name,)
         terms = {(x, ()): 1, ((), x): 1}
-        for c, y, z in C.reduced_coproduct(g.name):
+        for c, y, z in C.table.get(g.name, ()):
             terms[((y,), (z,))] = c
-        images[g.name] = AlgebraElement(sq, terms)
-    return AlgebraMorphism(alg, sq, images, check=False)
+        images[g.name] = _reduce_tensors(algebra, terms)
+    return images
 
 
-def coproduct_laws(delta: AlgebraMorphism, w) -> tuple:
-    """(coassociative, left counital, right counital) for D : A -> A (x) A on w.
+def _pair_product(factors, degree) -> dict:
+    """The product of pair dicts, 1 (x) 1 for none, with the Koszul sign and
+    unreduced; ``degree`` is a word's degree."""
+    out = {((), ()): 1}
+    for right in factors:
+        acc: dict = {}
+        get = acc.get
+        for (a, b), v1 in out.items():
+            odd = degree(b) % 2
+            for (p, q), v2 in right.items():
+                key = (a + p, b + q)
+                acc[key] = get(key, 0) + (-v1 * v2 if odd and degree(p) % 2 else v1 * v2)
+        out = acc
+    return out
 
-    (D (x) 1) D(w) and (1 (x) D) D(w) are compared as triples of words,
-    each coefficient reduced modulo the modulus of its letters.
+
+def coproduct_laws(algebra: TruncatedTensorAlgebra, delta: dict, w) -> tuple:
+    """(coassociative, left counital, right counital) for D on the unit or
+    a generator w, with D on generators given by the pair dicts ``delta``.
+
+    D is extended to the words of D(w) as an algebra map, a word's image
+    the product of its letters' images.  (D (x) 1) D(w) and (1 (x) D) D(w)
+    are compared as triples of words, each coefficient reduced modulo the
+    modulus of its letters.
     """
-    alg, unit = delta.source, {((), ()): 1}
 
-    def image(v):  # the unit and generators are read off, with no degree filled
-        return delta.image(v).terms if len(v) > 1 else delta.images[v[0]].terms if v else unit
+    def image(v):
+        return _pair_product((delta[letter] for letter in v), algebra.word_degree)
 
-    want = {} if alg.word_modulus(w) == 1 else {w: 1}  # w, or 0 where its modulus is 1
+    want = {} if algebra.word_modulus(w) == 1 else {w: 1}  # w, or 0 where its modulus is 1
     dw = image(w) if want else {}
     left: dict = {}
     right: dict = {}
@@ -153,20 +170,23 @@ def coproduct_laws(delta: AlgebraMorphism, w) -> tuple:
             key = (w1, u, v)
             right[key] = right.get(key, 0) + c * c2
     return (
-        _reduce_triples(alg, left) == _reduce_triples(alg, right),
-        _reduce_terms(alg, {w2: c for (w1, w2), c in dw.items() if not w1}) == want,
-        _reduce_terms(alg, {w1: c for (w1, w2), c in dw.items() if not w2}) == want,
+        _reduce_tensors(algebra, left) == _reduce_tensors(algebra, right),
+        _reduce_terms(algebra, {w2: c for (w1, w2), c in dw.items() if not w1}) == want,
+        _reduce_terms(algebra, {w1: c for (w1, w2), c in dw.items() if not w2}) == want,
     )
 
 
-def _reduce_triples(alg: TruncatedTensorAlgebra, terms: dict) -> dict:
-    """Each coefficient at (u, v, w) reduced modulo the modulus of u.v.w."""
+def _reduce_tensors(algebra: TruncatedTensorAlgebra, terms: dict) -> dict:
+    """Each coefficient at a tuple of words, such as (u, v) or (u, v, w),
+    reduced modulo the modulus of their concatenation; zeros dropped."""
+    fixed, modulus = algebra.fixed_modulus, algebra.word_modulus
     out = {}
-    for (u, v, w), c in terms.items():
-        m = alg.word_modulus(u + v + w)
-        c = c % m if m else c
+    for key, c in terms.items():
+        m = fixed if fixed is not None else reduce(gcd, map(modulus, key))
+        if m:
+            c %= m
         if c:
-            out[(u, v, w)] = c
+            out[key] = c
     return out
 
 

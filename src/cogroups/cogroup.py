@@ -10,21 +10,21 @@ positive part carries a cogroup structure for the free product:
 
 with counit the projection onto degree 0.  The underlying Hopf-style
 coproduct on A is D = pi . Phi, where pi folds the free product onto the
-tensor square by a' -> a (x) 1, a'' -> 1 (x) a.  Since pi and Phi are
-algebra maps fixed by their generator images, D is computed directly as
-the morphism with D(x) = x (x) 1 + Dbar(x) + 1 (x) x into the
-Koszul-signed tensor square, the coalgebra's ``coproduct_morphism``.
+Koszul-signed tensor square by a' -> a (x) 1, a'' -> 1 (x) a.  Since pi
+and Phi are algebra maps fixed by their generator images, D is kept as
+its generator images alone, the table's pair dicts
+D(x) = x (x) 1 + Dbar(x) + 1 (x) x (the coalgebra's ``coproduct_pairs``).
 ``tensor_cogroup`` checks the coalgebra laws on the table itself, so
-building a cogroup builds neither the tensor square nor D.  nu's
-generator images, read off the table, are also the antipode's, so nu
-and chi build no D either.  Dbar on words, which only the word recursion
-for chi reads, is D on basis(d) less its two outer terms, filled a whole
-degree at a time from D's own degree list.
+building a cogroup builds no D.  nu's generator images, read off the
+table, are also the antipode's, so nu and chi build no D either.  Dbar
+on words, which only the word recursion for chi reads, is filled a
+whole degree at a time from D(g.v) = D(g) D(v), with D(v) its Dbar and
+outer terms.
 
 Phi is kept as its generator images alone, each a dict of slot terms
 {(word, slots): c}: the letter word[i] stands in factor slots[i] of
 A * A, so x' is ((x,), (0,)) and y' z'' is ((y, z), (0, 1)).  No algebra
-A * A is built.
+A * A, and no tensor square A (x) A, is built.
 
 The axiom suite checks coassociativity of Phi, the counit laws, both
 inverse laws, that D is coassociative and counital (the coalgebra's
@@ -42,7 +42,6 @@ from functools import cached_property
 from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
-    TensorSquare,
     TruncatedTensorAlgebra,
     _reduce_terms,
     accumulate,
@@ -51,17 +50,19 @@ from .algebra import (
 from .coalgebra import (
     AxiomReport,
     CoalgebraPresentation,
+    _pair_product,
+    _reduce_tensors,
     check_coalgebra_axioms,
     coproduct_laws,
-    coproduct_morphism,
+    coproduct_pairs,
 )
 
 
 class Cogroup:
     """Tensor-algebra cogroup on the positive part of a coalgebra.
 
-    The tensor square, Phi (as slot terms), the generator images of nu
-    and chi, nu and D are all built from the coalgebra table, each on
+    Phi (as slot terms), the generator images of nu and chi, nu and D
+    (as pair dicts) are all built from the coalgebra table, each on
     first read.  Treat instances as immutable; internal caches only ever
     grow.
     """
@@ -75,10 +76,6 @@ class Cogroup:
         self._reduced_by_degree: list = []  # Dbar on basis(d) at index d
 
     # -- construction -------------------------------------------------
-
-    @cached_property
-    def tensor_square(self) -> TensorSquare:  # A (x) A
-        return TensorSquare(self.algebra)
 
     @cached_property
     def phi(self) -> dict:
@@ -128,29 +125,43 @@ class Cogroup:
         return AlgebraMorphism(self.algebra, self.algebra, self.generator_images)
 
     @cached_property
-    def delta(self) -> AlgebraMorphism:
-        """D : A -> A (x) A, the table's ``coproduct_morphism``."""
-        return coproduct_morphism(self.coalgebra, self.tensor_square)
+    def delta(self) -> dict:
+        """D on generators as pair dicts: x -> x (x) 1 + 1 (x) x + sum c y (x) z."""
+        return coproduct_pairs(self.coalgebra, self.algebra)
 
     # -- coproduct ----------------------------------------------------
 
     def reduced_coproducts(self, d: int) -> list:
         """Dbar on basis(d), in its order: D(w) minus its two outer terms,
         each a tuple of (c, y, z) for the terms c y (x) z.  The first read
-        fills d and each degree below from ``delta.degree_images``."""
-        filled, alg = self._reduced_by_degree, self.algebra
+        fills d and each degree below.
+
+        basis(d) lists g.v for each generator g and v in basis(d - |g|), so
+        D(g.v) = D(g) D(v), with D(v) = v (x) 1 + Dbar(v) + 1 (x) v.  A word
+        of modulus 1 is 0, and so is its Dbar.
+        """
+        filled, alg, delta = self._reduced_by_degree, self.algebra, self.delta
         while len(filled) <= d:
             e = len(filled)
+            if not e:
+                filled.append([()])
+                continue
             dbars = []
-            for w, image in zip(alg.basis(e), self.delta.degree_images(e)):
-                if alg.word_modulus(w) == 1:  # w is 0, and so is D(w)
-                    dbars.append(())
+            for g in self.module.generators:
+                if g.degree > e:
                     continue
-                terms = dict(image)
-                left, right = terms.pop((w, ()), 0), terms.pop(((), w), 0)
-                if e and (left != 1 or right != 1):
-                    raise ValueError(f"coproduct of {format_word(w)} lost its outer terms")
-                dbars.append(tuple((c, y, z) for (y, z), c in terms.items()))
+                head = delta[g.name]
+                for v, dbar in zip(alg.basis(e - g.degree), filled[e - g.degree]):
+                    w = (g.name,) + v
+                    if alg.word_modulus(w) == 1:
+                        dbars.append(())
+                        continue
+                    dv = {(v, ()): 1, ((), v): 1} if v else {((), ()): 1}
+                    dv.update(((y, z), c) for c, y, z in dbar)
+                    terms = _reduce_tensors(alg, _pair_product((head, dv), alg.word_degree))
+                    if terms.pop((w, ()), 0) != 1 or terms.pop(((), w), 0) != 1:
+                        raise ValueError(f"coproduct of {format_word(w)} lost its outer terms")
+                    dbars.append(tuple((c, y, z) for (y, z), c in terms.items()))
             filled.append(dbars)
         return filled[d]
 
@@ -209,6 +220,23 @@ def _substitute(parent, terms: dict, left: dict, right: dict, unit=((), ())) -> 
     return _reduce_terms(parent, out)
 
 
+def _fold(algebra: TruncatedTensorAlgebra, terms: dict) -> dict:
+    """pi(terms) as a pair dict, for pi : A * A -> A (x) A with
+    a' -> a (x) 1 and a'' -> 1 (x) a; ``terms`` holds slot terms.
+
+    A slot term up to the truncation becomes one pair, the product of its
+    letters' images: its slot-0 letters on the left, its slot-1 letters on
+    the right, with the Koszul sign of each slot-1 letter that stands
+    before a slot-0 letter.
+    """
+    deg, out = algebra.word_degree, {}
+    for (word, slots), c in terms.items():
+        if deg(word) <= algebra.truncation:
+            pis = ({((), (x,)): 1} if s else {((x,), ()): 1} for x, s in zip(word, slots))
+            accumulate(out, _pair_product(pis, deg), c)
+    return _reduce_tensors(algebra, out)
+
+
 def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomReport:
     """Verify the cogroup laws up to degree ``truncation``.
 
@@ -216,18 +244,18 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
     Phi, nu, D and the counit), so they agree on every word once they
     agree on the unit and the generators; only those are checked.  Each
     law substitutes into the slot terms of Phi(w): (Phi * 1) Phi against
-    (1 * Phi) Phi in slots 0-2, nu in one slot and x in the other, and
-    pi . Phi as x (x) 1 and 1 (x) x in the Koszul-signed tensor square.
+    (1 * Phi) Phi in slots 0-2, nu in one slot and x in the other.  D's
+    laws read its pair dicts, and pi . Phi, folded to pairs, is compared
+    with the table's D on generators.
     """
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    alg, sq, phi = A.algebra, A.tensor_square, A.phi
+    alg, phi = A.algebra, A.phi
     names = tuple(phi)
     shifted = {n: {(w, tuple(s + 1 for s in ss)): c for (w, ss), c in t.items()}
                for n, t in phi.items()}
     first, third = ({n: {((n,), (k,)): 1} for n in names} for k in (0, 2))
     ident = {n: alg.generator(n).terms for n in names}
     nu = {n: A.nu.images[n].terms for n in names}
-    pi = ({n: {((n,), ()): 1} for n in names}, {n: {((), (n,)): 1} for n in names})
     triple = _SlotWords(alg)
 
     words = [()] + [(g.name,) for g in A.module.generators if g.degree <= D]
@@ -246,18 +274,18 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
         if _substitute(alg, pw, ident, nu, ()) != counit:
             violations.append(f"right inverse law fails on {format_word(w)}")
         # the induced coproduct: coassociative, counital
-        coassociative, left, right = coproduct_laws(A.delta, w)
+        coassociative, left, right = coproduct_laws(alg, A.delta, w)
         if not coassociative:
             violations.append(f"coproduct coassociativity fails on {format_word(w)}")
         if not (left and right):
             violations.append(f"coproduct counit law fails on {format_word(w)}")
         if w:
-            folded[w[0]] = _substitute(sq, pw, *pi)
+            folded[w[0]] = _fold(alg, pw)
 
     # pi . Phi restricts to the defining coalgebra on generators
-    want = coproduct_morphism(A.coalgebra, sq).images
+    want = coproduct_pairs(A.coalgebra, alg)
     for name, terms in folded.items():
-        if terms != want[name].terms:
+        if terms != want[name]:
             violations.append(f"coproduct does not restrict to the coalgebra on {name}")
     return AxiomReport(len(words) + len(folded), violations)
 

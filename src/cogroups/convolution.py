@@ -18,8 +18,9 @@ differ in how they extend: nu is an ``AlgebraMorphism``, chi an
 ``Cogroup.generator_images`` computes off the coalgebra table,
 g -> -g - sum c y f(z) over Dbar(g): the inverse of the inclusion
 C -> A.  ``antipode_by_recursion`` runs the recursion on every word of
-A instead, with no product structure; ``classify`` uses it as the
-independent chi.  Like nu and chi it is a ``GradedMap``, filled one
+A instead, with no product structure on A, over Dbar(w) from
+``Cogroup.reduced_coproducts``, which multiplies D's generator pair
+dicts; ``classify`` uses it as the independent chi.  Like nu and chi it is a ``GradedMap``, filled one
 whole degree at a time and in order, so a caller that stops reading at
 a low degree never builds the higher ones.  The convolution product,
 the left recursion and the inverse of any map on a dict table are the

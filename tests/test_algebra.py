@@ -1,4 +1,4 @@
-"""Truncated tensor algebras, the signed tensor square, and the tests' free products."""
+"""Truncated tensor algebras, and the tests' signed tensor square and free products."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from cogroup_oracle import free_product, renaming_morphism
+from cogroup_oracle import TensorSquare, free_product, renaming_morphism
 from instances import (
     F2,
     F3,
@@ -252,7 +252,7 @@ def test_free_product_needs_matching_context():
 
 def test_tensor_square_koszul_sign():
     A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("y", 2)]), 6)
-    sq = cg.TensorSquare(A)
+    sq = TensorSquare(A)
     x_left = sq.pure(("x",), ())
     x_right = sq.pure((), ("x",))
     assert x_left * x_right == sq.pure(("x",), ("x",))
@@ -264,7 +264,7 @@ def test_tensor_square_koszul_sign():
 
 def test_tensor_square_is_associative():
     A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("y", 2)]), 6)
-    sq = cg.TensorSquare(A)
+    sq = TensorSquare(A)
     rng = random.Random(7)
     pairs = [(u, v) for u in A.words_up_to(2) for v in A.words_up_to(2)]
 
@@ -280,7 +280,7 @@ def test_tensor_square_is_associative():
 
 def test_tensor_square_coefficients_reduce_by_pair():
     m = module(Z, [("x", 2, 3), ("y", 4, 5)])
-    sq = cg.TensorSquare(cg.TruncatedTensorAlgebra(m, 10))
+    sq = TensorSquare(cg.TruncatedTensorAlgebra(m, 10))
     assert not sq.pure(("x",), ("y",))  # coprime torsion across the pair
     assert sq.pure(("x",), ("x",), 4) == sq.pure(("x",), ("x",), 1)
 
@@ -363,7 +363,7 @@ def oracle_key(module):
 def oracle_str(elem):
     """An element rendered from ``oracle_key`` and ``format_word`` alone."""
     parent = elem.parent
-    if isinstance(parent, cg.TensorSquare):
+    if isinstance(parent, TensorSquare):
         key = oracle_key(parent.algebra.module)
         items = sorted(elem.terms.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1])))
         return render_terms(
@@ -403,7 +403,7 @@ def printable_elements(draw):
         coeff = coeff | st.fractions(min_value=-3, max_value=3, max_denominator=4)
     elem = A.element(draw(st.dictionaries(st.sampled_from(words), coeff, max_size=6)))
     pairs = st.tuples(st.sampled_from(words), st.sampled_from(words))
-    sq = cg.TensorSquare(A)
+    sq = TensorSquare(A)
     pair_elem = sq.element(draw(st.dictionaries(pairs, coeff, max_size=6)))
     return A, elem, pair_elem
 
@@ -422,7 +422,7 @@ def test_str_matches_a_render_from_format_word(case):
     B = cg.TruncatedTensorAlgebra(A.module, A.truncation)
     list(B.words_up_to())
     assert str(B.element(elem.terms)) == want
-    assert str(cg.TensorSquare(B).element(pair_elem.terms)) == want_pairs
+    assert str(TensorSquare(B).element(pair_elem.terms)) == want_pairs
 
 
 def test_str_sorts_terms_of_mixed_degree_in_basis_order():
@@ -433,7 +433,7 @@ def test_str_sorts_terms_of_mixed_degree_in_basis_order():
     B = two_letter_algebra()
     B.basis(3)  # keys up to degree 3 come from the bases, y^2*x^2's is counted
     assert str(B.element(terms)) == want
-    sq = cg.TensorSquare(B)
+    sq = TensorSquare(B)
     pair = sq.element({(("y",), ("x",)): 1, (("x",), ("y",)): 1, ((), ("x", "x")): -1})
     assert str(pair) == "-1(x)x^2 + x(x)y + y(x)x" == oracle_str(pair)
 

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import coalgebra_oracle as oracle
 import cogroups as cg
-from cogroup_oracle import table_report
+from cogroups.coalgebra import coproduct_laws, coproduct_pairs
+from cogroup_oracle import TensorSquare, coproduct_morphism, table_report, word_coproduct_laws
 from instances import (
     F2,
     Q,
@@ -171,3 +172,33 @@ def test_the_laws_read_off_the_table_match_the_laws_on_d(C, D):
     table's D give the same report, violations in the same order."""
     report, oracle_report = cg.check_coalgebra_axioms(C, D), table_report(C, D)
     assert (report.checked, report.violations) == (oracle_report.checked, oracle_report.violations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_coalgebras(), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_the_laws_on_pair_dicts_match_the_laws_on_the_map(C, D, rng):
+    """``coproduct_pairs`` against the oracle's D : A -> A (x) A on
+    generators, and ``coproduct_laws`` on the pair dicts against the
+    oracle's laws on the map, on the unit and every generator.  Then a
+    pair of words is added to one generator's D, so that the laws read
+    the images of longer words, and may fail."""
+    alg = cg.TruncatedTensorAlgebra(C.module, D)
+    sq = TensorSquare(alg)
+    delta = coproduct_pairs(C, alg)
+    want = coproduct_morphism(C, sq).images
+    assert {n: list(t.items()) for n, t in delta.items()} == {
+        n: list(img.terms.items()) for n, img in want.items()
+    }
+    for _ in range(3):
+        images = {n: sq.element(t) for n, t in delta.items()}
+        oracle = cg.AlgebraMorphism(alg, sq, images, check=False)
+        for w in [()] + [(n,) for n in delta]:
+            assert coproduct_laws(alg, delta, w) == word_coproduct_laws(oracle, w), w
+        if not delta:
+            return
+        x = rng.choice(sorted(delta))
+        d = alg.word_degree((x,))
+        pairs = [(u, v) for e in range(d + 1) for u in alg.basis(e) for v in alg.basis(d - e)]
+        extra = sq.element({rng.choice(pairs): rng.choice((1, -1, 2))})
+        delta = dict(delta)
+        delta[x] = (sq.element(delta[x]) + extra).terms

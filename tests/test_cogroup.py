@@ -12,9 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroups.algebra import _reduce_terms, accumulate
-from cogroups.cogroup import _SlotWords
+from cogroups.cogroup import _SlotWords, _fold, _substitute
+from cogroups.dsl import parse_spec
 from cogroup_oracle import (
+    TensorSquare,
     check_axioms_on,
+    coproduct_morphism,
+    folded_delta,
     folded_phi,
     is_cogroup_morphism_on_free_products,
     phi_morphism,
@@ -23,6 +27,7 @@ from cogroup_oracle import (
 from instances import (
     MATRIX_KEYS,
     Q,
+    TORSION_Z,
     Z,
     Z4,
     coassociative_coalgebras,
@@ -102,12 +107,13 @@ def test_nu_on_words_with_coprime_annihilators_is_zero():
 
 def test_delta_restricts_to_table():
     A = loop_cogroup()
-    sq = A.tensor_square
-    want = sq.pure(("x",), ()) + sq.pure((), ("x",)) + sq.pure(("y",), ("y",))
-    assert A.delta(A.algebra.generator("x")) == want
+    assert A.delta == {
+        "y": {(("y",), ()): 1, ((), ("y",)): 1},
+        "x": {(("x",), ()): 1, ((), ("x",)): 1, (("y",), ("y",)): 1},
+    }
 
 
-LAZY = ("tensor_square", "phi", "generator_images", "nu", "delta")
+LAZY = ("phi", "generator_images", "nu", "delta")
 
 
 def fresh_coalgebras():
@@ -129,7 +135,7 @@ def built(A):
 def test_a_new_cogroup_builds_no_structure():
     for C in fresh_coalgebras():
         assert built(cg.Cogroup(C, 6)) == set()
-    # the coalgebra laws are read off the table: no tensor square, no D
+    # the coalgebra laws are read off the table: no D
     for A in fresh_cogroups():
         assert built(A) == set()
 
@@ -149,7 +155,7 @@ def test_the_axiom_check_reads_every_structure():
 
 
 def test_the_antipode_table_builds_no_inverse():
-    # chi reads its generator images off the table: no nu, no D, no tensor square
+    # chi reads its generator images off the table: no nu, no D
     for A in fresh_cogroups():
         chi = cg.antipode(A)
         for w in A.algebra.words_up_to():
@@ -160,11 +166,12 @@ def test_the_antipode_table_builds_no_inverse():
 
 
 def assert_delta_is_the_folded_phi(A):
-    """D from the table against its oracle pi . Phi, term order included."""
+    """D on generators from the table against its oracle pi . Phi, term
+    order included; ``reduced_coproducts`` holds D on every other word."""
     pi_phi = folded_phi(A)
-    for w in A.algebra.words_up_to():
-        got, want = A.delta.image(w), pi_phi.image(w)
-        assert list(got.terms.items()) == list(want.terms.items()), w
+    assert A.delta.keys() == pi_phi.images.keys()
+    for name, terms in A.delta.items():
+        assert list(terms.items()) == list(pi_phi.images[name].terms.items()), name
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)
@@ -180,18 +187,20 @@ def test_delta_from_the_table_is_pi_phi(case):
 
 
 def assert_dbar_is_the_folded_phi_less_its_outer_terms(A):
-    """Each degree of ``reduced_coproducts`` against pi . Phi on basis(d)
-    with w (x) 1 and 1 (x) w taken out, 1 (x) 1 on the empty word."""
-    pi_phi = folded_phi(A)
+    """Each degree of ``reduced_coproducts`` against pi . Phi and against the
+    table's D, both maps into the oracle ``TensorSquare``, on basis(d) with
+    w (x) 1 and 1 (x) w taken out, 1 (x) 1 on the empty word."""
+    oracles = folded_phi(A), coproduct_morphism(A.coalgebra, TensorSquare(A.algebra))
     for d in range(A.truncation + 1):
         words = A.algebra.basis(d)
         dbars = A.reduced_coproducts(d)
         assert len(dbars) == len(words), d
         for w, dbar in zip(words, dbars):
-            want = dict(pi_phi.image(w).terms)
-            want.pop((w, ()), None)
-            want.pop(((), w), None)
-            assert len(dbar) == len(want) and {(y, z): c for c, y, z in dbar} == want, w
+            for oracle in oracles:
+                want = dict(oracle.image(w).terms)
+                want.pop((w, ()), None)
+                want.pop(((), w), None)
+                assert len(dbar) == len(want) and {(y, z): c for c, y, z in dbar} == want, w
             assert A.reduced_coproduct_word(w) is dbar
 
 
@@ -207,13 +216,33 @@ def test_reduced_coproducts_are_pi_phi_less_its_outer_terms(case):
     assert_dbar_is_the_folded_phi_less_its_outer_terms(cg.tensor_cogroup(*case))
 
 
+# Table terms y (x) z bring letters that w does not hold, so a term of
+# D(w) reduces modulo the modulus of its own pair, which w's modulus
+# need not divide: on these tables a reduction by w's modulus keeps
+# terms that vanish.
+PAIR_MODULUS_TABLES = {
+    "torsion-z": parse_spec(TORSION_Z).coalgebra(),
+    "free-x-over-y-ann-2": cg.CoalgebraPresentation(
+        module(Z, [("x", 2), ("y", 1, 2)]), {"x": [(1, "y", "y")]}
+    ),
+}
+
+
+@pytest.mark.parametrize("key", PAIR_MODULUS_TABLES)
+def test_reduced_coproducts_reduce_each_pair_by_its_own_modulus(key):
+    A = cg.tensor_cogroup(PAIR_MODULUS_TABLES[key], 6)
+    assert_dbar_is_the_folded_phi_less_its_outer_terms(A)
+    terms = sum(len(A.reduced_coproduct_word(w)) for w in A.algebra.words_up_to() if w)
+    assert terms == {"torsion-z": 609, "free-x-over-y-ann-2": 294}[key]
+
+
 def test_the_restriction_check_reads_a_supplied_phi():
     # Phi and nu of the table y -> x (x) x, on the primitive table
     m = module(Q, [("x", 1), ("y", 2)])
     twisted = cg.tensor_cogroup(cg.CoalgebraPresentation(m, {"y": [(1, "x", "x")]}), 6)
     A = cg.Cogroup(cg.trivial_coalgebra(m), 6)
     A.phi, A.nu = twisted.phi, twisted.nu
-    A.delta = folded_phi(A)
+    A.delta = folded_delta(A)
     assert cg.check_cogroup_axioms(A).violations == [
         "coproduct does not restrict to the coalgebra on y"
     ]
@@ -230,9 +259,8 @@ def test_assigned_phi_and_nu_are_kept_and_delta_reads_the_table():
     assert A.phi is p and A.nu is n
     assert built(A) == {"phi", "nu"}
     x = A.algebra.generator("x")
-    assert folded_phi(A)(x) == A.tensor_square.pure(("x",), ())
-    assert A.delta(x) == good.delta(good.algebra.generator("x"))
-    assert A.delta(x) != A.tensor_square.pure(("x",), ())
+    assert folded_phi(A)(x) == TensorSquare(A.algebra).pure(("x",), ())
+    assert A.delta == good.delta == {"x": {(("x",), ()): 1, ((), ("x",)): 1}}
 
 
 def test_reduced_coproduct_of_a_power():
@@ -307,11 +335,11 @@ def broken(A, part, rng):
     if part == "phi":  # g'' dropped
         bad.phi = dict(A.phi)
         bad.phi[g] = {k: c for k, c in A.phi[g].items() if k != ((g,), (1,))}
-        bad.delta = folded_phi(bad)
+        bad.delta = folded_delta(bad)
     elif part == "delta":  # g (x) 1 twice: the counit law fails
-        images = dict(A.delta.images)
-        images[g] = images[g] + A.tensor_square.pure((g,), ())
-        bad.delta = cg.AlgebraMorphism(A.algebra, A.tensor_square, images, check=False)
+        sq = TensorSquare(A.algebra)
+        bad.delta = dict(A.delta)
+        bad.delta[g] = (sq.element(A.delta[g]) + sq.pure((g,), ())).terms
     else:
         images = dict(A.nu.images)
         images[g] = images[g] + A.algebra.generator(g)
@@ -351,6 +379,12 @@ def test_a_phi_that_leaves_its_degree_is_checked_as_on_every_word(ring, D, extra
             accumulate(images[n], {(word, slots): c})
     A.phi = {n: _reduce_terms(_SlotWords(A.algebra), t) for n, t in images.items()}
     both_levels(A)
+    # pi . Phi folded to pairs, against pi substituted into the oracle's
+    # Koszul-signed product: a slot-1 odd x before a slot-0 x flips the sign
+    sq = TensorSquare(A.algebra)
+    pi = ({n: {((n,), ()): 1} for n in "xy"}, {n: {((), (n,)): 1} for n in "xy"})
+    for n, terms in A.phi.items():
+        assert _fold(A.algebra, terms) == _substitute(sq, terms, *pi), n
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)
@@ -366,7 +400,7 @@ def test_axioms_catch_a_broken_comultiplication():
     C = cg.trivial_coalgebra(module(Q, [("x", 2)]))
     bad = cg.Cogroup(C, 6)
     bad.phi = {"x": {(("x",), (0,)): 1}}  # x'' dropped
-    bad.delta = folded_phi(bad)
+    bad.delta = folded_delta(bad)
     rep = both_levels(bad)
     assert not rep.ok
     assert any("inverse law" in v for v in rep.violations)
@@ -465,7 +499,7 @@ def test_cogroup_morphism_checks_the_algebras():
 # ``python -O``.
 BROKEN_FIXTURES = """
 import cogroups as cg
-from cogroup_oracle import folded_phi
+from cogroup_oracle import folded_delta
 from convolution_oracle import TableMap, WordSource, explicit_identity
 from instances import (
     module,
@@ -475,7 +509,7 @@ C = cg.trivial_coalgebra(module(cg.RingSpec.rationals(), [("x", 2)]))
 good = cg.Cogroup(C, 4)
 bad = cg.Cogroup(C, 4)
 bad.phi = {"x": {(("x",), (0,)): 1}}
-bad.delta = folded_phi(bad)
+bad.delta = folded_delta(bad)
 try:
     bad.reduced_coproduct_word(("x",))
 except ValueError as exc:

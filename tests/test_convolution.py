@@ -759,12 +759,12 @@ def deconcatenation_cogroup(D=8) -> cg.Cogroup:
 
 
 def test_hopf_check_builds_dbar_on_generators_only():
-    # Dbar of a generator is read off the table: no D, no tensor square
+    # Dbar of a generator is read off the table: no D, no Phi, no nu
     A = deconcatenation_cogroup()
     chi = cg.antipode(A)
     assert cg.check_hopf_antipode(A, chi).ok
     assert A._reduced_by_degree == []
-    assert not {"tensor_square", "delta"} & vars(A).keys()
+    assert not {"delta", "phi", "nu"} & vars(A).keys()
     assert chi._by_degree == []  # no word image is built
 
 

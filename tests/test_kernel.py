@@ -5,7 +5,10 @@ one product term at a time and reduces the running coefficient modulo
 its key's modulus after every addition, with the modulus recomputed from
 the module's generators.  The kernel accumulates and reduces once; the
 two must agree on products in A, on products in A (x) A with the Koszul
-sign, and on morphism application, over all four ring kinds.
+sign, and on morphism application, over all four ring kinds.  A (x) A is
+met twice: as the tests' ``TensorSquare``, an element parent over the
+same kernel, and as the pair dicts that the coalgebra layer multiplies
+with ``_pair_product`` and reduces with ``_reduce_tensors``.
 """
 
 import re
@@ -18,6 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
+from cogroups.coalgebra import _pair_product, _reduce_tensors
+from cogroup_oracle import TensorSquare
 from instances import RINGS, annihilators, module
 
 
@@ -141,23 +146,35 @@ def test_products_in_the_algebra(A, data):
     )
 
 
+def reduced_pairs(oracle, terms):
+    acc = {}
+    for (u, v), c in terms.items():
+        oracle.add(acc, u + v, (u, v), c)
+    return {p: c for p, c in acc.items() if c}
+
+
 @settings(max_examples=60, deadline=None)
 @given(algebras(), st.data())
 def test_products_in_the_tensor_square(A, data):
     oracle = Oracle(A.module, A.truncation)
-    sq = cg.TensorSquare(A)
+    sq = TensorSquare(A)
     left = terms_of(data, pairs(A), A.ring)
     right = terms_of(data, pairs(A), A.ring)
-
-    def reduced(terms):
-        acc = {}
-        for (u, v), c in terms.items():
-            oracle.add(acc, u + v, (u, v), c)
-        return {p: c for p, c in acc.items() if c}
-
     a, b = sq.element(left), sq.element(right)
-    assert a.terms == reduced(left)
-    assert (a * b).terms == oracle.mul_pairs(reduced(left), reduced(right))
+    assert a.terms == reduced_pairs(oracle, left)
+    assert (a * b).terms == oracle.mul_pairs(reduced_pairs(oracle, left), reduced_pairs(oracle, right))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(), st.data())
+def test_products_of_pair_dicts(A, data):
+    """The pair-dict product does not truncate, so the oracle is given room
+    for every product of two pairs of A."""
+    oracle = Oracle(A.module, 2 * A.truncation)
+    left = reduced_pairs(oracle, terms_of(data, pairs(A), A.ring))
+    right = reduced_pairs(oracle, terms_of(data, pairs(A), A.ring))
+    product = _pair_product((left, right), A.word_degree)
+    assert _reduce_tensors(A, product) == oracle.mul_pairs(left, right)
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,7 +194,7 @@ def test_morphism_application(A, data):
 @settings(max_examples=30, deadline=None)
 @given(algebras(rings=(cg.RingSpec.rationals(),)), st.data())
 def test_rational_coefficients_from_ints_stay_int(A, data):
-    sq = cg.TensorSquare(A)
+    sq = TensorSquare(A)
     a = A.element(terms_of(data, words(A), A.ring, fractions=False))
     b = A.element(terms_of(data, words(A), A.ring, fractions=False))
     p = sq.element(terms_of(data, pairs(A), A.ring, fractions=False))

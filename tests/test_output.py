@@ -51,6 +51,17 @@ def run_main(argv, stdin):
         ("antipode_binom_fp.txt", BINOM_F7, ["antipode", "-", "--max-degree", "7"]),
         ("inverse_torsion_z.json", TORSION_Z, ["inverse", "-", "--max-degree", "5", "--json"]),
         ("antipode_deconc_q2.txt", DECONC_Q2, ["antipode", "-", "--max-degree", "6"]),
+        # the axiom check, and classify's word recursion over Dbar, on a
+        # table and on coprime torsion letters
+        ("check_cogroup_binom.txt", BINOM_Z9, ["check-cogroup", "-", "--max-degree", "5"]),
+        ("check_cogroup_binom.json", BINOM_Z9, ["check-cogroup", "-", "--max-degree", "5", "--json"]),
+        ("check_cogroup_torsion_z.txt", TORSION_Z, ["check-cogroup", "-", "--max-degree", "5"]),
+        (
+            "check_cogroup_torsion_z.json",
+            TORSION_Z,
+            ["check-cogroup", "-", "--max-degree", "5", "--json"],
+        ),
+        ("classify_torsion_z.txt", TORSION_Z, ["classify", "-", "--max-degree", "5"]),
     ],
 )
 def test_table_goldens(fname, text, argv):
