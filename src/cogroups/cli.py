@@ -6,14 +6,16 @@ as text or JSON.  Exit codes: 0 when the computation succeeded or the
 checked property holds, 1 when a checked property fails, 2 on input
 errors (unparsable description, unknown command, unreadable file, input
 that is not UTF-8, from a file or from stdin).
-The argument parser is built once, at import, and reused by ``main``.
+``main`` reads the usual command lines itself; the argparse parser is
+built, once, only for any other, and words help and every refusal.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .algebra import TruncatedTensorAlgebra, _format_terms, is_graded_commutative
@@ -198,7 +200,10 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
     )
 
 
-def _parser() -> argparse.ArgumentParser:
+@cache
+def _parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cogroups",
         description="cogroup structure on tensor algebras: checks and tables",
@@ -216,42 +221,90 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = _parser()
+def _parse_args(argv: list) -> tuple:
+    """``(command, path, max_degree, json, seed)`` of any command line, read
+    by argparse, which prints help and refuses what it cannot read."""
+    # an optional positional is filled, empty, before the options that come
+    # ahead of it, so a path after an option is left over: parse again,
+    # intermixed, only then (it costs several times a plain parse)
+    parser = _parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args = parser.parse_intermixed_args(argv)
+    return args.command, args.path, args.max_degree, args.json, args.seed
+
+
+def _read_args(argv: list) -> tuple | None:
+    """What ``_parse_args`` returns, for a usual command line; None for any
+    other.
+
+    Usual: a command, then in any order ``--json``, ``--max-degree N`` and
+    ``--seed N`` with N ASCII digits, and at most one path, which is ``-``
+    or does not start with ``-``.  The last of a repeated option wins.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    path, as_json, numbers = None, False, {"--max-degree": 10, "--seed": 0}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            as_json = True
+        elif token in numbers:
+            n = next(tokens, "")
+            # ASCII digits only: "²".isdigit() is True, and int() reads "٣"
+            if not (n.isascii() and n.isdigit()):
+                return None
+            try:
+                numbers[token] = int(n)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif path is None and (token == "-" or not token.startswith("-")):
+            path = token
+        else:
+            return None
+    return argv[0], "-" if path is None else path, numbers["--max-degree"], as_json, numbers["--seed"]
 
 
 def _read_input(path: str) -> str:
     """The input as strict UTF-8, decoded from the bytes of the file or of
-    stdin alike; a stdin that is a text stream with no bytes under it
-    (an ``io.StringIO``) is read as text."""
+    stdin alike, without a leading byte-order mark; a stdin that is a text
+    stream with no bytes under it (an ``io.StringIO``) is read as text."""
     if path != "-":
         with open(path, "rb") as f:
-            return f.read().decode("utf-8")
-    stdin = getattr(sys.stdin, "buffer", None)
-    return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
+            text = f.read().decode("utf-8")
+    else:
+        stdin = getattr(sys.stdin, "buffer", None)
+        text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def main(argv=None) -> int:
-    # an optional positional is filled, empty, before the options that come
-    # ahead of it, so a path after an option is left over: parse again,
-    # intermixed, only then (it costs several times a plain parse)
-    args, extra = _PARSER.parse_known_args(argv)
-    if extra:
-        args = _PARSER.parse_intermixed_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command, path, max_degree, as_json, _ = _read_args(argv) or _parse_args(argv)
 
     try:
-        text = _read_input(args.path)
+        text = _read_input(path)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         spec = parse_spec(text)
-        report = run_command(spec, args.command, max_degree=args.max_degree)
+        report = run_command(spec, command, max_degree=max_degree)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    print(report.render_json() if args.json else report.render_text())
+    try:
+        print(report.render_json() if as_json else report.render_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (as `| head` does): what is left in the buffer
+        # goes to devnull, so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code
 
 

@@ -35,13 +35,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .algebra import AlgebraElement, AntiMorphism, GradedMap, _reduce_terms, format_word
 from .coalgebra import AxiomReport
-
-if TYPE_CHECKING:
-    from .cogroup import Cogroup
+from .cogroup import Cogroup
 
 
 def antipode(A: Cogroup) -> AntiMorphism:

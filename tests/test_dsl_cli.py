@@ -1,5 +1,6 @@
 """The problem-description language and the command-line front end."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,11 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cogroups as cg
 import dsl_oracle
-from cogroups.cli import _PARSER, COMMANDS, Report, main as cli_main, run_command
+from cogroups.cli import (
+    COMMANDS, Report, _parse_args, _parser, _read_args, main as cli_main, run_command,
+)
 from cogroups.dsl import ParseError, ProblemSpec, parse_spec
 from instances import BINOM_Z9, raw_presentations, render_spec
 
@@ -524,28 +527,51 @@ def test_stdin_and_a_file_decode_the_same_bytes_alike(tmp_path):
     from_file, from_stdin = both("ring Q\ngenerator x degree 2 # café\n".encode())
     assert from_file.returncode == from_stdin.returncode == 0
     assert from_file.stdout == from_stdin.stdout and b"chi(x^2): x^2" in from_stdin.stdout
+    # one leading byte-order mark is dropped, from either source
+    plain = from_file.stdout
+    from_file, from_stdin = both("\ufeffring Q\ngenerator x degree 2 # café\n".encode())
+    assert from_file.returncode == from_stdin.returncode == 0
+    assert from_file.stdout == from_stdin.stdout == plain
+    assert from_file.stderr == from_stdin.stderr == b""
 
 
-def test_cli_imports_without_generating_classes():
+def test_cli_imports_without_generating_classes(tmp_path):
     # the value types and reports are plain classes, so importing the CLI
-    # loads neither dataclasses nor the inspect module that it imports
+    # loads neither dataclasses nor the inspect module that it imports;
+    # annotations need no typing, and a usual command line no argparse
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, cogroups.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = tmp_path / "spec.cog"
+    path.write_text(LOOP)
+    forbidden = "{'dataclasses', 'inspect', 'typing', 'argparse'}"
+    code = (
+        "import sys, cogroups.cli\n"
+        f"print(sorted({forbidden} & set(sys.modules)))\n"
+        f"rc = cogroups.cli.main(['classify', {str(path)!r}, '--max-degree', '4', '--json'])\n"
+        f"print(rc, sorted({forbidden} & set(sys.modules)))\n"
+    )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert run.stdout.startswith("[]\n{\n") and run.stdout.endswith("}\n0 []\n")
 
 
 def test_repeated_main_calls_in_one_process(tmp_path, capsys, monkeypatch):
-    # main reuses the parser built at import; a usage error in between
-    # leaves the next run's output unchanged
-    def refuse(*args, **kwargs):
-        raise AssertionError("parser rebuilt")
+    # argparse builds its parser at most once, for the first command line
+    # that main does not read itself; a usage error in between leaves the
+    # next run's output unchanged
+    import argparse
 
-    monkeypatch.setattr("argparse.ArgumentParser", refuse)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _parser.cache_clear()
     path = tmp_path / "chain.cog"
     path.write_text(Z4_CHAIN)
     argv = ["antipode", str(path), "--max-degree", "4"]
@@ -560,6 +586,7 @@ def test_repeated_main_calls_in_one_process(tmp_path, capsys, monkeypatch):
         cli_main(["--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cogroups ")
+    assert len(built) == 1
 
 
 def test_a_path_may_follow_the_options(tmp_path, capsys, monkeypatch):
@@ -576,13 +603,17 @@ def test_a_path_may_follow_the_options(tmp_path, capsys, monkeypatch):
             ]
             assert runs[0][1].out and not runs[0][1].err
             assert runs[1] == runs[0], (command, tail)
-    # the usual order parses once, with no intermixed re-parse
-    monkeypatch.setattr(_PARSER, "parse_intermixed_args", None)
+    # both usual orders are read without argparse
+    def refuse():
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr("cogroups.cli._parser", refuse)
     assert cli_main(["classify", str(path), "--max-degree", "3"]) == 0
+    assert cli_main(["classify", "--max-degree", "3", str(path)]) == 0
 
 
 def test_unknown_arguments_are_still_refused(capsys):
-    usage = _PARSER.format_usage()
+    usage = _parser().format_usage()
     for argv, extra in (
         (["classify", "a", "b"], "b"),
         (["classify", "a", "--bogus"], "--bogus"),
@@ -593,6 +624,60 @@ def test_unknown_arguments_are_still_refused(capsys):
         captured = capsys.readouterr()
         assert info.value.code == 2 and not captured.out
         assert captured.err == f"{usage}cogroups: error: unrecognized arguments: {extra}\n", argv
+
+
+ARGV_TOKENS = (
+    "-", "", "spec.cog", "--json", "--max-degree", "--seed", "--max", "--js",
+    "--max-degree=3", "-h", "--", "7", "007", "-1", "²", "٣", "a b",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    # most draws start with a command, the one head that main reads itself
+    st.sampled_from(COMMANDS) | st.sampled_from(COMMANDS + ARGV_TOKENS),
+    st.lists(st.sampled_from(COMMANDS + ARGV_TOKENS), max_size=7),
+)
+@example("antipode", ["-", "--max-degree", "007", "--json", "--seed", "7"])
+@example("classify", ["--json", "--max-degree", "7", "a b", "--max-degree", "3"])
+@example("inverse", [""])
+@example("antipode", ["--max-degree", "1" * 5000])
+def test_main_reads_a_command_line_as_argparse_does(head, tail):
+    # argparse is the reference: whenever main reads a command line itself,
+    # argparse reads the same values from it and does not refuse it
+    argv = [head, *tail]
+    read = _read_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = _parse_args(argv)
+    except SystemExit:
+        parsed = None
+    assert read is None or read == parsed
+
+
+def test_unusual_command_lines_go_to_argparse():
+    for argv in (
+        [], ["--help"], ["classify", "-h"], ["classify", "--"], ["make-coffee"],
+        ["--json", "classify"], ["classify", "--max", "3"], ["classify", "--js"],
+        ["classify", "--max-degree=3"], ["classify", "--max-degree", "-1"],
+        ["classify", "--max-degree", "²"], ["classify", "--seed", "٣"],
+        ["classify", "--max-degree"], ["classify", "a", "b"], ["classify", "-", "-"],
+    ):
+        assert _read_args(argv) is None, argv
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
+    # `cogroups antipode F --max-degree 12 | head -1`: the table is about
+    # 330 KB, well above what a pipe holds, and the reader leaves after a line
+    path = tmp_path / "spec.cog"
+    path.write_text("ring Q\ngenerator x degree 1\ngenerator y degree 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "cogroups.cli", "antipode", str(path), "--max-degree", "12"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"command: antipode\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_only_check_cogroup_reads_phi(tmp_path, capsys, monkeypatch):

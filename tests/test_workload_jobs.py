@@ -29,6 +29,14 @@ def test_every_seed_1_job_passes_the_benchmark_oracle(workload):
                 assert oracle.check_output(job, rc, stdout) == [], (job.key, as_json)
 
 
+def test_main_reads_every_benchmark_command_line_without_argparse():
+    # a new flag in the job lists would drop every job back to argparse
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for job in workloads.jobs(workload, seed):
+                assert cli._read_args(job.argv()) is not None, (workload, seed, job.argv())
+
+
 # the ROADMAP's baseline instances, (name, degree, ann) generators, and
 # the truncation of their table runs
 BASELINE = (
