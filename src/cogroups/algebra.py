@@ -148,6 +148,8 @@ class TruncatedTensorAlgebra:
         self.module = module
         self.ring = module.ring
         self.truncation = truncation
+        # the generators in play, in declaration order: the one-letter words
+        self.generators = [g for g in module.generators if g.degree <= truncation]
         self._deg = {g.name: g.degree for g in module.generators}
         self._ann = {g.name: g.annihilator for g in module.generators}
         self._basis_cache: list = [[()]]  # basis(d) at index d
@@ -393,9 +395,7 @@ class AlgebraMorphism(GradedMap):
                     self._mod = target.fixed_modulus
 
     def _validate(self):
-        for g in self.source.module.generators:
-            if g.degree > self.source.truncation:
-                continue
+        for g in self.source.generators:
             if g.name not in self.images:
                 raise ValueError(f"no image for generator {g.name}")
             img = self.images[g.name]

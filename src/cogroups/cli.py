@@ -133,10 +133,8 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         raise ValueError("truncation must be >= 0")
     verdicts: list = []
     witnesses: list = []
-    exit_code = 0
+    ok = True  # the two tables always succeed
     coalg = spec.coalgebra()
-    if command not in ("check-commutative", "check-cocommutative"):
-        A = tensor_cogroup(coalg, max_degree)
 
     if command == "check-commutative":
         ok, pair = is_graded_commutative(
@@ -145,21 +143,20 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         verdicts.append(("graded-commutative", ok))
         if pair:
             witnesses.append(f"generators {pair[0]}, {pair[1]} do not graded-commute")
-        exit_code = 0 if ok else 1
     elif command == "check-cocommutative":
         ok = is_cocommutative(coalg)
         verdicts.append(("cocommutative", ok))
-        exit_code = 0 if ok else 1
-    elif command == "check-cogroup":
-        report = check_cogroup_axioms(A, max_degree)
-        verdicts.append(("cogroup-axioms", report.ok))
+    else:
+        A = tensor_cogroup(coalg, max_degree)
+
+    if command in ("check-cogroup", "check-hopf"):
+        if command == "check-cogroup":
+            name, report = "cogroup-axioms", check_cogroup_axioms(A, max_degree)
+        else:
+            name, report = "hopf-antipode-laws", check_hopf_antipode(A, antipode(A))
+        ok = report.ok
+        verdicts.append((name, ok))
         witnesses.extend(report.violations)
-        exit_code = 0 if report.ok else 1
-    elif command == "check-hopf":
-        report = check_hopf_antipode(A, antipode(A))
-        verdicts.append(("hopf-antipode-laws", report.ok))
-        witnesses.extend(report.violations)
-        exit_code = 0 if report.ok else 1
     elif command in ("antipode", "inverse"):
         label = "chi" if command == "antipode" else "nu"
         f = antipode(A) if command == "antipode" else A.nu
@@ -168,26 +165,23 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         for d in range(0, max_degree + 1):
             for w, terms in zip(A.algebra.basis(d), f.degree_images(d)):
                 verdicts.append((f"{label}({fmt(w)})", _format_terms(terms.items(), fmt)))
-        exit_code = 0
     elif command == "nu-eq-chi":
         ok, witness = inverse_equals_antipode(A, max_degree)
         verdicts.append(("nu-eq-chi", ok))
         if witness:
             witnesses.append(witness)
-        exit_code = 0 if ok else 1
     elif command == "check-surjective":
         degrees = is_antipode_surjective(A, antipode(A))
         for d in sorted(degrees):
             verdicts.append((f"surjective-degree-{d}", degrees[d]))
         ok = all(degrees.values())
         verdicts.append(("surjective-all-degrees", ok))
-        exit_code = 0 if ok else 1
     elif command == "classify":
         report = classify_cogroup(A, max_degree)
         verdicts.extend(report.verdicts())
         if report.witness:
             witnesses.append(report.witness)
-        exit_code = 0 if report.consistent else 1
+        ok = report.consistent
 
     return Report(
         command=command,
@@ -196,7 +190,7 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         max_degree=max_degree,
         verdicts=verdicts,
         witnesses=witnesses,
-        exit_code=exit_code,
+        exit_code=0 if ok else 1,
     )
 
 
@@ -226,7 +220,8 @@ def _parse_args(argv: list) -> tuple:
     by argparse, which prints help and refuses what it cannot read."""
     # an optional positional is filled, empty, before the options that come
     # ahead of it, so a path after an option is left over: parse again,
-    # intermixed, only then (it costs several times a plain parse)
+    # intermixed, only then (it costs several times a plain parse, and alone
+    # it reads "--json" after "--" as the flag, where a plain parse reads a path)
     parser = _parser()
     args, extra = parser.parse_known_args(argv)
     if extra:

@@ -115,12 +115,10 @@ def trivial_coalgebra(module: GradedModulePresentation) -> CoalgebraPresentation
 
 
 def coproduct_pairs(C: CoalgebraPresentation, algebra: TruncatedTensorAlgebra) -> dict:
-    """D on the generators of degree <= the algebra's truncation, as pair
-    dicts: x -> x (x) 1 + 1 (x) x + sum c y (x) z over the table's Dbar(x)."""
+    """D on the algebra's generators, as pair dicts:
+    x -> x (x) 1 + 1 (x) x + sum c y (x) z over the table's Dbar(x)."""
     images = {}
-    for g in C.module.generators:
-        if g.degree > algebra.truncation:
-            continue
+    for g in algebra.generators:
         x = (g.name,)
         terms = {(x, ()): 1, ((), x): 1}
         for c, y, z in C.table.get(g.name, ()):

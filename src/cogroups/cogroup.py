@@ -23,8 +23,11 @@ outer terms.
 
 Phi is kept as its generator images alone, each a dict of slot terms
 {(word, slots): c}: the letter word[i] stands in factor slots[i] of
-A * A, so x' is ((x,), (0,)) and y' z'' is ((y, z), (0, 1)).  No algebra
-A * A, and no tensor square A (x) A, is built.
+A * A, so x' is ((x,), (0,)) and y' z'' is ((y, z), (0, 1)).  They are
+read off D's pairs: pi sends the terms of Phi(x) one to one onto those
+of D(x), so each pair a (x) b is the word a.b with its letters from a in
+slot 0 and from b in slot 1.  No algebra A * A, and no tensor square
+A (x) A, is built.
 
 The axiom suite checks coassociativity of Phi, the counit laws, both
 inverse laws, that D is coassociative and counital (the coalgebra's
@@ -61,10 +64,10 @@ from .coalgebra import (
 class Cogroup:
     """Tensor-algebra cogroup on the positive part of a coalgebra.
 
-    Phi (as slot terms), the generator images of nu and chi, nu and D
-    (as pair dicts) are all built from the coalgebra table, each on
-    first read.  Treat instances as immutable; internal caches only ever
-    grow.
+    D (as pair dicts), Phi (as slot terms, off D's pairs), nu and the
+    generator images it shares with chi are all built from the coalgebra
+    table, each on first read.  Treat instances as immutable; internal
+    caches only ever grow.
     """
 
     def __init__(self, coalgebra: CoalgebraPresentation, truncation: int):
@@ -79,18 +82,14 @@ class Cogroup:
 
     @cached_property
     def phi(self) -> dict:
-        """Phi on generators as slot terms: x -> x' + x'' + sum c y' z''."""
-        slots, images = _SlotWords(self.algebra), {}
-        for g in self.module.generators:
-            if g.degree > self.truncation:
-                continue
-            x = g.name
-            terms = {((x,), (0,)): 1, ((x,), (1,)): 1}
-            for c, y, z in self.coalgebra.reduced_coproduct(x):
-                key = ((y, z), (0, 1))
-                terms[key] = terms.get(key, 0) + c
-            images[x] = _reduce_terms(slots, terms)
-        return images
+        """Phi on generators as slot terms, x -> x' + x'' + sum c y' z'':
+        each pair a (x) b of D(x), reduced modulo the modulus of a.b as a
+        slot term is, becomes a.b with a's letter in slot 0, b's in slot 1."""
+        slots = {(1, 0): (0,), (0, 1): (1,), (1, 1): (0, 1)}  # x (x) 1, 1 (x) x, y (x) z
+        return {
+            x: {(a + b, slots[len(a), len(b)]): c for (a, b), c in pairs.items()}
+            for x, pairs in coproduct_pairs(self.coalgebra, self.algebra).items()
+        }
 
     @cached_property
     def generator_images(self) -> dict:
@@ -104,9 +103,7 @@ class Cogroup:
         alg, table = self.algebra, self.coalgebra.table
         index = {n: i for i, n in enumerate(self.module.names())}
         images: dict = {}
-        for g in sorted(self.module.generators, key=lambda g: g.degree):
-            if g.degree > self.truncation:
-                break
+        for g in sorted(alg.generators, key=lambda g: g.degree):
             acc = {(g.name,): -1}
             get = acc.get
             for c, y, z in table.get(g.name, ()):
@@ -290,9 +287,7 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
     return AxiomReport(len(words) + len(folded), violations)
 
 
-def is_cogroup_morphism(
-    f: AlgebraMorphism, A: Cogroup, B: Cogroup, truncation: int | None = None
-) -> bool:
+def is_cogroup_morphism(f: AlgebraMorphism, A: Cogroup, B: Cogroup) -> bool:
     """Whether f intertwines the comultiplications: Phi_B . f = (f * f) . Phi_A.
 
     Checked on generators, which suffices because both sides are algebra
@@ -301,15 +296,12 @@ def is_cogroup_morphism(
     """
     if f.source != A.algebra or f.target != B.algebra:
         raise ValueError("morphism does not run between the underlying algebras")
-    D = A.truncation if truncation is None else min(truncation, A.truncation)
     slots = _SlotWords(B.algebra)
     left, right = (
         {n: {(w, (k,) * len(w)): c for w, c in img.terms.items()} for n, img in f.images.items()}
         for k in (0, 1)
     )
-    for g in A.module.generators:
-        if g.degree > D:
-            continue
+    for g in A.algebra.generators:
         lhs = _substitute(slots, left[g.name], B.phi, {})
         if lhs != _substitute(slots, A.phi[g.name], left, right):
             return False

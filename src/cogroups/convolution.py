@@ -89,7 +89,7 @@ def check_hopf_antipode(A: Cogroup, chi: AntiMorphism) -> AxiomReport:
     if not isinstance(chi, AntiMorphism):
         raise ValueError("the antipode laws are checked for an AntiMorphism only")
     alg, images = A.algebra, chi.images
-    gens = [(g.name,) for g in A.module.generators if g.degree <= A.truncation]
+    gens = [(g.name,) for g in alg.generators]
     violations = []
     for w in gens:
         left = dict(images[w[0]].terms)
@@ -194,9 +194,7 @@ def _bijective_on_generators(A: Cogroup, chi) -> bool:
     alg = A.algebra
     if not (isinstance(chi, AntiMorphism) and chi.source == alg == chi.target):
         return False
-    for g in A.module.generators:
-        if g.degree > A.truncation:
-            continue
+    for g in alg.generators:
         w, img = (g.name,), chi.images.get(g.name)
         if img is None or any(
             alg.word_degree(v) != g.degree or len(v) < 2 and v != w for v in img.terms
@@ -250,6 +248,8 @@ def is_algebra_morphism(f: AntiMorphism | GradedMap, A: Cogroup) -> bool:
     alg = A.algebra
     D = A.truncation
     for du in range(1, D):
+        if not alg.basis(du):  # no u: skip the pass over every dv
+            continue
         for dv in range(1, D - du + 1):
             for u in alg.basis(du):
                 fu = f.image(u)

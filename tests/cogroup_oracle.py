@@ -18,13 +18,17 @@ word through ``delta_morphism``, and checks pi . Phi through
 for ``is_cogroup_morphism``: it applies f * f : A * A -> B * B.
 ``coproduct_report`` is the oracle for ``check_coalgebra_axioms``, which
 reads the laws off the table: it runs ``word_coproduct_laws`` on D's
-image of every generator.
+image of every generator.  ``phi_by_table_walk`` is the oracle for
+``Cogroup.phi``, which reads Phi off D's pairs: it walks the table and
+reduces each slot term modulo the modulus of its word.
 """
 
 from collections import Counter
 from math import gcd
 
 import cogroups as cg
+from cogroups.algebra import _reduce_terms
+from cogroups.cogroup import _SlotWords
 
 
 class TensorSquare:
@@ -223,6 +227,22 @@ def disjoint_sum(modules):
 def square_product(A) -> FreeProduct:
     """A * A, where x' and x'' are the copies of x in slots 0 and 1."""
     return free_product(A.algebra, A.algebra)
+
+
+def phi_by_table_walk(A) -> dict:
+    """Phi on generators as slot terms, x -> x' + x'' + sum c y' z'' over the
+    table's Dbar(x), for each generator up to A's truncation."""
+    slots, images = _SlotWords(A.algebra), {}
+    for g in A.module.generators:
+        if g.degree > A.truncation:
+            continue
+        x = g.name
+        terms = {((x,), (0,)): 1, ((x,), (1,)): 1}
+        for c, y, z in A.coalgebra.reduced_coproduct(x):
+            key = ((y, z), (0, 1))
+            terms[key] = terms.get(key, 0) + c
+        images[x] = _reduce_terms(slots, terms)
+    return images
 
 
 def phi_morphism(A, square: FreeProduct) -> cg.AlgebraMorphism:

@@ -41,6 +41,18 @@ def test_basis_single_generator():
     assert A.basis(12) == []  # above truncation
 
 
+@pytest.mark.parametrize("key", [row[0] for row in MATRIX])
+def test_the_algebra_lists_the_generators_it_holds(key):
+    for D in (0, 3, 8):  # 3 lies below some generator degrees
+        alg = cg.TruncatedTensorAlgebra(make_module(key), D)
+        names = [g.name for g in alg.generators]
+        letters = [w[0] for w in alg.words_up_to() if len(w) == 1]
+        # the one-letter words, in declaration order where words_up_to lists
+        # them by degree ("f3-pair" declares x of degree 4 before y of degree 2)
+        assert names == [n for n in alg.module.names() if n in letters], (key, D)
+        assert len(names) == len(letters), (key, D)
+
+
 def test_basis_counts_follow_compositions():
     A = two_letter_algebra()
     # words of degree d in letters of degrees 1 and 2: Fibonacci counts

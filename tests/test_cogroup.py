@@ -21,10 +21,15 @@ from cogroup_oracle import (
     folded_delta,
     folded_phi,
     is_cogroup_morphism_on_free_products,
+    phi_by_table_walk,
     phi_morphism,
     square_product,
 )
 from instances import (
+    BINOM_F7,
+    BINOM_Z9,
+    DECONC_Q2,
+    DECONC_Z,
     MATRIX_KEYS,
     Q,
     TORSION_Z,
@@ -71,6 +76,33 @@ def test_phi_of_a_generator_of_modulus_one_is_zero():
     assert A.phi == {"x": {}, "y": {(("y",), (0,)): 1, (("y",), (1,)): 1}}
     assert not phi_morphism(A, square_product(A)).images["x"]  # x' + x'' = 0 in A * A
     assert both_levels(A).ok
+    assert_phi_is_the_table_walk(A)
+
+
+def assert_phi_is_the_table_walk(A):
+    """Phi read off D's pairs against the table walk, term order included."""
+    want = phi_by_table_walk(A)
+    assert list(A.phi) == list(want)
+    for name, terms in A.phi.items():
+        assert list(terms.items()) == list(want[name].items()), name
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_phi_is_the_table_walk_on_the_matrix(key):
+    for D in (3, 8):
+        assert_phi_is_the_table_walk(make_cogroup(key, D))
+
+
+@pytest.mark.parametrize("text", [DECONC_Z, DECONC_Q2, BINOM_Z9, BINOM_F7, TORSION_Z])
+def test_phi_is_the_table_walk_on_hand_tables(text):
+    for D in (2, 6):
+        assert_phi_is_the_table_walk(cg.tensor_cogroup(parse_spec(text).coalgebra(), D))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(coassociative_coalgebras(), coprime_torsion_coalgebras()))
+def test_phi_is_the_table_walk(case):
+    assert_phi_is_the_table_walk(cg.tensor_cogroup(*case))
 
 
 def test_nu_on_primitives_is_negation():

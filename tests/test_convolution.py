@@ -836,6 +836,22 @@ def test_antipode_is_antihomomorphism():
     assert cg.is_algebra_morphism(make_antipode("q-even2", 6), B)
 
 
+def test_the_morphism_check_skips_empty_degrees(monkeypatch):
+    # one generator of degree 50 at D = 100: every degree but 50 and 100 is
+    # empty, and no pass over the degrees dv may start from an empty du
+    A = cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("x", 50)])), 100)
+    calls = []
+    basis = A.algebra.basis
+
+    def counted(d):
+        calls.append(d)
+        return basis(d)
+
+    monkeypatch.setattr(A.algebra, "basis", counted)
+    assert cg.is_algebra_morphism(cg.antipode_by_recursion(A), A)  # x^2 = x^2
+    assert len(calls) < 4 * A.truncation
+
+
 def test_graded_map_validation():
     A = make_cogroup("q-even2", 6)
     src = WordSource(A)

@@ -655,6 +655,19 @@ def test_main_reads_a_command_line_as_argparse_does(head, tail):
     assert read is None or read == parsed
 
 
+def test_a_double_dash_ends_the_options(capsys):
+    # a plain parse comes first: an intermixed parse alone reads the options
+    # after "--" as options, and treats a bad first word as a path
+    assert _parse_args(["classify", "--", "--json"]) == ("classify", "--json", 10, False, 0)
+    assert _parse_args(["antipode", "--", "-h"]) == ("antipode", "-h", 10, False, 0)
+    assert _parse_args(["--", "classify", "--max-degree"]) == ("classify", "--max-degree", 10, False, 0)
+    with pytest.raises(SystemExit) as info:
+        _parse_args(["spec.cog", "-h"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and not captured.out
+    assert "argument command: invalid choice: 'spec.cog'" in captured.err
+
+
 def test_unusual_command_lines_go_to_argparse():
     for argv in (
         [], ["--help"], ["classify", "-h"], ["classify", "--"], ["make-coffee"],
