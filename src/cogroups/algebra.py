@@ -12,11 +12,13 @@ modulus and the product of words.
 
 Reduction rule: the coefficient module of a key is R/(m), where m is the
 gcd of the ring characteristic and the annihilators of its letters, so a
-word mixing coprime torsion letters is identically zero.  Coefficients
-are stored canonically: residues in [0, m) when m > 0, and otherwise
-plain ``int`` over Z and Q, with a ``Fraction`` only for a non-integral
-rational.  Sums and products accumulate into one dict and reduce once,
-in ``_reduce_terms``, at the end.
+word mixing coprime torsion letters is identically zero.  A key is a
+word or a tuple of words, such as a pair (u, v) of the tensor square,
+whose letters are those of its words.  Coefficients are stored
+canonically, as the ring's ``normalize`` gives them: residues in [0, m)
+when m > 0, and otherwise plain ``int`` over Z and Q, with a ``Fraction``
+only for a non-integral rational.  Sums and products accumulate into one
+dict and reduce once, in ``_reduce_terms``, at the end.
 
 There is one map type out of a tensor algebra, ``GradedMap``: word
 images stored a whole degree at a time, in basis order, as term dicts.
@@ -27,7 +29,6 @@ reduction is chosen once for the whole map.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import count, repeat
 from math import gcd
@@ -75,9 +76,10 @@ def _format_terms(items, fmt_key):
 def _reduce_terms(parent, terms: dict) -> dict:
     """Each coefficient reduced into R/(parent.modulus(key)); zeros dropped.
 
-    ``int`` coefficients take the fast path.  Anything else goes through
-    the ring's ``normalize``, which rejects values outside the ring, and
-    an integral ``Fraction`` comes back as an ``int``.
+    A key is a word, or a tuple of words such as a pair or triple of the
+    coalgebra layer.  ``int`` coefficients take the fast path.  Anything
+    else goes through the ring's ``normalize``, which rejects values
+    outside the ring and returns the value stored.
     """
     modulus = parent.modulus
     fixed = parent.fixed_modulus
@@ -85,8 +87,6 @@ def _reduce_terms(parent, terms: dict) -> dict:
     for k, c in terms.items():
         if type(c) is not int:
             c = parent.ring.normalize(c)
-            if type(c) is not Fraction or c.denominator == 1:
-                c = int(c)
         m = fixed if fixed is not None else modulus(k)
         if m:
             c %= m
@@ -157,7 +157,8 @@ class TruncatedTensorAlgebra:
         self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._degrees.update(((n,), d) for n, d in deg.items())
         self.word_degree = self._degrees.__getitem__
-        self._moduli = _Memo(lambda w: reduce(gcd, (ann[l] for l in w), char))
+        self._moduli = moduli = _Memo(lambda key: reduce(
+            gcd, (ann[l] if type(l) is str else moduli[l] for l in key), char))
         # how elements print: terms in basis order, words as labels
         self.sort_key = _BasisOrder(self._degrees, self.basis).__getitem__
         self.format_key = _Memo(format_word).__getitem__
@@ -174,11 +175,13 @@ class TruncatedTensorAlgebra:
     def __repr__(self):
         return f"TruncatedTensorAlgebra({self.module.ring}, D={self.truncation})"
 
-    def word_modulus(self, word) -> int:
-        """gcd of the ring characteristic and the letters' annihilators."""
+    def word_modulus(self, key) -> int:
+        """gcd of the ring characteristic and the letters' annihilators; for
+        a tuple of words such as (u, v) or (u, v, w), the gcd of their
+        moduli (kept in the memo too), the modulus of their concatenation."""
         if self.fixed_modulus is not None:
             return self.fixed_modulus
-        return self._moduli[word]
+        return self._moduli[key]
 
     # the name ``_reduce_terms`` reads a key's modulus by
     modulus = word_modulus

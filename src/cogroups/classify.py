@@ -80,6 +80,8 @@ def _first_difference(A: Cogroup, chi, truncation: int | None):
     D = A.truncation if truncation is None else min(truncation, A.truncation)
     alg = A.algebra
     for d in range(1, D + 1):
+        if not alg.basis(d):
+            continue
         for w, nu_w, chi_w in zip(alg.basis(d), A.nu.degree_images(d), chi.degree_images(d)):
             if nu_w != chi_w:
                 nu_w, chi_w = (AlgebraElement.trusted(alg, t) for t in (nu_w, chi_w))

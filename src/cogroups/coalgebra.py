@@ -6,10 +6,11 @@ degree adding up to deg x.  The full coproduct is then
 D(x) = x (x) 1 + Dbar(x) + 1 (x) x, and D(1) = 1 (x) 1.
 
 The tensor square of A = T(C+) is never built.  Its elements are pair
-dicts {(left word, right word): c}, each coefficient reduced modulo the
-modulus of the word left.right, gcd(char, ann of its letters), as each
-coefficient of Dbar(x) at y (x) z is reduced modulo gcd(char, ann y,
-ann z).  ``coproduct_pairs`` is D on the generators as pair dicts, and
+dicts {(left word, right word): c}, which the algebra's ``_reduce_terms``
+reduces: each coefficient modulo the modulus of the word left.right,
+gcd(char, ann of its letters), as the table reduces its coefficient at
+y (x) z modulo ``CoalgebraPresentation.modulus``, gcd(char, ann y, ann z).
+``coproduct_pairs`` is D on the generators as pair dicts, and
 ``_pair_product`` multiplies them with the Koszul sign
 (a (x) b)(p (x) q) = (-1)^{|b||p|} ap (x) bq.
 ``check_coalgebra_axioms`` reads the laws off the table: coassociativity
@@ -22,7 +23,6 @@ of Dbar under the signed twist y (x) z -> (-1)^{|y||z|} z (x) y.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
 
 from .algebra import TruncatedTensorAlgebra, _reduce_terms
@@ -52,9 +52,8 @@ class CoalgebraPresentation:
     def __init__(self, module: GradedModulePresentation, table: dict | None = None):
         self.module = module
         self.ring = module.ring
-        gens = {g.name: g for g in module.generators}
+        self._gens = gens = {g.name: g for g in module.generators}
         order = {n: i for i, n in enumerate(gens)}
-        char = self.ring.characteristic()
         normalized: dict = {}
         for name, entries in (table or {}).items():
             x = gens[name]  # raises KeyError on unknown names
@@ -76,7 +75,7 @@ class CoalgebraPresentation:
             a = x.annihilator
             dbar = []
             for (y, z), c in combined.items():
-                m = gcd(char, gens[y].annihilator, gens[z].annihilator)
+                m = self.modulus((y, z))
                 if m:
                     c %= m
                 if not c:
@@ -90,6 +89,11 @@ class CoalgebraPresentation:
             if dbar:
                 normalized[name] = tuple(sorted(dbar, key=lambda t: (order[t[1]], order[t[2]])))
         self.table = normalized
+
+    def modulus(self, names) -> int:
+        """gcd of the characteristic and the annihilators of the named
+        generators: the modulus of a coefficient at their tensor."""
+        return gcd(self.ring.characteristic(), *(self._gens[n].annihilator for n in names))
 
     def reduced_coproduct(self, name: str):
         self.module.generator(name)
@@ -123,7 +127,7 @@ def coproduct_pairs(C: CoalgebraPresentation, algebra: TruncatedTensorAlgebra) -
         terms = {(x, ()): 1, ((), x): 1}
         for c, y, z in C.table.get(g.name, ()):
             terms[((y,), (z,))] = c
-        images[g.name] = _reduce_tensors(algebra, terms)
+        images[g.name] = _reduce_terms(algebra, terms)
     return images
 
 
@@ -168,24 +172,10 @@ def coproduct_laws(algebra: TruncatedTensorAlgebra, delta: dict, w) -> tuple:
             key = (w1, u, v)
             right[key] = right.get(key, 0) + c * c2
     return (
-        _reduce_tensors(algebra, left) == _reduce_tensors(algebra, right),
+        _reduce_terms(algebra, left) == _reduce_terms(algebra, right),
         _reduce_terms(algebra, {w2: c for (w1, w2), c in dw.items() if not w1}) == want,
         _reduce_terms(algebra, {w1: c for (w1, w2), c in dw.items() if not w2}) == want,
     )
-
-
-def _reduce_tensors(algebra: TruncatedTensorAlgebra, terms: dict) -> dict:
-    """Each coefficient at a tuple of words, such as (u, v) or (u, v, w),
-    reduced modulo the modulus of their concatenation; zeros dropped."""
-    fixed, modulus = algebra.fixed_modulus, algebra.word_modulus
-    out = {}
-    for key, c in terms.items():
-        m = fixed if fixed is not None else reduce(gcd, map(modulus, key))
-        if m:
-            c %= m
-        if c:
-            out[key] = c
-    return out
 
 
 def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomReport:
@@ -193,11 +183,10 @@ def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomRe
 
     On x, (D (x) 1) D(x) - (1 (x) D) D(x) = sum c (Dbar(y) (x) z - y (x) Dbar(z))
     over the terms c y (x) z of Dbar(x), each triple u (x) v (x) w reduced
-    modulo gcd(char, ann u, ann v, ann w).  The counit laws, which hold for
-    every table, count in ``checked``.  Failures are reported, not raised.
+    modulo ``C.modulus``, gcd(char, ann u, ann v, ann w).  The counit laws,
+    which hold for every table, count in ``checked``.  Failures are
+    reported, not raised.
     """
-    ann = {g.name: g.annihilator for g in C.module.generators}
-    char = C.ring.characteristic()
     gens = [g.name for g in C.module.generators if g.degree <= truncation]
     violations = []
     for x in gens:
@@ -209,8 +198,8 @@ def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomRe
             for c2, u, v in C.table.get(z, ()):
                 key = (y, u, v)
                 diff[key] = diff.get(key, 0) - c * c2
-        for (u, v, w), c in diff.items():
-            m = gcd(char, ann[u], ann[v], ann[w])
+        for key, c in diff.items():
+            m = C.modulus(key)
             if c % m if m else c:
                 violations.append(f"coassociativity fails on {x}")
                 break
@@ -219,14 +208,14 @@ def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomRe
 
 def is_cocommutative(C: CoalgebraPresentation) -> bool:
     """Invariance of every reduced coproduct under the signed twist, each
-    twisted coefficient at z (x) y reduced modulo gcd(char, ann y, ann z)."""
-    deg, char = C.module.degree_of, C.ring.characteristic()
-    ann = {g.name: g.annihilator for g in C.module.generators}
+    twisted coefficient at z (x) y reduced modulo ``C.modulus``,
+    gcd(char, ann y, ann z)."""
+    deg = C.module.degree_of
     for dbar in C.table.values():
         twisted = {}
         for c, y, z in dbar:
             if deg(y) * deg(z) % 2:
-                m = gcd(char, ann[y], ann[z])
+                m = C.modulus((y, z))
                 c = -c % m if m else -c
             twisted[(z, y)] = c
         if twisted != {(y, z): c for c, y, z in dbar}:

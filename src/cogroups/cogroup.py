@@ -54,7 +54,6 @@ from .coalgebra import (
     AxiomReport,
     CoalgebraPresentation,
     _pair_product,
-    _reduce_tensors,
     check_coalgebra_axioms,
     coproduct_laws,
     coproduct_pairs,
@@ -155,7 +154,7 @@ class Cogroup:
                         continue
                     dv = {(v, ()): 1, ((), v): 1} if v else {((), ()): 1}
                     dv.update(((y, z), c) for c, y, z in dbar)
-                    terms = _reduce_tensors(alg, _pair_product((head, dv), alg.word_degree))
+                    terms = _reduce_terms(alg, _pair_product((head, dv), alg.word_degree))
                     if terms.pop((w, ()), 0) != 1 or terms.pop(((), w), 0) != 1:
                         raise ValueError(f"coproduct of {format_word(w)} lost its outer terms")
                     dbars.append(tuple((c, y, z) for (y, z), c in terms.items()))
@@ -231,7 +230,7 @@ def _fold(algebra: TruncatedTensorAlgebra, terms: dict) -> dict:
         if deg(word) <= algebra.truncation:
             pis = ({((), (x,)): 1} if s else {((x,), ()): 1} for x, s in zip(word, slots))
             accumulate(out, _pair_product(pis, deg), c)
-    return _reduce_tensors(algebra, out)
+    return _reduce_terms(algebra, out)
 
 
 def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomReport:
@@ -255,7 +254,7 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
     nu = {n: A.nu.images[n].terms for n in names}
     triple = _SlotWords(alg)
 
-    words = [()] + [(g.name,) for g in A.module.generators if g.degree <= D]
+    words = [()] + [(g.name,) for g in alg.generators if g.degree <= D]
     folded = {}
     violations = []
     for w in words:

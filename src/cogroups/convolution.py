@@ -140,8 +140,7 @@ def _spans(vectors, coords, ring) -> bool:
     for v in vectors:
         row = {}
         for c, x in v.items():
-            # an integral Fraction over Q becomes an int
-            x = x % n if n else x.numerator if x.denominator == 1 else x
+            x = x % n if n else x
             if x:
                 row[c] = x
                 cols[c].add(len(rows))

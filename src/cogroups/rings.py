@@ -2,10 +2,11 @@
 
 Supported base rings: the integers Z, the rationals Q, the modular rings
 Z/n for n >= 2 (composite n is legal), and prime fields F_p.  Ring elements
-are plain Python values kept in canonical form: ints for Z, ``Fraction``
-for Q, and residues in ``[0, n)`` for Z/n and F_p.  A ``RingSpec`` names
-the ring and brings values into that form; it never wraps them, so
-equality of elements is ordinary equality of canonical representatives.
+are plain Python values in the canonical form the algebra stores: ``int``
+for Z and for an integral rational, a ``Fraction`` only for a non-integral
+one, and residues in ``[0, n)`` for Z/n and F_p.  A ``RingSpec`` names the
+ring and brings values into that form; it never wraps them, so equality
+of elements is ordinary equality of canonical representatives.
 
 All integer arithmetic is unbounded; nothing here ever rounds.
 """
@@ -139,20 +140,18 @@ class RingSpec:
         return self.kind in ("Q", "Fp")
 
     def normalize(self, value):
-        """Canonical representative of ``value`` in this ring."""
+        """The canonical value of ``value``, as the algebra stores it: an
+        ``int`` for an integral value over Z and Q (``True`` is 1), a
+        ``Fraction`` only for a non-integral rational, a residue over Z/n and F_p."""
         if isinstance(value, Fraction):
-            if self.kind == "Q":
-                return value
             if value.denominator != 1:
+                if self.kind == "Q":
+                    return value
                 raise TypeError(f"{value} is not an element of {self}")
             value = value.numerator
         if not isinstance(value, int):
             raise TypeError(f"cannot coerce {type(value).__name__} into {self}")
-        if self.kind == "Q":
-            return Fraction(value)
-        if self.kind == "Z":
-            return value
-        return value % self.modulus
+        return value % self.modulus if self.modulus else int(value)
 
     def legal_annihilator(self, a: int) -> bool:
         """Whether ``a`` may annihilate a cyclic summand over this ring.

@@ -17,6 +17,7 @@ from math import comb, gcd
 from hypothesis import strategies as st
 
 import cogroups as cg
+from cogroups.dsl import parse_spec
 from convolution_oracle import TableMap
 
 Z = cg.RingSpec.integers()
@@ -311,6 +312,18 @@ def coprime_torsion_coalgebras(draw):
     draw(st.randoms()).shuffle(gens)
     table = {"d": [(draw(st.sampled_from((1, -1, 2))), "c", "c")]}
     return cg.CoalgebraPresentation(module(ring, gens), table), draw(st.integers(3, 6))
+
+
+# Table terms y (x) z bring letters that w does not hold, so a term of
+# D(w) reduces modulo the modulus of its own pair, which w's modulus
+# need not divide: on these tables a reduction by w's modulus keeps
+# terms that vanish.
+PAIR_MODULUS_TABLES = {
+    "torsion-z": parse_spec(TORSION_Z).coalgebra(),
+    "free-x-over-y-ann-2": cg.CoalgebraPresentation(
+        module(Z, [("x", 2), ("y", 1, 2)]), {"x": [(1, "y", "y")]}
+    ),
+}
 
 
 @st.composite

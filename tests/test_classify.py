@@ -161,6 +161,21 @@ def test_nu_eq_chi_fills_chi_only_to_the_first_difference(monkeypatch):
     assert verdict == _first_difference(A, antipode_eagerly(A), None)
 
 
+def test_nu_eq_chi_reads_only_degrees_that_hold_words(monkeypatch):
+    """One generator of degree 500 at D = 1000: nu and chi are each read in
+    degrees 500 and 1000, not in the 998 degrees without a word."""
+    A = cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("x", 500)])), 1000)
+    read, calls = cg.GradedMap.degree_images, []
+
+    def counted(f, d):
+        calls.append(d)
+        return read(f, d)
+
+    monkeypatch.setattr(cg.GradedMap, "degree_images", counted)
+    assert cg.inverse_equals_antipode(A) == (True, None)
+    assert sorted(calls) == [500, 500, 1000, 1000]
+
+
 @pytest.mark.parametrize("key", MATRIX_KEYS)
 def test_classify_verdicts_hold_at_every_truncation(key):
     # below 2 * (top degree) the generator squares lie above the truncation

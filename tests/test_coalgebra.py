@@ -143,6 +143,11 @@ def test_coalgebra_matches_the_generator_name_oracle(presentation):
     if C is None:
         return
     assert C.table == O.table
+    names = module.names()
+    for y in names:
+        for z in names:
+            assert C.modulus((y, z)) == O._pair_modulus(y, z)
+            assert C.modulus((y, z, y)) == O._pair_modulus(y, z)
     assert cg.is_cocommutative(C) == oracle.is_cocommutative(O)
     for D in range(6):
         report = cg.check_coalgebra_axioms(C, D)

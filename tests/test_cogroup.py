@@ -31,6 +31,7 @@ from instances import (
     DECONC_Q2,
     DECONC_Z,
     MATRIX_KEYS,
+    PAIR_MODULUS_TABLES,
     Q,
     TORSION_Z,
     Z,
@@ -246,18 +247,6 @@ def test_reduced_coproducts_are_pi_phi_less_its_outer_terms_on_the_matrix(key):
 @given(st.one_of(coassociative_coalgebras(), coprime_torsion_coalgebras()))
 def test_reduced_coproducts_are_pi_phi_less_its_outer_terms(case):
     assert_dbar_is_the_folded_phi_less_its_outer_terms(cg.tensor_cogroup(*case))
-
-
-# Table terms y (x) z bring letters that w does not hold, so a term of
-# D(w) reduces modulo the modulus of its own pair, which w's modulus
-# need not divide: on these tables a reduction by w's modulus keeps
-# terms that vanish.
-PAIR_MODULUS_TABLES = {
-    "torsion-z": parse_spec(TORSION_Z).coalgebra(),
-    "free-x-over-y-ann-2": cg.CoalgebraPresentation(
-        module(Z, [("x", 2), ("y", 1, 2)]), {"x": [(1, "y", "y")]}
-    ),
-}
 
 
 @pytest.mark.parametrize("key", PAIR_MODULUS_TABLES)

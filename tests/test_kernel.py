@@ -8,7 +8,10 @@ two must agree on products in A, on products in A (x) A with the Koszul
 sign, and on morphism application, over all four ring kinds.  A (x) A is
 met twice: as the tests' ``TensorSquare``, an element parent over the
 same kernel, and as the pair dicts that the coalgebra layer multiplies
-with ``_pair_product`` and reduces with ``_reduce_tensors``.
+with ``_pair_product`` and reduces with ``_reduce_terms``, as it reduces
+words.  ``_reduce_tensors``, the coalgebra layer's own reduction of pair
+and triple dicts before ``_reduce_terms`` took them, is kept below as
+its oracle there.
 """
 
 import re
@@ -21,9 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
-from cogroups.coalgebra import _pair_product, _reduce_tensors
+from cogroups.algebra import _reduce_terms
+from cogroups.coalgebra import _pair_product, coproduct_pairs
 from cogroup_oracle import TensorSquare
-from instances import RINGS, annihilators, module
+from instances import PAIR_MODULUS_TABLES, RINGS, annihilators, coprime_torsion_coalgebras, module
 
 
 class Oracle:
@@ -174,7 +178,52 @@ def test_products_of_pair_dicts(A, data):
     left = reduced_pairs(oracle, terms_of(data, pairs(A), A.ring))
     right = reduced_pairs(oracle, terms_of(data, pairs(A), A.ring))
     product = _pair_product((left, right), A.word_degree)
-    assert _reduce_tensors(A, product) == oracle.mul_pairs(left, right)
+    assert _reduce_terms(A, product) == oracle.mul_pairs(left, right)
+
+
+def _reduce_tensors(algebra, terms: dict) -> dict:
+    """Each coefficient at a tuple of words, such as (u, v) or (u, v, w),
+    reduced modulo the gcd of its words' moduli; zeros dropped."""
+    fixed, modulus = algebra.fixed_modulus, algebra.word_modulus
+    out = {}
+    for key, c in terms.items():
+        m = fixed if fixed is not None else reduce(gcd, map(modulus, key))
+        if m:
+            c %= m
+        if c:
+            out[key] = c
+    return out
+
+
+def torsion_tables():
+    """(coalgebra, truncation): coprime torsion letters, or a pair-modulus table."""
+    tables = st.tuples(st.sampled_from(list(PAIR_MODULUS_TABLES.values())), st.integers(2, 6))
+    return st.one_of(coprime_torsion_coalgebras(), tables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(torsion_tables(), st.data())
+def test_reduce_terms_reduces_pair_and_triple_dicts_as_the_oracle(case, data):
+    """Products of D's generator pair dicts, scaled, and triples made from
+    two of them, reduced by ``_reduce_terms`` on a fresh algebra, whose
+    memo meets the tuple keys before their words, and by the oracle on
+    another."""
+    C, D = case
+    A, B = (cg.TruncatedTensorAlgebra(C.module, D) for _ in "AB")
+    delta = coproduct_pairs(C, B)
+    names = st.lists(st.sampled_from(sorted(delta)), min_size=1, max_size=3)
+    products = [
+        _pair_product([delta[n] for n in data.draw(names)], B.word_degree) for _ in range(2)
+    ]
+    scale = data.draw(st.integers(-9, 9))
+    pairs = {key: scale * c for key, c in products[0].items()}
+    triples: dict = {}
+    for (w1, w2), c in products[0].items():
+        for (u, v), c2 in products[1].items():
+            for key in ((u, v, w2), (w1, u, v)):
+                triples[key] = triples.get(key, 0) + scale * c * c2
+    for terms in (pairs, triples):
+        assert _reduce_terms(A, terms) == _reduce_tensors(B, terms)
 
 
 @settings(max_examples=40, deadline=None)

@@ -83,6 +83,34 @@ def test_normalize_rejects_nonintegral_fraction_outside_q():
     assert RingSpec.rationals().normalize(Fraction(1, 2)) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize(
+    "ring, value, want",
+    [
+        (RingSpec.integers(), 3, 3),
+        (RingSpec.integers(), True, 1),
+        (RingSpec.integers(), Fraction(-4, 2), -2),
+        (RingSpec.rationals(), -3, -3),
+        (RingSpec.rationals(), True, 1),
+        (RingSpec.rationals(), Fraction(4, 2), 2),
+        (RingSpec.rationals(), Fraction(1, 2), Fraction(1, 2)),
+        (RingSpec.rationals(), Fraction(-6, 4), Fraction(-3, 2)),
+        (RingSpec.integers_mod(6), -1, 5),
+        (RingSpec.integers_mod(6), True, 1),
+        (RingSpec.integers_mod(6), Fraction(14, 2), 1),
+        (RingSpec.prime_field(7), 10, 3),
+        (RingSpec.prime_field(7), Fraction(-14, 2), 0),
+    ],
+)
+def test_normalize_returns_the_value_the_algebra_stores(ring, value, want):
+    """An int for every integral value, a Fraction only for a non-integral
+    rational, the residue over Z/n and F_p."""
+    got = ring.normalize(value)
+    assert got == want and type(got) is type(want)
+    A = cg.TruncatedTensorAlgebra(cg.GradedModulePresentation(ring, (cg.CyclicGenerator("x", 1),)), 1)
+    stored = A.element({("x",): value}).terms.values()
+    assert [(c, type(c)) for c in stored] == ([(want, type(want))] if want else [])
+
+
 def test_legal_annihilator():
     assert RingSpec.integers().legal_annihilator(0)
     assert RingSpec.integers().legal_annihilator(5)
