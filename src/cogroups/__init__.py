@@ -22,6 +22,7 @@ from .algebra import (
     GradedMap,
     TruncatedTensorAlgebra,
     format_word,
+    is_algebra_morphism,
     is_graded_commutative,
 )
 from .coalgebra import (
@@ -41,7 +42,6 @@ from .convolution import (
     antipode,
     antipode_by_recursion,
     check_hopf_antipode,
-    is_algebra_morphism,
     is_antipode_surjective,
 )
 from .classify import (
@@ -56,12 +56,12 @@ __all__ = [
     "CyclicGenerator", "GradedModulePresentation", "LocalityResult",
     "is_admissible_free_cyclic", "is_locally_at_most_singly_generated",
     "AlgebraElement", "AlgebraMorphism", "AntiMorphism", "GradedMap",
-    "TruncatedTensorAlgebra", "format_word", "is_graded_commutative",
+    "TruncatedTensorAlgebra", "format_word", "is_algebra_morphism", "is_graded_commutative",
     "AxiomReport", "CoalgebraPresentation", "check_coalgebra_axioms",
     "is_cocommutative", "trivial_coalgebra",
     "Cogroup", "check_cogroup_axioms", "is_cogroup_morphism", "tensor_cogroup",
     "antipode", "antipode_by_recursion", "check_hopf_antipode",
-    "is_algebra_morphism", "is_antipode_surjective",
+    "is_antipode_surjective",
     "ClassificationReport", "classify_cogroup", "inverse_equals_antipode",
     "ParseError", "ProblemSpec", "parse_spec",
 ]

@@ -470,3 +470,14 @@ def is_graded_commutative(algebra: TruncatedTensorAlgebra):
             if gu * gv != (gv * gu).scale(sign):
                 return False, (u.name, v.name)
     return True, None
+
+
+def is_algebra_morphism(f: GradedMap, A: "Cogroup") -> bool:
+    """f(uv) = f(u) f(v) on all word pairs with deg u + deg v <= truncation:
+    by induction on the length of u, f on each basis(d) is the morphism fill
+    of f's generator images over f's own lists below d, filled first."""
+    alg = A.algebra
+    images = {g.name: f.image((g.name,)) for g in alg.generators}
+    fill = AlgebraMorphism(alg, f.target, images, check=False)
+    fill._by_degree = f._by_degree
+    return all(f.degree_images(d) == fill._fill(d) for d in range(2, A.truncation + 1) if alg.basis(d))

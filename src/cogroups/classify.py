@@ -11,7 +11,8 @@ characteristic 2).
 Every predicate below is computed independently - nu from its
 generator images read off the coalgebra table, extended to an algebra
 morphism, chi as the convolution inverse of the identity of A, word by
-word over Dbar, commutativity on generator pairs, locality by primary
+word over Dbar, chi-is-morphism against the morphism fill of chi's
+generator images, commutativity on generator pairs, locality by primary
 decomposition - and the report records whether they agree.  chi comes
 from ``antipode_by_recursion``: ``antipode`` builds chi as an
 anti-homomorphism on nu's generator images, so chi-is-morphism would
@@ -23,9 +24,9 @@ the Dbar it reads, only as deep as its two verdicts read.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, format_word, is_graded_commutative
+from .algebra import AlgebraElement, format_word, is_algebra_morphism, is_graded_commutative
 from .cogroup import Cogroup
-from .convolution import antipode, antipode_by_recursion, is_algebra_morphism
+from .convolution import antipode, antipode_by_recursion
 from .modules import is_admissible_free_cyclic, is_locally_at_most_singly_generated
 from .rings import value_eq
 
@@ -95,13 +96,13 @@ def classify_cogroup(A: Cogroup, truncation: int | None = None) -> Classificatio
     chi comes from the word recursion, never from nu, and is computed
     once for both the nu-eq-chi and the chi-is-morphism verdicts.  It is
     read only as deep as they need: up to the first word where nu and
-    chi differ, then up to the first pair of words that chi fails to
-    multiply.  When the algebra is not graded commutative, some pair of
-    generators u, v fails, and nu(uv) - chi(uv) has the nonzero length-2
-    part uv - (-1)^{|u||v|} vu, so both verdicts are decided by degree
-    2 * (top generator degree).  Below that depth they are read off the
-    cogroup rebuilt from A's coalgebra at that depth, the depth to which
-    ``is_graded_commutative`` widens.
+    chi differ, then up to the first degree where chi is not the morphism
+    fill of its own generator images.  When the algebra is not graded
+    commutative, some pair of generators u, v fails, and nu(uv) - chi(uv)
+    has the nonzero length-2 part uv - (-1)^{|u||v|} vu, so both verdicts
+    are decided by degree 2 * (top generator degree).  Below that depth
+    they are read off the cogroup rebuilt from A's coalgebra at that
+    depth, the depth to which ``is_graded_commutative`` widens.
     """
     D = A.truncation if truncation is None else min(truncation, A.truncation)
     need = 2 * A.module.max_degree()

@@ -241,18 +241,3 @@ def is_antipode_surjective(A: Cogroup, chi: AntiMorphism | GradedMap) -> dict:
         out[d] = _spans(vectors, words, A.ring)
     return out
 
-
-def is_algebra_morphism(f: AntiMorphism | GradedMap, A: Cogroup) -> bool:
-    """f(uv) = f(u) f(v) on all word pairs with deg u + deg v <= truncation."""
-    alg = A.algebra
-    D = A.truncation
-    for du in range(1, D):
-        if not alg.basis(du):  # no u: skip the pass over every dv
-            continue
-        for dv in range(1, D - du + 1):
-            for u in alg.basis(du):
-                fu = f.image(u)
-                for v in alg.basis(dv):
-                    if f.image(u + v) != fu * f.image(v):
-                        return False
-    return True

@@ -219,8 +219,10 @@ def parse_spec(text: str) -> ProblemSpec:
 
     try:
         coalg = CoalgebraPresentation(module, table)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from exc
+    except ValueError as exc:  # "coproduct of <x>: ...", at x's coproduct line
+        x = str(exc).split(":", 1)[0].removeprefix("coproduct of ")
+        cur, target, _ = next(line for line in coproduct_lines if line[0].texts[line[1]] == x)
+        raise cur.error(str(exc), target) from exc
 
     # store the normalized table so parse/render round-trips compare equal
     return ProblemSpec(

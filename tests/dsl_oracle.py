@@ -204,8 +204,13 @@ def parse_spec(text: str) -> ProblemSpec:
 
     try:
         coalg = CoalgebraPresentation(module, table)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from exc
+    except ValueError as exc:  # at the target of the first entry refused on its own
+        for target, _ in coproduct_lines:
+            try:
+                CoalgebraPresentation(module, {target.text: table[target.text]})
+            except ValueError:
+                raise ParseError(str(exc), target.line, target.column) from exc
+        raise
 
     # store the normalized table so parse/render round-trips compare equal
     return ProblemSpec(

@@ -110,6 +110,19 @@ generator c degree 3
 coproduct b = 2 a * a
 coproduct c = 2 a * b + 2 b * a
 """
+# two graded-commutative rows of the ROADMAP's baseline: primitive letters
+# with coprime annihilators, so every word that mixes two letters is zero
+Z6_PAIR = """\
+ring Zmod 6
+generator x degree 2 ann 2
+generator y degree 2 ann 3
+"""
+Z_THREE_PRIMES = """\
+ring Z
+generator x degree 2 ann 2
+generator y degree 2 ann 3
+generator z degree 2 ann 5
+"""
 
 
 def instance(key):

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import cogroups as cg
 from cogroups import convolution
-from cogroups.algebra import _format_terms
+from cogroups.algebra import _format_terms, _reduce_terms, accumulate
 from cogroups.convolution import _bijective_on_generators, _spans
+from cogroups.dsl import parse_spec
 from convolution_oracle import (
     CoalgebraSource,
     TableMap,
@@ -32,6 +33,7 @@ from instances import (
     Z,
     Z4,
     Z6,
+    Z_THREE_PRIMES,
     coassociative_coalgebras,
     coprime_torsion_coalgebras,
     graded_map,
@@ -824,6 +826,73 @@ def is_graded_antihomomorphism(f, A) -> bool:
     )
 
 
+def is_algebra_morphism_on_pairs(f, A) -> bool:
+    """f(uv) = f(u) f(v) on all word pairs with deg u + deg v <= truncation:
+    the oracle of ``is_algebra_morphism``, which looks up generators only."""
+    alg = A.algebra
+    D = A.truncation
+    for du in range(1, D):
+        if not alg.basis(du):  # no u: skip the pass over every dv
+            continue
+        for dv in range(1, D - du + 1):
+            for u in alg.basis(du):
+                fu = f.image(u)
+                for v in alg.basis(dv):
+                    if f.image(u + v) != fu * f.image(v):
+                        return False
+    return True
+
+
+@st.composite
+def maps_to_multiply(draw):
+    """(f, A): the recursion chi, nu, the antipode, or nu's degree lists with
+    one word image changed at a degree d from 2 to D, so that f is
+    multiplicative below d."""
+    C, D = draw(coassociative_coalgebras() | coprime_torsion_coalgebras())
+    A = cg.tensor_cogroup(C, D)
+    kind = draw(st.sampled_from(("recursion", "nu", "antipode", "changed")))
+    if kind == "recursion":
+        return cg.antipode_by_recursion(A), A
+    if kind == "antipode":
+        return cg.antipode(A), A
+    alg = A.algebra
+    degrees = [d for d in range(2, D + 1) if alg.basis(d)]
+    if kind == "nu" or not degrees:
+        return A.nu, A
+    d = draw(st.sampled_from(degrees))
+    words = alg.basis(d)
+    lists = [list(A.nu.degree_images(e)) for e in range(D + 1)]
+    i = draw(st.integers(0, len(words) - 1))
+    changed = dict(lists[d][i])
+    accumulate(changed, {draw(st.sampled_from(words)): draw(st.sampled_from((1, -1, 2)))})
+    lists[d][i] = _reduce_terms(alg, changed)
+    f = cg.GradedMap(alg, alg)
+    f._by_degree = lists
+    return f, A
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_to_multiply())
+def test_the_morphism_check_on_generators_matches_the_check_on_every_pair(case):
+    f, A = case
+    assert cg.is_algebra_morphism(f, A) == is_algebra_morphism_on_pairs(f, A)
+
+
+def test_the_morphism_check_looks_up_generators_only(monkeypatch):
+    A = cg.tensor_cogroup(parse_spec(Z_THREE_PRIMES).coalgebra(), 10)
+    chi = cg.antipode_by_recursion(A)
+    looked_up = []
+    image = cg.GradedMap.image
+
+    def counted(self, word):
+        looked_up.append(word)
+        return image(self, word)
+
+    monkeypatch.setattr(cg.GradedMap, "image", counted)
+    assert cg.is_algebra_morphism(chi, A)
+    assert looked_up == [("x",), ("y",), ("z",)]
+
+
 def test_antipode_is_antihomomorphism():
     for key in ("q-pair11", "q-even2", "z-tor43"):
         A = make_cogroup(key, 6)
@@ -838,7 +907,7 @@ def test_antipode_is_antihomomorphism():
 
 def test_the_morphism_check_skips_empty_degrees(monkeypatch):
     # one generator of degree 50 at D = 100: every degree but 50 and 100 is
-    # empty, and no pass over the degrees dv may start from an empty du
+    # empty, and the check reads each degree's words a bounded number of times
     A = cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("x", 50)])), 100)
     calls = []
     basis = A.algebra.basis

@@ -129,6 +129,18 @@ def test_parse_error_positions_in_coproducts():
     assert e.message == "expected a generator name at end of line"
 
 
+def test_a_coefficient_the_annihilator_refuses_is_reported_at_its_coproduct():
+    gens = "ring Z\ngenerator x degree 1\ngenerator y degree 1\ngenerator z degree 2 ann 3\n"
+    message = "coproduct of z: coefficient 1 at x(x)y is not compatible with annihilator 3"
+    e = err(gens + "coproduct z = x * y\n")
+    assert (e.line, e.column, e.message) == (5, 11, message)
+    # a table line that passes comes first, and blanks shift the line
+    text = gens + "generator w degree 2\ncoproduct w = x * y\n\n  coproduct   z = x * y\n"
+    e = err(text)
+    assert (e.line, e.column, e.message) == (8, 15, message)
+    assert _outcome(dsl_oracle.parse_spec, text) == ("ParseError", 8, 15, message)
+
+
 def _lines(draw, module, table):
     """Token lists of an input that states ``module`` and ``table``."""
     lines = [["ring", *str(module.ring).split()]]

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from cogroups.algebra import AlgebraMorphism
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ProblemSpec, parse_spec
-from instances import BINOM_F7, BINOM_Z9, DECONC_Q2, DECONC_Z, MATRIX, TORSION_Z, make_module
+from instances import (
+    BINOM_F7, BINOM_Z9, DECONC_Q2, DECONC_Z, MATRIX, TORSION_Z, Z6_PAIR, Z_THREE_PRIMES, make_module,
+)
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +64,15 @@ def run_main(argv, stdin):
             ["check-cogroup", "-", "--max-degree", "5", "--json"],
         ),
         ("classify_torsion_z.txt", TORSION_Z, ["classify", "-", "--max-degree", "5"]),
+        # graded-commutative rows at depth, where classify reads every degree
+        ("classify_z_three_primes.txt", Z_THREE_PRIMES, ["classify", "-", "--max-degree", "14"]),
+        (
+            "classify_z_three_primes.json",
+            Z_THREE_PRIMES,
+            ["classify", "-", "--max-degree", "14", "--json"],
+        ),
+        ("classify_z6_pair.txt", Z6_PAIR, ["classify", "-", "--max-degree", "20"]),
+        ("classify_z6_pair.json", Z6_PAIR, ["classify", "-", "--max-degree", "20", "--json"]),
     ],
 )
 def test_table_goldens(fname, text, argv):
