@@ -111,25 +111,31 @@ class _Memo(dict):
         return value
 
 
-class _BasisOrder(dict):
-    """word -> (d, position of the word in basis(d)): the order terms print in.
+class _ByDegree(dict):
+    """word -> its entry in a table kept a degree at a time.
 
-    A miss builds basis(d), through the algebra, for the word's degree d
-    and records the keys of all its words at once.
+    A miss fills every word of the word's degree d at once: basis(d),
+    built through the algebra, zipped with ``entries(d)``.  A word in no
+    basis gets ``absent(word)``, or a KeyError.
     """
 
-    __slots__ = ("degrees", "basis")
+    __slots__ = ("degrees", "basis", "entries", "absent")
 
-    def __init__(self, degrees, basis):
-        self.degrees = degrees
-        self.basis = basis
+    def __init__(self, algebra, entries, absent=None):
+        self.degrees, self.basis = algebra._degrees, algebra.basis
+        self.entries, self.absent = entries, absent
 
     def __missing__(self, word):
-        d = self.degrees[word]
-        self.update(zip(self.basis(d), zip(repeat(d), count())))
-        if word not in self:  # above the truncation: in no basis
+        try:
+            d = self.degrees[word]
+        except KeyError:  # a letter that is no generator: in no basis
+            d = -1
+        self.update(zip(self.basis(d), self.entries(d)))
+        if word in self:
+            return self[word]
+        if self.absent is None:
             raise KeyError(word)
-        return self[word]
+        return self.absent(word)
 
 
 def accumulate(acc: dict, terms: dict, c=1) -> None:
@@ -153,15 +159,17 @@ class TruncatedTensorAlgebra:
         self._deg = {g.name: g.degree for g in module.generators}
         self._ann = {g.name: g.annihilator for g in module.generators}
         self._basis_cache: list = [[()]]  # basis(d) at index d
+        self._labels: list = [["1"]]  # labels(d) at index d
+        self._runs: list = [[("1", None, 0, "")]]  # per word: label, first letter, its run, rest
         deg, ann, char = self._deg, self._ann, self.ring.characteristic()
         self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._degrees.update(((n,), d) for n, d in deg.items())
         self.word_degree = self._degrees.__getitem__
         self._moduli = moduli = _Memo(lambda key: reduce(
             gcd, (ann[l] if type(l) is str else moduli[l] for l in key), char))
-        # how elements print: terms in basis order, words as labels
-        self.sort_key = _BasisOrder(self._degrees, self.basis).__getitem__
-        self.format_key = _Memo(format_word).__getitem__
+        # how elements print: terms in basis order, words as their labels
+        self.sort_key = _ByDegree(self, lambda d: zip(repeat(d), count())).__getitem__
+        self.format_key = _ByDegree(self, self.labels, format_word).__getitem__
         # the modulus of every word, when no letter's annihilator lowers it
         self.fixed_modulus = char if all(gcd(char, a) == char for a in ann.values()) else None
 
@@ -215,6 +223,29 @@ class TruncatedTensorAlgebra:
             cache.append(words)
             self._degrees.update(zip(words, repeat(e)))
         return cache[d]
+
+    def labels(self, d: int) -> list:
+        """``format_word`` of each word of basis(d), in its order, built as the
+        basis is: the label of g.v follows from v's label, the length of v's
+        first run of letters and the label after that run (x, x^2*y: x^3*y)."""
+        if d < 0 or d > self.truncation:
+            return []
+        labels, runs = self._labels, self._runs
+        while len(runs) <= d:
+            e, info = len(runs), []
+            for g in self.module.generators:
+                n, k = g.name, e - g.degree  # the words g.v, v in basis(k)
+                for label, head, run, rest in runs[k] if k >= 0 else ():
+                    if head == n:
+                        run += 1
+                        label = f"{n}^{run}*{rest}" if rest else f"{n}^{run}"
+                    else:
+                        run, rest = 1, label if head else ""
+                        label = f"{n}*{rest}" if rest else n
+                    info.append((label, n, run, rest))
+            runs.append(info)
+            labels.append([t[0] for t in info])
+        return labels[d]
 
     def words_up_to(self, dmax: int | None = None):
         top = self.truncation if dmax is None else min(dmax, self.truncation)
@@ -386,15 +417,13 @@ class AlgebraMorphism(GradedMap):
         super().__init__(source, target)
         self.images = images
         self._top = 0  # a degree up to this multiplies homogeneous images
-        self._mod = None  # reduction there: % p (F_p), none (0), else _reduce_terms (None)
+        self._mod = None  # reduce there: % m, dropping zeros (m > 0), none (0), _reduce_terms (None)
         if check:
             self._validate()
             if images.keys() <= source._deg.keys():
                 self._top = min(source.truncation, target.truncation)
-                # no product of nonzero coefficients vanishes over Z, Q and F_p, but
-                # a Fraction, like a residue mod n, needs _reduce_terms
-                ints = all(type(c) is int for img in images.values() for c in img.terms.values())
-                if target.ring.kind != "Zmod" and ints:
+                # a Fraction, or a modulus that varies by word, needs _reduce_terms
+                if all(type(c) is int for img in images.values() for c in img.terms.values()):
                     self._mod = target.fixed_modulus
 
     def _validate(self):
@@ -432,9 +461,9 @@ class AlgebraMorphism(GradedMap):
                     acc: dict = {}
                     target.mul_into(acc, left, right, sign)
                     out.append(_reduce_terms(target, acc))
-            elif mod:
+            elif mod:  # a product of residues mod n can vanish: drop it
                 out += [
-                    {w1 + w2: sign * v1 * v2 % mod for w1, v1 in left.items() for w2, v2 in right.items()}
+                    {w1 + w2: c for w1, v1 in left.items() for w2, v2 in right.items() if (c := sign * v1 * v2 % mod)}
                     for left, right in pairs
                 ]
             else:

@@ -72,7 +72,7 @@ class Report:
         dumps, enc = json.dumps, encode_basestring_ascii
         verdicts = [
             f'{{\n      "name": {enc(n)},'
-            f'\n      "value": {_json_value(v)}\n    }}'
+            f'\n      "value": {enc(v) if type(v) is str else _json_value(v)}\n    }}'
             for n, v in self.verdicts
         ]
         return (
@@ -93,7 +93,7 @@ class Report:
             f"max-degree: {self.max_degree}",
         ]
         for name, value in self.verdicts:
-            lines.append(f"{name}: {_fmt_value(value)}")
+            lines.append(f"{name}: {value if type(value) is str else _fmt_value(value)}")
         for w in self.witnesses:
             lines.append(f"witness: {w}")
         lines.append(f"exit-code: {self.exit_code}")
@@ -158,13 +158,13 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         verdicts.append((name, ok))
         witnesses.extend(report.violations)
     elif command in ("antipode", "inverse"):
-        label = "chi" if command == "antipode" else "nu"
+        name = "chi" if command == "antipode" else "nu"
         f = antipode(A) if command == "antipode" else A.nu
-        fmt = A.algebra.format_key
+        labels, fmt = A.algebra.labels, A.algebra.format_key
         # a word's terms are stored in basis order, the order str() sorts into
         for d in range(0, max_degree + 1):
-            for w, terms in zip(A.algebra.basis(d), f.degree_images(d)):
-                verdicts.append((f"{label}({fmt(w)})", _format_terms(terms.items(), fmt)))
+            for label, terms in zip(labels(d), f.degree_images(d)):
+                verdicts.append((f"{name}({label})", _format_terms(terms.items(), fmt)))
     elif command == "nu-eq-chi":
         ok, witness = inverse_equals_antipode(A, max_degree)
         verdicts.append(("nu-eq-chi", ok))

@@ -123,6 +123,21 @@ generator x degree 2 ann 2
 generator y degree 2 ann 3
 generator z degree 2 ann 5
 """
+# one letter with a prime in its name, whose words are long runs; and the
+# ROADMAP's "Z/4 chain", where a product of residues vanishes: nu(b^2)
+# drops 4*a^4
+Q_PRIME = """\
+ring Q
+generator x' degree 1
+"""
+Z4_CHAIN = """\
+ring Zmod 4
+generator a degree 1
+generator b degree 2
+generator c degree 3
+coproduct b = 2 a * a
+coproduct c = a * b + b * a
+"""
 
 
 def instance(key):

@@ -344,6 +344,38 @@ def test_format_word():
     assert cg.format_word(("x", "y", "x")) == "x*y*x"
 
 
+@st.composite
+def labelled_modules(draw):
+    """Up to three letters, some of one degree, some named with primes."""
+    names = draw(st.lists(st.sampled_from(("x", "x'", "x''", "y", "y'")), min_size=1, max_size=3, unique=True))
+    return module(Q, [(n, draw(st.integers(1, 2))) for n in names])
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_modules(), st.integers(0, 6))
+def test_labels_are_format_word_of_the_basis(N, D):
+    A = cg.TruncatedTensorAlgebra(N, D)
+    for d in range(-1, D + 2):
+        assert A.labels(d) == [cg.format_word(w) for w in A.basis(d)], d
+    # format_key fills a degree at a time, and labels the words above D too
+    B = cg.TruncatedTensorAlgebra(N, D)
+    for w in all_words(N, D + 2):
+        assert B.format_key(w) == cg.format_word(w), w
+
+
+def test_format_key_labels_a_word_in_no_basis():
+    """Above the truncation, or with a letter that is no generator: a label
+    from ``format_word``, and no sort key."""
+    A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("y", 4)]), 3)
+    assert A.format_key(("x",) * 5) == "x^5"  # before and after its degree is filled
+    assert A.format_key(("x",) * 5) == "x^5"
+    assert A.format_key(("y",)) == "y" and A.format_key(("x", "x", "y")) == "x^2*y"
+    assert A.format_key(("x",) * 3) == "x^3" and A.format_key(("q", "q")) == "q^2"
+    for word in (("x",) * 5, ("q", "q")):
+        with pytest.raises(KeyError):
+            A.sort_key(word)
+
+
 def render_terms(items, fmt_key):
     """Oracle renderer: sorted (key, coeff) pairs as a signed sum, term by term."""
     if not items:

@@ -299,6 +299,26 @@ def test_degree_fill_matches_letter_by_letter_products(A, data):
                 assert list(terms) == sorted(terms, key=T.sort_key), (cls, w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((4, 6, 8, 9, 12)), st.data())
+def test_fixed_modulus_fill_matches_the_general_fill_over_zmod(n, data):
+    """Over Z/n with no torsion letter a validated map reduces each product
+    mod n in one comprehension, dropping those that vanish; an unchecked
+    map multiplies with ``mul_into`` and reduces with ``_reduce_terms``.
+    The two agree word by word, terms in the same order.  Coefficients are
+    often zero divisors of n, so products vanish."""
+    gens = [(name, data.draw(st.integers(1, 3))) for name in "xyz"[: data.draw(st.integers(1, 3))]]
+    A = cg.TruncatedTensorAlgebra(module(cg.RingSpec.integers_mod(n), gens), data.draw(st.integers(2, 7)))
+    coeff = st.sampled_from([c for c in range(n) if gcd(c, n) > 1]) | st.integers(-n, n)
+    images = {g.name: A.element({w: data.draw(coeff) for w in A.basis(g.degree)}) for g in A.generators}
+    for cls in (cg.AlgebraMorphism, cg.AntiMorphism):
+        fixed, general = cls(A, A, images), cls(A, A, images, check=False)
+        assert fixed._mod == n and general._mod is None
+        for d in range(A.truncation + 1):
+            got, want = fixed.degree_images(d), general.degree_images(d)
+            assert [list(t.items()) for t in got] == [list(t.items()) for t in want], (cls, d)
+
+
 def test_degree_fill_reduces_each_product():
     Q, Z4 = cg.RingSpec.rationals(), cg.RingSpec.integers_mod(4)
     F5, Z = cg.RingSpec.prime_field(5), cg.RingSpec.integers()

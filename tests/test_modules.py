@@ -107,6 +107,14 @@ def test_locality_fixed_cases():
     assert not res.ok and "prime 3" in res.witness
 
 
+def test_locality_witness_names_the_least_prime_of_the_torsion():
+    """A free letter meets the torsion at its least prime, 2, even when a
+    torsion letter at a larger prime is declared first."""
+    res = cg.is_locally_at_most_singly_generated(module(Z, [("x", 2, 0), ("z", 2, 3), ("y", 2, 2)]))
+    assert not res.ok
+    assert res.witness == "prime 2: generators x and y are both nonzero locally"
+
+
 def test_locality_parity_exemption_is_z2_only():
     assert cg.is_locally_at_most_singly_generated(module(Z, [("x", 5, 2)])).ok
     assert not cg.is_locally_at_most_singly_generated(module(Z, [("x", 5, 6)])).ok

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogroups import algebra, classify, cogroup, convolution
 from cogroups.algebra import AlgebraMorphism
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ProblemSpec, parse_spec
 from instances import (
-    BINOM_F7, BINOM_Z9, DECONC_Q2, DECONC_Z, MATRIX, TORSION_Z, Z6_PAIR, Z_THREE_PRIMES, make_module,
+    BINOM_F7, BINOM_Z9, DECONC_Q2, DECONC_Z, MATRIX, Q_PRIME, TORSION_Z, Z4_CHAIN, Z6_PAIR, Z_THREE_PRIMES,
+    make_module,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -73,6 +75,16 @@ def run_main(argv, stdin):
         ),
         ("classify_z6_pair.txt", Z6_PAIR, ["classify", "-", "--max-degree", "20"]),
         ("classify_z6_pair.json", Z6_PAIR, ["classify", "-", "--max-degree", "20", "--json"]),
+        # the tables on long runs of a primed letter, and on Z/4 residues whose
+        # products vanish
+        ("antipode_q_prime.txt", Q_PRIME, ["antipode", "-", "--max-degree", "12"]),
+        ("antipode_q_prime.json", Q_PRIME, ["antipode", "-", "--max-degree", "12", "--json"]),
+        ("antipode_z4_chain.txt", Z4_CHAIN, ["antipode", "-", "--max-degree", "8"]),
+        ("antipode_z4_chain.json", Z4_CHAIN, ["antipode", "-", "--max-degree", "8", "--json"]),
+        ("inverse_q_prime.txt", Q_PRIME, ["inverse", "-", "--max-degree", "12"]),
+        ("inverse_q_prime.json", Q_PRIME, ["inverse", "-", "--max-degree", "12", "--json"]),
+        ("inverse_z4_chain.txt", Z4_CHAIN, ["inverse", "-", "--max-degree", "8"]),
+        ("inverse_z4_chain.json", Z4_CHAIN, ["inverse", "-", "--max-degree", "8", "--json"]),
     ],
 )
 def test_table_goldens(fname, text, argv):
@@ -84,8 +96,9 @@ def test_table_goldens(fname, text, argv):
 
 @pytest.mark.parametrize("command", ("antipode", "inverse"))
 def test_the_tables_fill_each_degree_once_and_look_up_no_word(command, monkeypatch):
-    """The table commands zip basis(d) with the map's fill of degree d:
-    no word image is looked up, and each degree is filled exactly once."""
+    """The table commands zip labels(d) with the map's fill of degree d:
+    no word image is looked up, each degree is filled exactly once, and
+    no word is labelled by ``format_word``: labels come with the basis."""
     fills = []
     fill = AlgebraMorphism._fill
 
@@ -96,8 +109,13 @@ def test_the_tables_fill_each_degree_once_and_look_up_no_word(command, monkeypat
     def refused(self, word):
         raise AssertionError(f"the image of {word} was looked up")
 
+    def unlabelled(word):
+        raise AssertionError(f"{word} was labelled by format_word")
+
     monkeypatch.setattr(AlgebraMorphism, "_fill", counted)
     monkeypatch.setattr(AlgebraMorphism, "image", refused)
+    for module in (algebra, classify, cogroup, convolution):
+        monkeypatch.setattr(module, "format_word", unlabelled)
     for text in (DECONC_Z, BINOM_Z9, BINOM_F7, TORSION_Z, DECONC_Q2):
         fills.clear()
         run_command(parse_spec(text), command, max_degree=6)
