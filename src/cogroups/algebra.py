@@ -420,11 +420,10 @@ class AlgebraMorphism(GradedMap):
         self._mod = None  # reduce there: % m, dropping zeros (m > 0), none (0), _reduce_terms (None)
         if check:
             self._validate()
-            if images.keys() <= source._deg.keys():
-                self._top = min(source.truncation, target.truncation)
-                # a Fraction, or a modulus that varies by word, needs _reduce_terms
-                if all(type(c) is int for img in images.values() for c in img.terms.values()):
-                    self._mod = target.fixed_modulus
+            self._top = min(source.truncation, target.truncation)
+            # a Fraction, or a modulus that varies by word, needs _reduce_terms
+            if all(type(c) is int for g in source.generators for c in images[g.name].terms.values()):
+                self._mod = target.fixed_modulus
 
     def _validate(self):
         for g in self.source.generators:

@@ -112,7 +112,7 @@ def _json_value(value) -> str:
         return _fmt_value(value)
     if value is None:
         return "null"
-    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+    return json.dumps(value)
 
 
 def _fmt_value(value) -> str:

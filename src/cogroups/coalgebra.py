@@ -8,7 +8,7 @@ D(x) = x (x) 1 + Dbar(x) + 1 (x) x, and D(1) = 1 (x) 1.
 The tensor square of A = T(C+) is never built.  Its elements are pair
 dicts {(left word, right word): c}, which the algebra's ``_reduce_terms``
 reduces: each coefficient modulo the modulus of the word left.right,
-gcd(char, ann of its letters), as the table reduces its coefficient at
+gcd(char, ann of its letters), as it reduces the table's coefficient at
 y (x) z modulo ``CoalgebraPresentation.modulus``, gcd(char, ann y, ann z).
 ``coproduct_pairs`` is D on the generators as pair dicts, and
 ``_pair_product`` multiplies them with the Koszul sign
@@ -49,6 +49,8 @@ class AxiomReport:
 class CoalgebraPresentation:
     """Module plus reduced-coproduct table; the table is normalized on build."""
 
+    fixed_modulus = None  # as a ``_reduce_terms`` parent, each key reads ``modulus``
+
     def __init__(self, module: GradedModulePresentation, table: dict | None = None):
         self.module = module
         self.ring = module.ring
@@ -72,21 +74,17 @@ class CoalgebraPresentation:
                     )
                 key = (y, z)
                 combined[key] = combined.get(key, 0) + int(c)
+            reduced = _reduce_terms(self, combined)
             a = x.annihilator
-            dbar = []
-            for (y, z), c in combined.items():
-                m = self.modulus((y, z))
-                if m:
-                    c %= m
-                if not c:
-                    continue
-                if a and (a * c % m if m else a * c):
-                    raise ValueError(
-                        f"coproduct of {name}: coefficient {c} at {y}(x){z} "
-                        f"is not compatible with annihilator {a}"
-                    )
-                dbar.append((c, y, z))
-            if dbar:
+            offenders = a and _reduce_terms(self, {k: a * c for k, c in reduced.items()})
+            if offenders:
+                y, z = next(iter(offenders))
+                raise ValueError(
+                    f"coproduct of {name}: coefficient {reduced[y, z]} at {y}(x){z} "
+                    f"is not compatible with annihilator {a}"
+                )
+            if reduced:
+                dbar = [(c, y, z) for (y, z), c in reduced.items()]
                 normalized[name] = tuple(sorted(dbar, key=lambda t: (order[t[1]], order[t[2]])))
         self.table = normalized
 
@@ -160,7 +158,7 @@ def coproduct_laws(algebra: TruncatedTensorAlgebra, delta: dict, w) -> tuple:
     def image(v):
         return _pair_product((delta[letter] for letter in v), algebra.word_degree)
 
-    want = {} if algebra.word_modulus(w) == 1 else {w: 1}  # w, or 0 where its modulus is 1
+    want = _reduce_terms(algebra, {w: 1})  # w, or 0 where its modulus is 1
     dw = image(w) if want else {}
     left: dict = {}
     right: dict = {}
@@ -193,16 +191,11 @@ def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomRe
         diff: dict = {}
         for c, y, z in C.table.get(x, ()):
             for c2, u, v in C.table.get(y, ()):
-                key = (u, v, z)
-                diff[key] = diff.get(key, 0) + c * c2
+                diff[u, v, z] = diff.get((u, v, z), 0) + c * c2
             for c2, u, v in C.table.get(z, ()):
-                key = (y, u, v)
-                diff[key] = diff.get(key, 0) - c * c2
-        for key, c in diff.items():
-            m = C.modulus(key)
-            if c % m if m else c:
-                violations.append(f"coassociativity fails on {x}")
-                break
+                diff[y, u, v] = diff.get((y, u, v), 0) - c * c2
+        if _reduce_terms(C, diff):
+            violations.append(f"coassociativity fails on {x}")
     return AxiomReport(len(gens), violations)
 
 
@@ -212,12 +205,7 @@ def is_cocommutative(C: CoalgebraPresentation) -> bool:
     gcd(char, ann y, ann z)."""
     deg = C.module.degree_of
     for dbar in C.table.values():
-        twisted = {}
-        for c, y, z in dbar:
-            if deg(y) * deg(z) % 2:
-                m = C.modulus((y, z))
-                c = -c % m if m else -c
-            twisted[(z, y)] = c
-        if twisted != {(y, z): c for c, y, z in dbar}:
+        twisted = {(z, y): -c if deg(y) * deg(z) % 2 else c for c, y, z in dbar}
+        if _reduce_terms(C, twisted) != {(y, z): c for c, y, z in dbar}:
             return False
     return True

@@ -104,11 +104,8 @@ class Cogroup:
         images: dict = {}
         for g in sorted(alg.generators, key=lambda g: g.degree):
             acc = {(g.name,): -1}
-            get = acc.get
             for c, y, z in table.get(g.name, ()):
-                for w, v in images[z].terms.items():
-                    w = (y,) + w
-                    acc[w] = get(w, 0) - c * v
+                alg.mul_into(acc, {(y,): 1}, images[z].terms, -c)
             terms = _reduce_terms(alg, acc)
             if len(terms) > 1:
                 terms = {w: terms[w] for w in sorted(terms, key=lambda w: [index[l] for l in w])}
@@ -258,7 +255,7 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
     folded = {}
     violations = []
     for w in words:
-        one = {} if alg.word_modulus(w) == 1 else {w: 1}  # w, or 0 where its modulus is 1
+        one = _reduce_terms(alg, {w: 1})  # w, or 0 where its modulus is 1
         pw = (phi[w[0]] if w else {((), ()): 1}) if one else {}
         if _substitute(triple, pw, phi, third) != _substitute(triple, pw, first, shifted):
             violations.append(f"Phi coassociativity fails on {format_word(w)}")

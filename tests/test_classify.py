@@ -176,6 +176,28 @@ def test_nu_eq_chi_reads_only_degrees_that_hold_words(monkeypatch):
     assert sorted(calls) == [500, 500, 1000, 1000]
 
 
+def test_an_inconsistent_report_names_the_next_witness(monkeypatch):
+    """With nu-eq-chi forced true, the witness is the pair of generators
+    that fails to graded-commute; with commutativity forced true too, it
+    is the locality witness.  Either way the report is inconsistent."""
+    import cogroups.classify as classify
+
+    def report(text):
+        return cg.classify_cogroup(cg.tensor_cogroup(cg.parse_spec(text).coalgebra(), 4))
+
+    monkeypatch.setattr(classify, "_first_difference", lambda A, chi, truncation: (True, None))
+    rep = report("ring Q\ngenerator x degree 1\n")
+    assert rep.inverse_equals_antipode and not rep.graded_commutative
+    assert rep.witness == "generators x, x do not graded-commute"
+    assert rep.consistent is False
+
+    monkeypatch.setattr(classify, "is_graded_commutative", lambda algebra: (True, None))
+    rep = report("ring Z\ngenerator x degree 2 ann 2\ngenerator y degree 2 ann 2\n")
+    assert rep.graded_commutative and not rep.module_locally_cyclic
+    assert rep.witness == "prime 2: generators x and y are both nonzero locally"
+    assert rep.consistent is False
+
+
 @pytest.mark.parametrize("key", MATRIX_KEYS)
 def test_classify_verdicts_hold_at_every_truncation(key):
     # below 2 * (top degree) the generator squares lie above the truncation
