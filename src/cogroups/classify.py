@@ -12,8 +12,8 @@ Every predicate below is computed independently - nu from its
 generator images read off the coalgebra table, extended to an algebra
 morphism, chi as the convolution inverse of the identity of A, word by
 word over Dbar, chi-is-morphism against the morphism fill of chi's
-generator images, commutativity on generator pairs, locality by primary
-decomposition - and the report records whether they agree.  chi comes
+generator images, commutativity on generator pairs, locality by pairwise
+gcds - and the report records whether they agree.  chi comes
 from ``antipode_by_recursion``: ``antipode`` builds chi as an
 anti-homomorphism on nu's generator images, so chi-is-morphism would
 then only restate commutativity.  Both chis, like nu, are graded maps

@@ -7,7 +7,11 @@ means a free summand.  The key predicate here is locality: a module is
 base ring its localization is either zero or a single cyclic piece whose
 degree is even unless the local cyclic quotient has characteristic 2.
 Over a field this collapses to: zero, or one free generator in an even
-degree (any degree in characteristic 2).
+degree (any degree in characteristic 2).  Over Z and Z/n pairwise gcds
+decide it with no factoring: two generators are both nonzero at exactly
+the primes of the gcd of their effective annihilators, and a torsion
+generator of odd degree passes alone exactly when that annihilator is 2.
+Trial division only names the prime of a failing witness.
 
 That predicate is exactly what makes the tensor algebra on the module
 graded commutative; the algebra layer rechecks that directly and the two
@@ -15,6 +19,8 @@ must always agree.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .rings import RingSpec, frozen_value
 
@@ -85,27 +91,20 @@ class LocalityResult:
         self.ok, self.witness = ok, witness
 
 
-def _prime_factors(n: int):
-    out = {}
+def _least_prime_divisor(numbers) -> int:
+    """The least prime that divides one of ``numbers``, each > 1, in one
+    trial-division pass that stops at it."""
+    top = max(numbers)
     d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+    while d * d <= top:
+        if any(n % d == 0 for n in numbers):
+            return d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return min(numbers)  # no divisor up to sqrt(top): every number is prime
 
 
 def is_locally_at_most_singly_generated(mod: GradedModulePresentation) -> LocalityResult:
-    """Decide the locality condition, with a human-readable witness on failure.
-
-    Over Z and Z/n the check runs through the primes of the effective
-    annihilators (free summands over Z live at every prime).  The parity
-    exemption applies only when the local cyclic quotient is exactly Z/2;
-    Z/4 has characteristic 4, which is not 2.
-    """
+    """Decide the locality condition, with a human-readable witness on failure."""
     ring = mod.ring
     gens = [g for g in mod.generators if (g.annihilator or ring.characteristic()) != 1]
     if ring.is_field():
@@ -121,51 +120,34 @@ def is_locally_at_most_singly_generated(mod: GradedModulePresentation) -> Locali
             )
         return LocalityResult(True, None)
 
-    free = [g for g in gens if (g.annihilator or ring.characteristic()) == 0]
-    support: dict[int, list] = {}
-    for g in gens:
-        eff = g.annihilator or ring.characteristic()
-        if eff == 0:
-            continue
-        for p, v in _prime_factors(eff).items():
-            support.setdefault(p, []).append((g, p**v))
-
-    if len(free) >= 2:
+    # free generators first (annihilator 0, only over Z), then torsion
+    eff = sorted(((g, g.annihilator or ring.characteristic()) for g in gens), key=lambda e: e[1] != 0)
+    if len(eff) == 1 and eff[0][1] == 0 and eff[0][0].degree % 2:
+        g = eff[0][0]
         return LocalityResult(
             False,
-            f"prime 2: generators {free[0].name} and {free[1].name} are both nonzero locally",
+            f"generator {g.name} has odd degree {g.degree} and free local quotients "
+            "of characteristic 0",
         )
-    if free and support:
-        p = min(support)
-        other = support[p][0][0]
-        return LocalityResult(
-            False,
-            f"prime {p}: generators {free[0].name} and {other.name} are both nonzero locally",
-        )
-    if free:
-        g = free[0]
-        if g.degree % 2:
-            return LocalityResult(
-                False,
-                f"generator {g.name} has odd degree {g.degree} and free local quotients "
-                "of characteristic 0",
-            )
+    # (n, a, b): a and b are both nonzero at the primes of n (two free ones
+    # at every prime); (n, g, None): g is odd, and n is its annihilator less
+    # a lone factor 2 (Z/2 is exempt, Z/4 is not).  Pairs win a tie at p.
+    cands = [(n or 2, a, b) for i, (a, m) in enumerate(eff) for b, k in eff[i + 1 :] if (n := gcd(m, k)) != 1]
+    cands += [(n, g, None) for g, m in eff if m and g.degree % 2 and (n := m // 2 if m % 4 == 2 else m) > 1]
+    if not cands:
         return LocalityResult(True, None)
-
-    for p in sorted(support):
-        entries = support[p]
-        if len(entries) > 1:
-            a, b = entries[0][0].name, entries[1][0].name
-            return LocalityResult(
-                False, f"prime {p}: generators {a} and {b} are both nonzero locally"
-            )
-        g, q = entries[0]
-        if g.degree % 2 and q != 2:
-            return LocalityResult(
-                False,
-                f"generator {g.name} has odd degree {g.degree} and local quotient Z/{q}",
-            )
-    return LocalityResult(True, None)
+    p = _least_prime_divisor([c[0] for c in cands])
+    n, a, b = next(c for c in cands if c[0] % p == 0)
+    if b is not None:
+        return LocalityResult(
+            False, f"prime {p}: generators {a.name} and {b.name} are both nonzero locally"
+        )
+    q = p  # the power of p in n, which is its power in a's annihilator
+    while n % (q * p) == 0:
+        q *= p
+    return LocalityResult(
+        False, f"generator {a.name} has odd degree {a.degree} and local quotient Z/{q}"
+    )
 
 
 def is_admissible_free_cyclic(mod: GradedModulePresentation) -> bool:

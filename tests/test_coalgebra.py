@@ -29,6 +29,11 @@ def test_trivial_coalgebra_is_primitive():
         C.reduced_coproduct("nope")
 
 
+def test_axiom_report_text():
+    assert str(cg.AxiomReport(3, [])) == "ok (3 checks)"
+    assert str(cg.AxiomReport(3, ["a", "b"])) == "2 violation(s) in 3 checks:\n  a\n  b"
+
+
 def test_table_normalization_combines_and_sorts():
     m = module(Q, [("y", 2), ("w", 2), ("x", 4)])
     C = cg.CoalgebraPresentation(

@@ -515,9 +515,10 @@ def test_cogroup_morphism_checks_the_algebras():
 # anti-morphism whose images leave their degree (the anti-morphism fails
 # the surjectivity certificate and reaches the per-degree check), a map
 # that is not an anti-morphism given to the Hopf check, an unchecked
-# morphism whose image is not homogeneous, and four invalid rings,
-# generators and modules: all break invariants that must hold under
-# ``python -O``.
+# morphism whose image is not homogeneous, invalid rings, generators,
+# modules and truncations, a coefficient no ring holds, a sum across two
+# algebras and a generator the algebra lacks: all break invariants that
+# must hold under ``python -O``.
 BROKEN_FIXTURES = """
 import cogroups as cg
 from cogroup_oracle import folded_delta
@@ -559,14 +560,26 @@ mixed = cg.AlgebraMorphism(B, B, {"y": y + y * y}, check=False)
 print("unchecked:", mixed.image(("y", "y")))
 for make in (
     lambda: cg.RingSpec("Zmod", 1),
+    lambda: cg.RingSpec("R"),
+    lambda: cg.RingSpec("Z", 5),
     lambda: cg.CyclicGenerator("x", 0),
     lambda: module(cg.RingSpec.integers(), [("x", 2), ("x", 3)]),
     lambda: module(cg.RingSpec.rationals(), [("x", 2, 2)]),
+    lambda: cg.TruncatedTensorAlgebra(B.module, -1),
+    lambda: y + alg.generator("x"),
 ):
     try:
         make()
     except ValueError as exc:
         print("invalid:", exc)
+try:
+    cg.RingSpec.integers().normalize(1.5)
+except TypeError as exc:
+    print("type:", exc)
+try:
+    B.generator("q")
+except KeyError as exc:
+    print("key:", exc)
 """
 
 
@@ -587,3 +600,9 @@ def test_invariant_errors_survive_python_O():
     assert "invalid: generator x: degree must be >= 1" in run.stdout
     assert "invalid: duplicate generator name 'x'" in run.stdout
     assert "invalid: generator x: annihilator 2 is not legal over Q" in run.stdout
+    assert "invalid: unknown ring kind 'R'" in run.stdout
+    assert "invalid: Z takes no modulus" in run.stdout
+    assert "type: cannot coerce float into Z" in run.stdout
+    assert "invalid: truncation must be >= 0" in run.stdout
+    assert "invalid: elements belong to different algebras" in run.stdout
+    assert "key: 'q'" in run.stdout

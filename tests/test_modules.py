@@ -1,12 +1,18 @@
 """Graded module presentations and the locality predicate."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroup_oracle import disjoint_sum
 from instances import F2, F3, MATRIX, Q, Z, Z4, Z6, make_module, module
+from module_oracle import locality_by_factoring
 
 
 def test_generator_validation():
@@ -120,6 +126,61 @@ def test_locality_parity_exemption_is_z2_only():
     assert not cg.is_locally_at_most_singly_generated(module(Z, [("x", 5, 6)])).ok
     assert cg.is_locally_at_most_singly_generated(module(Z4, [("x", 5, 2)])).ok
     assert not cg.is_locally_at_most_singly_generated(module(Z4, [("x", 5, 0)])).ok
+
+
+# 0, 1, 2, 4, small primes and their products
+Z_ANNIHILATORS = (0, 0, 1, 2, 4, 3, 5, 7, 6, 9, 10, 12, 15, 21, 30, 35, 60, 105, 210)
+
+
+@st.composite
+def locality_modules(draw):
+    ring = draw(
+        st.sampled_from((Z, Q, F2, F3))
+        | st.sampled_from((4, 6, 8, 12, 30, 36, 60)).map(cg.RingSpec.integers_mod)
+    )
+    if ring.is_field():
+        anns = (0,)
+    elif ring.kind == "Zmod":
+        n = ring.characteristic()
+        anns = (0,) + tuple(d for d in range(1, n + 1) if n % d == 0)
+    else:
+        anns = Z_ANNIHILATORS
+    count = draw(st.integers(0, 5))
+    return module(
+        ring,
+        [(f"g{i}", draw(st.integers(1, 4)), draw(st.sampled_from(anns))) for i in range(count)],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(locality_modules())
+def test_locality_by_gcds_matches_locality_by_factoring(mod):
+    got = cg.is_locally_at_most_singly_generated(mod)
+    want = locality_by_factoring(mod)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+
+
+def test_locality_of_a_large_prime_annihilator_needs_no_factoring():
+    """A module that passes is decided by gcds alone, so a 31-digit prime
+    annihilator is no obstacle: trial division would try about 5 x 10^14
+    divisors."""
+    spec = "ring Z\ngenerator x degree 2 ann 1000000000000000000000000000057\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "cogroups.cli", "classify", "-", "--max-degree", "4"],
+        input=spec, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[4:] == [
+        "nu-eq-chi: true",
+        "chi-is-morphism: true",
+        "graded-commutative: true",
+        "locally-at-most-singly-generated: true",
+        "free-cyclic-admissible: n/a",
+        "consistent: true",
+        "exit-code: 0",
+    ]
 
 
 def test_locality_over_fields():

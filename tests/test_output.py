@@ -150,6 +150,12 @@ def test_render_json_matches_json_dumps_on_lists_and_values():
     ):
         report = Report("inverse", "Zmod 9", generators, max_degree, verdicts, witnesses, exit_code)
         assert report.render_json() == oracle_json(report)
+        text = report.render_text().splitlines()[4 : 4 + len(verdicts)]
+        words = {True: "true", False: "false", None: "n/a"}
+        assert text == [
+            f"{name}: {words[value] if value is None or type(value) is bool else str(value)}"
+            for name, value in verdicts
+        ]
 
 
 TEXT = st.text(st.characters() | st.sampled_from('"\\\n\r\t\x00\x1f\x7fé \U0001f600'))

@@ -23,7 +23,8 @@ ALLOWED = {
     "RingSpec.normalize": "the ring's stored value",
     "RingSpec.legal_annihilator": "divisibility of the modulus",
     "is_prime": "integer arithmetic",
-    "_prime_factors": "integer arithmetic",
+    "_least_prime_divisor": "integer arithmetic",
+    "is_locally_at_most_singly_generated": "integer arithmetic",
 }
 
 
