@@ -20,17 +20,25 @@ when m > 0, and otherwise plain ``int`` over Z and Q, with a ``Fraction``
 only for a non-integral rational.  Sums and products accumulate into one
 dict and reduce once, in ``_reduce_terms``, at the end.
 
+A word is also its position in ``basis(d)``, which lists g.v block by
+block, generators in declaration order: u.v is at P(u, d) + pos(v), P
+summing over u's letters the offsets off(e, g) = sum of N(e - |g'|)
+over the g' declared before g, N(e) = len(basis(e)) counted without
+listing it.
+
 There is one map type out of a tensor algebra, ``GradedMap``: word
-images stored a whole degree at a time, in basis order, as term dicts.
-A subclass fills one degree from those below.  A morphism's fill
+images stored a whole degree at a time, in basis order, as term dicts
+keyed by position, so a product of words is a sum of positions.  A
+subclass fills one degree from those below.  A morphism's fill
 multiplies homogeneous images whose term pairs never meet, so there the
 reduction is chosen once for the whole map.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import count, repeat
+from itertools import repeat
 from math import gcd
 
 from .modules import GradedModulePresentation
@@ -53,7 +61,7 @@ def format_word(word) -> str:
 
 
 def _format_terms(items, fmt_key):
-    """Render sorted (key, coeff) pairs as a signed sum."""
+    """Render sorted (key, coeff) pairs as a signed sum; the unit is the key labelled "1"."""
     out = []
     for key, c in items:
         if c < 0:
@@ -61,27 +69,29 @@ def _format_terms(items, fmt_key):
             out.append(" - ")
         else:
             out.append(" + ")
-        if not key:
+        label = fmt_key(key)
+        if label == "1":
             out.append(str(c))
         elif c == 1:
-            out.append(fmt_key(key))
+            out.append(label)
         else:
-            out.append(f"{c}*{fmt_key(key)}")
+            out.append(f"{c}*{label}")
     if not out:
         return "0"
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
 
-def _reduce_terms(parent, terms: dict) -> dict:
+def _reduce_terms(parent, terms: dict, moduli=None) -> dict:
     """Each coefficient reduced into R/(parent.modulus(key)); zeros dropped.
 
     A key is a word, or a tuple of words such as a pair or triple of the
-    coalgebra layer.  ``int`` coefficients take the fast path.  Anything
-    else goes through the ring's ``normalize``, which rejects values
-    outside the ring and returns the value stored.
+    coalgebra layer, or a position whose modulus is in the list
+    ``moduli``.  ``int`` coefficients take the fast path.  Anything else
+    goes through the ring's ``normalize``, which rejects values outside
+    the ring and returns the value stored.
     """
-    modulus = parent.modulus
+    modulus = parent.modulus if moduli is None else moduli.__getitem__
     fixed = parent.fixed_modulus
     out = {}
     for k, c in terms.items():
@@ -111,33 +121,6 @@ class _Memo(dict):
         return value
 
 
-class _ByDegree(dict):
-    """word -> its entry in a table kept a degree at a time.
-
-    A miss fills every word of the word's degree d at once: basis(d),
-    built through the algebra, zipped with ``entries(d)``.  A word in no
-    basis gets ``absent(word)``, or a KeyError.
-    """
-
-    __slots__ = ("degrees", "basis", "entries", "absent")
-
-    def __init__(self, algebra, entries, absent=None):
-        self.degrees, self.basis = algebra._degrees, algebra.basis
-        self.entries, self.absent = entries, absent
-
-    def __missing__(self, word):
-        try:
-            d = self.degrees[word]
-        except KeyError:  # a letter that is no generator: in no basis
-            d = -1
-        self.update(zip(self.basis(d), self.entries(d)))
-        if word in self:
-            return self[word]
-        if self.absent is None:
-            raise KeyError(word)
-        return self.absent(word)
-
-
 def accumulate(acc: dict, terms: dict, c=1) -> None:
     """acc += c * terms, unreduced."""
     get = acc.get
@@ -161,6 +144,11 @@ class TruncatedTensorAlgebra:
         self._basis_cache: list = [[()]]  # basis(d) at index d
         self._labels: list = [["1"]]  # labels(d) at index d
         self._runs: list = [[("1", None, 0, "")]]  # per word: label, first letter, its run, rest
+        self._counts: list = [1]  # N(d) at index d
+        self._offsets: list = [{}]  # {g: off(d, g)} at index d
+        self._nonempty: list = [0]  # the degrees d with N(d) > 0, ascending
+        self._position_moduli: list = [[self.ring.characteristic()]]  # moduli(d) at index d
+        self._prefixes: dict = {}  # d - e -> prefixes(e, d) at index e
         deg, ann, char = self._deg, self._ann, self.ring.characteristic()
         self._degrees = _Memo(lambda w: sum(deg[l] for l in w))
         self._degrees.update(((n,), d) for n, d in deg.items())
@@ -168,10 +156,24 @@ class TruncatedTensorAlgebra:
         self._moduli = moduli = _Memo(lambda key: reduce(
             gcd, (ann[l] if type(l) is str else moduli[l] for l in key), char))
         # how elements print: terms in basis order, words as their labels
-        self.sort_key = _ByDegree(self, lambda d: zip(repeat(d), count())).__getitem__
-        self.format_key = _ByDegree(self, self.labels, format_word).__getitem__
+        self.sort_key = _Memo(self._sort_key).__getitem__
+        self.format_key = _Memo(self._label).__getitem__
         # the modulus of every word, when no letter's annihilator lowers it
         self.fixed_modulus = char if all(gcd(char, a) == char for a in ann.values()) else None
+
+    def _sort_key(self, word) -> tuple:
+        """(d, position in basis(d)); a KeyError for a word in no basis."""
+        d = self._degrees[word]
+        if d > self.truncation:
+            raise KeyError(word)
+        return d, self.prefix(word, d)
+
+    def _label(self, word) -> str:
+        try:
+            d, p = self.sort_key(word)
+        except KeyError:
+            return format_word(word)
+        return self.labels(d)[p]
 
     def __eq__(self, other):
         return self is other or (
@@ -214,15 +216,106 @@ class TruncatedTensorAlgebra:
         truncation cannot hit the recursion limit.  Building a degree
         records each word's degree.
         """
+        cache = self._basis_cache
+        if 0 <= d < len(cache):
+            return cache[d]
         if d < 0 or d > self.truncation:
             return []
-        cache, gens = self._basis_cache, self.module.generators
-        while len(cache) <= d:
-            e = len(cache)
-            words = [(g.name,) + w for g in gens if g.degree <= e for w in cache[e - g.degree]]
-            cache.append(words)
-            self._degrees.update(zip(words, repeat(e)))
-        return cache[d]
+        return self.fill_to(cache, d, self._basis_of)
+
+    def _basis_of(self, e: int) -> list:
+        cache = self._basis_cache
+        words = [(g.name,) + w for g in self.module.generators if g.degree <= e for w in cache[e - g.degree]]
+        self._degrees.update(zip(words, repeat(e)))
+        return words
+
+    def size(self, d: int) -> int:
+        """N(d) = len(basis(d)) = sum of N(d - |g|), and off(d, g), the
+        position where the block of words g.v starts, without the basis."""
+        counts = self._counts
+        if 0 <= d < len(counts):
+            return counts[d]
+        if d < 0 or d > self.truncation:
+            return 0
+        offsets, nonempty, empty = self._offsets, self._nonempty, {}
+        while len(counts) <= d:
+            e, row, start = len(counts), {}, 0
+            for g in self.module.generators:
+                if g.degree <= e:
+                    row[g.name] = start
+                    start += counts[e - g.degree]
+            counts.append(start)
+            offsets.append(row if start else empty)
+            if start:
+                nonempty.append(e)
+        return counts[d]
+
+    def degrees(self, lo: int, hi: int) -> list:
+        """The degrees from lo to hi, in order, that have words."""
+        self.size(min(hi, self.truncation))
+        nonempty = self._nonempty
+        return nonempty[bisect_left(nonempty, lo):bisect_right(nonempty, hi)]
+
+    def fill_to(self, filled: list, d: int, fill) -> list:
+        """filled[d] of a list by degree, extended first up to d: fill(e) at
+        each degree e with words, in order, and [] at the others."""
+        counts = self._counts
+        if len(counts) <= d:
+            self.size(min(d, self.truncation))
+        while len(filled) <= d:
+            e = len(filled)
+            if e < len(counts) and counts[e]:
+                filled.append(fill(e))
+            elif e + 1 < len(counts) and counts[e + 1]:  # one degree with no words
+                filled.append([])
+            else:  # a run of degrees with no words: up to the next with words, or d
+                nonempty = self._nonempty
+                i = bisect_right(nonempty, e)
+                filled += repeat([], min(nonempty[i] if i < len(nonempty) else d + 1, d + 1) - e)
+        return filled[d]
+
+    def prefix(self, word, d: int) -> int:
+        """P(word, d): word.v is at P(word, d) + pos(v) in basis(d)."""
+        p, offsets, deg = 0, self._offsets, self._deg
+        if len(offsets) <= d:
+            self.size(d)
+        for letter in word:
+            p += offsets[d][letter]
+            d -= deg[letter]
+        return p
+
+    def prefixes(self, e: int, d: int) -> list:
+        """P(u, d) for u in basis(e), N(d - e) > 0: P(g.v, d) = off(d, g) + P(v, d - |g|)."""
+        shift = d - e
+        rows = self._prefixes.get(shift)
+        if rows is None:
+            rows = self._prefixes[shift] = [[0]]
+        elif e < len(rows):
+            return rows[e]
+        self.size(d)
+        counts, offsets, empty = self._counts, self._offsets, []
+        while len(rows) <= e:
+            k, row = len(rows), []
+            if counts[k] and counts[k + shift]:
+                starts = offsets[k + shift]
+                for g in self.module.generators:
+                    if g.degree <= k:
+                        row += map(starts[g.name].__add__, rows[k - g.degree])
+            rows.append(row or empty)
+        return rows[e]
+
+    def moduli(self, d: int) -> list:
+        """``word_modulus`` of basis(d), in its order: gcd(ann g, modulus of v) for g.v."""
+        lists = self._position_moduli
+        if 0 <= d < len(lists):
+            return lists[d]
+        if d < 0 or d > self.truncation:
+            return []
+        return self.fill_to(lists, d, self._moduli_of)
+
+    def _moduli_of(self, e: int) -> list:
+        lists = self._position_moduli
+        return [gcd(g.annihilator, m) for g in self.module.generators if g.degree <= e for m in lists[e - g.degree]]
 
     def labels(self, d: int) -> list:
         """``format_word`` of each word of basis(d), in its order, built as the
@@ -362,13 +455,17 @@ class AlgebraElement:
 class GradedMap:
     """Degree-preserving map out of a truncated tensor algebra, stored a
     whole degree at a time: f on basis(d), in its order, as reduced term
-    dicts of the target.  A subclass supplies ``_fill(d)``, which may read
-    every degree below d from ``_by_degree``.  Degree 0 is 1 -> 1.
+    dicts keyed by position in the target's basis(d).  A subclass supplies
+    ``_fill(d)``, which may read every degree below d from ``_by_degree``;
+    a degree with no words gets [] without it.  Degree 0 is 1 -> 1.
 
     Reading a word fills its degree and those below, in a loop, so a deep
     truncation cannot hit the recursion limit; the library reads in basis
-    order, or reads generators only.
+    order, or reads generators only.  ``image`` and ``__call__`` convert
+    positions to words.
     """
+
+    _by_position = True  # False: keyed by the target's own keys
 
     def __init__(self, source: TruncatedTensorAlgebra, target):
         self.source = source
@@ -381,15 +478,21 @@ class GradedMap:
             d, i = self.source.sort_key(word)
         except KeyError:
             raise ValueError(f"{format_word(word)} is not a basis word of the source") from None
-        return AlgebraElement.trusted(self.target, self.degree_images(d)[i])
+        terms = self.degree_images(d)[i]
+        if self._by_position:
+            words = self.target.basis(d)
+            terms = {words[p]: c for p, c in terms.items()}
+        return AlgebraElement.trusted(self.target, terms)
 
     def degree_images(self, d: int) -> list:
         """f on basis(d), d <= the source's truncation, in its order, as shared
         reduced term dicts.  The first read fills d and each degree below."""
         filled = self._by_degree
-        while len(filled) <= d:
-            filled.append(self._fill(len(filled)) if filled else [self.target.one().terms])
-        return filled[d]
+        if d < len(filled):
+            return filled[d]
+        if not filled:
+            filled.append([{0: 1} if self._by_position else self.target.one().terms])
+        return self.source.fill_to(filled, d, self._fill)
 
     def __call__(self, elem: AlgebraElement):
         if elem.parent is not self.source and elem.parent != self.source:
@@ -409,6 +512,10 @@ class AlgebraMorphism(GradedMap):
 
     basis(d) lists a.v for each generator a and v in basis(d - |a|), so
     f on basis(d) is f(a) times each image of degree d - |a|, in turn.
+    A checked map's images are homogeneous, so w times the term at p of
+    f(v) is at P(w, d) + p.  An unchecked map's need not be, and its
+    target (a tensor square or free product in the tests) has no basis:
+    it multiplies words with ``mul_into`` and keys its terms by them.
     """
 
     _anti = False  # f(a.v) = f(a) f(v); an AntiMorphism swaps the factors and signs
@@ -416,14 +523,21 @@ class AlgebraMorphism(GradedMap):
     def __init__(self, source: TruncatedTensorAlgebra, target, images: dict, *, check=True):
         super().__init__(source, target)
         self.images = images
+        self._by_position = False
+        self._own: dict = {}  # g -> f(g) keyed by position in basis(|g|), on first fill
         self._top = 0  # a degree up to this multiplies homogeneous images
         self._mod = None  # reduce there: % m, dropping zeros (m > 0), none (0), _reduce_terms (None)
         if check:
             self._validate()
-            self._top = min(source.truncation, target.truncation)
-            # a Fraction, or a modulus that varies by word, needs _reduce_terms
-            if all(type(c) is int for g in source.generators for c in images[g.name].terms.values()):
-                self._mod = target.fixed_modulus
+            self._homogeneous()
+
+    def _homogeneous(self):
+        """Fill by position: each image is homogeneous, in the target."""
+        self._by_position = True
+        self._top = min(self.source.truncation, self.target.truncation)
+        # a Fraction, or a modulus that varies by word, needs _reduce_terms
+        if all(type(c) is int for g in self.source.generators for c in self.images[g.name].terms.values()):
+            self._mod = self.target.fixed_modulus
 
     def _validate(self):
         for g in self.source.generators:
@@ -443,34 +557,47 @@ class AlgebraMorphism(GradedMap):
                 )
 
     def _fill(self, d: int) -> list:
-        filled, images, target, out = self._by_degree, self.images, self.target, []
-        general, mod, anti = d > self._top, self._mod, self._anti
+        filled, target, mod, own, out = self._by_degree, self.target, self._mod, self._own, []
+        if self._by_position and d > self._top:  # every product leaves the target
+            return [{} for _ in range(self.source.size(d))]
         for g in self.source.module.generators:
             e = d - g.degree
             if e < 0 or not filled[e]:
                 continue
-            fa = images[g.name].terms
-            if not e:  # a one-letter word: its image, with no product by 1
-                out.append(fa)
-                continue
-            sign = -1 if anti and g.degree * e % 2 else 1
-            pairs = zip(filled[e], repeat(fa)) if anti else zip(repeat(fa), filled[e])
-            if general:  # the images may meet or leave the target: multiply out
-                for left, right in pairs:
+            if not self._by_position:  # unchecked: images that may meet or leave the target
+                fa, sign = self.images[g.name].terms, -1 if self._anti and g.degree * e % 2 else 1
+                for left, right in zip(filled[e], repeat(fa)) if self._anti else zip(repeat(fa), filled[e]):
                     acc: dict = {}
                     target.mul_into(acc, left, right, sign)
                     out.append(_reduce_terms(target, acc))
-            elif mod:  # a product of residues mod n can vanish: drop it
+                continue
+            at = own.get(g.name)
+            if at is None:  # f(g) by position in basis(|g|), kept for the degrees above
+                at = own[g.name] = {
+                    target.prefix(w, g.degree): c for w, c in self.images[g.name].terms.items()}
+            if not e:  # a one-letter word: its image, with no product by 1
+                out.append(at)
+                continue
+            # a term at a of the left factor and one at b of the right one make
+            # the word at pre[a] + b, pre[a] = P(the word at a, d)
+            sign = -1 if self._anti and g.degree * e % 2 else 1
+            if self._anti:  # f(v) f(g)
+                pre = target.prefixes(e, d)
+                pairs = zip(map(dict.items, filled[e]), repeat(at.items()))
+            else:  # f(g) f(v)
+                pre = target.prefixes(g.degree, d)
+                pairs = zip(repeat(at.items()), map(dict.items, filled[e]))
+            if mod:  # a product of residues mod n can vanish: drop it
                 out += [
-                    {w1 + w2: c for w1, v1 in left.items() for w2, v2 in right.items() if (c := sign * v1 * v2 % mod)}
+                    {pre[a] + b: c for a, x in left for b, y in right if (c := sign * x * y % mod)}
                     for left, right in pairs
                 ]
             else:
-                products = [
-                    {w1 + w2: sign * v1 * v2 for w1, v1 in left.items() for w2, v2 in right.items()}
-                    for left, right in pairs
-                ]
-                out += products if mod == 0 else [_reduce_terms(target, t) for t in products]
+                products = [{pre[a] + b: sign * x * y for a, x in left for b, y in right} for left, right in pairs]
+                if mod is None:
+                    moduli = target.moduli(d) if target.fixed_modulus is None else None
+                    products = [_reduce_terms(target, t, moduli) for t in products]
+                out += products
         return out
 
 
@@ -507,5 +634,8 @@ def is_algebra_morphism(f: GradedMap, A: "Cogroup") -> bool:
     alg = A.algebra
     images = {g.name: f.image((g.name,)) for g in alg.generators}
     fill = AlgebraMorphism(alg, f.target, images, check=False)
+    fill._homogeneous()  # f preserves degree; its images need not respect annihilators
     fill._by_degree = f._by_degree
-    return all(f.degree_images(d) == fill._fill(d) for d in range(2, A.truncation + 1) if alg.basis(d))
+    for g in alg.generators:  # f(g) by position, as f keeps it
+        fill._own[g.name] = f.degree_images(g.degree)[alg.prefix((g.name,), g.degree)]
+    return all(f.degree_images(d) == fill._fill(d) for d in alg.degrees(2, A.truncation))

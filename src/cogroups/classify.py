@@ -24,7 +24,7 @@ the Dbar it reads, only as deep as its two verdicts read.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, format_word, is_algebra_morphism, is_graded_commutative
+from .algebra import _format_terms, is_algebra_morphism, is_graded_commutative
 from .cogroup import Cogroup
 from .convolution import antipode, antipode_by_recursion
 from .modules import is_admissible_free_cyclic, is_locally_at_most_singly_generated
@@ -80,13 +80,12 @@ def _first_difference(A: Cogroup, chi, truncation: int | None):
     """nu against chi in basis order, a degree at a time."""
     D = A.truncation if truncation is None else min(truncation, A.truncation)
     alg = A.algebra
-    for d in range(1, D + 1):
-        if not alg.basis(d):
-            continue
-        for w, nu_w, chi_w in zip(alg.basis(d), A.nu.degree_images(d), chi.degree_images(d)):
-            if nu_w != chi_w:
-                nu_w, chi_w = (AlgebraElement.trusted(alg, t) for t in (nu_w, chi_w))
-                return False, f"{format_word(w)}: nu = {nu_w}, chi = {chi_w}"
+    for d in alg.degrees(1, D):
+        for p, (nu_w, chi_w) in enumerate(zip(A.nu.degree_images(d), chi.degree_images(d))):
+            if nu_w != chi_w:  # printed as str() prints them: terms by position
+                label = alg.labels(d).__getitem__
+                nu_w, chi_w = (_format_terms(sorted(t.items()), label) for t in (nu_w, chi_w))
+                return False, f"{label(p)}: nu = {nu_w}, chi = {chi_w}"
     return True, None
 
 

@@ -160,10 +160,12 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
     elif command in ("antipode", "inverse"):
         name = "chi" if command == "antipode" else "nu"
         f = antipode(A) if command == "antipode" else A.nu
-        labels, fmt = A.algebra.labels, A.algebra.format_key
-        # a word's terms are stored in basis order, the order str() sorts into
+        # a word's terms are stored in basis order, the order str() sorts into,
+        # keyed by position: labels(d) labels them
         for d in range(0, max_degree + 1):
-            for label, terms in zip(labels(d), f.degree_images(d)):
+            labels = A.algebra.labels(d)
+            fmt = labels.__getitem__
+            for label, terms in zip(labels, f.degree_images(d)):
                 verdicts.append((f"{name}({label})", _format_terms(terms.items(), fmt)))
     elif command == "nu-eq-chi":
         ok, witness = inverse_equals_antipode(A, max_degree)

@@ -95,12 +95,11 @@ class Cogroup:
         """nu and chi on the generators, one dict for both: g -> -g - sum
         c y f(z) over the table's Dbar(g), each z of lower degree.
 
-        Each image's terms are in basis order, which within a degree is
-        lexicographic in the generators' declaration index; every word
-        image that nu's and chi's degree fill multiplies from them then is too.
+        Each image's terms are in basis order, sorted by their position
+        P(w, |g|); every word image that nu's and chi's degree fill
+        multiplies from them then is too.
         """
         alg, table = self.algebra, self.coalgebra.table
-        index = {n: i for i, n in enumerate(self.module.names())}
         images: dict = {}
         for g in sorted(alg.generators, key=lambda g: g.degree):
             acc = {(g.name,): -1}
@@ -108,7 +107,7 @@ class Cogroup:
                 alg.mul_into(acc, {(y,): 1}, images[z].terms, -c)
             terms = _reduce_terms(alg, acc)
             if len(terms) > 1:
-                terms = {w: terms[w] for w in sorted(terms, key=lambda w: [index[l] for l in w])}
+                terms = {w: terms[w] for w in sorted(terms, key=lambda w: alg.prefix(w, g.degree))}
             images[g.name] = AlgebraElement.trusted(alg, terms)
         return images
 
@@ -127,36 +126,37 @@ class Cogroup:
     def reduced_coproducts(self, d: int) -> list:
         """Dbar on basis(d), in its order: D(w) minus its two outer terms,
         each a tuple of (c, y, z) for the terms c y (x) z.  The first read
-        fills d and each degree below.
+        fills d and each degree below; a degree with no words gets [].
 
         basis(d) lists g.v for each generator g and v in basis(d - |g|), so
         D(g.v) = D(g) D(v), with D(v) = v (x) 1 + Dbar(v) + 1 (x) v.  A word
         of modulus 1 is 0, and so is its Dbar.
         """
-        filled, alg, delta = self._reduced_by_degree, self.algebra, self.delta
-        while len(filled) <= d:
-            e = len(filled)
-            if not e:
-                filled.append([()])
+        filled = self._reduced_by_degree
+        if d < len(filled):
+            return filled[d]
+        if not filled:
+            filled.append([()])
+        return self.algebra.fill_to(filled, d, self._reduced_coproducts_of)
+
+    def _reduced_coproducts_of(self, e: int) -> list:
+        filled, alg, delta, dbars = self._reduced_by_degree, self.algebra, self.delta, []
+        for g in self.module.generators:
+            if g.degree > e:
                 continue
-            dbars = []
-            for g in self.module.generators:
-                if g.degree > e:
+            head = delta[g.name]
+            for v, dbar in zip(alg.basis(e - g.degree), filled[e - g.degree]):
+                w = (g.name,) + v
+                if alg.word_modulus(w) == 1:
+                    dbars.append(())
                     continue
-                head = delta[g.name]
-                for v, dbar in zip(alg.basis(e - g.degree), filled[e - g.degree]):
-                    w = (g.name,) + v
-                    if alg.word_modulus(w) == 1:
-                        dbars.append(())
-                        continue
-                    dv = {(v, ()): 1, ((), v): 1} if v else {((), ()): 1}
-                    dv.update(((y, z), c) for c, y, z in dbar)
-                    terms = _reduce_terms(alg, _pair_product((head, dv), alg.word_degree))
-                    if terms.pop((w, ()), 0) != 1 or terms.pop(((), w), 0) != 1:
-                        raise ValueError(f"coproduct of {format_word(w)} lost its outer terms")
-                    dbars.append(tuple((c, y, z) for (y, z), c in terms.items()))
-            filled.append(dbars)
-        return filled[d]
+                dv = {(v, ()): 1, ((), v): 1} if v else {((), ()): 1}
+                dv.update(((y, z), c) for c, y, z in dbar)
+                terms = _reduce_terms(alg, _pair_product((head, dv), alg.word_degree))
+                if terms.pop((w, ()), 0) != 1 or terms.pop(((), w), 0) != 1:
+                    raise ValueError(f"coproduct of {format_word(w)} lost its outer terms")
+                dbars.append(tuple((c, y, z) for (y, z), c in terms.items()))
+        return dbars
 
     def reduced_coproduct_word(self, word):
         """Dbar of a basis word, read off ``reduced_coproducts``."""

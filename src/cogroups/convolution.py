@@ -21,8 +21,9 @@ C -> A.  ``antipode_by_recursion`` runs the recursion on every word of
 A instead, with no product structure on A, over Dbar(w) from
 ``Cogroup.reduced_coproducts``, which multiplies D's generator pair
 dicts; ``classify`` uses it as the independent chi.  Like nu and chi it is a ``GradedMap``, filled one
-whole degree at a time and in order, so a caller that stops reading at
-a low degree never builds the higher ones.  The convolution product,
+whole degree at a time and in order, with its terms keyed by position,
+so a caller that stops reading at a low degree never builds the higher
+ones.  The convolution product,
 the left recursion and the inverse of any map on a dict table are the
 tests' oracles.
 
@@ -66,14 +67,21 @@ class _RecursionInverse(GradedMap):
         self.cogroup = A
 
     def _fill(self, d: int) -> list:
+        """g on basis(d) by position: y.t, t at position q of basis(|z|),
+        is the word at P(y, d) + q."""
         alg, filled, out = self.target, self._by_degree, []
-        position = alg.sort_key
-        for w, dbar in zip(alg.basis(d), self.cogroup.reduced_coproducts(d)):
-            acc = {w: -1}
+        position, prefixes = alg.sort_key, alg.prefixes
+        moduli = alg.moduli(d) if alg.fixed_modulus is None else None
+        for p, dbar in enumerate(self.cogroup.reduced_coproducts(d)):
+            acc = {p: -1}
+            get = acc.get
             for c, y, z in dbar:
                 e, i = position(z)
-                alg.mul_into(acc, {y: 1}, filled[e][i], -c)
-            out.append(_reduce_terms(alg, acc))
+                k, j = position(y)
+                start = prefixes(k, d)[j]
+                for q, v in filled[e][i].items():
+                    acc[start + q] = get(start + q, 0) - c * v
+            out.append(_reduce_terms(alg, acc, moduli))
         return out
 
 

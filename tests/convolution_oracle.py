@@ -13,6 +13,11 @@ generators, its reduced coproducts the table.  ``inclusion_inverse`` is
 the inverse of the inclusion C -> A over it, the oracle for
 ``Cogroup.generator_images``.
 
+``morphism_fill_by_words`` and ``recursion_fill_by_words`` are the
+library's degree fills as they were written on tuple words, before the
+maps stored terms by position: the oracles of ``AlgebraMorphism._fill``
+and of the recursion chi's fill, compared with them word by word.
+
 ``convolve`` is the product (f * g)(x) = f(x) + g(x) + sum c f(y) g(z)
 over Dbar(x), and ``unit_map`` its identity eta . eps; the library
 computes neither.  ``convolution_inverse_eagerly`` and
@@ -24,8 +29,17 @@ the right one.  ``explicit_identity`` is the identity of a cogroup's
 algebra as a full table.
 """
 
+from itertools import repeat
+
 import cogroups as cg
-from cogroups.algebra import accumulate
+from cogroups.algebra import _reduce_terms, accumulate
+
+
+def as_words(algebra, d: int, terms: dict) -> dict:
+    """A library map's term dict of degree d, keyed by position in
+    ``algebra.basis(d)``, keyed by the words instead, in the same order."""
+    words = algebra.basis(d)
+    return {words[p]: c for p, c in terms.items()}
 
 
 class WordSource:
@@ -105,8 +119,10 @@ class TableMap:
         return img if img is not None else self.target.zero()
 
     def degree_images(self, d: int) -> list:
-        """The images of basis(d), in its order, as term dicts."""
-        return [self.image(key).terms for key in self.source.basis(d)]
+        """The images of basis(d), in its order, as term dicts keyed by
+        position in the target's basis(d), as the library's maps keep them."""
+        position = {w: p for p, w in enumerate(self.target.basis(d))}
+        return [{position[w]: c for w, c in self.image(key).terms.items()} for key in self.source.basis(d)]
 
     def __eq__(self, other):
         if isinstance(other, TableMap):
@@ -207,3 +223,66 @@ def explicit_identity(A):
         w: alg.element({w: 1}) for d in range(1, A.truncation + 1) for w in alg.basis(d)
     }
     return TableMap(WordSource(A), alg, table)
+
+
+def morphism_fill_by_words(f) -> list:
+    """A checked ``AlgebraMorphism`` or ``AntiMorphism`` on every basis(d) up
+    to the source's truncation, as word-keyed term dicts, by degree: f(a.v)
+    is f(a) f(v), or the signed f(v) f(a), each product a concatenation of
+    words, reduced mod a fixed modulus inside the product or by
+    ``_reduce_terms``, and multiplied out with ``mul_into`` above the
+    target's truncation."""
+    source, target, images = f.source, f.target, f.images
+    anti = isinstance(f, cg.AntiMorphism)
+    top = min(source.truncation, target.truncation)
+    ints = all(type(c) is int for g in source.generators for c in images[g.name].terms.values())
+    mod = target.fixed_modulus if ints else None
+    filled = [[target.one().terms]]
+    for d in range(1, source.truncation + 1):
+        out = []
+        for g in source.module.generators:
+            e = d - g.degree
+            if e < 0 or not filled[e]:
+                continue
+            fa = images[g.name].terms
+            if not e:
+                out.append(fa)
+                continue
+            sign = -1 if anti and g.degree * e % 2 else 1
+            pairs = zip(filled[e], repeat(fa)) if anti else zip(repeat(fa), filled[e])
+            if d > top:
+                for left, right in pairs:
+                    acc: dict = {}
+                    target.mul_into(acc, left, right, sign)
+                    out.append(_reduce_terms(target, acc))
+            elif mod:
+                out += [
+                    {w1 + w2: c for w1, v1 in left.items() for w2, v2 in right.items() if (c := sign * v1 * v2 % mod)}
+                    for left, right in pairs
+                ]
+            else:
+                products = [
+                    {w1 + w2: sign * v1 * v2 for w1, v1 in left.items() for w2, v2 in right.items()}
+                    for left, right in pairs
+                ]
+                out += products if mod == 0 else [_reduce_terms(target, t) for t in products]
+        filled.append(out)
+    return filled
+
+
+def recursion_fill_by_words(A) -> list:
+    """The recursion chi(w) = -w - sum c y chi(z) over ``reduced_coproducts``
+    on every basis(d) up to the truncation, as word-keyed term dicts, by
+    degree, each y chi(z) multiplied with ``mul_into``."""
+    alg = A.algebra
+    filled = [[alg.one().terms]]
+    for d in range(1, A.truncation + 1):
+        out = []
+        for w, dbar in zip(alg.basis(d), A.reduced_coproducts(d)):
+            acc = {w: -1}
+            for c, y, z in dbar:
+                e, i = alg.sort_key(z)
+                alg.mul_into(acc, {y: 1}, filled[e][i], -c)
+            out.append(_reduce_terms(alg, acc))
+        filled.append(out)
+    return filled

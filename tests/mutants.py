@@ -81,15 +81,14 @@ MUTANTS = [
     # chi-is-morphism from generator images
     Mutant(
         "morphism-check-to-twice-top-degree", "algebra.py",
-        "for d in range(2, A.truncation + 1) if alg.basis(d))",
-        "for d in range(2, min(A.truncation, 2 * max((g.degree for g in alg.generators), default=0)) + 1)"
-        " if alg.basis(d))",
+        "for d in alg.degrees(2, A.truncation))",
+        "for d in alg.degrees(2, min(A.truncation, 2 * max((g.degree for g in alg.generators), default=0))))",
         "algebra.is_algebra_morphism",
     ),
     Mutant(
         "morphism-check-stops-at-D-minus-1", "algebra.py",
-        "for d in range(2, A.truncation + 1) if alg.basis(d))",
-        "for d in range(2, A.truncation) if alg.basis(d))",
+        "for d in alg.degrees(2, A.truncation))",
+        "for d in alg.degrees(2, A.truncation - 1))",
         "algebra.is_algebra_morphism",
     ),
     Mutant(
@@ -113,15 +112,40 @@ MUTANTS = [
     ),
     Mutant(
         "fixed-modulus-fill-keeps-zeros", "algebra.py",
-        "if (c := sign * v1 * v2 % mod)}",
-        "if (c := sign * v1 * v2 % mod) or True}",
+        "if (c := sign * x * y % mod)}",
+        "if (c := sign * x * y % mod) or True}",
         "AlgebraMorphism._fill",
     ),
     Mutant(
         "validated-fill-refuses-extra-names", "algebra.py",
-        "self._top = min(source.truncation, target.truncation)\n",
-        "self._top = min(source.truncation, target.truncation) if images.keys() <= source._deg.keys() else 0\n",
+        "self._mod = self.target.fixed_modulus\n",
+        "self._mod = self.target.fixed_modulus if self.images.keys() <= self.source._deg.keys() else None\n",
         "AlgebraMorphism._fill",
+    ),
+    # word images stored by position
+    Mutant(
+        "offset-skips-a-generator-of-the-degree", "algebra.py",
+        "if g.degree <= e:\n                    row[g.name] = start",
+        "if g.degree < e:\n                    row[g.name] = start",
+        "TruncatedTensorAlgebra.size",
+    ),
+    Mutant(
+        "prefix-table-read-at-d", "algebra.py",
+        "row += map(starts[g.name].__add__, rows[k - g.degree])",
+        "row += map(starts[g.name].__add__, self.prefixes(k - g.degree, k + shift))",
+        "TruncatedTensorAlgebra.prefixes",
+    ),
+    Mutant(
+        "recursion-prefix-at-the-degree-of-z", "convolution.py",
+        "start = prefixes(k, d)[j]",
+        "start = prefixes(k, e)[j]",
+        "convolution._RecursionInverse._fill",
+    ),
+    Mutant(
+        "position-modulus-of-the-first-generator", "algebra.py",
+        "gcd(g.annihilator, m) for g in self.module.generators",
+        "gcd(self.module.generators[0].annihilator, m) for g in self.module.generators",
+        "TruncatedTensorAlgebra.moduli",
     ),
     # one reduction rule in the table layer
     Mutant(

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cogroups as cg
 from cogroup_oracle import TensorSquare, free_product, renaming_morphism
@@ -19,6 +19,8 @@ from instances import (
     Z6,
     annihilators,
     brute_force_graded_commutative,
+    coassociative_coalgebras,
+    coprime_torsion_coalgebras,
     make_module,
     module,
 )
@@ -357,7 +359,7 @@ def test_labels_are_format_word_of_the_basis(N, D):
     A = cg.TruncatedTensorAlgebra(N, D)
     for d in range(-1, D + 2):
         assert A.labels(d) == [cg.format_word(w) for w in A.basis(d)], d
-    # format_key fills a degree at a time, and labels the words above D too
+    # format_key labels a basis word by its position, and the words above D too
     B = cg.TruncatedTensorAlgebra(N, D)
     for w in all_words(N, D + 2):
         assert B.format_key(w) == cg.format_word(w), w
@@ -462,7 +464,7 @@ def test_str_matches_a_render_from_format_word(case):
     # after basis(d) is built: the keys counted above are read back
     list(A.words_up_to())
     assert str(elem) == want and str(pair_elem) == want_pairs
-    # an algebra whose basis was built first: keys recorded a degree at a time
+    # an algebra whose basis was built first
     B = cg.TruncatedTensorAlgebra(A.module, A.truncation)
     list(B.words_up_to())
     assert str(B.element(elem.terms)) == want
@@ -494,3 +496,33 @@ def test_basis_follows_the_oracle_key_and_counted_positions():
             assert basis == sorted(basis, key=oracle), (key, d)
             assert [counted[w] for w in basis] == [(d, i) for i in range(len(basis))]
         assert list(A.words_up_to()) == sorted(words, key=oracle), key
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(coassociative_coalgebras(), coprime_torsion_coalgebras()))
+# a generator above D, degrees with no words, and torsion letters
+@example((cg.trivial_coalgebra(module(Z, [("x", 2, 4), ("y", 3), ("z", 9)])), 8))
+@example((cg.trivial_coalgebra(module(Z6, [("a", 2, 2), ("b", 3, 3)])), 7))
+def test_a_word_is_its_position_and_concatenation_an_addition(case):
+    """basis(d) lists g.v block by block, so the position of u.v in
+    basis(d) is P(u, d) + the position of v: checked on every pair up to
+    D.  The count recurrence gives len(basis(d)), the per-position moduli
+    are ``word_modulus`` of the basis, and a prefix table lists P(u, d)
+    over basis(e)."""
+    C, D = case
+    B = cg.TruncatedTensorAlgebra(C.module, D)  # counted, never listed
+    sizes, degrees = [B.size(d) for d in range(-1, D + 3)], B.degrees(0, D + 2)
+    moduli = [B.moduli(d) for d in range(D + 1)]
+    assert B._basis_cache == [[()]]
+    A = cg.TruncatedTensorAlgebra(C.module, D)
+    position = [{w: p for p, w in enumerate(A.basis(d))} for d in range(D + 1)]
+    assert sizes == [len(A.basis(d)) for d in range(-1, D + 3)]
+    assert degrees == [d for d in range(D + 1) if A.basis(d)]
+    assert moduli == [[A.word_modulus(w) for w in A.basis(d)] for d in range(D + 1)]
+    for d in range(D + 1):
+        for e in range(d + 1):
+            for u in A.basis(e):
+                for v in A.basis(d - e):
+                    assert A.prefix(u, d) + position[d - e][v] == position[d][u + v], (u, v)
+            if A.basis(d - e):
+                assert A.prefixes(e, d) == [A.prefix(u, d) for u in A.basis(e)], (e, d)

@@ -17,10 +17,13 @@ from convolution_oracle import (
     TableMap,
     WordSource,
     antipode_eagerly,
+    as_words,
     convolution_inverse_eagerly,
     convolve,
     explicit_identity,
     inclusion_inverse,
+    morphism_fill_by_words,
+    recursion_fill_by_words,
     unit_map,
 )
 from hopf_oracle import antipode_negates_indecomposables, check_hopf_on_words
@@ -277,7 +280,26 @@ def test_on_demand_tables_hold_only_the_degrees_read(key):
         filled = max(map(alg.word_degree, words)) + 1 if words else 0
         assert len(chi._by_degree) == len(A._reduced_by_degree) == filled, d
         for e in range(1, filled):
-            assert chi._by_degree[e] == full.degree_images(e), (d, e)
+            got = [as_words(alg, e, terms) for terms in chi._by_degree[e]]
+            assert got == [full.image(w).terms for w in alg.basis(e)], (d, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(coassociative_coalgebras(), coprime_torsion_coalgebras()))
+def test_position_fills_match_the_fills_on_words(case):
+    """nu, chi from generator images and the recursion chi, each degree
+    converted through basis(d), against the fills written on tuple words:
+    the same words, coefficients and term order."""
+    A = cg.tensor_cogroup(*case)
+    alg = A.algebra
+    for f, want in (
+        (A.nu, morphism_fill_by_words(A.nu)),
+        (cg.antipode(A), morphism_fill_by_words(cg.antipode(A))),
+        (cg.antipode_by_recursion(A), recursion_fill_by_words(A)),
+    ):
+        for d in range(A.truncation + 1):
+            got = [list(as_words(alg, d, terms).items()) for terms in f.degree_images(d)]
+            assert got == [list(terms.items()) for terms in want[d]], (type(f).__name__, d)
 
 
 def assert_nu_is_chi_on_generators(A):
@@ -308,15 +330,22 @@ def test_nu_and_chi_agree_on_generators_of_coproduct_tables(case):
 def test_word_images_are_stored_in_print_order(case, top_first):
     """Every word image of nu and chi holds its terms in the order ``str``
     sorts them into, whether the words are read in basis order or the
-    highest degree first, so the table commands print them unsorted."""
+    highest degree first, so the table commands print them unsorted: the
+    stored positions rise, and converted through basis(d) they are the
+    words of ``image`` in ``sort_key`` order."""
     A = cg.tensor_cogroup(*case)
     alg, fmt = A.algebra, A.algebra.format_key
     words = [w for w in alg.words_up_to() if w]
     for f in (A.nu, cg.antipode(A)):
         for w in reversed(words) if top_first else words:
             img = f.image(w)
+            d, i = alg.sort_key(w)
+            stored = f.degree_images(d)[i]
+            assert list(stored) == sorted(stored), w
+            assert list(as_words(alg, d, stored).items()) == list(img.terms.items()), w
             assert list(img.terms) == sorted(img.terms, key=alg.sort_key), w
             assert _format_terms(img.terms.items(), fmt) == str(img), w
+            assert _format_terms(stored.items(), alg.labels(d).__getitem__) == str(img), w
 
 
 def _snf_spans(vectors, k, ring):
@@ -863,9 +892,10 @@ def maps_to_multiply(draw):
     words = alg.basis(d)
     lists = [list(A.nu.degree_images(e)) for e in range(D + 1)]
     i = draw(st.integers(0, len(words) - 1))
-    changed = dict(lists[d][i])
+    changed = as_words(alg, d, lists[d][i])
     accumulate(changed, {draw(st.sampled_from(words)): draw(st.sampled_from((1, -1, 2)))})
-    lists[d][i] = _reduce_terms(alg, changed)
+    position = {w: p for p, w in enumerate(words)}
+    lists[d][i] = {position[w]: c for w, c in _reduce_terms(alg, changed).items()}
     f = cg.GradedMap(alg, alg)
     f._by_degree = lists
     return f, A
@@ -919,6 +949,32 @@ def test_the_morphism_check_skips_empty_degrees(monkeypatch):
     monkeypatch.setattr(A.algebra, "basis", counted)
     assert cg.is_algebra_morphism(cg.antipode_by_recursion(A), A)  # x^2 = x^2
     assert len(calls) < 4 * A.truncation
+
+
+def test_degrees_with_no_words_are_filled_without_a_call(monkeypatch):
+    # one generator of degree 50 at D = 100: only degrees 0, 50 and 100 hold
+    # words, and nu, chi, the recursion chi and Dbar fill those alone
+    A = cg.tensor_cogroup(cg.trivial_coalgebra(module(Q, [("x", 50)])), 100)
+    calls = []
+
+    def counting(cls, name):
+        fill = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, d: calls.append((type(self).__name__, d)) or fill(self, d))
+
+    counting(cg.AlgebraMorphism, "_fill")
+    counting(convolution._RecursionInverse, "_fill")
+    counting(cg.Cogroup, "_reduced_coproducts_of")
+    maps = (A.nu, cg.antipode(A), cg.antipode_by_recursion(A))
+    for f in maps:
+        f.degree_images(100)
+    assert calls == [(name, d) for name in ("AlgebraMorphism", "AntiMorphism") for d in (50, 100)] + [
+        ("_RecursionInverse", 50), ("Cogroup", 50), ("_RecursionInverse", 100), ("Cogroup", 100)]
+    for f in maps:
+        assert [d for d in range(101) if f.degree_images(d)] == [0, 50, 100]
+    assert [d for d in range(101) if A.reduced_coproducts(d)] == [0, 50, 100]
+    x = A.algebra.generator("x")
+    assert cg.antipode_by_recursion(A).image(("x", "x")) == x * x
+    assert cg.classify_cogroup(A).consistent
 
 
 def test_graded_map_validation():

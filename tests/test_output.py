@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogroups import algebra, classify, cogroup, convolution
+from cogroups import algebra, cogroup, convolution
 from cogroups.algebra import AlgebraMorphism
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ProblemSpec, parse_spec
@@ -114,7 +114,7 @@ def test_the_tables_fill_each_degree_once_and_look_up_no_word(command, monkeypat
 
     monkeypatch.setattr(AlgebraMorphism, "_fill", counted)
     monkeypatch.setattr(AlgebraMorphism, "image", refused)
-    for module in (algebra, classify, cogroup, convolution):
+    for module in (algebra, cogroup, convolution):
         monkeypatch.setattr(module, "format_word", unlabelled)
     for text in (DECONC_Z, BINOM_Z9, BINOM_F7, TORSION_Z, DECONC_Q2):
         fills.clear()
