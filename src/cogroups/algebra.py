@@ -26,20 +26,29 @@ summing over u's letters the offsets off(e, g) = sum of N(e - |g'|)
 over the g' declared before g, N(e) = len(basis(e)) counted without
 listing it.
 
-There is one map type out of a tensor algebra, ``GradedMap``: word
-images stored a whole degree at a time, in basis order, as term dicts
-keyed by position, so a product of words is a sum of positions.  A
-subclass fills one degree from those below.  A morphism's fill
-multiplies homogeneous images whose term pairs never meet, so there the
-reduction is chosen once for the whole map.
+There is one map type out of a tensor algebra, ``GradedMap``, and one
+layout for its word images: a whole degree at a time, as one row triple
+(keys, coefficients, starts).  The terms of the images of basis(d) lie
+end to end in basis order, keyed by position, so a product of words is a
+sum of positions, and the row of word i is keys[starts[i]:starts[i + 1]],
+its terms in print order.  A subclass fills one degree from those below.
+A morphism's fill builds the block of rows g.v, v in basis(d - |g|), from
+degree d - |g|'s lists, the keys in one comprehension and the
+coefficients in another; only nu's block for an f(g) of several terms
+goes row by row.  Its term pairs never meet, so the reduction is chosen once
+for the whole map: none over Z and Q, a remainder over F_p and Z/n, and
+``_reduce_terms`` for a Fraction or a modulus that varies by word; where
+a product can vanish, the block drops it.  The tables print a degree at
+a time, one text per term, ``_format_rows``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import repeat
+from itertools import accumulate as partial_sums, compress, repeat
 from math import gcd
+from operator import not_
 
 from .modules import GradedModulePresentation
 
@@ -80,6 +89,25 @@ def _format_terms(items, fmt_key):
         return "0"
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
+
+
+def _format_rows(algebra, d: int, triple) -> list:
+    """Each row of a row triple of degree d > 0 as ``_format_terms``
+    renders it, position k labelled ``algebra.labels(d)[k]``: one text per
+    term with its separator, " - " for a negative coefficient and " + "
+    otherwise, and a row's texts joined with its first separator read as
+    the sign."""
+    labels = algebra.labels(d)
+    keys, coefficients, starts = triple
+    texts = [
+        f" + {labels[k]}" if c == 1 else f" - {labels[k]}" if c == -1
+        else f" - {-c}*{labels[k]}" if c < 0 else f" + {c}*{labels[k]}"
+        for k, c in zip(keys, coefficients)
+    ]
+    return [
+        (t[3:] if t[1] == "+" else "-" + t[3:]) if (t := texts[i] if j - i == 1 else "".join(texts[i:j])) else "0"
+        for i, j in zip(starts, starts[1:])
+    ]
 
 
 def _reduce_terms(parent, terms: dict, moduli=None) -> dict:
@@ -221,7 +249,7 @@ class TruncatedTensorAlgebra:
             return cache[d]
         if d < 0 or d > self.truncation:
             return []
-        return self.fill_to(cache, d, self._basis_of)
+        return self.fill_to(cache, d, self._basis_of, [])
 
     def _basis_of(self, e: int) -> list:
         cache = self._basis_cache
@@ -256,9 +284,9 @@ class TruncatedTensorAlgebra:
         nonempty = self._nonempty
         return nonempty[bisect_left(nonempty, lo):bisect_right(nonempty, hi)]
 
-    def fill_to(self, filled: list, d: int, fill) -> list:
+    def fill_to(self, filled: list, d: int, fill, empty) -> list:
         """filled[d] of a list by degree, extended first up to d: fill(e) at
-        each degree e with words, in order, and [] at the others."""
+        each degree e with words, in order, and ``empty`` at the others."""
         counts = self._counts
         if len(counts) <= d:
             self.size(min(d, self.truncation))
@@ -267,11 +295,11 @@ class TruncatedTensorAlgebra:
             if e < len(counts) and counts[e]:
                 filled.append(fill(e))
             elif e + 1 < len(counts) and counts[e + 1]:  # one degree with no words
-                filled.append([])
+                filled.append(empty)
             else:  # a run of degrees with no words: up to the next with words, or d
                 nonempty = self._nonempty
                 i = bisect_right(nonempty, e)
-                filled += repeat([], min(nonempty[i] if i < len(nonempty) else d + 1, d + 1) - e)
+                filled += repeat(empty, min(nonempty[i] if i < len(nonempty) else d + 1, d + 1) - e)
         return filled[d]
 
     def prefix(self, word, d: int) -> int:
@@ -311,7 +339,7 @@ class TruncatedTensorAlgebra:
             return lists[d]
         if d < 0 or d > self.truncation:
             return []
-        return self.fill_to(lists, d, self._moduli_of)
+        return self.fill_to(lists, d, self._moduli_of, [])
 
     def _moduli_of(self, e: int) -> list:
         lists = self._position_moduli
@@ -454,10 +482,13 @@ class AlgebraElement:
 
 class GradedMap:
     """Degree-preserving map out of a truncated tensor algebra, stored a
-    whole degree at a time: f on basis(d), in its order, as reduced term
-    dicts keyed by position in the target's basis(d).  A subclass supplies
-    ``_fill(d)``, which may read every degree below d from ``_by_degree``;
-    a degree with no words gets [] without it.  Degree 0 is 1 -> 1.
+    whole degree at a time as one row triple (keys, coefficients, starts):
+    the reduced terms of f on basis(d), word after word in its order, end
+    to end, so the row of word i is keys[starts[i]:starts[i + 1]] with its
+    coefficients alongside, keyed by position in the target's basis(d)
+    and in that order.  A subclass supplies ``_fill(d)``, which may read
+    every degree below d from ``_by_degree``; a degree with no words gets
+    ``_NO_WORDS`` without it.  Degree 0 is 1 -> 1.
 
     Reading a word fills its degree and those below, in a loop, so a deep
     truncation cannot hit the recursion limit; the library reads in basis
@@ -470,7 +501,7 @@ class GradedMap:
     def __init__(self, source: TruncatedTensorAlgebra, target):
         self.source = source
         self.target = target
-        self._by_degree: list = []  # f on basis(d), as term dicts, at index d
+        self._by_degree: list = []  # the row triple of degree d at index d
 
     def image(self, word) -> AlgebraElement:
         """The image of a basis word of the source."""
@@ -478,21 +509,25 @@ class GradedMap:
             d, i = self.source.sort_key(word)
         except KeyError:
             raise ValueError(f"{format_word(word)} is not a basis word of the source") from None
-        terms = self.degree_images(d)[i]
+        terms = row(self.degree_images(d), i)
         if self._by_position:
             words = self.target.basis(d)
-            terms = {words[p]: c for p, c in terms.items()}
-        return AlgebraElement.trusted(self.target, terms)
+            return AlgebraElement.trusted(self.target, {words[p]: c for p, c in terms})
+        return AlgebraElement.trusted(self.target, dict(terms))
 
-    def degree_images(self, d: int) -> list:
-        """f on basis(d), d <= the source's truncation, in its order, as shared
-        reduced term dicts.  The first read fills d and each degree below."""
+    def degree_images(self, d: int) -> tuple:
+        """f on basis(d), d <= the source's truncation, as its shared row
+        triple.  The first read fills d and each degree below."""
         filled = self._by_degree
         if d < len(filled):
             return filled[d]
         if not filled:
-            filled.append([{0: 1} if self._by_position else self.target.one().terms])
-        return self.source.fill_to(filled, d, self._fill)
+            if self._by_position:
+                filled.append(([0], [1], [0, 1]))
+            else:
+                one = self.target.one().terms
+                filled.append((list(one), list(one.values()), [0, len(one)]))
+        return self.source.fill_to(filled, d, self._fill, _NO_WORDS)
 
     def __call__(self, elem: AlgebraElement):
         if elem.parent is not self.source and elem.parent != self.source:
@@ -503,6 +538,16 @@ class GradedMap:
         return AlgebraElement(self.target, acc)
 
 
+_NO_WORDS = ([], [], [0])  # the row triple of a degree with no words
+
+
+def row(triple, i: int) -> list:
+    """Row i of a row triple: the (key, coefficient) pairs of word i."""
+    keys, coefficients, starts = triple
+    s, t = starts[i], starts[i + 1]
+    return list(zip(keys[s:t], coefficients[s:t]))
+
+
 class AlgebraMorphism(GradedMap):
     """Degree-preserving algebra map out of a truncated tensor algebra.
 
@@ -510,12 +555,14 @@ class AlgebraMorphism(GradedMap):
     and linearly over terms.  The ``images`` dict is kept, not copied,
     so maps built on one dict share it; do not change it afterwards.
 
-    basis(d) lists a.v for each generator a and v in basis(d - |a|), so
-    f on basis(d) is f(a) times each image of degree d - |a|, in turn.
-    A checked map's images are homogeneous, so w times the term at p of
-    f(v) is at P(w, d) + p.  An unchecked map's need not be, and its
-    target (a tensor square or free product in the tests) has no basis:
-    it multiplies words with ``mul_into`` and keys its terms by them.
+    basis(d) lists g.v for each generator g and v in basis(d - |g|), so
+    f on basis(d) is f(g) times each row of degree d - |g|, in turn: one
+    block of rows per generator.  A checked map's images are homogeneous,
+    so the word at a of f(g) times the term at b of f(v) is at
+    P(the word, d) + b, and f(v) times it at P(the word at b, d) + a.  An
+    unchecked map's need not be, and its target (a tensor square or free
+    product in the tests) has no basis: it multiplies words with
+    ``mul_into`` and keys its terms by them.
     """
 
     _anti = False  # f(a.v) = f(a) f(v); an AntiMorphism swaps the factors and signs
@@ -524,20 +571,24 @@ class AlgebraMorphism(GradedMap):
         super().__init__(source, target)
         self.images = images
         self._by_position = False
-        self._own: dict = {}  # g -> f(g) keyed by position in basis(|g|), on first fill
+        self._own: dict = {}  # g -> f(g): positions in basis(|g|), coefficients, words
         self._top = 0  # a degree up to this multiplies homogeneous images
-        self._mod = None  # reduce there: % m, dropping zeros (m > 0), none (0), _reduce_terms (None)
+        self._mod = None  # reduce there: % m (m > 0), none (0), _reduce_terms (None)
+        self._drops = False  # whether a reduced product can vanish
         if check:
             self._validate()
-            self._homogeneous()
+            self._homogeneous(c for g in self.source.generators for c in images[g.name].terms.values())
 
-    def _homogeneous(self):
-        """Fill by position: each image is homogeneous, in the target."""
+    def _homogeneous(self, coefficients):
+        """Fill by position: each image is homogeneous, in the target;
+        ``coefficients`` runs over those of every generator's image."""
         self._by_position = True
         self._top = min(self.source.truncation, self.target.truncation)
         # a Fraction, or a modulus that varies by word, needs _reduce_terms
-        if all(type(c) is int for g in self.source.generators for c in self.images[g.name].terms.values()):
+        if all(type(c) is int for c in coefficients):
             self._mod = self.target.fixed_modulus
+        # over a field no product of nonzero residues vanishes
+        self._drops = self._mod != 0 and not self.target.ring.is_field()
 
     def _validate(self):
         for g in self.source.generators:
@@ -556,49 +607,90 @@ class AlgebraMorphism(GradedMap):
                     f"{g.annihilator}"
                 )
 
-    def _fill(self, d: int) -> list:
-        filled, target, mod, own, out = self._by_degree, self.target, self._mod, self._own, []
-        if self._by_position and d > self._top:  # every product leaves the target
-            return [{} for _ in range(self.source.size(d))]
+    def _fill(self, d: int) -> tuple:
+        if not self._by_position:
+            return self._fill_by_words(d)
+        target, filled, own, mod, drops = self.target, self._by_degree, self._own, self._mod, self._drops
+        anti = self._anti
+        if d > self._top:  # every product leaves the target
+            return [], [], [0] * (self.source.size(d) + 1)
+        keys, coefficients, starts = [], [], [0]
+        moduli = target.moduli(d) if mod is None and target.fixed_modulus is None else None
         for g in self.source.module.generators:
             e = d - g.degree
-            if e < 0 or not filled[e]:
+            if e < 0 or filled[e] is _NO_WORDS:
                 continue
-            if not self._by_position:  # unchecked: images that may meet or leave the target
-                fa, sign = self.images[g.name].terms, -1 if self._anti and g.degree * e % 2 else 1
-                for left, right in zip(filled[e], repeat(fa)) if self._anti else zip(repeat(fa), filled[e]):
-                    acc: dict = {}
-                    target.mul_into(acc, left, right, sign)
-                    out.append(_reduce_terms(target, acc))
+            fg = own.get(g.name)
+            if fg is None:  # f(g), kept for the degrees above
+                terms = self.images[g.name].terms
+                words = list(terms)
+                fg = own[g.name] = [target.prefix(w, g.degree) for w in words], list(terms.values()), words
+            at, xs, words = fg
+            if not e:  # the one-letter word g: its image, with no product by 1
+                keys += at
+                coefficients += xs
+                starts.append(len(keys))
                 continue
-            at = own.get(g.name)
-            if at is None:  # f(g) by position in basis(|g|), kept for the degrees above
-                at = own[g.name] = {
-                    target.prefix(w, g.degree): c for w, c in self.images[g.name].terms.items()}
-            if not e:  # a one-letter word: its image, with no product by 1
-                out.append(at)
-                continue
-            # a term at a of the left factor and one at b of the right one make
-            # the word at pre[a] + b, pre[a] = P(the word at a, d)
-            sign = -1 if self._anti and g.degree * e % 2 else 1
-            if self._anti:  # f(v) f(g)
+            ke, ce, se = filled[e]
+            n = len(at)
+            if anti and g.degree * e % 2:  # the sign of f(a.v) = -f(v) f(a)
+                xs = [-x for x in xs]
+            # the term at a of the left factor times the one at b of the right
+            # one is the word at P(the word at a, d) + b
+            if n == 1:  # the whole block from degree e's lists
+                x = xs[0]
+                if anti:  # f(v) f(g)
+                    pre, a = target.prefixes(e, d), at[0]
+                    block = [pre[b] + a for b in ke]
+                else:  # f(g) f(v)
+                    p = target.prefix(words[0], d)
+                    block = [p + b for b in ke]
+                products = [x * y % mod for y in ce] if mod else [x * y for y in ce]
+            elif anti:  # f(v) f(g), each term of f(v) times each of f(g)
                 pre = target.prefixes(e, d)
-                pairs = zip(map(dict.items, filled[e]), repeat(at.items()))
-            else:  # f(g) f(v)
-                pre = target.prefixes(g.degree, d)
-                pairs = zip(repeat(at.items()), map(dict.items, filled[e]))
-            if mod:  # a product of residues mod n can vanish: drop it
-                out += [
-                    {pre[a] + b: c for a, x in left for b, y in right if (c := sign * x * y % mod)}
-                    for left, right in pairs
-                ]
-            else:
-                products = [{pre[a] + b: sign * x * y for a, x in left for b, y in right} for left, right in pairs]
-                if mod is None:
-                    moduli = target.moduli(d) if target.fixed_modulus is None else None
-                    products = [_reduce_terms(target, t, moduli) for t in products]
-                out += products
-        return out
+                block = [pre[b] + a for b in ke for a in at]
+                products = [y * x % mod for y in ce for x in xs] if mod else [y * x for y in ce for x in xs]
+            else:  # row by row
+                pre = [target.prefix(w, d) for w in words]
+                rows_e = list(zip(se, se[1:]))
+                block = [p + b for i, j in rows_e for p in pre for b in ke[i:j]]
+                products = ([x * y % mod for i, j in rows_e for x in xs for y in ce[i:j]] if mod
+                            else [x * y for i, j in rows_e for x in xs for y in ce[i:j]])
+            if mod is None:  # each product reduced, a zero left in its place
+                kept = _reduce_terms(
+                    target, dict(enumerate(products)), None if moduli is None else [moduli[k] for k in block])
+                products = [kept.get(i, 0) for i in range(len(products))]
+            offset = len(keys)
+            if drops and 0 in products:  # drop the products that vanish
+                dropped = list(partial_sums(map(not_, products), initial=0))
+                starts += [offset + n * j - dropped[n * j] for j in se[1:]]
+                keys += compress(block, products)
+                coefficients += filter(None, products)
+            else:  # n terms for each term of f(v)
+                starts += [offset + n * j for j in se[1:]]
+                keys += block
+                coefficients += products
+        return keys, coefficients, starts
+
+    def _fill_by_words(self, d: int) -> tuple:
+        """An unchecked map's fill: each row multiplied with ``mul_into``
+        and reduced by ``_reduce_terms``, keyed by the target's keys."""
+        target, filled = self.target, self._by_degree
+        keys, coefficients, starts = [], [], [0]
+        for g in self.source.module.generators:
+            e = d - g.degree
+            if e < 0 or filled[e] is _NO_WORDS:
+                continue
+            ke, ce, se = filled[e]
+            fa, sign = self.images[g.name].terms, -1 if self._anti and g.degree * e % 2 else 1
+            for i, j in zip(se, se[1:]):
+                fv, acc = dict(zip(ke[i:j], ce[i:j])), {}
+                target.mul_into(acc, *((fv, fa) if self._anti else (fa, fv)), sign)
+                terms = _reduce_terms(target, acc)
+                keys += terms
+                coefficients += terms.values()
+                starts.append(len(keys))
+        return keys, coefficients, starts
 
 
 class AntiMorphism(AlgebraMorphism):
@@ -630,12 +722,15 @@ def is_graded_commutative(algebra: TruncatedTensorAlgebra):
 def is_algebra_morphism(f: GradedMap, A: "Cogroup") -> bool:
     """f(uv) = f(u) f(v) on all word pairs with deg u + deg v <= truncation:
     by induction on the length of u, f on each basis(d) is the morphism fill
-    of f's generator images over f's own lists below d, filled first."""
+    of f's generator rows over f's own triples below d, filled first."""
     alg = A.algebra
-    images = {g.name: f.image((g.name,)) for g in alg.generators}
-    fill = AlgebraMorphism(alg, f.target, images, check=False)
-    fill._homogeneous()  # f preserves degree; its images need not respect annihilators
+    fill = AlgebraMorphism(alg, f.target, {}, check=False)
+    for g in alg.generators:  # f(g), read off f's triple of degree |g|
+        keys, coefficients, starts = f.degree_images(g.degree)
+        i, words = alg.prefix((g.name,), g.degree), alg.basis(g.degree)
+        at = keys[starts[i]:starts[i + 1]]
+        fill._own[g.name] = at, coefficients[starts[i]:starts[i + 1]], [words[p] for p in at]
+    # f preserves degree; its images need not respect annihilators
+    fill._homogeneous(c for _, xs, _ in fill._own.values() for c in xs)
     fill._by_degree = f._by_degree
-    for g in alg.generators:  # f(g) by position, as f keeps it
-        fill._own[g.name] = f.degree_images(g.degree)[alg.prefix((g.name,), g.degree)]
     return all(f.degree_images(d) == fill._fill(d) for d in alg.degrees(2, A.truncation))

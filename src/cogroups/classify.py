@@ -18,13 +18,13 @@ from ``antipode_by_recursion``: ``antipode`` builds chi as an
 anti-homomorphism on nu's generator images, so chi-is-morphism would
 then only restate commutativity.  Both chis, like nu, are graded maps
 filled on demand, one whole degree at a time in basis order: nu and chi
-are compared list against list, and ``classify_cogroup`` builds chi, and
-the Dbar it reads, only as deep as its two verdicts read.
+are compared row triple against row triple, and ``classify_cogroup``
+builds chi, and the Dbar it reads, only as deep as its two verdicts read.
 """
 
 from __future__ import annotations
 
-from .algebra import _format_terms, is_algebra_morphism, is_graded_commutative
+from .algebra import _format_terms, is_algebra_morphism, is_graded_commutative, row
 from .cogroup import Cogroup
 from .convolution import antipode, antipode_by_recursion
 from .modules import is_admissible_free_cyclic, is_locally_at_most_singly_generated
@@ -77,15 +77,19 @@ def inverse_equals_antipode(A: Cogroup, truncation: int | None = None):
 
 
 def _first_difference(A: Cogroup, chi, truncation: int | None):
-    """nu against chi in basis order, a degree at a time."""
+    """nu against chi in basis order, a degree at a time: whole row triples,
+    each row in print order, then the first row of a degree that differs."""
     D = A.truncation if truncation is None else min(truncation, A.truncation)
     alg = A.algebra
     for d in alg.degrees(1, D):
-        for p, (nu_w, chi_w) in enumerate(zip(A.nu.degree_images(d), chi.degree_images(d))):
-            if nu_w != chi_w:  # printed as str() prints them: terms by position
-                label = alg.labels(d).__getitem__
-                nu_w, chi_w = (_format_terms(sorted(t.items()), label) for t in (nu_w, chi_w))
-                return False, f"{label(p)}: nu = {nu_w}, chi = {chi_w}"
+        nu_d, chi_d = A.nu.degree_images(d), chi.degree_images(d)
+        if nu_d != chi_d:
+            for p in range(len(nu_d[2]) - 1):
+                nu_w, chi_w = row(nu_d, p), row(chi_d, p)
+                if nu_w != chi_w:
+                    label = alg.labels(d).__getitem__
+                    nu_w, chi_w = _format_terms(nu_w, label), _format_terms(chi_w, label)
+                    return False, f"{label(p)}: nu = {nu_w}, chi = {chi_w}"
     return True, None
 
 

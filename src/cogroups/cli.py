@@ -18,7 +18,7 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from .algebra import TruncatedTensorAlgebra, _format_terms, is_graded_commutative
+from .algebra import TruncatedTensorAlgebra, _format_rows, is_graded_commutative
 from .classify import classify_cogroup, inverse_equals_antipode
 from .coalgebra import is_cocommutative
 from .cogroup import check_cogroup_axioms, tensor_cogroup
@@ -160,13 +160,13 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
     elif command in ("antipode", "inverse"):
         name = "chi" if command == "antipode" else "nu"
         f = antipode(A) if command == "antipode" else A.nu
-        # a word's terms are stored in basis order, the order str() sorts into,
-        # keyed by position: labels(d) labels them
-        for d in range(0, max_degree + 1):
-            labels = A.algebra.labels(d)
-            fmt = labels.__getitem__
-            for label, terms in zip(labels, f.degree_images(d)):
-                verdicts.append((f"{name}({label})", _format_terms(terms.items(), fmt)))
+        # a degree's rows are in basis order, terms in the order str() sorts
+        # into, keyed by position: labels(d) labels both
+        verdicts.append((f"{name}(1)", "1"))
+        alg = A.algebra
+        for d in alg.degrees(1, max_degree):
+            names = [f"{name}({label})" for label in alg.labels(d)]
+            verdicts += zip(names, _format_rows(alg, d, f.degree_images(d)))
     elif command == "nu-eq-chi":
         ok, witness = inverse_equals_antipode(A, max_degree)
         verdicts.append(("nu-eq-chi", ok))

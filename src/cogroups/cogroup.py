@@ -137,7 +137,7 @@ class Cogroup:
             return filled[d]
         if not filled:
             filled.append([()])
-        return self.algebra.fill_to(filled, d, self._reduced_coproducts_of)
+        return self.algebra.fill_to(filled, d, self._reduced_coproducts_of, [])
 
     def _reduced_coproducts_of(self, e: int) -> list:
         filled, alg, delta, dbars = self._reduced_by_degree, self.algebra, self.delta, []

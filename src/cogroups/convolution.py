@@ -20,10 +20,11 @@ g -> -g - sum c y f(z) over Dbar(g): the inverse of the inclusion
 C -> A.  ``antipode_by_recursion`` runs the recursion on every word of
 A instead, with no product structure on A, over Dbar(w) from
 ``Cogroup.reduced_coproducts``, which multiplies D's generator pair
-dicts; ``classify`` uses it as the independent chi.  Like nu and chi it is a ``GradedMap``, filled one
-whole degree at a time and in order, with its terms keyed by position,
-so a caller that stops reading at a low degree never builds the higher
-ones.  The convolution product,
+dicts; ``classify`` uses it as the independent chi.  Like nu and chi it
+is a ``GradedMap``, filled one whole degree at a time and in order, as a
+row triple keyed by position with each row in print order, so a caller
+that stops reading at a low degree never builds the higher ones.  The
+convolution product,
 the left recursion and the inverse of any map on a dict table are the
 tests' oracles.
 
@@ -66,23 +67,33 @@ class _RecursionInverse(GradedMap):
         super().__init__(A.algebra, A.algebra)
         self.cogroup = A
 
-    def _fill(self, d: int) -> list:
-        """g on basis(d) by position: y.t, t at position q of basis(|z|),
-        is the word at P(y, d) + q."""
-        alg, filled, out = self.target, self._by_degree, []
+    def _fill(self, d: int) -> tuple:
+        """g on basis(d) as a row triple: y.t, t at position q of
+        basis(|z|), is the word at P(y, d) + q.  Each row is reduced as
+        ``_reduce_terms`` reduces it, then put in print order."""
+        alg, filled, prefix_at = self.target, self._by_degree, {}
         position, prefixes = alg.sort_key, alg.prefixes
         moduli = alg.moduli(d) if alg.fixed_modulus is None else None
+        keys, coefficients, starts = [], [], [0]
         for p, dbar in enumerate(self.cogroup.reduced_coproducts(d)):
             acc = {p: -1}
             get = acc.get
             for c, y, z in dbar:
                 e, i = position(z)
-                k, j = position(y)
-                start = prefixes(k, d)[j]
-                for q, v in filled[e][i].items():
-                    acc[start + q] = get(start + q, 0) - c * v
-            out.append(_reduce_terms(alg, acc, moduli))
-        return out
+                start = prefix_at.get(y)
+                if start is None:  # P(y, d), once a degree
+                    k, j = position(y)
+                    start = prefix_at[y] = prefixes(k, d)[j]
+                ke, ce, se = filled[e]
+                for x in range(se[i], se[i + 1]):
+                    q = start + ke[x]
+                    acc[q] = get(q, 0) - c * ce[x]
+            acc = _reduce_terms(alg, acc, moduli)
+            order = sorted(acc)
+            keys += order
+            coefficients += map(acc.__getitem__, order)
+            starts.append(len(keys))
+        return keys, coefficients, starts
 
 
 def check_hopf_antipode(A: Cogroup, chi: AntiMorphism) -> AxiomReport:

@@ -11,7 +11,8 @@ degree (any degree in characteristic 2).  Over Z and Z/n pairwise gcds
 decide it with no factoring: two generators are both nonzero at exactly
 the primes of the gcd of their effective annihilators, and a torsion
 generator of odd degree passes alone exactly when that annihilator is 2.
-Trial division only names the prime of a failing witness.
+Trial division only names the prime of a failing witness, and only below
+``TRIAL_DIVISION_BOUND``: past it the witness names the gcd instead.
 
 That predicate is exactly what makes the tensor algebra on the module
 graded commutative; the algebra layer rechecks that directly and the two
@@ -91,12 +92,22 @@ class LocalityResult:
         self.ok, self.witness = ok, witness
 
 
-def _least_prime_divisor(numbers) -> int:
+# trial division names a witness's prime only below this bound
+TRIAL_DIVISION_BOUND = 10**5
+
+
+def _least_prime_divisor(numbers) -> int | None:
     """The least prime that divides one of ``numbers``, each > 1, in one
-    trial-division pass that stops at it."""
+    trial-division pass that stops at it, or at ``TRIAL_DIVISION_BOUND``.
+    With no divisor below the bound, a number below the bound's square is
+    prime, and when every number is, the least of them is the answer; a
+    larger number may hide a prime factor above the bound, and then the
+    answer is None."""
     top = max(numbers)
     d = 2
     while d * d <= top:
+        if d >= TRIAL_DIVISION_BOUND:
+            return None
         if any(n % d == 0 for n in numbers):
             return d
         d += 1 if d == 2 else 2
@@ -137,6 +148,16 @@ def is_locally_at_most_singly_generated(mod: GradedModulePresentation) -> Locali
     if not cands:
         return LocalityResult(True, None)
     p = _least_prime_divisor([c[0] for c in cands])
+    if p is None:  # no prime below the bound: name the gcd of the first failure
+        n, a, b = cands[0]
+        if b is not None:
+            return LocalityResult(
+                False, f"primes of {n}: generators {a.name} and {b.name} are both nonzero locally"
+            )
+        return LocalityResult(
+            False, f"generator {a.name} has odd degree {a.degree} and local quotients "
+            f"other than Z/2 at the primes of {n}"
+        )
     n, a, b = next(c for c in cands if c[0] % p == 0)
     if b is not None:
         return LocalityResult(

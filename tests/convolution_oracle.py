@@ -14,9 +14,10 @@ the inverse of the inclusion C -> A over it, the oracle for
 ``Cogroup.generator_images``.
 
 ``morphism_fill_by_words`` and ``recursion_fill_by_words`` are the
-library's degree fills as they were written on tuple words, before the
-maps stored terms by position: the oracles of ``AlgebraMorphism._fill``
-and of the recursion chi's fill, compared with them word by word.
+library's degree fills as they were written on tuple words, one term
+dict per word, before the maps stored row triples keyed by position:
+the oracles of ``AlgebraMorphism._fill`` and of the recursion chi's
+fill, compared with them word by word through ``as_words``.
 
 ``convolve`` is the product (f * g)(x) = f(x) + g(x) + sum c f(y) g(z)
 over Dbar(x), and ``unit_map`` its identity eta . eps; the library
@@ -32,14 +33,32 @@ algebra as a full table.
 from itertools import repeat
 
 import cogroups as cg
-from cogroups.algebra import _reduce_terms, accumulate
+from cogroups.algebra import _reduce_terms, accumulate, row
 
 
-def as_words(algebra, d: int, terms: dict) -> dict:
-    """A library map's term dict of degree d, keyed by position in
-    ``algebra.basis(d)``, keyed by the words instead, in the same order."""
+def rows(triple) -> list:
+    """The rows of a row triple, in order, each a list of (key, coefficient)
+    pairs."""
+    return [row(triple, i) for i in range(len(triple[2]) - 1)]
+
+
+def as_words(algebra, d: int, triple) -> list:
+    """A library map's row triple of degree d, keyed by position in
+    ``algebra.basis(d)``, as one term dict per word keyed by the words
+    instead, each in its row's order."""
     words = algebra.basis(d)
-    return {words[p]: c for p, c in terms.items()}
+    return [{words[p]: c for p, c in row} for row in rows(triple)]
+
+
+def as_triple(images: list) -> tuple:
+    """Term dicts, one per word, as the row triple that holds them in
+    their order: the inverse of ``rows``."""
+    keys, coefficients, starts = [], [], [0]
+    for terms in images:
+        keys += terms
+        coefficients += terms.values()
+        starts.append(len(keys))
+    return keys, coefficients, starts
 
 
 class WordSource:
@@ -118,11 +137,15 @@ class TableMap:
         img = self.table.get(key)
         return img if img is not None else self.target.zero()
 
-    def degree_images(self, d: int) -> list:
-        """The images of basis(d), in its order, as term dicts keyed by
-        position in the target's basis(d), as the library's maps keep them."""
+    def degree_images(self, d: int) -> tuple:
+        """The images of basis(d), in its order, as a row triple keyed by
+        position in the target's basis(d), each row in print order, as the
+        library's maps keep them."""
         position = {w: p for p, w in enumerate(self.target.basis(d))}
-        return [{position[w]: c for w, c in self.image(key).terms.items()} for key in self.source.basis(d)]
+        return as_triple(
+            {p: c for p, c in sorted((position[w], c) for w, c in self.image(key).terms.items())}
+            for key in self.source.basis(d)
+        )
 
     def __eq__(self, other):
         if isinstance(other, TableMap):
@@ -273,7 +296,8 @@ def morphism_fill_by_words(f) -> list:
 def recursion_fill_by_words(A) -> list:
     """The recursion chi(w) = -w - sum c y chi(z) over ``reduced_coproducts``
     on every basis(d) up to the truncation, as word-keyed term dicts, by
-    degree, each y chi(z) multiplied with ``mul_into``."""
+    degree, each y chi(z) multiplied with ``mul_into`` and each image's
+    terms put in basis order."""
     alg = A.algebra
     filled = [[alg.one().terms]]
     for d in range(1, A.truncation + 1):
@@ -283,6 +307,7 @@ def recursion_fill_by_words(A) -> list:
             for c, y, z in dbar:
                 e, i = alg.sort_key(z)
                 alg.mul_into(acc, {y: 1}, filled[e][i], -c)
-            out.append(_reduce_terms(alg, acc))
+            terms = _reduce_terms(alg, acc)
+            out.append({w: terms[w] for w in sorted(terms, key=alg.sort_key)})
         filled.append(out)
     return filled

@@ -342,6 +342,26 @@ def coprime_torsion_coalgebras(draw):
     return cg.CoalgebraPresentation(module(ring, gens), table), draw(st.integers(3, 6))
 
 
+@st.composite
+def zero_divisor_coalgebras(draw):
+    """(coalgebra, truncation) over Z/n, n composite, with no torsion
+    letter: a deconcatenation or binomial chain whose table coefficients
+    are zero divisors of n (scaled by a factor of n, or binomial), so
+    that products of residues in nu's and chi's fills vanish."""
+    n = draw(st.sampled_from((4, 8, 9, 12)))
+    scale = draw(st.sampled_from([1] + [k for k in range(2, n) if n % k == 0]))
+    binomial = draw(st.booleans())
+    chain = "abc"[: draw(st.integers(2, 3))]
+    table = {
+        name: [(scale * (comb(k, i) if binomial else 1), chain[i - 1], chain[k - i - 1]) for i in range(1, k)]
+        for k, name in enumerate(chain, 1)
+        if k > 1
+    }
+    gens = [(name, k) for k, name in enumerate(chain, 1)]
+    C = cg.CoalgebraPresentation(module(cg.RingSpec.integers_mod(n), gens), table)
+    return C, draw(st.integers(3, 7))
+
+
 # Table terms y (x) z bring letters that w does not hold, so a term of
 # D(w) reduces modulo the modulus of its own pair, which w's modulus
 # need not divide: on these tables a reduction by w's modulus keeps

@@ -92,9 +92,9 @@ MUTANTS = [
         "algebra.is_algebra_morphism",
     ),
     Mutant(
-        "morphism-check-skips-the-last-word", "algebra.py",
+        "morphism-check-ignores-coefficients", "algebra.py",
         "return all(f.degree_images(d) == fill._fill(d) for d",
-        "return all(f.degree_images(d)[:-1] == fill._fill(d)[:-1] for d",
+        "return all(f.degree_images(d)[::2] == fill._fill(d)[::2] for d",
         "algebra.is_algebra_morphism",
     ),
     # table labels built with the basis, and the fixed-modulus fill
@@ -112,8 +112,14 @@ MUTANTS = [
     ),
     Mutant(
         "fixed-modulus-fill-keeps-zeros", "algebra.py",
-        "if (c := sign * x * y % mod)}",
-        "if (c := sign * x * y % mod) or True}",
+        "if drops and 0 in products:",
+        "if drops and 0 in products and False:",
+        "AlgebraMorphism._fill",
+    ),
+    Mutant(
+        "zero-drop-only-on-even-moduli", "algebra.py",
+        "self._drops = self._mod != 0 and not self.target.ring.is_field()",
+        "self._drops = self._mod is None or self._mod % 2 == 0",
         "AlgebraMorphism._fill",
     ),
     Mutant(
@@ -137,8 +143,39 @@ MUTANTS = [
     ),
     Mutant(
         "recursion-prefix-at-the-degree-of-z", "convolution.py",
-        "start = prefixes(k, d)[j]",
-        "start = prefixes(k, e)[j]",
+        "prefix_at[y] = prefixes(k, d)[j]",
+        "prefix_at[y] = prefixes(k, e)[j]",
+        "convolution._RecursionInverse._fill",
+    ),
+    # one row triple per degree: block fills and tables printed a degree at a time
+    Mutant(
+        "single-term-block-shifted-by-one", "algebra.py",
+        "block = [p + b for b in ke]",
+        "block = [p + b + 1 for b in ke]",
+        "AlgebraMorphism._fill",
+    ),
+    Mutant(
+        "anti-block-sign-dropped", "algebra.py",
+        "if anti and g.degree * e % 2:  # the sign",
+        "if False:  # the sign",
+        "AlgebraMorphism._fill",
+    ),
+    Mutant(
+        "row-starts-not-shifted", "algebra.py",
+        "starts += [offset + n * j for j in se[1:]]\n",
+        "starts += [n * j for j in se[1:]]\n",
+        "AlgebraMorphism._fill",
+    ),
+    Mutant(
+        "unit-coefficients-print-1-star", "algebra.py",
+        'f" + {labels[k]}" if c == 1 else',
+        'f" + 1*{labels[k]}" if c == 1 else',
+        "algebra._format_rows",
+    ),
+    Mutant(
+        "recursion-rows-unsorted", "convolution.py",
+        "order = sorted(acc)",
+        "order = list(acc)",
         "convolution._RecursionInverse._fill",
     ),
     Mutant(
@@ -219,6 +256,12 @@ MUTANTS = [
         "least-prime-largest-when-all-prime", "modules.py",
         "return min(numbers)  #",
         "return max(numbers)  #",
+        "modules._least_prime_divisor",
+    ),
+    Mutant(
+        "least-prime-bound-squared", "modules.py",
+        "if d >= TRIAL_DIVISION_BOUND:",
+        "if d >= TRIAL_DIVISION_BOUND ** 2:",
         "modules._least_prime_divisor",
     ),
     Mutant(

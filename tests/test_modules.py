@@ -1,5 +1,6 @@
 """Graded module presentations and the locality predicate."""
 
+import json
 import os
 import pickle
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
+from cogroups import modules
 from cogroup_oracle import disjoint_sum
 from instances import F2, F3, MATRIX, Q, Z, Z4, Z6, make_module, module
 from module_oracle import locality_by_factoring
@@ -181,6 +183,56 @@ def test_locality_of_a_large_prime_annihilator_needs_no_factoring():
         "consistent: true",
         "exit-code: 0",
     ]
+
+
+# the three failing shapes around the 31-digit prime N = 10^30 + 57
+LARGE_PRIME_FAILURES = {
+    "ring Z\ngenerator x degree 2\ngenerator y degree 2 ann 1000000000000000000000000000057\n":
+        "primes of 1000000000000000000000000000057: generators x and y are both nonzero locally",
+    "ring Z\ngenerator x degree 1 ann 1000000000000000000000000000057\n":
+        "generator x has odd degree 1 and local quotients other than Z/2 at the primes of "
+        "1000000000000000000000000000057",
+    "ring Z\ngenerator x degree 2 ann 1000000000000000000000000000057\n"
+    "generator y degree 2 ann 1000000000000000000000000000057\n":
+        "primes of 1000000000000000000000000000057: generators x and y are both nonzero locally",
+}
+
+
+def test_locality_fails_on_a_large_prime_annihilator_within_a_second():
+    """Trial division stops at its bound, so each failing module with a
+    31-digit prime annihilator answers at once, its witness naming the
+    gcd; run in a child process so that a hang fails the test, not the
+    suite."""
+    script = (
+        "import json, sys, time\n"
+        "from cogroups import is_locally_at_most_singly_generated\n"
+        "from cogroups.dsl import parse_spec\n"
+        "for text in json.load(sys.stdin):\n"
+        "    module = parse_spec(text).module\n"
+        "    start = time.perf_counter()\n"
+        "    result = is_locally_at_most_singly_generated(module)\n"
+        "    print(json.dumps([result.ok, result.witness, time.perf_counter() - start]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(list(LARGE_PRIME_FAILURES)),
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    answers = [json.loads(line) for line in run.stdout.splitlines()]
+    assert [(ok, witness) for ok, witness, _ in answers] == [
+        (False, witness) for witness in LARGE_PRIME_FAILURES.values()]
+    assert all(seconds < 1 for _, _, seconds in answers), answers
+
+
+def test_least_prime_divisor_stops_at_its_bound():
+    bound = modules.TRIAL_DIVISION_BOUND
+    p, q = 100_003, 100_019  # the first two primes above the bound
+    assert modules._least_prime_divisor([p * q, 15]) == 3
+    assert modules._least_prime_divisor([p * q]) is None
+    assert modules._least_prime_divisor([q, p]) == p  # both below the bound squared: prime
+    assert modules._least_prime_divisor([q, p * q]) is None  # p * q may hide a factor below q
+    assert bound < p
 
 
 def test_locality_over_fields():

@@ -1,6 +1,7 @@
 """What a user reads: the report writers, the table goldens, README's examples."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -15,6 +16,8 @@ from cogroups import algebra, cogroup, convolution
 from cogroups.algebra import AlgebraMorphism
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ProblemSpec, parse_spec
+from cogroups.modules import CyclicGenerator, GradedModulePresentation
+from cogroups.rings import RingSpec
 from instances import (
     BINOM_F7, BINOM_Z9, DECONC_Q2, DECONC_Z, MATRIX, Q_PRIME, TORSION_Z, Z4_CHAIN, Z6_PAIR, Z_THREE_PRIMES,
     make_module,
@@ -92,6 +95,61 @@ def test_table_goldens(fname, text, argv):
     golden = (GOLDEN / fname).read_text()
     assert out == golden
     assert re.search(r'exit.code"?: (\d)', golden).group(1) == str(rc)
+
+
+# Q with x, y of degree 1 and z of degree 2, all primitive
+Q_PRIMITIVE = """\
+ring Q
+generator x degree 1
+generator y degree 1
+generator z degree 2
+"""
+# SHA-256 of the antipode and inverse tables at D = 10, as text and as
+# JSON, printed when each word image was a dict of its own: the row
+# layout prints them byte for byte
+TABLE_DIGESTS = {
+    ("Q_PRIMITIVE", "antipode", False): "2c310a4b345d9bcbd620b6b3d5c242d7cc39ccb97d77282c61c79814278f4c07",
+    ("Q_PRIMITIVE", "antipode", True): "c9e719da58fb0e965fa4166b6aa8c6e27e58e1b2c77926d2771da409e16850d9",
+    ("Q_PRIMITIVE", "inverse", False): "2a3144911a9a4f2ba725a607e7cf869d6c310cf5db680c539c55658318966450",
+    ("Q_PRIMITIVE", "inverse", True): "499008a4cff72e38e6cfba66c4351dcdacf59368d4c9401fa7263b9b0a19bfa5",
+    ("DECONC_Z", "antipode", False): "6f349d549381ba0f51c9344f0fdea2940ec790478392730d62a866d5b78d711e",
+    ("DECONC_Z", "antipode", True): "8b2bc4730e53befe04e7073c7a8d319ce67666930c5e877929466ffe1ce1a84a",
+    ("DECONC_Z", "inverse", False): "aeb3bea0a987f33060ef24407319956637e337a03ef4feec9a68b9f8f3494614",
+    ("DECONC_Z", "inverse", True): "bebd27e3128c37af5191fef6fac953a5757869aab79da9cf569588cde334e6d1",
+    ("BINOM_Z9", "antipode", False): "7f43543599e5cc5bc3cdbc29626691efc457cff0c470583141ea0f533e1b1ce5",
+    ("BINOM_Z9", "antipode", True): "e5425c692b336bc6c684fc334026e71f7778f3fa66cd5a37daa0ca9d86dfc17b",
+    ("BINOM_Z9", "inverse", False): "9641272c50134cf8aff191bf713e9729d07092925f95e35e5401b77b03732515",
+    ("BINOM_Z9", "inverse", True): "bc0dcf536a867b8960c309276336db4a2b981e09a6ac7cf17043541ee373bded",
+    ("Z4_CHAIN", "antipode", False): "76b64ec32dec7bf9049b32cfb40b98b61cdcc7262d9744496a09879bfc2e6186",
+    ("Z4_CHAIN", "antipode", True): "817e3aaded061c3ee1d8a2c6c081b1f3bfe5d7c09639b0a95a57f043336d5ba1",
+    ("Z4_CHAIN", "inverse", False): "96da71481ea9712cd3e7a8fe845ba710593301b2d8b409070d075bd6ced5fe61",
+    ("Z4_CHAIN", "inverse", True): "2050d24ba246bd928b461dbbe6858bb862ff3e302ee95814ee417ca76db2ff64",
+}
+
+
+@pytest.mark.parametrize("instance,command,as_json", sorted(TABLE_DIGESTS))
+def test_the_tables_at_degree_10_keep_their_digests(instance, command, as_json):
+    texts = {"Q_PRIMITIVE": Q_PRIMITIVE, "DECONC_Z": DECONC_Z, "BINOM_Z9": BINOM_Z9, "Z4_CHAIN": Z4_CHAIN}
+    rc, out = run_main([command, "-", "--max-degree", "10"] + ["--json"] * as_json, texts[instance])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[instance, command, as_json]
+
+
+@pytest.mark.parametrize("command", ("antipode", "inverse"))
+def test_the_tables_print_each_image_as_str_does_whatever_the_names(command):
+    """A generator built through the library may be named with a leading
+    '-' or with " + -" inside: each table row still prints as ``str`` of
+    the word's image, every sign read off a coefficient, not off a label."""
+    ring = RingSpec("Z")
+    gens = (CyclicGenerator("x", 2), CyclicGenerator("a", 1), CyclicGenerator("-b", 1), CyclicGenerator("c + -d", 1))
+    spec = ProblemSpec(ring, GradedModulePresentation(ring, gens), {"x": [(-1, "-b", "a"), (2, "a", "c + -d")]})
+    A = cogroup.tensor_cogroup(spec.coalgebra(), 4)
+    f = convolution.antipode(A) if command == "antipode" else A.nu
+    name = "chi" if command == "antipode" else "nu"
+    expected = [(f"{name}({label})", str(f.image(w))) for d in range(5)
+                for label, w in zip(A.algebra.labels(d), A.algebra.basis(d))]
+    assert run_command(spec, command, max_degree=4).verdicts == expected
+    assert (f"{name}(x)", "-x + 2*a*c + -d - -b*a") in expected
 
 
 @pytest.mark.parametrize("command", ("antipode", "inverse"))
