@@ -10,15 +10,12 @@ dicts {(left word, right word): c}, which the algebra's ``_reduce_terms``
 reduces: each coefficient modulo the modulus of the word left.right,
 gcd(char, ann of its letters), as it reduces the table's coefficient at
 y (x) z modulo ``CoalgebraPresentation.modulus``, gcd(char, ann y, ann z).
-``coproduct_pairs`` is D on the generators as pair dicts, and
-``_pair_product`` multiplies them with the Koszul sign
-(a (x) b)(p (x) q) = (-1)^{|b||p|} ap (x) bq.
-``check_coalgebra_axioms`` reads the laws off the table: coassociativity
-on x is sum c Dbar(y) (x) z = sum c y (x) Dbar(z) over the terms
-c y (x) z of Dbar(x), and the counit laws always hold.  ``coproduct_laws``
-checks them on the unit or a generator for any D given on generators,
-as the cogroup layer does on its own D.  Cocommutativity is invariance
-of Dbar under the signed twist y (x) z -> (-1)^{|y||z|} z (x) y.
+``coproduct_pairs`` is D on the generators as pair dicts; the cogroup
+layer multiplies them.  ``check_coalgebra_axioms`` reads the laws off
+the table: coassociativity on x is sum c Dbar(y) (x) z = sum c y (x)
+Dbar(z) over the terms c y (x) z of Dbar(x), and the counit laws always
+hold.  Cocommutativity is invariance of Dbar under the signed twist
+y (x) z -> (-1)^{|y||z|} z (x) y.
 """
 
 from __future__ import annotations
@@ -127,53 +124,6 @@ def coproduct_pairs(C: CoalgebraPresentation, algebra: TruncatedTensorAlgebra) -
             terms[((y,), (z,))] = c
         images[g.name] = _reduce_terms(algebra, terms)
     return images
-
-
-def _pair_product(factors, degree) -> dict:
-    """The product of pair dicts, 1 (x) 1 for none, with the Koszul sign and
-    unreduced; ``degree`` is a word's degree."""
-    out = {((), ()): 1}
-    for right in factors:
-        acc: dict = {}
-        get = acc.get
-        for (a, b), v1 in out.items():
-            odd = degree(b) % 2
-            for (p, q), v2 in right.items():
-                key = (a + p, b + q)
-                acc[key] = get(key, 0) + (-v1 * v2 if odd and degree(p) % 2 else v1 * v2)
-        out = acc
-    return out
-
-
-def coproduct_laws(algebra: TruncatedTensorAlgebra, delta: dict, w) -> tuple:
-    """(coassociative, left counital, right counital) for D on the unit or
-    a generator w, with D on generators given by the pair dicts ``delta``.
-
-    D is extended to the words of D(w) as an algebra map, a word's image
-    the product of its letters' images.  (D (x) 1) D(w) and (1 (x) D) D(w)
-    are compared as triples of words, each coefficient reduced modulo the
-    modulus of its letters.
-    """
-
-    def image(v):
-        return _pair_product((delta[letter] for letter in v), algebra.word_degree)
-
-    want = _reduce_terms(algebra, {w: 1})  # w, or 0 where its modulus is 1
-    dw = image(w) if want else {}
-    left: dict = {}
-    right: dict = {}
-    for (w1, w2), c in dw.items():
-        for (u, v), c2 in image(w1).items():
-            key = (u, v, w2)
-            left[key] = left.get(key, 0) + c * c2
-        for (u, v), c2 in image(w2).items():
-            key = (w1, u, v)
-            right[key] = right.get(key, 0) + c * c2
-    return (
-        _reduce_terms(algebra, left) == _reduce_terms(algebra, right),
-        _reduce_terms(algebra, {w2: c for (w1, w2), c in dw.items() if not w1}) == want,
-        _reduce_terms(algebra, {w1: c for (w1, w2), c in dw.items() if not w2}) == want,
-    )
 
 
 def check_coalgebra_axioms(C: CoalgebraPresentation, truncation: int) -> AxiomReport:

@@ -13,29 +13,25 @@ coproduct on A is D = pi . Phi, where pi folds the free product onto the
 Koszul-signed tensor square by a' -> a (x) 1, a'' -> 1 (x) a.  Since pi
 and Phi are algebra maps fixed by their generator images, D is kept as
 its generator images alone, the table's pair dicts
-D(x) = x (x) 1 + Dbar(x) + 1 (x) x (the coalgebra's ``coproduct_pairs``).
-``tensor_cogroup`` checks the coalgebra laws on the table itself, so
-building a cogroup builds no D.  nu's generator images, read off the
-table, are also the antipode's, so nu and chi build no D either.  Dbar
-on words, which only the word recursion for chi reads, is filled a
-whole degree at a time from D(g.v) = D(g) D(v), with D(v) its Dbar and
-outer terms.
+D(x) = x (x) 1 + Dbar(x) + 1 (x) x (the coalgebra's ``coproduct_pairs``,
+read once a cogroup).  nu's generator images, read off the table, are
+also the antipode's.  Dbar on words, which only the word recursion for
+chi reads, is filled a degree at a time from D(g.v) = D(g) D(v).
 
 Phi is kept as its generator images alone, each a dict of slot terms
 {(word, slots): c}: the letter word[i] stands in factor slots[i] of
-A * A, so x' is ((x,), (0,)) and y' z'' is ((y, z), (0, 1)).  They are
-read off D's pairs: pi sends the terms of Phi(x) one to one onto those
-of D(x), so each pair a (x) b is the word a.b with its letters from a in
-slot 0 and from b in slot 1.  No algebra A * A, and no tensor square
-A (x) A, is built.
+A * A, so x' is ((x,), (0,)) and y' z'' is ((y, z), (0, 1)).  pi sends
+the terms of Phi(x) one to one onto the pairs a (x) b of D(x), each the
+word a.b with a's letters in slot 0.  No algebra A * A is built.
 
 The axiom suite checks coassociativity of Phi, the counit laws, both
-inverse laws, that D is coassociative and counital (the coalgebra's
-``coproduct_laws``) and that pi . Phi restricts to the table.  Each law
-equates two algebra morphisms out of A, so it is checked on the unit
-and the generators only, by substitution into the terms of Phi(w).
-The same laws on every word, through the free products, are the tests'
-oracle.
+inverse laws, that D is coassociative and counital and that pi . Phi
+restricts to the table.  Each law equates two algebra morphisms out of
+A, so it is checked on the unit and the generators only, as one
+difference reduced once.  One kernel, ``_substitute``, multiplies out
+an algebra map on slot terms, in A, in A * A * A (``_SlotWords``) or in
+A (x) A (``_Pairs``, the Koszul sign).  The same laws on every word,
+through the free products, are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -46,18 +42,11 @@ from .algebra import (
     AlgebraElement,
     AlgebraMorphism,
     TruncatedTensorAlgebra,
+    _Memo,
     _reduce_terms,
-    accumulate,
     format_word,
 )
-from .coalgebra import (
-    AxiomReport,
-    CoalgebraPresentation,
-    _pair_product,
-    check_coalgebra_axioms,
-    coproduct_laws,
-    coproduct_pairs,
-)
+from .coalgebra import AxiomReport, CoalgebraPresentation, check_coalgebra_axioms, coproduct_pairs
 
 
 class Cogroup:
@@ -76,6 +65,7 @@ class Cogroup:
         self.truncation = truncation
         self.algebra = TruncatedTensorAlgebra(self.module, truncation)
         self._reduced_by_degree: list = []  # Dbar on basis(d) at index d
+        self._validated = False  # whether a map has checked generator_images
 
     # -- construction -------------------------------------------------
 
@@ -87,8 +77,14 @@ class Cogroup:
         slots = {(1, 0): (0,), (0, 1): (1,), (1, 1): (0, 1)}  # x (x) 1, 1 (x) x, y (x) z
         return {
             x: {(a + b, slots[len(a), len(b)]): c for (a, b), c in pairs.items()}
-            for x, pairs in coproduct_pairs(self.coalgebra, self.algebra).items()
+            for x, pairs in self.table_delta.items()
         }
+
+    @cached_property
+    def table_delta(self) -> dict:
+        """D on generators as pair dicts, read off the table once: Phi, the
+        default ``delta`` and the restriction check all read this."""
+        return coproduct_pairs(self.coalgebra, self.algebra)
 
     @cached_property
     def generator_images(self) -> dict:
@@ -111,15 +107,24 @@ class Cogroup:
             images[g.name] = AlgebraElement.trusted(alg, terms)
         return images
 
+    def generator_map(self, cls) -> AlgebraMorphism:
+        """nu (cls AlgebraMorphism) or chi (AntiMorphism) on the generator
+        images, one dict, which the first map built validates."""
+        f = cls(self.algebra, self.algebra, self.generator_images, check=not self._validated)
+        if self._validated:  # fill by position, as a checked map does
+            f._homogeneous(c for img in f.images.values() for c in img.terms.values())
+        self._validated = True
+        return f
+
     @cached_property
     def nu(self) -> AlgebraMorphism:
         """The inverse: the algebra morphism with the generator images."""
-        return AlgebraMorphism(self.algebra, self.algebra, self.generator_images)
+        return self.generator_map(AlgebraMorphism)
 
     @cached_property
     def delta(self) -> dict:
         """D on generators as pair dicts: x -> x (x) 1 + 1 (x) x + sum c y (x) z."""
-        return coproduct_pairs(self.coalgebra, self.algebra)
+        return self.table_delta
 
     # -- coproduct ----------------------------------------------------
 
@@ -141,6 +146,7 @@ class Cogroup:
 
     def _reduced_coproducts_of(self, e: int) -> list:
         filled, alg, delta, dbars = self._reduced_by_degree, self.algebra, self.delta, []
+        mul = _Pairs(alg).mul_into
         for g in self.module.generators:
             if g.degree > e:
                 continue
@@ -152,7 +158,9 @@ class Cogroup:
                     continue
                 dv = {(v, ()): 1, ((), v): 1} if v else {((), ()): 1}
                 dv.update(((y, z), c) for c, y, z in dbar)
-                terms = _reduce_terms(alg, _pair_product((head, dv), alg.word_degree))
+                terms: dict = {}
+                mul(terms, head, dv)
+                terms = _reduce_terms(alg, terms)
                 if terms.pop((w, ()), 0) != 1 or terms.pop(((), w), 0) != 1:
                     raise ValueError(f"coproduct of {format_word(w)} lost its outer terms")
                 dbars.append(tuple((c, y, z) for (y, z), c in terms.items()))
@@ -186,48 +194,64 @@ class _SlotWords:
     def modulus(self, key) -> int:
         return self.algebra.word_modulus(key[0])
 
-    def mul_into(self, acc: dict, left: dict, right: dict) -> None:
-        """acc += left * right (concatenation), unreduced and truncated."""
+    def mul_into(self, acc: dict, left: dict, right: dict, c=1) -> None:
+        """acc += c * left * right (concatenation), unreduced and truncated."""
         deg, top, get = self.algebra.word_degree, self.algebra.truncation, acc.get
         for (w1, s1), v1 in left.items():
-            room = top - deg(w1)
+            room, cv = top - deg(w1), c * v1
             for (w2, s2), v2 in right.items():
                 if deg(w2) <= room:
                     key = (w1 + w2, s1 + s2)
-                    acc[key] = get(key, 0) + v1 * v2
+                    acc[key] = get(key, 0) + cv * v2
 
 
-def _substitute(parent, terms: dict, left: dict, right: dict, unit=((), ())) -> dict:
-    """f(Phi(w)) multiplied out in ``parent``, whose 1 is ``unit``, for the
-    algebra map f out of A * A with x' -> left[x] and x'' -> right[x];
-    ``terms`` holds Phi(w), or any element of A * A, as slot terms."""
-    images = (left, right)
-    out: dict = {}
+class _Pairs:
+    """A (x) A as pair dicts {(a, b): c}, which the algebra reduces as it
+    does the word a.b, with (a (x) b)(p (x) q) = (-1)^{|b||p|} ap (x) bq."""
+
+    def __init__(self, algebra: TruncatedTensorAlgebra):
+        self.degree = algebra.word_degree
+
+    def mul_into(self, acc: dict, left: dict, right: dict, c=1) -> None:
+        """acc += c * left * right, unreduced; not truncated, as D keeps degrees."""
+        deg, get = self.degree, acc.get
+        for (a, b), v1 in left.items():
+            cv, odd = c * v1, deg(b) % 2
+            for (p, q), v2 in right.items():
+                key = (a + p, b + q)
+                acc[key] = get(key, 0) + (-cv * v2 if odd and deg(p) % 2 else cv * v2)
+
+
+def _substitute(parent, terms: dict, left: dict, right: dict, out: dict, sign=1, unit=((), ())) -> dict:
+    """out += sign * f(terms), unreduced, multiplied out in ``parent``, whose
+    1 is ``unit``, for the algebra map f out of A * A with x' -> left[x]
+    and x'' -> right[x]; ``terms`` holds slot terms.  A term's last letter
+    is multiplied straight into ``out``."""
+    images, mul, get = (left, right), parent.mul_into, out.get
     for (word, slots), c in terms.items():
-        acc = {unit: c}
-        for name, slot in zip(word, slots):
+        c *= sign
+        if len(word) == 1:
+            for key, v in images[slots[0]][word[0]].items():
+                out[key] = get(key, 0) + c * v
+            continue
+        if not word:
+            out[unit] = get(unit, 0) + c
+            continue
+        acc = images[slots[0]][word[0]]
+        for i in range(1, len(word) - 1):
             nxt: dict = {}
-            parent.mul_into(nxt, acc, images[slot][name])
+            mul(nxt, acc, images[slots[i]][word[i]])
             acc = nxt
-        accumulate(out, acc)
-    return _reduce_terms(parent, out)
+        mul(out, acc, images[slots[-1]][word[-1]], c)
+    return out
 
 
-def _fold(algebra: TruncatedTensorAlgebra, terms: dict) -> dict:
-    """pi(terms) as a pair dict, for pi : A * A -> A (x) A with
-    a' -> a (x) 1 and a'' -> 1 (x) a; ``terms`` holds slot terms.
-
-    A slot term up to the truncation becomes one pair, the product of its
-    letters' images: its slot-0 letters on the left, its slot-1 letters on
-    the right, with the Koszul sign of each slot-1 letter that stands
-    before a slot-0 letter.
-    """
-    deg, out = algebra.word_degree, {}
-    for (word, slots), c in terms.items():
-        if deg(word) <= algebra.truncation:
-            pis = ({((), (x,)): 1} if s else {((x,), ()): 1} for x, s in zip(word, slots))
-            accumulate(out, _pair_product(pis, deg), c)
-    return _reduce_terms(algebra, out)
+def _vanishes(parent, lhs: dict, rhs: dict) -> bool:
+    """Whether lhs - rhs, built in ``lhs``, reduces to 0 in ``parent``."""
+    get = lhs.get
+    for key, c in rhs.items():
+        lhs[key] = get(key, 0) - c
+    return not any(lhs.values()) or not _reduce_terms(parent, lhs)
 
 
 def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomReport:
@@ -235,60 +259,61 @@ def check_cogroup_axioms(A: Cogroup, truncation: int | None = None) -> AxiomRepo
 
     Both sides of each law are algebra morphisms out of A (composites of
     Phi, nu, D and the counit), so they agree on every word once they
-    agree on the unit and the generators; only those are checked.  Each
-    law substitutes into the slot terms of Phi(w): (Phi * 1) Phi against
-    (1 * Phi) Phi in slots 0-2, nu in one slot and x in the other.  D's
-    laws read its pair dicts, and pi . Phi, folded to pairs, is compared
-    with the table's D on generators.
+    agree on the unit and the generators; only those are checked, each
+    law as one difference: (Phi * 1) Phi(w) - (1 * Phi) Phi(w) in slots
+    0-2, (nu * 1) Phi(w) - eps(w) and its mirror, (eps * 1) Phi(w) - w
+    and its mirror, D's laws, and pi . Phi(x) minus the table's D(x).
     """
     D = A.truncation if truncation is None else min(truncation, A.truncation)
-    alg, phi = A.algebra, A.phi
+    alg, phi, table = A.algebra, A.phi, A.table_delta
     names = tuple(phi)
-    shifted = {n: {(w, tuple(s + 1 for s in ss)): c for (w, ss), c in t.items()}
-               for n, t in phi.items()}
-    first, third = ({n: {((n,), (k,)): 1} for n in names} for k in (0, 2))
-    ident = {n: alg.generator(n).terms for n in names}
-    nu = {n: A.nu.images[n].terms for n in names}
-    triple = _SlotWords(alg)
+    shifted = {n: {(w, tuple(s + 1 for s in ss)): c for (w, ss), c in t.items()} for n, t in phi.items()}
+    first = {n: {((n,), (0,)): 1} for n in names}
+    third = {n: {((n,), (2,)): 1} for n in names}
+    ident = {n: {(n,): 1} for n in names}  # reduced with the products
+    nu = {n: img.terms for n, img in A.nu.images.items()}
+    pi = ({n: {((n,), ()): 1} for n in names}, {n: {((), (n,)): 1} for n in names})
+    triple, pairs, delta = _SlotWords(alg), _Pairs(alg), A.delta
+    images = _Memo(lambda v: _substitute(pairs, {(v, (0,) * len(v)): 1}, delta, delta, {}))
+    images.update(((n,), t) for n, t in delta.items())  # D on the words of D(w)
 
     words = [()] + [(g.name,) for g in alg.generators if g.degree <= D]
-    folded = {}
-    violations = []
+    violations, restricted = [], []
     for w in words:
         one = _reduce_terms(alg, {w: 1})  # w, or 0 where its modulus is 1
         pw = (phi[w[0]] if w else {((), ()): 1}) if one else {}
-        if _substitute(triple, pw, phi, third) != _substitute(triple, pw, first, shifted):
-            violations.append(f"Phi coassociativity fails on {format_word(w)}")
-        if any({v: c for (v, ss), c in pw.items() if k not in ss} != one for k in (0, 1)):
-            violations.append(f"Phi counit law fails on {format_word(w)}")
+        dw = (delta[w[0]] if w else {((), ()): 1}) if one else {}
         counit = {} if w else one
-        if _substitute(alg, pw, nu, ident, ()) != counit:
-            violations.append(f"left inverse law fails on {format_word(w)}")
-        if _substitute(alg, pw, ident, nu, ()) != counit:
-            violations.append(f"right inverse law fails on {format_word(w)}")
-        # the induced coproduct: coassociative, counital
-        coassociative, left, right = coproduct_laws(alg, A.delta, w)
-        if not coassociative:
-            violations.append(f"coproduct coassociativity fails on {format_word(w)}")
-        if not (left and right):
-            violations.append(f"coproduct counit law fails on {format_word(w)}")
-        if w:
-            folded[w[0]] = _fold(alg, pw)
-
-    # pi . Phi restricts to the defining coalgebra on generators
-    want = coproduct_pairs(A.coalgebra, alg)
-    for name, terms in folded.items():
-        if terms != want[name]:
-            violations.append(f"coproduct does not restrict to the coalgebra on {name}")
-    return AxiomReport(len(words) + len(folded), violations)
+        diff = {}  # (D (x) 1) D(w) - (1 (x) D) D(w)
+        for (a, b), c in dw.items():
+            for (u, v), c2 in images[a].items():
+                diff[u, v, b] = diff.get((u, v, b), 0) + c * c2
+            for (u, v), c2 in images[b].items():
+                diff[a, u, v] = diff.get((a, u, v), 0) - c * c2
+        laws = (
+            ("Phi coassociativity", _vanishes(
+                triple, _substitute(triple, pw, first, shifted, _substitute(triple, pw, phi, third, {}), -1), {})),
+            ("Phi counit law", _vanishes(alg, {v: c for (v, ss), c in pw.items() if 0 not in ss}, one)
+                and _vanishes(alg, {v: c for (v, ss), c in pw.items() if 1 not in ss}, one)),
+            ("left inverse law", _vanishes(alg, _substitute(alg, pw, nu, ident, {}, unit=()), counit)),
+            ("right inverse law", _vanishes(alg, _substitute(alg, pw, ident, nu, {}, unit=()), counit)),
+            ("coproduct coassociativity", _vanishes(alg, diff, {})),
+            ("coproduct counit law", _vanishes(alg, {b: c for (a, b), c in dw.items() if not a}, one)
+                and _vanishes(alg, {a: c for (a, b), c in dw.items() if not b}, one)),
+        )
+        violations += [f"{law} fails on {format_word(w)}" for law, holds in laws if not holds]
+        if w:  # pi . Phi restricts to the defining coalgebra on generators
+            restricted.append((w[0], _vanishes(alg, _substitute(pairs, pw, *pi, {}), table[w[0]])))
+    violations += [f"coproduct does not restrict to the coalgebra on {n}" for n, ok in restricted if not ok]
+    return AxiomReport(len(words) + len(restricted), violations)
 
 
 def is_cogroup_morphism(f: AlgebraMorphism, A: Cogroup, B: Cogroup) -> bool:
     """Whether f intertwines the comultiplications: Phi_B . f = (f * f) . Phi_A.
 
     Checked on generators, which suffices because both sides are algebra
-    morphisms out of the source: Phi_B substituted into f(g) in slot 0
-    against f's images substituted into the slot terms of Phi_A(g).
+    morphisms out of the source: Phi_B substituted into f(g) in slot 0,
+    minus f's images substituted into the slot terms of Phi_A(g).
     """
     if f.source != A.algebra or f.target != B.algebra:
         raise ValueError("morphism does not run between the underlying algebras")
@@ -298,7 +323,7 @@ def is_cogroup_morphism(f: AlgebraMorphism, A: Cogroup, B: Cogroup) -> bool:
         for k in (0, 1)
     )
     for g in A.algebra.generators:
-        lhs = _substitute(slots, left[g.name], B.phi, {})
-        if lhs != _substitute(slots, A.phi[g.name], left, right):
+        diff = _substitute(slots, left[g.name], B.phi, {}, {})
+        if _reduce_terms(slots, _substitute(slots, A.phi[g.name], left, right, diff, -1)):
             return False
     return True

@@ -49,7 +49,7 @@ def antipode(A: Cogroup) -> AntiMorphism:
     table's Dbar(g), the generator images it shares with nu.  It is the
     inverse because D is coassociative, which ``tensor_cogroup``
     guarantees; ``antipode_by_recursion`` computes chi without that."""
-    return AntiMorphism(A.algebra, A.algebra, A.generator_images)
+    return A.generator_map(AntiMorphism)
 
 
 def antipode_by_recursion(A: Cogroup) -> GradedMap:

@@ -375,7 +375,7 @@ def is_cogroup_morphism_on_free_products(f, A, B, truncation=None) -> bool:
 
 
 def coproduct_report(delta) -> cg.AxiomReport:
-    """``coproduct_laws`` on every generator that D has an image for."""
+    """``word_coproduct_laws`` on every generator that D has an image for."""
     laws = ("coassociativity", "left counit law", "right counit law")
     violations = []
     for x in delta.images:

@@ -210,16 +210,41 @@ MUTANTS = [
         "CoalgebraPresentation table normalisation",
     ),
     Mutant(
-        "coproduct-laws-zero-word-kept", "coalgebra.py",
-        "want = _reduce_terms(algebra, {w: 1})",
-        "want = {w: 1}",
-        "coalgebra.coproduct_laws",
+        "coproduct-laws-zero-word-kept", "cogroup.py",
+        "dw = (delta[w[0]] if w else {((), ()): 1}) if one else {}",
+        "dw = delta[w[0]] if w else {((), ()): 1}",
+        "cogroup.check_cogroup_axioms, D's laws",
     ),
     Mutant(
         "cogroup-axioms-zero-word-kept", "cogroup.py",
         "one = _reduce_terms(alg, {w: 1})",
         "one = {w: 1}",
         "cogroup.check_cogroup_axioms",
+    ),
+    # the substitution kernel and its Koszul-signed pair parent
+    Mutant(
+        "substitute-subtracted-side-unsigned", "cogroup.py",
+        "        c *= sign\n",
+        "",
+        "cogroup._substitute",
+    ),
+    Mutant(
+        "substitute-one-letter-term-unscaled", "cogroup.py",
+        "out[key] = get(key, 0) + c * v",
+        "out[key] = get(key, 0) + v",
+        "cogroup._substitute",
+    ),
+    Mutant(
+        "pair-parent-koszul-sign-dropped", "cogroup.py",
+        "acc[key] = get(key, 0) + (-cv * v2 if odd and deg(p) % 2 else cv * v2)",
+        "acc[key] = get(key, 0) + cv * v2",
+        "cogroup._Pairs.mul_into",
+    ),
+    Mutant(
+        "difference-left-unreduced", "cogroup.py",
+        "return not any(lhs.values()) or not _reduce_terms(parent, lhs)",
+        "return not any(lhs.values())",
+        "cogroup._vanishes",
     ),
     # locality from pairwise gcds
     Mutant(

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroups.algebra import _reduce_terms, accumulate
-from cogroups.cogroup import _SlotWords, _fold, _substitute
+from cogroups.cli import run_command
+from cogroups.coalgebra import coproduct_pairs
+from cogroups.cogroup import _Pairs, _SlotWords, _substitute
 from cogroups.dsl import parse_spec
 from cogroup_oracle import (
     TensorSquare,
@@ -78,6 +80,15 @@ def test_phi_of_a_generator_of_modulus_one_is_zero():
     assert not phi_morphism(A, square_product(A)).images["x"]  # x' + x'' = 0 in A * A
     assert both_levels(A).ok
     assert_phi_is_the_table_walk(A)
+
+
+def test_a_generator_of_modulus_one_is_checked_as_zero():
+    """x is 0 in A (ann 1 over Z), so the laws on x read Phi(0) = D(0) = 0,
+    whatever images are supplied for x, as the oracle reads them."""
+    A = cg.tensor_cogroup(cg.trivial_coalgebra(module(Z, [("x", 2, 1), ("y", 1)])), 4)
+    A.phi = dict(A.phi, x={(("y", "y"), (0, 1)): 1})
+    A.delta = dict(A.delta, x={(("y",), ("y",)): 1})
+    assert both_levels(A).ok
 
 
 def assert_phi_is_the_table_walk(A):
@@ -187,6 +198,36 @@ def test_the_axiom_check_reads_every_structure():
         assert built(A) == set(LAZY)
 
 
+def counted_validations(monkeypatch):
+    """A list that ``AlgebraMorphism._validate`` appends each checked map to."""
+    checked, validate = [], cg.AlgebraMorphism._validate
+
+    def count(f):
+        checked.append(f)
+        validate(f)
+
+    monkeypatch.setattr(cg.AlgebraMorphism, "_validate", count)
+    return checked
+
+
+@pytest.mark.parametrize("text", [DECONC_Z, DECONC_Q2, BINOM_Z9, BINOM_F7, TORSION_Z])
+def test_nu_eq_chi_validates_the_generator_images_once(text, monkeypatch):
+    """nu and chi share one dict of generator images: one check a run."""
+    checked = counted_validations(monkeypatch)
+    assert run_command(parse_spec(text), "nu-eq-chi", max_degree=6).exit_code in (0, 1)
+    assert len(checked) == 1
+    # a map built by hand on other images is still checked, and refused
+    A = cg.tensor_cogroup(parse_spec(text).coalgebra(), 4)
+    images, x = dict(A.nu.images), A.algebra.generators[0].name
+    images[x] = images[x] + A.algebra.generator(x)
+    cg.AlgebraMorphism(A.algebra, A.algebra, images)
+    assert len(checked) == 3
+    images[x] = A.algebra.one()
+    with pytest.raises(ValueError, match="not homogeneous"):
+        cg.AlgebraMorphism(A.algebra, A.algebra, images)
+    assert len(checked) == 4
+
+
 def test_the_antipode_table_builds_no_inverse():
     # chi reads its generator images off the table: no nu, no D
     for A in fresh_cogroups():
@@ -257,16 +298,40 @@ def test_reduced_coproducts_reduce_each_pair_by_its_own_modulus(key):
     assert terms == {"torsion-z": 609, "free-x-over-y-ann-2": 294}[key]
 
 
-def test_the_restriction_check_reads_a_supplied_phi():
+def counted_table_reads(monkeypatch):
+    """A list that ``coproduct_pairs`` appends to on each read of the table."""
+    reads = []
+
+    def read(C, algebra):
+        reads.append(C)
+        return coproduct_pairs(C, algebra)
+
+    monkeypatch.setattr(cg.cogroup, "coproduct_pairs", read)
+    return reads
+
+
+def test_a_cogroup_reads_its_table_pairs_once(monkeypatch):
+    reads = counted_table_reads(monkeypatch)
+    for A in fresh_cogroups():
+        before = len(reads)
+        assert A.phi and A.delta is A.table_delta
+        assert cg.check_cogroup_axioms(A).ok
+        assert len(reads) == before + 1
+
+
+def test_the_restriction_check_reads_a_supplied_phi(monkeypatch):
     # Phi and nu of the table y -> x (x) x, on the primitive table
     m = module(Q, [("x", 1), ("y", 2)])
     twisted = cg.tensor_cogroup(cg.CoalgebraPresentation(m, {"y": [(1, "x", "x")]}), 6)
     A = cg.Cogroup(cg.trivial_coalgebra(m), 6)
     A.phi, A.nu = twisted.phi, twisted.nu
     A.delta = folded_delta(A)
+    reads = counted_table_reads(monkeypatch)
+    # the supplied D is the folded Phi: only the table tells them apart
     assert cg.check_cogroup_axioms(A).violations == [
         "coproduct does not restrict to the coalgebra on y"
     ]
+    assert len(reads) == 1
     assert A.reduced_coproduct_word(("y",)) == ((1, ("x",), ("x",)),)
 
 
@@ -348,23 +413,25 @@ def test_axioms_are_checked_on_the_unit_and_generators():
     assert both_levels(loop_cogroup(6)).ok
 
 
-def broken(A, part, rng):
-    """A fresh cogroup on A's table with one generator image of Phi, nu or
-    D moved off by a legal term; D = pi . Phi follows a broken Phi."""
-    g = rng.choice(list(A.phi))
+def broken(A, parts, rng):
+    """A fresh cogroup on A's table with one generator image of each of
+    ``parts``, Phi, nu or D, moved off by a legal term, in that order; D =
+    pi . Phi follows a broken Phi."""
     bad = cg.Cogroup(A.coalgebra, A.truncation)
-    if part == "phi":  # g'' dropped
-        bad.phi = dict(A.phi)
-        bad.phi[g] = {k: c for k, c in A.phi[g].items() if k != ((g,), (1,))}
-        bad.delta = folded_delta(bad)
-    elif part == "delta":  # g (x) 1 twice: the counit law fails
-        sq = TensorSquare(A.algebra)
-        bad.delta = dict(A.delta)
-        bad.delta[g] = (sq.element(A.delta[g]) + sq.pure((g,), ())).terms
-    else:
-        images = dict(A.nu.images)
-        images[g] = images[g] + A.algebra.generator(g)
-        bad.nu = cg.AlgebraMorphism(A.algebra, A.algebra, images)
+    for part in parts:
+        g = rng.choice(list(A.phi))
+        if part == "phi":  # g'' dropped
+            bad.phi = dict(bad.phi)
+            bad.phi[g] = {k: c for k, c in bad.phi[g].items() if k != ((g,), (1,))}
+            bad.delta = folded_delta(bad)
+        elif part == "delta":  # g (x) 1 twice: the counit law fails
+            sq = TensorSquare(A.algebra)
+            bad.delta = dict(bad.delta)
+            bad.delta[g] = (sq.element(bad.delta[g]) + sq.pure((g,), ())).terms
+        else:
+            images = dict(bad.nu.images)
+            images[g] = images[g] + A.algebra.generator(g)
+            bad.nu = cg.AlgebraMorphism(A.algebra, A.algebra, images)
     return bad
 
 
@@ -374,7 +441,7 @@ def test_generator_level_axioms_agree_with_every_word(case, part, rng):
     C, D = case
     A = cg.tensor_cogroup(C, D)
     if part is not None:
-        A = broken(A, part, rng)
+        A = broken(A, (part,), rng)
     assert both_levels(A).ok == (part is None)
 
 
@@ -400,12 +467,14 @@ def test_a_phi_that_leaves_its_degree_is_checked_as_on_every_word(ring, D, extra
             accumulate(images[n], {(word, slots): c})
     A.phi = {n: _reduce_terms(_SlotWords(A.algebra), t) for n, t in images.items()}
     both_levels(A)
-    # pi . Phi folded to pairs, against pi substituted into the oracle's
-    # Koszul-signed product: a slot-1 odd x before a slot-0 x flips the sign
-    sq = TensorSquare(A.algebra)
+    # pi . Phi multiplied out in the pair parent, against pi substituted into
+    # the oracle's Koszul-signed product: a slot-1 odd x before a slot-0 x
+    # flips the sign; the kernel leaves the reduction to its caller
+    pairs, sq = _Pairs(A.algebra), TensorSquare(A.algebra)
     pi = ({n: {((n,), ()): 1} for n in "xy"}, {n: {((), (n,)): 1} for n in "xy"})
     for n, terms in A.phi.items():
-        assert _fold(A.algebra, terms) == _substitute(sq, terms, *pi), n
+        folded = _reduce_terms(A.algebra, _substitute(pairs, terms, *pi, {}))
+        assert folded == _reduce_terms(sq, _substitute(sq, terms, *pi, {})), n
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)
@@ -414,7 +483,19 @@ def test_each_broken_part_is_caught_as_on_every_word(key):
     rng = random.Random(key)
     assert both_levels(A).ok
     for part in ("phi", "nu", "delta"):
-        assert not both_levels(broken(A, part, rng)).ok, part
+        assert not both_levels(broken(A, (part,), rng)).ok, part
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_phi_nu_and_d_broken_at_once_fail_in_the_oracle_order(key):
+    """Each law is one difference, but the failures come in the order the
+    free-product oracle reports them, law by law on the unit and each
+    generator, then the restriction to the table."""
+    A = make_cogroup(key, 5)
+    rep = both_levels(broken(A, ("phi", "nu", "delta"), random.Random(key)))
+    kinds = failure_kinds(rep)
+    assert {"Phi counit law fails", "coproduct counit law fails"} <= kinds
+    assert kinds & {"left inverse law fails", "right inverse law fails"}
 
 
 def test_axioms_catch_a_broken_comultiplication():

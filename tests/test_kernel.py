@@ -8,7 +8,7 @@ two must agree on products in A, on products in A (x) A with the Koszul
 sign, and on morphism application, over all four ring kinds.  A (x) A is
 met twice: as the tests' ``TensorSquare``, an element parent over the
 same kernel, and as the pair dicts that the coalgebra layer multiplies
-with ``_pair_product`` and reduces with ``_reduce_terms``, as it reduces
+in ``cogroup._Pairs`` and reduces with ``_reduce_terms``, as it reduces
 words.  ``_reduce_tensors``, the coalgebra layer's own reduction of pair
 and triple dicts before ``_reduce_terms`` took them, is kept below as
 its oracle there.
@@ -25,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 import cogroups as cg
 from cogroups.algebra import _reduce_terms
-from cogroups.coalgebra import _pair_product, coproduct_pairs
+from cogroups.coalgebra import coproduct_pairs
+from cogroups.cogroup import _Pairs
 from cogroup_oracle import TensorSquare
 from convolution_oracle import as_words, morphism_fill_by_words, rows
 from instances import PAIR_MODULUS_TABLES, RINGS, annihilators, coprime_torsion_coalgebras, module
@@ -178,7 +179,8 @@ def test_products_of_pair_dicts(A, data):
     oracle = Oracle(A.module, 2 * A.truncation)
     left = reduced_pairs(oracle, terms_of(data, pairs(A), A.ring))
     right = reduced_pairs(oracle, terms_of(data, pairs(A), A.ring))
-    product = _pair_product((left, right), A.word_degree)
+    product: dict = {}
+    _Pairs(A).mul_into(product, left, right)
     assert _reduce_terms(A, product) == oracle.mul_pairs(left, right)
 
 
@@ -213,9 +215,13 @@ def test_reduce_terms_reduces_pair_and_triple_dicts_as_the_oracle(case, data):
     A, B = (cg.TruncatedTensorAlgebra(C.module, D) for _ in "AB")
     delta = coproduct_pairs(C, B)
     names = st.lists(st.sampled_from(sorted(delta)), min_size=1, max_size=3)
-    products = [
-        _pair_product([delta[n] for n in data.draw(names)], B.word_degree) for _ in range(2)
-    ]
+    products = []
+    for _ in range(2):
+        product = {((), ()): 1}
+        for n in data.draw(names):
+            product, acc = {}, product
+            _Pairs(B).mul_into(product, acc, delta[n])
+        products.append(product)
     scale = data.draw(st.integers(-9, 9))
     pairs = {key: scale * c for key, c in products[0].items()}
     triples: dict = {}
