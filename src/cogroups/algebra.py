@@ -35,11 +35,14 @@ its terms in print order.  A subclass fills one degree from those below.
 A morphism's fill builds the block of rows g.v, v in basis(d - |g|), from
 degree d - |g|'s lists, the keys in one comprehension and the
 coefficients in another; only nu's block for an f(g) of several terms
-goes row by row.  Its term pairs never meet, so the reduction is chosen once
-for the whole map: none over Z and Q, a remainder over F_p and Z/n, and
-``_reduce_terms`` for a Fraction or a modulus that varies by word; where
-a product can vanish, the block drops it.  The tables print a degree at
-a time, one text per term, ``_format_rows``.
+goes row by row.  Every morphism fills this way, checked or not: a checked
+map validates its generator images, and an unchecked one trusts them to
+be homogeneous and inside the target.  Its term pairs never meet, so the
+reduction is chosen once for the whole map, when it is built: none over
+Z and Q, a remainder over F_p and Z/n, and ``_reduce_terms`` for a
+Fraction or a modulus that varies by word; where a product can vanish,
+the block drops it.  The tables print a degree at a time, one text per
+term, ``_format_rows``.
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ class TruncatedTensorAlgebra:
             gcd, (ann[l] if type(l) is str else moduli[l] for l in key), char))
         # how elements print: terms in basis order, words as their labels
         self.sort_key = _Memo(self._sort_key).__getitem__
-        self.format_key = _Memo(self._label).__getitem__
+        self.format_key = _Memo(format_word).__getitem__
         # the modulus of every word, when no letter's annihilator lowers it
         self.fixed_modulus = char if all(gcd(char, a) == char for a in ann.values()) else None
 
@@ -195,13 +198,6 @@ class TruncatedTensorAlgebra:
         if d > self.truncation:
             raise KeyError(word)
         return d, self.prefix(word, d)
-
-    def _label(self, word) -> str:
-        try:
-            d, p = self.sort_key(word)
-        except KeyError:
-            return format_word(word)
-        return self.labels(d)[p]
 
     def __eq__(self, other):
         return self is other or (
@@ -496,8 +492,6 @@ class GradedMap:
     positions to words.
     """
 
-    _by_position = True  # False: keyed by the target's own keys
-
     def __init__(self, source: TruncatedTensorAlgebra, target):
         self.source = source
         self.target = target
@@ -509,11 +503,8 @@ class GradedMap:
             d, i = self.source.sort_key(word)
         except KeyError:
             raise ValueError(f"{format_word(word)} is not a basis word of the source") from None
-        terms = row(self.degree_images(d), i)
-        if self._by_position:
-            words = self.target.basis(d)
-            return AlgebraElement.trusted(self.target, {words[p]: c for p, c in terms})
-        return AlgebraElement.trusted(self.target, dict(terms))
+        terms, words = row(self.degree_images(d), i), self.target.basis(d)
+        return AlgebraElement.trusted(self.target, {words[p]: c for p, c in terms})
 
     def degree_images(self, d: int) -> tuple:
         """f on basis(d), d <= the source's truncation, as its shared row
@@ -522,11 +513,7 @@ class GradedMap:
         if d < len(filled):
             return filled[d]
         if not filled:
-            if self._by_position:
-                filled.append(([0], [1], [0, 1]))
-            else:
-                one = self.target.one().terms
-                filled.append((list(one), list(one.values()), [0, len(one)]))
+            filled.append(([0], [1], [0, 1]))
         return self.source.fill_to(filled, d, self._fill, _NO_WORDS)
 
     def __call__(self, elem: AlgebraElement):
@@ -557,12 +544,11 @@ class AlgebraMorphism(GradedMap):
 
     basis(d) lists g.v for each generator g and v in basis(d - |g|), so
     f on basis(d) is f(g) times each row of degree d - |g|, in turn: one
-    block of rows per generator.  A checked map's images are homogeneous,
-    so the word at a of f(g) times the term at b of f(v) is at
-    P(the word, d) + b, and f(v) times it at P(the word at b, d) + a.  An
-    unchecked map's need not be, and its target (a tensor square or free
-    product in the tests) has no basis: it multiplies words with
-    ``mul_into`` and keys its terms by them.
+    block of rows per generator.  Each image is homogeneous, in the
+    target, so the word at a of f(g) times the term at b of f(v) is at
+    P(the word, d) + b, and f(v) times it at P(the word at b, d) + a.
+    ``check`` validates the images; an unchecked map's are trusted to be
+    homogeneous, of their generator's degree, and inside the target.
     """
 
     _anti = False  # f(a.v) = f(a) f(v); an AntiMorphism swaps the factors and signs
@@ -570,25 +556,17 @@ class AlgebraMorphism(GradedMap):
     def __init__(self, source: TruncatedTensorAlgebra, target, images: dict, *, check=True):
         super().__init__(source, target)
         self.images = images
-        self._by_position = False
-        self._own: dict = {}  # g -> f(g): positions in basis(|g|), coefficients, words
-        self._top = 0  # a degree up to this multiplies homogeneous images
-        self._mod = None  # reduce there: % m (m > 0), none (0), _reduce_terms (None)
-        self._drops = False  # whether a reduced product can vanish
         if check:
             self._validate()
-            self._homogeneous(c for g in self.source.generators for c in images[g.name].terms.values())
-
-    def _homogeneous(self, coefficients):
-        """Fill by position: each image is homogeneous, in the target;
-        ``coefficients`` runs over those of every generator's image."""
-        self._by_position = True
-        self._top = min(self.source.truncation, self.target.truncation)
-        # a Fraction, or a modulus that varies by word, needs _reduce_terms
-        if all(type(c) is int for c in coefficients):
-            self._mod = self.target.fixed_modulus
-        # over a field no product of nonzero residues vanishes
-        self._drops = self._mod != 0 and not self.target.ring.is_field()
+        self._own: dict = {}  # g -> f(g): positions in basis(|g|), coefficients, words
+        self._top = min(source.truncation, target.truncation)  # a degree above leaves the target
+        # reduce: % m (m > 0), none (0), or _reduce_terms (None) for a
+        # Fraction or a modulus that varies by word
+        ints = all(type(c) is int for g in source.generators for c in images[g.name].terms.values())
+        self._mod = target.fixed_modulus if ints else None
+        # whether a reduced product can vanish: over a field no product of
+        # nonzero residues does
+        self._drops = self._mod != 0 and not target.ring.is_field()
 
     def _validate(self):
         for g in self.source.generators:
@@ -608,8 +586,6 @@ class AlgebraMorphism(GradedMap):
                 )
 
     def _fill(self, d: int) -> tuple:
-        if not self._by_position:
-            return self._fill_by_words(d)
         target, filled, own, mod, drops = self.target, self._by_degree, self._own, self._mod, self._drops
         anti = self._anti
         if d > self._top:  # every product leaves the target
@@ -672,26 +648,6 @@ class AlgebraMorphism(GradedMap):
                 coefficients += products
         return keys, coefficients, starts
 
-    def _fill_by_words(self, d: int) -> tuple:
-        """An unchecked map's fill: each row multiplied with ``mul_into``
-        and reduced by ``_reduce_terms``, keyed by the target's keys."""
-        target, filled = self.target, self._by_degree
-        keys, coefficients, starts = [], [], [0]
-        for g in self.source.module.generators:
-            e = d - g.degree
-            if e < 0 or filled[e] is _NO_WORDS:
-                continue
-            ke, ce, se = filled[e]
-            fa, sign = self.images[g.name].terms, -1 if self._anti and g.degree * e % 2 else 1
-            for i, j in zip(se, se[1:]):
-                fv, acc = dict(zip(ke[i:j], ce[i:j])), {}
-                target.mul_into(acc, *((fv, fa) if self._anti else (fa, fv)), sign)
-                terms = _reduce_terms(target, acc)
-                keys += terms
-                coefficients += terms.values()
-                starts.append(len(keys))
-        return keys, coefficients, starts
-
 
 class AntiMorphism(AlgebraMorphism):
     """A graded anti-morphism: f(a.v) = (-1)^{|a||v|} f(v) f(a)."""
@@ -723,14 +679,12 @@ def is_algebra_morphism(f: GradedMap, A: "Cogroup") -> bool:
     """f(uv) = f(u) f(v) on all word pairs with deg u + deg v <= truncation:
     by induction on the length of u, f on each basis(d) is the morphism fill
     of f's generator rows over f's own triples below d, filled first."""
-    alg = A.algebra
-    fill = AlgebraMorphism(alg, f.target, {}, check=False)
+    alg, images = A.algebra, {}
     for g in alg.generators:  # f(g), read off f's triple of degree |g|
-        keys, coefficients, starts = f.degree_images(g.degree)
-        i, words = alg.prefix((g.name,), g.degree), alg.basis(g.degree)
-        at = keys[starts[i]:starts[i + 1]]
-        fill._own[g.name] = at, coefficients[starts[i]:starts[i + 1]], [words[p] for p in at]
+        terms = row(f.degree_images(g.degree), alg.prefix((g.name,), g.degree))
+        words = f.target.basis(g.degree)
+        images[g.name] = AlgebraElement.trusted(f.target, {words[p]: c for p, c in terms})
     # f preserves degree; its images need not respect annihilators
-    fill._homogeneous(c for _, xs, _ in fill._own.values() for c in xs)
+    fill = AlgebraMorphism(alg, f.target, images, check=False)
     fill._by_degree = f._by_degree
     return all(f.degree_images(d) == fill._fill(d) for d in alg.degrees(2, A.truncation))

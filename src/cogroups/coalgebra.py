@@ -90,13 +90,6 @@ class CoalgebraPresentation:
         generators: the modulus of a coefficient at their tensor."""
         return gcd(self.ring.characteristic(), *(self._gens[n].annihilator for n in names))
 
-    def reduced_coproduct(self, name: str):
-        self.module.generator(name)
-        return self.table.get(name, ())
-
-    def is_primitive(self, name: str) -> bool:
-        return not self.reduced_coproduct(name)
-
     def __eq__(self, other):
         return (
             isinstance(other, CoalgebraPresentation)

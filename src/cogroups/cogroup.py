@@ -111,8 +111,6 @@ class Cogroup:
         """nu (cls AlgebraMorphism) or chi (AntiMorphism) on the generator
         images, one dict, which the first map built validates."""
         f = cls(self.algebra, self.algebra, self.generator_images, check=not self._validated)
-        if self._validated:  # fill by position, as a checked map does
-            f._homogeneous(c for img in f.images.values() for c in img.terms.values())
         self._validated = True
         return f
 

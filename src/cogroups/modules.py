@@ -72,15 +72,6 @@ class GradedModulePresentation:
     def degree_of(self, name: str) -> int:
         return self.generator(name).degree
 
-    def effective_annihilator(self, name: str) -> int:
-        """The modulus actually felt by the generator's coefficients.
-
-        A free generator over Z/n is still n-torsion, so 0 annihilators
-        fall back to the ring characteristic.
-        """
-        g = self.generator(name)
-        return g.annihilator or self.ring.characteristic()
-
     def max_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
 

@@ -55,17 +55,13 @@ class OraclePresentation:
         m = gcd(m, self.module.generator(y).annihilator)
         return gcd(m, self.module.generator(z).annihilator)
 
-    def reduced_coproduct(self, name: str):
-        self.module.generator(name)
-        return self.table.get(name, ())
-
 
 def _delta_full(C, key):
     """Full coproduct of a generator (or of 1, keyed by None)."""
     if key is None:
         return ((1, None, None),)
     out = [(1, key, None), (1, None, key)]
-    out.extend(C.reduced_coproduct(key))
+    out.extend(C.table.get(key, ()))
     return out
 
 
@@ -131,7 +127,7 @@ def is_cocommutative(C) -> bool:
     for g in C.module.generators:
         table: dict = {}
         twisted: dict = {}
-        for c, y, z in C.reduced_coproduct(g.name):
+        for c, y, z in C.table.get(g.name, ()):
             table[(y, z)] = table.get((y, z), 0) + c
             dy = C.module.degree_of(y)
             dz = C.module.degree_of(z)

@@ -29,6 +29,7 @@ from math import gcd
 import cogroups as cg
 from cogroups.algebra import _reduce_terms
 from cogroups.cogroup import _SlotWords
+from convolution_oracle import WordMorphism
 
 
 class TensorSquare:
@@ -87,7 +88,7 @@ class TensorSquare:
         return self.element({(w1, w2): c})
 
 
-def coproduct_morphism(C, sq: TensorSquare) -> cg.AlgebraMorphism:
+def coproduct_morphism(C, sq: TensorSquare) -> WordMorphism:
     """D : A -> sq = A (x) A with D(x) = x (x) 1 + Dbar(x) + 1 (x) x."""
     alg = sq.algebra
     images = {}
@@ -96,20 +97,20 @@ def coproduct_morphism(C, sq: TensorSquare) -> cg.AlgebraMorphism:
             continue
         x = (g.name,)
         terms = {(x, ()): 1, ((), x): 1}
-        for c, y, z in C.reduced_coproduct(g.name):
+        for c, y, z in C.table.get(g.name, ()):
             terms[((y,), (z,))] = c
         images[g.name] = cg.AlgebraElement(sq, terms)
-    return cg.AlgebraMorphism(alg, sq, images, check=False)
+    return WordMorphism(alg, sq, images)
 
 
-def delta_morphism(A) -> cg.AlgebraMorphism:
+def delta_morphism(A) -> WordMorphism:
     """The algebra map A -> A (x) A whose generator images are A.delta's pair dicts."""
     sq = TensorSquare(A.algebra)
     images = {n: sq.element(terms) for n, terms in A.delta.items()}
-    return cg.AlgebraMorphism(A.algebra, sq, images, check=False)
+    return WordMorphism(A.algebra, sq, images)
 
 
-def word_coproduct_laws(delta: cg.AlgebraMorphism, w) -> tuple:
+def word_coproduct_laws(delta: WordMorphism, w) -> tuple:
     """(coassociative, left counital, right counital) for D : A -> A (x) A on
     any word w, as a map: (D (x) 1) D(w) and (1 (x) D) D(w) compared as
     triples of words, each coefficient reduced modulo the modulus of its
@@ -148,13 +149,13 @@ def word_coproduct_laws(delta: cg.AlgebraMorphism, w) -> tuple:
     )
 
 
-def renaming_morphism(source, target, name_map: dict) -> cg.AlgebraMorphism:
+def renaming_morphism(source, target, name_map: dict) -> WordMorphism:
     images = {
         n: target.generator(name_map.get(n, n))
         for n in source.module.names()
         if source.module.degree_of(n) <= source.truncation
     }
-    return cg.AlgebraMorphism(source, target, images, check=False)
+    return WordMorphism(source, target, images)
 
 
 class FreeProduct:
@@ -238,14 +239,14 @@ def phi_by_table_walk(A) -> dict:
             continue
         x = g.name
         terms = {((x,), (0,)): 1, ((x,), (1,)): 1}
-        for c, y, z in A.coalgebra.reduced_coproduct(x):
+        for c, y, z in A.coalgebra.table.get(x, ()):
             key = ((y, z), (0, 1))
             terms[key] = terms.get(key, 0) + c
         images[x] = _reduce_terms(slots, terms)
     return images
 
 
-def phi_morphism(A, square: FreeProduct) -> cg.AlgebraMorphism:
+def phi_morphism(A, square: FreeProduct) -> WordMorphism:
     """Phi : A -> A * A, the algebra map whose generator images are A.phi's
     slot terms, the letter x in slot s read as ``square.name_maps[s][x]``."""
     prod = square.algebra
@@ -256,10 +257,10 @@ def phi_morphism(A, square: FreeProduct) -> cg.AlgebraMorphism:
         })
         for n, terms in A.phi.items()
     }
-    return cg.AlgebraMorphism(A.algebra, prod, images, check=False)
+    return WordMorphism(A.algebra, prod, images)
 
 
-def folded_phi(A) -> cg.AlgebraMorphism:
+def folded_phi(A) -> WordMorphism:
     """pi . Phi, where pi : A * A -> A (x) A is a' -> a (x) 1, a'' -> 1 (x) a."""
     square = square_product(A)
     lmap, rmap = square.name_maps
@@ -267,9 +268,9 @@ def folded_phi(A) -> cg.AlgebraMorphism:
     names = [g.name for g in A.module.generators if g.degree <= A.truncation]
     pi_images = {lmap[n]: sq.pure((n,), ()) for n in names}
     pi_images.update({rmap[n]: sq.pure((), (n,)) for n in names})
-    pi = cg.AlgebraMorphism(square.algebra, sq, pi_images, check=False)
+    pi = WordMorphism(square.algebra, sq, pi_images)
     images = {name: pi(img) for name, img in phi_morphism(A, square).images.items()}
-    return cg.AlgebraMorphism(A.algebra, sq, images, check=False)
+    return WordMorphism(A.algebra, sq, images)
 
 
 def folded_delta(A) -> dict:
@@ -290,11 +291,11 @@ def check_axioms_on(A, D: int, words) -> cg.AxiomReport:
     names = tuple(A.phi)
     T = triple.algebra
 
-    def from_slots(target, left: dict, right: dict) -> cg.AlgebraMorphism:
+    def from_slots(target, left: dict, right: dict) -> WordMorphism:
         """The map out of A * A with x' -> left[x] and x'' -> right[x]."""
         images = {lmap[n]: left[n] for n in names}
         images.update({rmap[n]: right[n] for n in names})
-        return cg.AlgebraMorphism(prod, target, images, check=False)
+        return WordMorphism(prod, target, images)
 
     slots = [incl.images for incl in triple.inclusions]  # x -> its copy in slot k
     # the renamings of A * A onto slots (0, 1) and (1, 2) of A * A * A
@@ -353,7 +354,7 @@ def is_cogroup_morphism_on_free_products(f, A, B, truncation=None) -> bool:
         raise ValueError("morphism does not run between the underlying algebras")
     D = A.truncation if truncation is None else min(truncation, A.truncation)
     sa, sb = square_product(A), square_product(B)
-    f_star_f = cg.AlgebraMorphism(
+    f_star_f = WordMorphism(
         sa.algebra,
         sb.algebra,
         {
@@ -361,7 +362,6 @@ def is_cogroup_morphism_on_free_products(f, A, B, truncation=None) -> bool:
             for anm, incl in zip(sa.name_maps, sb.inclusions)
             for n in f.images
         },
-        check=False,
     )
     phi_a, phi_b = phi_morphism(A, sa), phi_morphism(B, sb)
     for g in A.module.generators:

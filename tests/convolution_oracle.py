@@ -13,11 +13,15 @@ generators, its reduced coproducts the table.  ``inclusion_inverse`` is
 the inverse of the inclusion C -> A over it, the oracle for
 ``Cogroup.generator_images``.
 
-``morphism_fill_by_words`` and ``recursion_fill_by_words`` are the
-library's degree fills as they were written on tuple words, one term
-dict per word, before the maps stored row triples keyed by position:
-the oracles of ``AlgebraMorphism._fill`` and of the recursion chi's
-fill, compared with them word by word through ``as_words``.
+``WordMorphism`` and ``WordAntiMorphism`` are the maps whose generator
+images need not be homogeneous, or whose target has no basis, such as
+the tests' tensor squares and free products: their fill multiplies
+words with ``mul_into`` and keys the terms by the target's own keys.
+``morphism_fill_by_words`` is that fill on a library map's images, and
+``recursion_fill_by_words`` the recursion chi's fill on tuple words, one
+term dict per word: the oracles of ``AlgebraMorphism._fill`` and of the
+recursion chi's fill, compared with them word by word through
+``as_words``.
 
 ``convolve`` is the product (f * g)(x) = f(x) + g(x) + sum c f(y) g(z)
 over Dbar(x), and ``unit_map`` its identity eta . eps; the library
@@ -30,10 +34,8 @@ the right one.  ``explicit_identity`` is the identity of a cogroup's
 algebra as a full table.
 """
 
-from itertools import repeat
-
 import cogroups as cg
-from cogroups.algebra import _reduce_terms, accumulate, row
+from cogroups.algebra import _NO_WORDS, _reduce_terms, accumulate, row
 
 
 def rows(triple) -> list:
@@ -106,10 +108,10 @@ class CoalgebraSource:
         return self.module.degree_of(key)
 
     def annihilator(self, key) -> int:
-        return self.module.effective_annihilator(key)
+        return self.module.generator(key).annihilator or self.ring.characteristic()
 
     def reduced_coproduct(self, key):
-        return self.coalgebra.reduced_coproduct(key)
+        return self.coalgebra.table.get(key, ())
 
     def __eq__(self, other):
         return (
@@ -248,49 +250,51 @@ def explicit_identity(A):
     return TableMap(WordSource(A), alg, table)
 
 
-def morphism_fill_by_words(f) -> list:
-    """A checked ``AlgebraMorphism`` or ``AntiMorphism`` on every basis(d) up
-    to the source's truncation, as word-keyed term dicts, by degree: f(a.v)
-    is f(a) f(v), or the signed f(v) f(a), each product a concatenation of
-    words, reduced mod a fixed modulus inside the product or by
-    ``_reduce_terms``, and multiplied out with ``mul_into`` above the
-    target's truncation."""
-    source, target, images = f.source, f.target, f.images
-    anti = isinstance(f, cg.AntiMorphism)
-    top = min(source.truncation, target.truncation)
-    ints = all(type(c) is int for g in source.generators for c in images[g.name].terms.values())
-    mod = target.fixed_modulus if ints else None
-    filled = [[target.one().terms]]
-    for d in range(1, source.truncation + 1):
+class WordMorphism(cg.AlgebraMorphism):
+    """An algebra map that is never validated and keys its row triples by
+    the target's own keys, not by position: f(a.v) is f(a) f(v), or for a
+    ``WordAntiMorphism`` the signed f(v) f(a), each row multiplied with
+    ``mul_into``, truncated and reduced by ``_reduce_terms``.  Products may
+    meet or leave the degree, so the images need not be homogeneous."""
+
+    def __init__(self, source, target, images: dict):
+        super().__init__(source, target, images, check=False)
+
+    def image(self, word) -> cg.AlgebraElement:
+        d, i = self.source.sort_key(word)
+        return cg.AlgebraElement.trusted(self.target, dict(row(self.degree_images(d), i)))
+
+    def degree_images(self, d: int) -> tuple:
+        if not self._by_degree:  # 1 -> the target's unit
+            self._by_degree.append(as_triple([self.target.one().terms]))
+        return super().degree_images(d)
+
+    def _fill(self, d: int) -> tuple:
+        target, filled, anti = self.target, self._by_degree, self._anti
         out = []
-        for g in source.module.generators:
+        for g in self.source.module.generators:
             e = d - g.degree
-            if e < 0 or not filled[e]:
+            if e < 0 or filled[e] is _NO_WORDS:
                 continue
-            fa = images[g.name].terms
-            if not e:
-                out.append(fa)
-                continue
-            sign = -1 if anti and g.degree * e % 2 else 1
-            pairs = zip(filled[e], repeat(fa)) if anti else zip(repeat(fa), filled[e])
-            if d > top:
-                for left, right in pairs:
-                    acc: dict = {}
-                    target.mul_into(acc, left, right, sign)
-                    out.append(_reduce_terms(target, acc))
-            elif mod:
-                out += [
-                    {w1 + w2: c for w1, v1 in left.items() for w2, v2 in right.items() if (c := sign * v1 * v2 % mod)}
-                    for left, right in pairs
-                ]
-            else:
-                products = [
-                    {w1 + w2: sign * v1 * v2 for w1, v1 in left.items() for w2, v2 in right.items()}
-                    for left, right in pairs
-                ]
-                out += products if mod == 0 else [_reduce_terms(target, t) for t in products]
-        filled.append(out)
-    return filled
+            fa, sign = self.images[g.name].terms, -1 if anti and g.degree * e % 2 else 1
+            for fv in rows(filled[e]):
+                acc: dict = {}
+                target.mul_into(acc, *((dict(fv), fa) if anti else (fa, dict(fv))), sign)
+                out.append(_reduce_terms(target, acc))
+        return as_triple(out)
+
+
+class WordAntiMorphism(WordMorphism, cg.AntiMorphism):
+    """A ``WordMorphism`` that reverses products: f(a.v) = (-1)^{|a||v|} f(v) f(a)."""
+
+
+def morphism_fill_by_words(f) -> list:
+    """A library ``AlgebraMorphism`` or ``AntiMorphism`` on every basis(d) up
+    to the source's truncation, as word-keyed term dicts, by degree: the
+    fill of the ``WordMorphism`` or ``WordAntiMorphism`` on f's images."""
+    cls = WordAntiMorphism if isinstance(f, cg.AntiMorphism) else WordMorphism
+    words = cls(f.source, f.target, f.images)
+    return [[dict(terms) for terms in rows(words.degree_images(d))] for d in range(f.source.truncation + 1)]
 
 
 def recursion_fill_by_words(A) -> list:

@@ -215,7 +215,7 @@ def render_spec(spec) -> str:
         lines.append(line)
     coalg = spec.coalgebra()
     for g in spec.module.generators:
-        entries = coalg.reduced_coproduct(g.name)
+        entries = coalg.table.get(g.name, ())
         if not entries:
             continue
         parts = []

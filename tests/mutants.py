@@ -118,15 +118,28 @@ MUTANTS = [
     ),
     Mutant(
         "zero-drop-only-on-even-moduli", "algebra.py",
-        "self._drops = self._mod != 0 and not self.target.ring.is_field()",
+        "self._drops = self._mod != 0 and not target.ring.is_field()",
         "self._drops = self._mod is None or self._mod % 2 == 0",
         "AlgebraMorphism._fill",
     ),
     Mutant(
         "validated-fill-refuses-extra-names", "algebra.py",
-        "self._mod = self.target.fixed_modulus\n",
-        "self._mod = self.target.fixed_modulus if self.images.keys() <= self.source._deg.keys() else None\n",
+        "self._mod = target.fixed_modulus if ints else None\n",
+        "self._mod = target.fixed_modulus if ints and images.keys() <= source._deg.keys() else None\n",
         "AlgebraMorphism._fill",
+    ),
+    # one fill for every map: check gates only the validation
+    Mutant(
+        "check-never-validates", "algebra.py",
+        "        if check:\n            self._validate()\n",
+        "        if check and False:\n            self._validate()\n",
+        "AlgebraMorphism.__init__",
+    ),
+    Mutant(
+        "morphism-check-reads-the-first-generator-row", "algebra.py",
+        "terms = row(f.degree_images(g.degree), alg.prefix((g.name,), g.degree))",
+        "terms = row(f.degree_images(g.degree), 0)",
+        "algebra.is_algebra_morphism",
     ),
     # word images stored by position
     Mutant(

@@ -592,10 +592,10 @@ def test_cogroup_morphism_checks_the_algebras():
         cg.is_cogroup_morphism(f, A, B)
 
 
-# A Delta that lost the outer term 1 (x) x, a table and an unchecked
+# A Delta that lost the outer term 1 (x) x, a table and a word-keyed
 # anti-morphism whose images leave their degree (the anti-morphism fails
 # the surjectivity certificate and reaches the per-degree check), a map
-# that is not an anti-morphism given to the Hopf check, an unchecked
+# that is not an anti-morphism given to the Hopf check, a word-keyed
 # morphism whose image is not homogeneous, invalid rings, generators,
 # modules and truncations, a coefficient no ring holds, a sum across two
 # algebras and a generator the algebra lacks: all break invariants that
@@ -603,7 +603,7 @@ def test_cogroup_morphism_checks_the_algebras():
 BROKEN_FIXTURES = """
 import cogroups as cg
 from cogroup_oracle import folded_delta
-from convolution_oracle import TableMap, WordSource, explicit_identity
+from convolution_oracle import TableMap, WordAntiMorphism, WordMorphism, WordSource, explicit_identity
 from instances import (
     module,
 )
@@ -626,7 +626,7 @@ try:
     cg.is_antipode_surjective(good, leak)
 except ValueError as exc:
     print("surjective:", exc)
-anti = cg.AntiMorphism(alg, alg, {"x": alg.element({("x",): -1, ("x", "x"): 1})}, check=False)
+anti = WordAntiMorphism(alg, alg, {"x": alg.element({("x",): -1, ("x", "x"): 1})})
 try:
     cg.is_antipode_surjective(good, anti)
 except ValueError as exc:
@@ -637,7 +637,7 @@ except ValueError as exc:
     print("hopf:", exc)
 B = cg.TruncatedTensorAlgebra(module(cg.RingSpec.rationals(), [("y", 1)]), 4)
 y = B.generator("y")
-mixed = cg.AlgebraMorphism(B, B, {"y": y + y * y}, check=False)
+mixed = WordMorphism(B, B, {"y": y + y * y})
 print("unchecked:", mixed.image(("y", "y")))
 for make in (
     lambda: cg.RingSpec("Zmod", 1),

@@ -28,7 +28,7 @@ from cogroups.algebra import _reduce_terms
 from cogroups.coalgebra import coproduct_pairs
 from cogroups.cogroup import _Pairs
 from cogroup_oracle import TensorSquare
-from convolution_oracle import as_words, morphism_fill_by_words, rows
+from convolution_oracle import WordAntiMorphism, WordMorphism, as_words, morphism_fill_by_words, rows
 from instances import PAIR_MODULUS_TABLES, RINGS, annihilators, coprime_torsion_coalgebras, module
 
 
@@ -312,7 +312,7 @@ def test_degree_fill_matches_letter_by_letter_products(A, data):
 @given(st.sampled_from((4, 6, 8, 9, 12)), st.data())
 def test_fixed_modulus_fill_matches_the_general_fill_over_zmod(n, data):
     """Over Z/n with no torsion letter a validated map reduces each product
-    mod n in one comprehension, dropping those that vanish; an unchecked
+    mod n in one comprehension, dropping those that vanish; a word-keyed
     map multiplies with ``mul_into`` and reduces with ``_reduce_terms``.
     The two agree word by word, terms in the same order.  Coefficients are
     often zero divisors of n, so products vanish.  An image for a name
@@ -321,9 +321,9 @@ def test_fixed_modulus_fill_matches_the_general_fill_over_zmod(n, data):
     A = cg.TruncatedTensorAlgebra(module(cg.RingSpec.integers_mod(n), gens), data.draw(st.integers(2, 7)))
     coeff = st.sampled_from([c for c in range(n) if gcd(c, n) > 1]) | st.integers(-n, n)
     images = {g.name: A.element({w: data.draw(coeff) for w in A.basis(g.degree)}) for g in A.generators}
-    for cls in (cg.AlgebraMorphism, cg.AntiMorphism):
-        fixed, general = cls(A, A, {**images, "u": A.one()}), cls(A, A, images, check=False)
-        assert (fixed._top, fixed._mod) == (A.truncation, n) and general._mod is None
+    for cls, by_words in ((cg.AlgebraMorphism, WordMorphism), (cg.AntiMorphism, WordAntiMorphism)):
+        fixed, general = cls(A, A, {**images, "u": A.one()}), by_words(A, A, images)
+        assert (fixed._top, fixed._mod) == (A.truncation, n)
         for d in range(A.truncation + 1):
             got = as_words(A, d, fixed.degree_images(d))
             want = [dict(row) for row in rows(general.degree_images(d))]
@@ -354,21 +354,21 @@ def test_degree_fill_reduces_each_product():
 
 
 def test_word_images_multiply_in_general_unless_validated():
-    """Only a validated map's generator images are known homogeneous and
-    inside the target; an unvalidated map, and a target truncated below
+    """Generator images that need not be homogeneous go unvalidated, to a
+    word-keyed map; it, and a validated map into a target truncated below
     the source, get exactly the products of ``*`` on every basis word."""
     Q = cg.RingSpec.rationals()
     A = cg.TruncatedTensorAlgebra(module(Q, [("x", 1), ("z", 3)]), 6)
     B = cg.TruncatedTensorAlgebra(A.module, 2)
     x, z, bx = A.generator("x"), A.generator("z"), B.generator("x")
     # (x + x^2)^2 has two term pairs on x^3
-    f = cg.AlgebraMorphism(A, A, {"x": x + x * x, "z": z}, check=False)
+    f = WordMorphism(A, A, {"x": x + x * x, "z": z})
     assert f.image(("x", "x")) == x * x + (x * x * x).scale(2) + x * x * x * x
     for g in (
         f,
-        cg.AntiMorphism(A, A, {"x": x + x * x, "z": z - x * x * x}, check=False),
+        WordAntiMorphism(A, A, {"x": x + x * x, "z": z - x * x * x}),
         cg.AlgebraMorphism(A, B, {"x": bx, "z": B.zero()}),
-        cg.AlgebraMorphism(A, B, {"x": bx + bx * bx, "z": B.zero()}, check=False),
+        WordMorphism(A, B, {"x": bx + bx * bx, "z": B.zero()}),
     ):
         for w in A.words_up_to():
             assert g.image(w) == letter_products(g, w), w

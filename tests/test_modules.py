@@ -66,14 +66,6 @@ def test_generators_and_presentations_are_frozen_values():
     assert pickle.loads(pickle.dumps(m)) == m
 
 
-def test_effective_annihilator_falls_back_to_characteristic():
-    m = module(Z6, [("x", 2, 0), ("y", 2, 3)])
-    assert m.effective_annihilator("x") == 6
-    assert m.effective_annihilator("y") == 3
-    free = module(Z, [("x", 2, 0)])
-    assert free.effective_annihilator("x") == 0
-
-
 def test_max_degree():
     m = module(Z, [("x", 2, 3), ("y", 5, 0)])
     assert m.max_degree() == 5
