@@ -41,8 +41,8 @@ be homogeneous and inside the target.  Its term pairs never meet, so the
 reduction is chosen once for the whole map, when it is built: none over
 Z and Q, a remainder over F_p and Z/n, and ``_reduce_terms`` for a
 Fraction or a modulus that varies by word; where a product can vanish,
-the block drops it.  The tables print a degree at a time, one text per
-term, ``_format_rows``.
+the block drops it.  The tables are written a degree at a time, each
+degree's labels and row texts from ``_format_rows``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def format_word(word) -> str:
 
 
 def _format_terms(items, fmt_key):
-    """Render sorted (key, coeff) pairs as a signed sum; the unit is the key labelled "1"."""
+    """Render sorted (key, coeff) pairs as a signed sum; the unit, the empty
+    word, as its coefficient alone."""
     out = []
     for key, c in items:
         if c < 0:
@@ -82,7 +83,7 @@ def _format_terms(items, fmt_key):
         else:
             out.append(" + ")
         label = fmt_key(key)
-        if label == "1":
+        if key == ():
             out.append(str(c))
         elif c == 1:
             out.append(label)
@@ -94,21 +95,28 @@ def _format_terms(items, fmt_key):
     return "".join(out)
 
 
-def _format_rows(algebra, d: int, triple) -> list:
-    """Each row of a row triple of degree d > 0 as ``_format_terms``
-    renders it, position k labelled ``algebra.labels(d)[k]``: one text per
-    term with its separator, " - " for a negative coefficient and " + "
-    otherwise, and a row's texts joined with its first separator read as
-    the sign."""
+def _format_rows(algebra, d: int, triple) -> tuple:
+    """(labels, rows) of degree d: ``algebra.labels(d)``, and each row of a
+    row triple of degree d as ``_format_terms`` renders it, position k
+    labelled ``labels[k]``.  Where every row has one term, a row is that
+    term's signed text; otherwise each term's text follows its separator,
+    " - " for a negative coefficient and " + " otherwise, and a row is its
+    texts joined, the first separator read as the sign."""
     labels = algebra.labels(d)
     keys, coefficients, starts = triple
+    if starts == [*range(len(starts))]:
+        return labels, [
+            labels[k] if c == 1 else "-" + labels[k] if c == -1
+            else f"-{-c}*{labels[k]}" if c < 0 else f"{c}*{labels[k]}"
+            for k, c in zip(keys, coefficients)
+        ]
     texts = [
         f" + {labels[k]}" if c == 1 else f" - {labels[k]}" if c == -1
         else f" - {-c}*{labels[k]}" if c < 0 else f" + {c}*{labels[k]}"
         for k, c in zip(keys, coefficients)
     ]
-    return [
-        (t[3:] if t[1] == "+" else "-" + t[3:]) if (t := texts[i] if j - i == 1 else "".join(texts[i:j])) else "0"
+    return labels, [
+        (t[3:] if t[1] == "+" else "-" + t[3:]) if (t := "".join(texts[i:j])) else "0"
         for i, j in zip(starts, starts[1:])
     ]
 
@@ -174,7 +182,7 @@ class TruncatedTensorAlgebra:
         self._ann = {g.name: g.annihilator for g in module.generators}
         self._basis_cache: list = [[()]]  # basis(d) at index d
         self._labels: list = [["1"]]  # labels(d) at index d
-        self._runs: list = [[("1", None, 0, "")]]  # per word: label, first letter, its run, rest
+        self._runs: list = [[(None, 0, "")]]  # per word: first letter, its run, the label after it
         self._counts: list = [1]  # N(d) at index d
         self._offsets: list = [{}]  # {g: off(d, g)} at index d
         self._nonempty: list = [0]  # the degrees d with N(d) > 0, ascending
@@ -205,9 +213,6 @@ class TruncatedTensorAlgebra:
             and self.module == other.module
             and self.truncation == other.truncation
         )
-
-    def __repr__(self):
-        return f"TruncatedTensorAlgebra({self.module.ring}, D={self.truncation})"
 
     def word_modulus(self, key) -> int:
         """gcd of the ring characteristic and the letters' annihilators; for
@@ -349,19 +354,22 @@ class TruncatedTensorAlgebra:
             return []
         labels, runs = self._labels, self._runs
         while len(runs) <= d:
-            e, info = len(runs), []
+            e, out, info = len(runs), [], []
             for g in self.module.generators:
                 n, k = g.name, e - g.degree  # the words g.v, v in basis(k)
-                for label, head, run, rest in runs[k] if k >= 0 else ():
+                if k < 0:
+                    continue
+                for label, (head, run, rest) in zip(labels[k], runs[k]):
                     if head == n:
                         run += 1
                         label = f"{n}^{run}*{rest}" if rest else f"{n}^{run}"
                     else:
                         run, rest = 1, label if head else ""
                         label = f"{n}*{rest}" if rest else n
-                    info.append((label, n, run, rest))
+                    out.append(label)
+                    info.append((n, run, rest))
+            labels.append(out)
             runs.append(info)
-            labels.append([t[0] for t in info])
         return labels[d]
 
     def words_up_to(self, dmax: int | None = None):
@@ -424,9 +432,6 @@ class AlgebraElement:
             and (self.parent is other.parent or self.parent == other.parent)
         )
 
-    def coefficient(self, key):
-        return self.terms.get(key, 0)
-
     def is_homogeneous(self, d: int) -> bool:
         deg = self.parent.word_degree
         return all(deg(k) == d for k in self.terms)
@@ -436,15 +441,6 @@ class AlgebraElement:
         out = dict(self.terms)
         accumulate(out, other.terms)
         return AlgebraElement(self.parent, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        accumulate(out, other.terms, -1)
-        return AlgebraElement(self.parent, out)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c) -> "AlgebraElement":
         return AlgebraElement(self.parent, {k: c * v for k, v in self.terms.items()})
@@ -456,9 +452,6 @@ class AlgebraElement:
         out: dict = {}
         self.parent.mul_into(out, self.terms, other.terms)
         return AlgebraElement(self.parent, out)
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or not (

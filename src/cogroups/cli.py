@@ -12,18 +12,17 @@ built, once, only for any other, and words help and every refusal.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii
+from json.encoder import ESCAPE_ASCII, encode_basestring_ascii
 
 from .algebra import TruncatedTensorAlgebra, _format_rows, is_graded_commutative
 from .classify import classify_cogroup, inverse_equals_antipode
 from .coalgebra import is_cocommutative
 from .cogroup import check_cogroup_axioms, tensor_cogroup
 from .convolution import antipode, check_hopf_antipode, is_antipode_surjective
-from .dsl import ParseError, ProblemSpec, parse_spec
+from .dsl import ProblemSpec, parse_spec
 
 COMMANDS = (
     "check-commutative",
@@ -39,65 +38,80 @@ COMMANDS = (
 
 
 class Report:
-    __slots__ = ("command", "ring", "generators", "max_degree", "verdicts", "witnesses", "exit_code")
+    """What one command found, and its two writers.
 
-    def __init__(
-        self, command: str, ring: str, generators: list, max_degree: int,
-        verdicts: list, witnesses: list, exit_code: int,
-    ):
-        self.command, self.ring, self.generators = command, ring, generators
-        self.max_degree, self.verdicts, self.witnesses = max_degree, verdicts, witnesses
-        self.exit_code = exit_code
+    ``table``, for the ``antipode`` and ``inverse`` commands, is a pair
+    (name, blocks): ``blocks()`` yields each degree's (labels, rows) in
+    turn, filling the map as it goes, and each row prints after the
+    verdicts as name(label): row.  Each writer yields the report in
+    pieces, a table a degree at a time: ``main`` writes them in turn, and
+    ``render_text`` and ``render_json`` are their join.
+    """
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "ring": self.ring,
-            "generators": list(self.generators),
-            "max_degree": self.max_degree,
-            "verdicts": [{"name": n, "value": v} for n, v in self.verdicts],
-            "witnesses": list(self.witnesses),
-            "exit_code": self.exit_code,
-        }
+    def __init__(self, command, ring, generators, max_degree, verdicts, witnesses, exit_code, table=None):
+        self.command, self.ring, self.generators, self.max_degree = command, ring, generators, max_degree
+        self.verdicts, self.witnesses, self.exit_code, self.table = verdicts, witnesses, exit_code, table
 
-    def render_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, written out directly.
+    def json_pieces(self):
+        """``json.dumps`` of the report as a dict, ``indent=2``, written out
+        directly.
 
         With ``indent`` the json module takes its pure-Python encoder; here
         the fixed shape of the report is spelled out, a string goes through
         ``encode_basestring_ascii``, which is what ``json.dumps`` calls on
-        a ``str`` with its default arguments, a verdict of True, False or
-        None is its literal, and an int goes through ``json.dumps``.
+        a ``str`` with its default arguments, and an int or a verdict of
+        True, False or None is written as its literal.  A table's labels
+        and rows hold generator names, which the generator lines show,
+        digits and "*^/+- " only, so they go unencoded when no generator
+        line holds a character that JSON escapes.
         """
-        dumps, enc = json.dumps, encode_basestring_ascii
-        verdicts = [
-            f'{{\n      "name": {enc(n)},'
-            f'\n      "value": {enc(v) if type(v) is str else _json_value(v)}\n    }}'
-            for n, v in self.verdicts
-        ]
-        return (
+        enc = encode_basestring_ascii
+        # a value that is not a str is True, False, None or an int: as str()
+        # writes it, lower-cased, save None
+        yield (
             f'{{\n  "command": {enc(self.command)},'
             f'\n  "ring": {enc(self.ring)},'
             f'\n  "generators": {_json_list(map(enc, self.generators))},'
-            f'\n  "max_degree": {dumps(self.max_degree)},'
-            f'\n  "verdicts": {_json_list(verdicts)},'
-            f'\n  "witnesses": {_json_list(map(enc, self.witnesses))},'
-            f'\n  "exit_code": {dumps(self.exit_code)}\n}}'
+            f'\n  "max_degree": {self.max_degree},'
+            f'\n  "verdicts": ['
+        ) + ",".join([
+            f'\n    {{\n      "name": {enc(n)},'
+            f'\n      "value": {enc(v) if type(v) is str else "null" if v is None else str(v).lower()}\n    }}'
+            for n, v in self.verdicts
+        ])
+        sep = "," if self.verdicts else ""  # before the next entry
+        if self.table:
+            name, blocks = self.table
+            for labels, rows in blocks():
+                if ESCAPE_ASCII.search("".join(self.generators)):
+                    labels, rows = ([enc(t)[1:-1] for t in texts] for texts in (labels, rows))
+                yield sep + ",".join(
+                    [f'\n    {{\n      "name": "{name}({label})",\n      "value": "{r}"\n    }}' for label, r in zip(labels, rows)])
+                sep = ","
+        yield (
+            ("\n  ]," if sep else "],")
+            + f'\n  "witnesses": {_json_list(map(enc, self.witnesses))},'
+            f'\n  "exit_code": {self.exit_code}\n}}'
         )
 
-    def render_text(self) -> str:
-        lines = [
-            f"command: {self.command}",
-            f"ring: {self.ring}",
-            f"generators: {'; '.join(self.generators) if self.generators else '(none)'}",
-            f"max-degree: {self.max_degree}",
-        ]
-        for name, value in self.verdicts:
-            lines.append(f"{name}: {value if type(value) is str else _fmt_value(value)}")
-        for w in self.witnesses:
-            lines.append(f"witness: {w}")
-        lines.append(f"exit-code: {self.exit_code}")
-        return "\n".join(lines)
+    def text_pieces(self):
+        """The text report in pieces, as ``json_pieces`` yields the JSON one."""
+        yield (
+            f"command: {self.command}\nring: {self.ring}"
+            f"\ngenerators: {'; '.join(self.generators) if self.generators else '(none)'}"
+            f"\nmax-degree: {self.max_degree}"
+        ) + "".join([f"\n{n}: {'n/a' if v is None else str(v).lower() if type(v) is bool else v}" for n, v in self.verdicts])
+        if self.table:
+            name, blocks = self.table
+            for labels, rows in blocks():
+                yield "".join([f"\n{name}({label}): {r}" for label, r in zip(labels, rows)])
+        yield "".join([f"\nwitness: {w}" for w in self.witnesses]) + f"\nexit-code: {self.exit_code}"
+
+    def render_json(self):
+        return "".join(self.json_pieces())
+
+    def render_text(self):
+        return "".join(self.text_pieces())
 
 
 def _json_list(items) -> str:
@@ -106,34 +120,13 @@ def _json_list(items) -> str:
     return f"[\n    {body}\n  ]" if body else "[]"
 
 
-def _json_value(value) -> str:
-    # True and False by identity: 1 == True, so a dict lookup prints 1 as true
-    if value is True or value is False:
-        return _fmt_value(value)
-    if value is None:
-        return "null"
-    return json.dumps(value)
-
-
-def _fmt_value(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "n/a"
-    return str(value)
-
-
 def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report:
     """Execute one command against a parsed problem description."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     if max_degree < 0:
         raise ValueError("truncation must be >= 0")
-    verdicts: list = []
-    witnesses: list = []
-    ok = True  # the two tables always succeed
+    verdicts, witnesses, table, ok = [], [], None, True  # the two tables always succeed
     coalg = spec.coalgebra()
 
     if command == "check-commutative":
@@ -160,13 +153,11 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
     elif command in ("antipode", "inverse"):
         name = "chi" if command == "antipode" else "nu"
         f = antipode(A) if command == "antipode" else A.nu
-        # a degree's rows are in basis order, terms in the order str() sorts
-        # into, keyed by position: labels(d) labels both
-        verdicts.append((f"{name}(1)", "1"))
         alg = A.algebra
-        for d in alg.degrees(1, max_degree):
-            names = [f"{name}({label})" for label in alg.labels(d)]
-            verdicts += zip(names, _format_rows(alg, d, f.degree_images(d)))
+        # a degree's rows are in basis order, terms in the order str() sorts
+        # into, keyed by position: labels(d) labels both; a degree is filled
+        # only when a writer reaches it, and degree 0 is the unit's row, 1
+        table = name, lambda: (_format_rows(alg, d, f.degree_images(d)) for d in alg.degrees(0, max_degree))
     elif command == "nu-eq-chi":
         ok, witness = inverse_equals_antipode(A, max_degree)
         verdicts.append(("nu-eq-chi", ok))
@@ -193,6 +184,7 @@ def run_command(spec: ProblemSpec, command: str, max_degree: int = 10) -> Report
         verdicts=verdicts,
         witnesses=witnesses,
         exit_code=0 if ok else 1,
+        table=table,
     )
 
 
@@ -280,21 +272,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     command, path, max_degree, as_json, _ = _read_args(argv) or _parse_args(argv)
 
-    try:
-        text = _read_input(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    try:  # a ParseError and a UnicodeDecodeError are ValueErrors
+        report = run_command(parse_spec(_read_input(path)), command, max_degree=max_degree)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        spec = parse_spec(text)
-        report = run_command(spec, command, max_degree=max_degree)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        print(report.render_json() if as_json else report.render_text())
+    try:  # a table is written a degree at a time, as its map fills
+        sys.stdout.writelines(report.json_pieces() if as_json else report.text_pieces())
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone (as `| head` does): what is left in the buffer

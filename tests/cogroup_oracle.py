@@ -320,7 +320,7 @@ def check_axioms_on(A, D: int, words) -> cg.AxiomReport:
             violations.append(f"Phi coassociativity fails on {cg.format_word(w)}")
         if eps_star_one(pw) != word_elem or one_star_eps(pw) != word_elem:
             violations.append(f"Phi counit law fails on {cg.format_word(w)}")
-        expected = alg.scalar(word_elem.coefficient(()))  # eta . eps
+        expected = alg.scalar(word_elem.terms.get((), 0))  # eta . eps
         if nu_star_one(pw) != expected:
             violations.append(f"left inverse law fails on {cg.format_word(w)}")
         if one_star_nu(pw) != expected:

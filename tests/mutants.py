@@ -185,6 +185,37 @@ MUTANTS = [
         'f" + 1*{labels[k]}" if c == 1 else',
         "algebra._format_rows",
     ),
+    # the tables' row texts and their writers
+    Mutant(
+        "format-rows-separator-read-off-the-text", "algebra.py",
+        '(t := "".join(texts[i:j]))',
+        '(t := "".join(texts[i:j]).replace(" + -", " - "))',
+        "algebra._format_rows",
+    ),
+    Mutant(
+        "one-term-row-loses-its-sign", "algebra.py",
+        'else "-" + labels[k] if c == -1',
+        'else labels[k] if c == -1',
+        "algebra._format_rows",
+    ),
+    Mutant(
+        "format-terms-unit-by-its-label", "algebra.py",
+        "        if key == ():\n",
+        '        if label == "1":\n',
+        "algebra._format_terms",
+    ),
+    Mutant(
+        "json-table-plain-on-the-first-generator", "cli.py",
+        'ESCAPE_ASCII.search("".join(self.generators))',
+        "ESCAPE_ASCII.search(self.generators[0])",
+        "cli.Report.json_pieces",
+    ),
+    Mutant(
+        "json-degrees-run-together", "cli.py",
+        '                sep = ","\n',
+        '                sep = ""\n',
+        "cli.Report.json_pieces",
+    ),
     Mutant(
         "recursion-rows-unsorted", "convolution.py",
         "order = sorted(acc)",

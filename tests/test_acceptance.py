@@ -111,7 +111,7 @@ def criterion_04_surjectivity_and_indecomposables():
     chi = make_antipode("z4-free3", 8)
     word = ("x", "x")
     assert chi.image(word) == A.algebra.element({word: 3})
-    assert A.algebra.element({word: 3}) == -A.algebra.element({word: 1})
+    assert A.algebra.element({word: 3}) == A.algebra.element({word: 1}).scale(-1)
 
 
 def criterion_05_closed_form_for_one_cyclic_summand():

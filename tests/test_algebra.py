@@ -102,14 +102,14 @@ def test_unit_and_scalar():
     assert X * A.one() == X
     assert A.scalar(3) == A.one().scale(3)
     assert X.scale(0) == A.zero()
-    assert (2 * X) == X + X
+    assert X.scale(2) == X + X
 
 
 def test_truncation_drops_high_degree():
     A = poly_algebra(4)
     X = A.generator("X")
     sq = X * X
-    assert sq.coefficient(("X", "X")) == 1
+    assert sq.terms.get(("X", "X"), 0) == 1
     assert not (sq * X)  # degree 6 > 4
 
 
@@ -150,7 +150,7 @@ def test_str_rendering():
     assert str(A.zero()) == "0"
     assert str(A.one()) == "1"
     assert str(x * x * y) == "x^2*y"
-    assert str(y - x * x) == "-x^2 + y"
+    assert str(y + (x * x).scale(-1)) == "-x^2 + y"
     assert str(x.scale(Fraction(1, 2))) == "1/2*x"
     assert str(A.one().scale(-2) + y) == "-2 + y"
 

@@ -135,9 +135,9 @@ def test_inverse_of_identity_worked_example():
     A = make_cogroup("q-even2", 6)
     g = cg.antipode_by_recursion(A)
     x = A.algebra.generator("x")
-    assert g.image(("x",)) == -x
+    assert g.image(("x",)) == x.scale(-1)
     assert g.image(("x", "x")) == x * x
-    assert g.image(("x", "x", "x")) == -(x * x * x)
+    assert g.image(("x", "x", "x")) == (x * x * x).scale(-1)
 
 
 def test_antipode_matches_generic_inverse():
@@ -247,7 +247,7 @@ def test_antipode_refuses_a_non_homogeneous_coproduct():
     alg = cg.tensor_cogroup(cg.trivial_coalgebra(m), 5).algebra
     x, y = alg.generator("x"), alg.generator("y")
     with pytest.raises(ValueError, match="image of y is not homogeneous of degree 2"):
-        cg.AntiMorphism(alg, alg, {"x": -x, "y": -y + x * x + x * x * x})
+        cg.AntiMorphism(alg, alg, {"x": x.scale(-1), "y": y.scale(-1) + x * x + x * x * x})
 
 
 def test_the_top_word_of_a_deep_truncation_needs_no_recursion():
@@ -629,7 +629,7 @@ def test_antipode_reverses_words_with_sign():
     A = cg.tensor_cogroup(cg.trivial_coalgebra(m), 6)
     chi = cg.antipode(A)
     alg = A.algebra
-    assert chi.image(("u", "v")) == -alg.element({("v", "u"): 1})
+    assert chi.image(("u", "v")) == alg.element({("v", "u"): -1})
     assert chi.image(("u", "v", "u")) == alg.element({("u", "v", "u"): 1})
 
 

@@ -18,6 +18,7 @@ from cogroups.cli import (
 )
 from cogroups.dsl import ParseError, ProblemSpec, parse_spec
 from instances import BINOM_Z9, raw_presentations, render_spec
+from report_oracle import report_verdicts
 
 POLY = "ring Q\ngenerator X degree 2\n"
 TORSION = "ring Zmod 4\ngenerator x degree 3\n"
@@ -321,13 +322,13 @@ def test_run_command_verdicts_and_exit_codes():
 
 def test_run_command_antipode_tables():
     rep = run_command(parse_spec(TORSION), "antipode", max_degree=10)
-    table = dict(rep.verdicts)
+    table = dict(report_verdicts(rep))
     assert table["chi(1)"] == "1"
     assert table["chi(x)"] == "3*x"
     assert table["chi(x^2)"] == "3*x^2"
     assert table["chi(x^3)"] == "x^3"
     rep = run_command(parse_spec(TORSION), "inverse", max_degree=10)
-    table = dict(rep.verdicts)
+    table = dict(report_verdicts(rep))
     assert table["nu(x)"] == "3*x"
     assert table["nu(x^2)"] == "x^2"
     assert rep.exit_code == 0
@@ -703,6 +704,22 @@ def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_a_reader_that_leaves_a_deep_table_stops_it(tmp_path):
+    # `cogroups antipode F --max-degree 14 | head -1` on three generators:
+    # the whole table is 14 MB, but the table is written as each degree
+    # fills, so the writer meets the closed pipe after a few degrees
+    path = tmp_path / "spec.cog"
+    path.write_text("ring Q\ngenerator x degree 1\ngenerator y degree 1\ngenerator z degree 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for extra in ([], ["--json"]):
+        argv = [sys.executable, "-m", "cogroups.cli", "inverse", str(path), "--max-degree", "14", *extra]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() in (b"command: inverse\n", b"{\n")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
 
 
 def test_only_check_cogroup_reads_phi(tmp_path, capsys, monkeypatch):

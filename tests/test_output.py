@@ -13,15 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogroups import algebra, cogroup, convolution
-from cogroups.algebra import AlgebraMorphism
+from cogroups.algebra import AlgebraMorphism, TruncatedTensorAlgebra
 from cogroups.cli import COMMANDS, Report, main as cli_main, run_command
 from cogroups.dsl import ProblemSpec, parse_spec
 from cogroups.modules import CyclicGenerator, GradedModulePresentation
 from cogroups.rings import RingSpec
+import instances
 from instances import (
     BINOM_F7, BINOM_Z9, DECONC_Q2, DECONC_Z, MATRIX, Q_PRIME, TORSION_Z, Z4_CHAIN, Z6_PAIR, Z_THREE_PRIMES,
-    make_module,
+    make_module, render_spec,
 )
+from report_oracle import oracle_json, report_verdicts
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,21 +137,44 @@ def test_the_tables_at_degree_10_keep_their_digests(instance, command, as_json):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[instance, command, as_json]
 
 
+# library generators named as no description may name them: (ring,
+# generators, coproduct table)
+NAMED_TABLES = [
+    # a leading '-', and " + -" inside a name
+    (RingSpec("Z"), (("x", 2), ("a", 1), ("-b", 1), ("c + -d", 1)), {"x": [(-1, "-b", "a"), (2, "a", "c + -d")]}),
+    # a generator named "1" over Z/4, where chi(1) is 3*1, and names that
+    # JSON escapes
+    (RingSpec("Zmod", 4), (("x", 2), ("1", 1), ('q"', 1), ("é", 1)), {"x": [(1, "1", 'q"'), (2, "é", "1")]}),
+]
+
+
 @pytest.mark.parametrize("command", ("antipode", "inverse"))
 def test_the_tables_print_each_image_as_str_does_whatever_the_names(command):
-    """A generator built through the library may be named with a leading
-    '-' or with " + -" inside: each table row still prints as ``str`` of
-    the word's image, every sign read off a coefficient, not off a label."""
-    ring = RingSpec("Z")
-    gens = (CyclicGenerator("x", 2), CyclicGenerator("a", 1), CyclicGenerator("-b", 1), CyclicGenerator("c + -d", 1))
-    spec = ProblemSpec(ring, GradedModulePresentation(ring, gens), {"x": [(-1, "-b", "a"), (2, "a", "c + -d")]})
-    A = cogroup.tensor_cogroup(spec.coalgebra(), 4)
-    f = convolution.antipode(A) if command == "antipode" else A.nu
-    name = "chi" if command == "antipode" else "nu"
-    expected = [(f"{name}({label})", str(f.image(w))) for d in range(5)
-                for label, w in zip(A.algebra.labels(d), A.algebra.basis(d))]
-    assert run_command(spec, command, max_degree=4).verdicts == expected
-    assert (f"{name}(x)", "-x + 2*a*c + -d - -b*a") in expected
+    """Each table row prints as ``str`` of the word's image, every sign read
+    off a coefficient, not off a label, and the unit off its key, not off
+    the label "1"; the JSON report is ``json.dumps``'s, whether or not a
+    name needs escaping.  Degree 1 takes the one-term path of
+    ``_format_rows``, and degree 2, with more terms than words, the
+    joined texts."""
+    name, reports = "chi" if command == "antipode" else "nu", []
+    for ring, gens, table in NAMED_TABLES:
+        module = GradedModulePresentation(ring, tuple(CyclicGenerator(n, d) for n, d in gens))
+        spec = ProblemSpec(ring, module, table)
+        A = cogroup.tensor_cogroup(spec.coalgebra(), 4)
+        f = convolution.antipode(A) if command == "antipode" else A.nu
+        alg = A.algebra
+        assert f.degree_images(1)[2] == list(range(alg.size(1) + 1))
+        assert len(f.degree_images(2)[0]) > alg.size(2)
+        expected = [(f"{name}({label})", str(f.image(w))) for d in range(5)
+                    for label, w in zip(alg.labels(d), alg.basis(d))]
+        report = run_command(spec, command, max_degree=4)
+        assert report_verdicts(report) == expected
+        assert report.render_text().splitlines()[4:-1] == [f"{n}: {v}" for n, v in expected]
+        assert report.render_json() == oracle_json(report)
+        reports.append(report)
+    assert (f"{name}(x)", "-x + 2*a*c + -d - -b*a") in report_verdicts(reports[0])
+    assert (f"{name}(1)", "3*1") in expected and str(f.image(("1",))) == "3*1"
+    assert (f"{name}(é)", "3*é") in expected and f'"name": "{name}(\\u00e9)"' in report.render_json()
 
 
 @pytest.mark.parametrize("command", ("antipode", "inverse"))
@@ -176,21 +201,89 @@ def test_the_tables_fill_each_degree_once_and_look_up_no_word(command, monkeypat
         monkeypatch.setattr(module, "format_word", unlabelled)
     for text in (DECONC_Z, BINOM_Z9, BINOM_F7, TORSION_Z, DECONC_Q2):
         fills.clear()
-        run_command(parse_spec(text), command, max_degree=6)
+        run_command(parse_spec(text), command, max_degree=6).render_text()
         assert len({f for f, _ in fills}) == 1
         assert [d for _, d in fills] == list(range(1, 7))  # degree 0 is 1 -> 1
 
 
-def oracle_json(report):
-    return json.dumps(report.to_dict(), indent=2)
-
-
 def test_render_json_matches_json_dumps_on_every_command_of_the_matrix():
+    """What ``main`` writes, piece by piece, is the report's render and a
+    newline, in text and in JSON, and the JSON is ``json.dumps``'s."""
     for key, ring, *_ in MATRIX:
         spec = ProblemSpec(ring, make_module(key))
+        text = render_spec(spec)
         for command in COMMANDS:
             report = run_command(spec, command, max_degree=4)
             assert report.render_json() == oracle_json(report), (key, command)
+            argv = [command, "-", "--max-degree", "4"]
+            assert run_main(argv, text) == (report.exit_code, report.render_text() + "\n"), (key, command)
+            assert run_main(argv + ["--json"], text) == (report.exit_code, oracle_json(report) + "\n"), (key, command)
+
+
+class LeavingReader(io.StringIO):
+    """The write end of a pipe whose reader leaves after the first table
+    line: a later write raises BrokenPipeError.  Its file descriptor is a
+    file that ``main`` may point at devnull."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        if "(1)" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("as_json", (False, True))
+@pytest.mark.parametrize("command", ("antipode", "inverse"))
+def test_a_reader_that_leaves_stops_the_fill(command, as_json, tmp_path, monkeypatch, capsys):
+    """A table is written a degree at a time, each as its map fills: when
+    the reader has gone after the unit's line, the write of degree 1
+    fails, ``main`` returns with nothing on stderr, and no degree above 1
+    is filled."""
+    fills = []
+    fill = AlgebraMorphism._fill
+
+    def counted(self, d):
+        fills.append(d)
+        return fill(self, d)
+
+    monkeypatch.setattr(AlgebraMorphism, "_fill", counted)
+    path = tmp_path / "spec.cog"
+    path.write_text(Q_PRIMITIVE)
+    with open(tmp_path / "stdout", "w") as file:
+        reader = LeavingReader(file.fileno())
+        with contextlib.redirect_stdout(reader):
+            rc = cli_main([command, str(path), "--max-degree", "12"] + ["--json"] * as_json)
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert fills == [1]
+    name = "chi" if command == "antipode" else "nu"
+    last = f'"name": "{name}(1)",\n      "value": "1"\n    }}' if as_json else f"{name}(1): 1"
+    assert reader.getvalue().endswith(last)
+
+
+HAND_TABLES = {name: text for name, text in vars(instances).items() if name.isupper() and type(text) is str}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_TABLES))
+def test_a_table_command_raises_nothing_once_its_stream_has_begun(name, tmp_path, capsys):
+    """Whatever a table command refuses, it refuses in ``run_command``,
+    before the first byte: from there on every degree fills and prints,
+    one row for each word up to D."""
+    path = tmp_path / "spec.cog"
+    path.write_text(HAND_TABLES[name])
+    words = sum(map(TruncatedTensorAlgebra(parse_spec(HAND_TABLES[name]).module, 8).size, range(9)))
+    for command in ("antipode", "inverse"):
+        rc = cli_main([command, str(path), "--max-degree", "8"])
+        out, err = capsys.readouterr()
+        assert (rc, err, len(out.splitlines())) == (0, "", words + 5), command
+        rc = cli_main([command, str(path), "--max-degree", "8", "--json"])
+        out, err = capsys.readouterr()
+        assert (rc, err, len(json.loads(out)["verdicts"])) == (0, "", words), command
 
 
 def test_render_json_matches_json_dumps_on_lists_and_values():
